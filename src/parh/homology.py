@@ -29,7 +29,8 @@ from .groupoid import (
     induce_module,
 )
 from .groups import trivial_rep
-from .linalg import Eliminator, Field, QQ, SizeCapError, SparseMatrix, rank
+from .linalg import (Eliminator, Field, QQ, SizeCapError, SparseMatrix,
+                     accumulate, rank)
 
 HOMOLOGY_SIZE_CAP = 100_000
 
@@ -182,25 +183,19 @@ def bar_differential(group, n: int, field: Field = QQ,
     cols = bar_basis(group, n, cap)
     rpos = {lab: k for k, lab in enumerate(rows)}
     f = field
-    entries: dict[tuple[int, int], object] = {}
 
-    def bump(r: int, c: int, v) -> None:
-        s = f.add(entries.get((r, c), f.zero), v)
-        if s:
-            entries[(r, c)] = s
-        else:
-            entries.pop((r, c), None)
+    def terms():
+        for c, (a, xs) in enumerate(cols):
+            x1i = group.inv(xs[0])
+            tail_a = tuple(sorted(group.mult(x1i, m) for m in a))
+            yield (rpos[(tail_a, xs[1:])], c), f.one
+            sign = f.neg(f.one)
+            for j in range(len(xs) - 1):
+                yield (rpos[(a, _contract(group, xs, j))], c), sign
+                sign = f.neg(sign)
+            yield (rpos[(a, xs[:-1])], c), sign
 
-    for c, (a, xs) in enumerate(cols):
-        x1i = group.inv(xs[0])
-        tail_a = tuple(sorted(group.mult(x1i, m) for m in a))
-        bump(rpos[(tail_a, xs[1:])], c, f.one)
-        sign = f.neg(f.one)
-        for j in range(len(xs) - 1):
-            bump(rpos[(a, _contract(group, xs, j))], c, sign)
-            sign = f.neg(sign)
-        bump(rpos[(a, xs[:-1])], c, sign)
-    return SparseMatrix(f, len(rows), len(cols), entries,
+    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()),
                         row_labels=rows, col_labels=cols)
 
 
@@ -231,18 +226,15 @@ def homogeneous_differential(group, n: int, field: Field = QQ,
     cols = homogeneous_basis(group, n, cap)
     rpos = {lab: k for k, lab in enumerate(rows)}
     f = field
-    entries: dict[tuple[int, int], object] = {}
-    for c, (a, gs) in enumerate(cols):
-        sign = f.one
-        for i in range(len(gs)):
-            r = rpos[(a, gs[:i] + gs[i + 1:])]
-            s = f.add(entries.get((r, c), f.zero), sign)
-            if s:
-                entries[(r, c)] = s
-            else:
-                entries.pop((r, c), None)
-            sign = f.neg(sign)
-    return SparseMatrix(f, len(rows), len(cols), entries,
+
+    def terms():
+        for c, (a, gs) in enumerate(cols):
+            sign = f.one
+            for i in range(len(gs)):
+                yield (rpos[(a, gs[:i] + gs[i + 1:])], c), sign
+                sign = f.neg(sign)
+
+    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()),
                         row_labels=rows, col_labels=cols)
 
 
@@ -375,33 +367,27 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
         per_tuple, _, _ = degree[n]
         _, off_lo, _ = degree[n - 1]
         lo_blocks = {xs: b for xs, b in degree[n - 1][0]}
-        entries: dict[tuple[int, int], object] = {}
 
-        def bump(r: int, c: int, v) -> None:
-            s = field.add(entries.get((r, c), field.zero), v)
-            if s:
-                entries[(r, c)] = s
-            else:
-                entries.pop((r, c), None)
+        def terms():
+            c = 0
+            for xs, block in per_tuple:
+                x1i = group.inv(xs[0])
+                tail = xs[1:]
+                targets = [(tail, field.one, v_mod.mats[x1i])]
+                sign = field.neg(field.one)
+                for j in range(n - 1):
+                    targets.append((_contract(group, xs, j), sign, None))
+                    sign = field.neg(sign)
+                targets.append((xs[:-1], sign, None))
+                for b in block.basis:
+                    for ys, s, mat in targets:
+                        w = mat.apply(b) if mat is not None else b
+                        for tag, v in lo_blocks[ys].coords(w).items():
+                            yield (off_lo[ys] + tag, c), s * v
+                    c += 1
 
-        col_off = 0
-        for xs, block in per_tuple:
-            x1i = group.inv(xs[0])
-            tail = xs[1:]
-            targets = [(tail, field.one, v_mod.mats[x1i])]
-            sign = field.neg(field.one)
-            for j in range(n - 1):
-                targets.append((_contract(group, xs, j), sign, None))
-                sign = field.neg(sign)
-            targets.append((xs[:-1], sign, None))
-            for i, b in enumerate(block.basis):
-                c = col_off + i
-                for ys, s, mat in targets:
-                    w = mat.apply(b) if mat is not None else b
-                    for tag, v in lo_blocks[ys].coords(w).items():
-                        bump(off_lo[ys] + tag, c, field.mul(s, v))
-            col_off += block.dim
-        diffs[n] = SparseMatrix(field, len(labels[n - 1]), col_off, entries,
+        diffs[n] = SparseMatrix(field, len(labels[n - 1]), len(labels[n]),
+                                accumulate(field, terms()),
                                 row_labels=labels[n - 1],
                                 col_labels=labels[n])
     return ChainComplex(field, labels, diffs)
@@ -427,37 +413,31 @@ def _transported_cocomplex(v_mod: PartialRepModule, max_n: int,
         per_tuple, off_hi, _ = degree[n]
         _, off_lo, _ = degree[n - 1]
         lo_blocks = {xs: b for xs, b in degree[n - 1][0]}
-        entries: dict[tuple[int, int], object] = {}
 
-        def bump(r: int, c: int, v) -> None:
-            s = field.add(entries.get((r, c), field.zero), v)
-            if s:
-                entries[(r, c)] = s
-            else:
-                entries.pop((r, c), None)
+        def terms():
+            for xs, block in per_tuple:
+                x1 = xs[0]
+                tail = xs[1:]
+                sources = [(tail, field.one, v_mod.mats[x1], False)]
+                sign = field.neg(field.one)
+                for j in range(n - 1):
+                    sources.append((_contract(group, xs, j), sign, None, True))
+                    sign = field.neg(sign)
+                sources.append((xs[:-1], sign, None, True))
+                for ys, s, mat, needs_proj in sources:
+                    src = lo_blocks[ys]
+                    for j, b in enumerate(src.basis):
+                        w = mat.apply(b) if mat is not None else b
+                        if needs_proj:
+                            w = block.projection.apply(w)
+                            if not w:
+                                continue
+                        for tag, v in block.coords(w).items():
+                            yield (off_hi[xs] + tag, off_lo[ys] + j), s * v
 
-        for xs, block in per_tuple:
-            x1 = xs[0]
-            tail = xs[1:]
-            terms = [(tail, field.one, v_mod.mats[x1], False)]
-            sign = field.neg(field.one)
-            for j in range(n - 1):
-                terms.append((_contract(group, xs, j), sign, None, True))
-                sign = field.neg(sign)
-            terms.append((xs[:-1], sign, None, True))
-            for ys, s, mat, needs_proj in terms:
-                src = lo_blocks[ys]
-                for j, b in enumerate(src.basis):
-                    w = mat.apply(b) if mat is not None else b
-                    if needs_proj:
-                        w = block.projection.apply(w)
-                        if not w:
-                            continue
-                    for tag, v in block.coords(w).items():
-                        bump(off_hi[xs] + tag, off_lo[ys] + j,
-                             field.mul(s, v))
         diffs[n] = SparseMatrix(field, len(labels[n]), len(labels[n - 1]),
-                                entries, row_labels=labels[n],
+                                accumulate(field, terms()),
+                                row_labels=labels[n],
                                 col_labels=labels[n - 1])
     return _CoComplex(field, {n: labels[n] for n in range(max_n + 1)}, diffs)
 
@@ -667,30 +647,25 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
                      for i in range(d)]
     for n in range(1, max_degree + 2):
         tpos = _group_tuple_index(m, n - 1)
-        entries: dict[tuple[int, int], object] = {}
 
-        def bump(r, c, v):
-            s = field.add(entries.get((r, c), field.zero), v)
-            if s:
-                entries[(r, c)] = s
-            else:
-                entries.pop((r, c), None)
+        def terms():
+            for ct, hs in enumerate(product(range(m), repeat=n)):
+                tail_off = tpos[hs[1:]] * d
+                lead = mats[inv[hs[0]]]
+                for i in range(d):
+                    c = ct * d + i
+                    for r, v in lead.column(i).items():
+                        yield (tail_off + r, c), v
+                    sign = field.neg(field.one)
+                    for j in range(n - 1):
+                        merged = (hs[:j] + (mult[hs[j]][hs[j + 1]],)
+                                  + hs[j + 2:])
+                        yield (tpos[merged] * d + i, c), sign
+                        sign = field.neg(sign)
+                    yield (tpos[hs[:-1]] * d + i, c), sign
 
-        for ct, hs in enumerate(product(range(m), repeat=n)):
-            tail_off = tpos[hs[1:]] * d
-            lead = mats[inv[hs[0]]]
-            for i in range(d):
-                c = ct * d + i
-                for r, v in lead.column(i).items():
-                    bump(tail_off + r, c, v)
-                sign = field.neg(field.one)
-                for j in range(n - 1):
-                    merged = hs[:j] + (mult[hs[j]][hs[j + 1]],) + hs[j + 2:]
-                    bump(tpos[merged] * d + i, c, sign)
-                    sign = field.neg(sign)
-                bump(tpos[hs[:-1]] * d + i, c, sign)
         diffs[n] = SparseMatrix(field, len(labels[n - 1]), len(labels[n]),
-                                entries)
+                                accumulate(field, terms()))
     cx = ChainComplex(field, labels, diffs)
     return HomologyReport(getattr(h_group, "name", "H"),
                           f"representation of dimension {d}", field,
@@ -718,29 +693,24 @@ def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
                      for i in range(d)]
     for n in range(1, max_degree + 2):
         tpos = _group_tuple_index(m, n - 1)
-        entries: dict[tuple[int, int], object] = {}
 
-        def bump(r, c, v):
-            s = field.add(entries.get((r, c), field.zero), v)
-            if s:
-                entries[(r, c)] = s
-            else:
-                entries.pop((r, c), None)
+        def terms():
+            for ct, hs in enumerate(product(range(m), repeat=n)):
+                tail_off = tpos[hs[1:]] * d
+                lead = mats[hs[0]]
+                for j in range(d):
+                    for r, v in lead.column(j).items():
+                        yield (ct * d + r, tail_off + j), v
+                    sign = field.neg(field.one)
+                    for i in range(n - 1):
+                        merged = (hs[:i] + (mult[hs[i]][hs[i + 1]],)
+                                  + hs[i + 2:])
+                        yield (ct * d + j, tpos[merged] * d + j), sign
+                        sign = field.neg(sign)
+                    yield (ct * d + j, tpos[hs[:-1]] * d + j), sign
 
-        for ct, hs in enumerate(product(range(m), repeat=n)):
-            tail_off = tpos[hs[1:]] * d
-            lead = mats[hs[0]]
-            for j in range(d):
-                for r, v in lead.column(j).items():
-                    bump(ct * d + r, tail_off + j, v)
-                sign = field.neg(field.one)
-                for i in range(n - 1):
-                    merged = hs[:i] + (mult[hs[i]][hs[i + 1]],) + hs[i + 2:]
-                    bump(ct * d + j, tpos[merged] * d + j, sign)
-                    sign = field.neg(sign)
-                bump(ct * d + j, tpos[hs[:-1]] * d + j, sign)
         diffs[n] = SparseMatrix(field, len(labels[n]), len(labels[n - 1]),
-                                entries)
+                                accumulate(field, terms()))
     cx = _CoComplex(field, labels, diffs)
     return HomologyReport(getattr(h_group, "name", "H"),
                           f"representation of dimension {d}", field,

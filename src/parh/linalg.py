@@ -6,11 +6,16 @@ dicts mapping row index to a nonzero scalar; matrices never store zeros.
 Elimination is incremental: an :class:`Eliminator` absorbs columns one at a
 time and can be queried between insertions, which is what the quotient and
 filtration checks need.
+
+The inner loops branch on the characteristic once, outside the loop: over
+F_p they run on plain ints reduced ``% p``, over Q on ``Fraction`` ``+`` and
+``*``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -40,7 +45,7 @@ class Field:
     3
     """
 
-    __slots__ = ("char",)
+    __slots__ = ("char", "zero", "one")
 
     def __init__(self, char: int = 0) -> None:
         if char != 0:
@@ -49,6 +54,8 @@ class Field:
             if not _is_prime(char):
                 raise ValueError(f"field characteristic must be 0 or prime, got {char}")
         self.char = char
+        self.zero = Fraction(0) if char == 0 else 0
+        self.one = Fraction(1) if char == 0 else 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.char == self.char
@@ -74,14 +81,6 @@ class Field:
                 raise ZeroDivisionError(f"{x} has no image in F_{self.char}")
             return x.numerator * pow(x.denominator, -1, self.char) % self.char
         return x % self.char
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
@@ -118,14 +117,48 @@ def _clean(col: Column) -> Column:
     return {r: v for r, v in col.items() if v}
 
 
+def accumulate(field: Field, terms: Iterable[tuple[object, Scalar]]) -> dict:
+    """Sum ``(key, value)`` terms into a new dict that stores no zeros.
+
+    Values are ``Fraction`` over Q and ints over F_p, reduced here.  A
+    key whose running sum cancels is dropped, and a later term puts it
+    back at the end, so keys come out in the order of ``terms``.
+
+    >>> accumulate(GF(3), [("a", 2), ("b", 1), ("a", 1)])
+    {'b': 1}
+    """
+    out: dict = {}
+    get = out.get
+    p = field.char
+    if p:
+        for key, v in terms:
+            s = (get(key, 0) + v) % p
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    else:
+        for key, v in terms:
+            old = get(key)
+            s = v if old is None else old + v
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
 class SparseMatrix:
     """An nrows-by-ncols matrix stored as {(row, col): nonzero scalar}.
 
     Optional row/column labels travel with the matrix so that reports can
-    name basis elements instead of bare indices.
+    name basis elements instead of bare indices.  ``entries`` is set once,
+    when the matrix is built, and every operation returns a new matrix, so
+    the column index is built once, on first use.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "row_labels", "col_labels")
+    __slots__ = ("field", "nrows", "ncols", "entries", "row_labels",
+                 "col_labels", "_cols")
 
     def __init__(
         self,
@@ -155,6 +188,16 @@ class SparseMatrix:
             raise ValueError("col_labels length must equal ncols")
         self.row_labels = list(row_labels) if row_labels is not None else None
         self.col_labels = list(col_labels) if col_labels is not None else None
+        self._cols: dict[int, Column] | None = None
+
+    @classmethod
+    def _of_clean(cls, field: Field, nrows: int, ncols: int,
+                  entries: dict[tuple[int, int], Scalar]) -> "SparseMatrix":
+        """Adopt entries that are already in range, in ``field`` and nonzero,
+        as the kernels of this class produce them, without checking again."""
+        m = cls(field, nrows, ncols)
+        m.entries = entries
+        return m
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
@@ -189,16 +232,32 @@ class SparseMatrix:
     def get(self, i: int, j: int) -> Scalar:
         return self.entries.get((i, j), self.field.zero)
 
+    def _column_index(self) -> dict[int, Column]:
+        """The nonzero columns as {col: {row: value}}, in entry order.
+
+        Shared with the kernels of this module, which never mutate it;
+        ``column`` and ``columns`` hand out copies.
+        """
+        cols = self._cols
+        if cols is None:
+            cols = {}
+            for (i, j), v in self.entries.items():
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i: v}
+                else:
+                    col[i] = v
+            self._cols = cols
+        return cols
+
     def column(self, j: int) -> Column:
         if not (0 <= j < self.ncols):
             raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        return dict(self._column_index().get(j, ()))
 
     def columns(self) -> list[Column]:
-        cols: list[Column] = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        cols = self._column_index()
+        return [dict(cols.get(j, ())) for j in range(self.ncols)]
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -218,15 +277,10 @@ class SparseMatrix:
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_same_shape(other)
-        f = self.field
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            w = f.add(entries.get(key, f.zero), v)
-            if w:
-                entries[key] = w
-            else:
-                entries.pop(key, None)
-        return SparseMatrix(f, self.nrows, self.ncols, entries)
+        entries = accumulate(self.field, chain(self.entries.items(),
+                                               other.entries.items()))
+        return SparseMatrix._of_clean(self.field, self.nrows, self.ncols,
+                                      entries)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(self.field.neg(self.field.one))
@@ -251,35 +305,23 @@ class SparseMatrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        rows_of_self: dict[int, list[tuple[int, Scalar]]] = {}
-        for (i, k), v in self.entries.items():
-            rows_of_self.setdefault(k, []).append((i, v))
-        entries: dict[tuple[int, int], Scalar] = {}
-        for (k, j), w in other.entries.items():
-            for i, v in rows_of_self.get(k, ()):
-                key = (i, j)
-                s = f.add(entries.get(key, f.zero), f.mul(v, w))
-                if s:
-                    entries[key] = s
-                else:
-                    entries.pop(key, None)
-        return SparseMatrix(f, self.nrows, other.ncols, entries)
+        cols = self._column_index()
+        entries = accumulate(self.field, (
+            ((i, j), v * w)
+            for (k, j), w in other.entries.items()
+            for i, v in cols.get(k, {}).items()))
+        return SparseMatrix._of_clean(self.field, self.nrows, other.ncols,
+                                      entries)
 
     def apply(self, col: Column) -> Column:
         """Multiply this matrix by a column vector given as a dict."""
-        f = self.field
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
+        cols = self._column_index()
+        p = self.field.char
         out: Column = {}
         for j, c in col.items():
-            for i, v in cols.get(j, ()):
-                s = f.add(out.get(i, f.zero), f.mul(v, c))
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+            src = cols.get(j)
+            if src is not None:
+                _axpy(p, out, c, src)
         return out
 
     def is_zero(self) -> bool:
@@ -310,6 +352,26 @@ class SparseMatrix:
         return f"SparseMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def _axpy(p: int, target: dict, coeff, source: dict) -> None:
+    """target += coeff * source over F_p, or over Q when ``p`` is 0."""
+    get = target.get
+    if p:
+        for r, v in source.items():
+            s = (get(r, 0) + coeff * v) % p
+            if s:
+                target[r] = s
+            else:
+                target.pop(r, None)
+    else:
+        for r, v in source.items():
+            old = get(r)
+            s = coeff * v if old is None else old + coeff * v
+            if s:
+                target[r] = s
+            else:
+                target.pop(r, None)
+
+
 class Eliminator:
     """Incremental Gaussian elimination over sparse columns.
 
@@ -337,35 +399,26 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _axpy(self, target: dict, coeff, source: dict) -> None:
-        f = self.field
-        for r, v in source.items():
-            s = f.add(target.get(r, f.zero), f.mul(coeff, v))
-            if s:
-                target[r] = s
-            else:
-                target.pop(r, None)
-
     def reduce(self, col: Column, hist: dict | None = None) -> Column:
         """Residue of ``col`` modulo the current span.
 
         When ``hist`` is a dict it accumulates, per original-column tag, the
         coefficients used, so ``col - residue == sum(hist[t] * column_t)``.
+        The pivot eliminated next is the first hit in dict order.
         """
-        f = self.field
+        p = self.field.char
+        pivots = self.pivots
         col = _clean(col)
         while True:
-            hit = None
-            for r in col:
-                if r in self.pivots:
-                    hit = r
+            for hit in col:
+                if hit in pivots:
                     break
-            if hit is None:
+            else:
                 return col
             c = col[hit]
-            self._axpy(col, f.neg(c), self.pivots[hit])
+            _axpy(p, col, -c, pivots[hit])
             if hist is not None:
-                self._axpy(hist, c, self.history[hit])
+                _axpy(p, hist, c, self.history[hit])
 
     def add(self, col: Column, tag=None) -> int | None:
         """Absorb a column; return its pivot row, or None if dependent.
@@ -385,17 +438,20 @@ class Eliminator:
             if self.track:
                 self.last_dependency = hist
             return None
-        p = max(res)
-        inv = f.inv(res[p])
-        normalized = {r: f.mul(inv, v) for r, v in res.items()}
-        self.pivots[p] = normalized
+        row = max(res)
+        inv = f.inv(res[row])
+        p = f.char
+        if p:
+            self.pivots[row] = {r: inv * v % p for r, v in res.items()}
+        else:
+            self.pivots[row] = {r: inv * v for r, v in res.items()}
         if self.track:
             # pivot = inv * (col - sum(hist * originals))
             hnew = {tag: inv}
-            self._axpy(hnew, f.neg(inv), hist)
-            self.history[p] = hnew
+            _axpy(p, hnew, -inv, hist)
+            self.history[row] = hnew
             self.last_dependency = None
-        return p
+        return row
 
 
 def rank(m: SparseMatrix) -> int:
@@ -407,8 +463,8 @@ def rank(m: SparseMatrix) -> int:
     1
     """
     elim = Eliminator(m.field)
-    cols = m.columns()
-    for j in sorted(range(m.ncols), key=lambda j: (len(cols[j]), j)):
+    cols = m._column_index()
+    for j in sorted(cols, key=lambda j: (len(cols[j]), j)):
         elim.add(cols[j])
     return elim.rank
 
@@ -426,8 +482,9 @@ def kernel_basis(m: SparseMatrix) -> list[Column]:
     elim = Eliminator(m.field, track=True)
     out: list[Column] = []
     f = m.field
-    for j, col in enumerate(m.columns()):
-        if elim.add(col, tag=j) is None:
+    cols = m._column_index()
+    for j in range(m.ncols):
+        if elim.add(cols.get(j, {}), tag=j) is None:
             dep = elim.last_dependency or {}
             vec = {t: f.neg(c) for t, c in dep.items() if c}
             vec[j] = f.one

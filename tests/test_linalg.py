@@ -190,3 +190,149 @@ def test_labels_travel_with_transpose():
     t = m.transpose()
     assert t.row_labels == ["c0"]
     assert t.col_labels == ["r0", "r1"]
+
+
+# Dense reference arithmetic, independent of Field and SparseMatrix: plain
+# Fraction over Q, ints reduced % p over F_p.
+
+
+def _dense_ops(field):
+    p = field.char
+    if p:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                lambda a, b: a * b % p, lambda a: pow(a, -1, p))
+    return (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+            lambda a: 1 / Fraction(a))
+
+
+def _dense_solve(ops, cols, target):
+    """Coefficients x with sum(x[k] * cols[k]) == target, or None.
+
+    ``cols`` must be independent, so a solution is unique.
+    """
+    add, sub, mul, inv = ops
+    k = len(cols)
+    rows = [[c[i] for c in cols] + [t] for i, t in enumerate(target)]
+    where = {}
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [mul(s, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        where[c] = r
+        r += 1
+    if any(rows[i][k] for i in range(r, len(rows))):
+        return None
+    return [rows[where[c]][k] if c in where else 0 for c in range(k)]
+
+
+def _dense_kernel(field, dense, ncols):
+    """Rank and kernel vectors the way `kernel_basis` promises them: one
+    per column dependent on the independent columns before it, with
+    coefficient 1 there."""
+    ops = _dense_ops(field)
+    sub = ops[1]
+    basis, indep, kernel = [], [], []
+    for j in range(ncols):
+        col = [row[j] for row in dense]
+        x = _dense_solve(ops, basis, col)
+        if x is None:
+            basis.append(col)
+            indep.append(j)
+            continue
+        vec = {t: sub(0, c) for t, c in zip(indep, x) if c}
+        vec[j] = 1
+        kernel.append(vec)
+    return len(basis), kernel
+
+
+def _dense_apply(field, dense, vec):
+    add, _, mul, _ = _dense_ops(field)
+    out = {}
+    for i, row in enumerate(dense):
+        s = 0
+        for j, c in vec.items():
+            s = add(s, mul(row[j], c))
+        if s:
+            out[i] = s
+    return out
+
+
+def _dense_mul(field, a, b):
+    add, _, mul, _ = _dense_ops(field)
+    inner = len(b)
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        line = []
+        for j in range(width):
+            s = 0
+            for k in range(inner):
+                s = add(s, mul(row[k], b[k][j]))
+            line.append(s)
+        out.append(line)
+    return out
+
+
+def _assert_scalars(field, values):
+    for v in values:
+        if field.char:
+            assert type(v) is int and 0 <= v < field.char, v
+        else:
+            assert type(v) is Fraction, v
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+def test_sparse_kernels_match_dense_reference(field):
+    rng = random.Random(2)
+    for _ in range(40):
+        nrows, inner, ncols = (rng.randint(1, 7) for _ in range(3))
+        density = rng.choice([0.2, 0.5, 0.8])
+        a = _random_matrix(rng, field, nrows, inner, density)
+        b = _random_matrix(rng, field, inner, ncols, density)
+        dense_a, dense_b = a.to_dense(), b.to_dense()
+        vec = {j: field.of(rng.randint(1, 4) * rng.choice([-1, 1]))
+               for j in range(inner) if rng.random() < 0.6}
+        vec = {j: c for j, c in vec.items() if c}
+        want = _dense_apply(field, dense_a, vec)
+
+        got = a.apply(vec)
+        assert got == want
+        _assert_scalars(field, got.values())
+        got[nrows] = field.one
+        got.pop(next(iter(want), None), None)
+        assert a.apply(vec) == want
+
+        cols = a.columns()
+        assert len(cols) == inner
+        for j in range(inner):
+            ref = {i: row[j] for i, row in enumerate(dense_a) if row[j]}
+            assert cols[j] == ref
+            col = a.column(j)
+            assert col == ref
+            _assert_scalars(field, col.values())
+            col[nrows] = field.one
+            cols[j].clear()
+            assert a.column(j) == ref
+        assert a.columns() == [
+            {i: row[j] for i, row in enumerate(dense_a) if row[j]}
+            for j in range(inner)]
+        assert a.apply(vec) == want
+
+        prod = a * b
+        assert prod.to_dense() == _dense_mul(field, dense_a, dense_b)
+        _assert_scalars(field, prod.entries.values())
+
+        r, kernel = _dense_kernel(field, dense_a, inner)
+        assert rank(a) == r
+        got_kernel = kernel_basis(a)
+        assert got_kernel == kernel
+        for v in got_kernel:
+            _assert_scalars(field, v.values())
