@@ -5,8 +5,10 @@ subcommand.  Output is a human-readable text block by default or, with
 --json, a machine-readable object carrying the same numbers.  Exit
 status: 0 when every requested check passes, 1 when a verification
 fails, 2 on a configuration error, 3 when a size cap or window escape
-stops the computation.  All randomized commands take an explicit --seed
-and are fully reproducible.
+stops the computation.  Under --json, exits 2 and 3 of a command also
+print {"error": "config"|"size_cap", "message", "limit", "requested"} on
+stdout, with null for a limit or size the error does not carry.  All
+randomized commands take an explicit --seed and are fully reproducible.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ _SCHEMAS = {
     "z ig-decompose": {"count": "int", "bound": "int", "seed": "int",
                        "failures": "int", "sample": "{int: str}",
                        "tensor_vanishing": "bool", "ok": "bool"},
+    "error (exit 2 or 3)": {"error": "config|size_cap", "message": "str",
+                            "limit": "int?", "requested": "int?"},
 }
 
 
@@ -715,21 +719,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(kind: str, exc: Exception) -> None:
+    print(json.dumps({"error": kind, "message": str(exc),
+                      "limit": getattr(exc, "limit", None),
+                      "requested": getattr(exc, "requested", None)}))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    as_json = getattr(args, "json", False)
     try:
         data, lines, ok = args.handler(args)
     except (SizeCapError, WindowEscapeError) as exc:
         print(f"size cap: {exc}", file=sys.stderr)
+        if as_json:
+            _print_error("size_cap", exc)
         return EXIT_CAP
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if as_json:
+            _print_error("config", exc)
         return EXIT_CONFIG
-    if getattr(args, "json", False):
+    if as_json:
         print(json.dumps(data))
     else:
         print("\n".join(lines))

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .groups import GroupElement, GroupError
-from .linalg import Column, Field, QQ, Scalar
+from .linalg import Column, Field, QQ, Scalar, accumulate
 
 
 def _gidx(group, g) -> int:
@@ -189,21 +189,24 @@ class AlgebraElement:
                 if c:
                     self.coeffs[s] = c
 
+    @classmethod
+    def _of_clean(cls, group, field: Field,
+                  coeffs: dict[SElement, Scalar]) -> "AlgebraElement":
+        """Adopt coefficients that are already in ``field`` and nonzero, as
+        ``linalg.accumulate`` produces them, without checking again."""
+        x = cls(group, field)
+        x.coeffs = coeffs
+        return x
+
     def _check(self, other: "AlgebraElement") -> None:
         if self.group is not other.group or self.field != other.field:
             raise ValueError("elements of different partial group algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        f = self.field
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            v = f.add(out.get(s, f.zero), c)
-            if v:
-                out[s] = v
-            else:
-                out.pop(s, None)
-        return AlgebraElement(self.group, f, out)
+        coeffs = accumulate(self.field, chain(self.coeffs.items(),
+                                              other.coeffs.items()))
+        return AlgebraElement._of_clean(self.group, self.field, coeffs)
 
     def __neg__(self) -> "AlgebraElement":
         f = self.field
@@ -220,17 +223,11 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            f = self.field
-            out: dict[SElement, Scalar] = {}
-            for s, c in self.coeffs.items():
-                for t, d in other.coeffs.items():
-                    st = s_mul(s, t)
-                    v = f.add(out.get(st, f.zero), f.mul(c, d))
-                    if v:
-                        out[st] = v
-                    else:
-                        out.pop(st, None)
-            return AlgebraElement(self.group, f, out)
+            coeffs = accumulate(self.field, (
+                (s_mul(s, t), c * d)
+                for s, c in self.coeffs.items()
+                for t, d in other.coeffs.items()))
+            return AlgebraElement._of_clean(self.group, self.field, coeffs)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -247,17 +244,11 @@ class AlgebraElement:
 
     def augmentation(self) -> "AlgebraElement":
         """Project onto B by flattening each (A, g) to (A, 1)."""
-        f = self.field
         e = self.group.identity_index
-        out: dict[SElement, Scalar] = {}
-        for s, c in self.coeffs.items():
-            t = SElement(self.group, s.members, e)
-            v = f.add(out.get(t, f.zero), c)
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return AlgebraElement(self.group, f, out)
+        coeffs = accumulate(self.field, (
+            (SElement(self.group, s.members, e), c)
+            for s, c in self.coeffs.items()))
+        return AlgebraElement._of_clean(self.group, self.field, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -423,21 +414,16 @@ class PartialGroupAlgebra:
         self._require_finite()
         if not x.is_in_b():
             raise ValueError("element is not in the idempotent subalgebra B")
-        f = self.field
         subsets = self.subsets_with_identity()
-        pos = {a: k for k, a in enumerate(subsets)}
-        out: Column = {}
-        for s, c in x.coeffs.items():
-            need = set(s.members)
-            for a in subsets:
-                if need.issubset(a):
-                    k = pos[a]
-                    v = f.add(out.get(k, f.zero), c)
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+
+        def terms():
+            for s, c in x.coeffs.items():
+                need = set(s.members)
+                for k, a in enumerate(subsets):
+                    if need.issubset(a):
+                        yield k, c
+
+        return accumulate(self.field, terms())
 
     def to_primitive(self, x: AlgebraElement) -> dict[tuple[int, ...], Scalar]:
         subsets = self.subsets_with_identity()
@@ -453,15 +439,14 @@ class PartialGroupAlgebra:
         n = self.group.order
         e = self.group.identity_index
         out = self.zero()
+        signs = (f.one, f.neg(f.one))
         for a, c in coeffs.items():
             comp = [i for i in range(n) if i not in a]
-            terms: dict[SElement, Scalar] = {}
-            for k in range(len(comp) + 1):
-                sign = f.of(1 if k % 2 == 0 else -1)
-                for t in combinations(comp, k):
-                    s = SElement(self.group, set(a) | set(t), e)
-                    terms[s] = f.add(terms.get(s, f.zero), sign)
-            out = out + AlgebraElement(self.group, f, terms).scale(c)
+            terms = accumulate(f, (
+                (SElement(self.group, set(a) | set(t), e), signs[k % 2])
+                for k in range(len(comp) + 1)
+                for t in combinations(comp, k)))
+            out = out + AlgebraElement._of_clean(self.group, f, terms).scale(c)
         return out
 
     def primitive_idempotent(self, a: Iterable[int]) -> AlgebraElement:

@@ -10,7 +10,7 @@ All of that structure is constructed explicitly here.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .exel import AlgebraElement, PartialGroupAlgebra, SElement
@@ -23,6 +23,7 @@ from .linalg import (
     Scalar,
     SizeCapError,
     SparseMatrix,
+    accumulate,
     span_rank,
 )
 
@@ -213,15 +214,9 @@ class ArrowSum:
 
     def __add__(self, other: "ArrowSum") -> "ArrowSum":
         self._check(other)
-        f = self.field
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            v = f.add(out.get(a, f.zero), c)
-            if v:
-                out[a] = v
-            else:
-                out.pop(a, None)
-        return ArrowSum(self.groupoid, f, out)
+        out = accumulate(self.field, chain(self.coeffs.items(),
+                                           other.coeffs.items()))
+        return ArrowSum(self.groupoid, self.field, out)
 
     def __neg__(self) -> "ArrowSum":
         f = self.field
@@ -237,21 +232,13 @@ class ArrowSum:
 
     def __mul__(self, other: "ArrowSum") -> "ArrowSum":
         self._check(other)
-        f = self.field
         grp = self.groupoid.group
-        out: dict[Arrow, Scalar] = {}
-        for (a, g), c in self.coeffs.items():
-            for (b, h), d in other.coeffs.items():
-                hb = tuple(sorted(grp.mult(h, m) for m in b))
-                if hb != a:
-                    continue
-                key = (b, grp.mult(g, h))
-                v = f.add(out.get(key, f.zero), f.mul(c, d))
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return ArrowSum(self.groupoid, f, out)
+        out = accumulate(self.field, (
+            ((b, grp.mult(g, h)), c * d)
+            for (a, g), c in self.coeffs.items()
+            for (b, h), d in other.coeffs.items()
+            if tuple(sorted(grp.mult(h, m) for m in b)) == a))
+        return ArrowSum(self.groupoid, self.field, out)
 
     def star(self) -> "ArrowSum":
         grp = self.groupoid.group
@@ -314,21 +301,17 @@ def lambda_map(groupoid: Groupoid, x: AlgebraElement, vertices=None) -> ArrowSum
     one component gives the component map.
     """
     grp = groupoid.group
-    f = x.field
     verts = groupoid.vertices if vertices is None else vertices
-    out: dict[Arrow, Scalar] = {}
-    for s, c in x.coeffs.items():
-        gi = grp.inv(s.g)
-        need = {grp.mult(gi, m) for m in s.members}
-        for d in verts:
-            if need.issubset(d):
-                key = (d, s.g)
-                v = f.add(out.get(key, f.zero), c)
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return ArrowSum(groupoid, f, out)
+
+    def terms():
+        for s, c in x.coeffs.items():
+            gi = grp.inv(s.g)
+            need = {grp.mult(gi, m) for m in s.members}
+            for d in verts:
+                if need.issubset(d):
+                    yield (d, s.g), c
+
+    return ArrowSum(groupoid, x.field, accumulate(x.field, terms()))
 
 
 def lambda_delta(comp: Component, x: AlgebraElement) -> ArrowSum:
@@ -388,6 +371,14 @@ def kernel_lambda(comp: Component, field: Field = QQ) -> list[AlgebraElement]:
     return out
 
 
+def _cells(flat: dict[tuple[int, int, int], Scalar]) -> dict:
+    """Regroup {(row, col, h): c} into {(row, col): {h: c}}."""
+    cells: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for (i, j, h), c in flat.items():
+        cells.setdefault((i, j), {})[h] = c
+    return cells
+
+
 class GroupAlgebraMatrix:
     """A square matrix with entries in the group algebra of a stabilizer."""
 
@@ -419,26 +410,15 @@ class GroupAlgebraMatrix:
 
     def __mul__(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
         self._check(other)
-        f = self.field
         grp = self.subgroup.parent if isinstance(self.subgroup, Subgroup) else self.subgroup
-        out: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, k), cell1 in self.entries.items():
-            for (k2, j), cell2 in other.entries.items():
-                if k != k2:
-                    continue
-                target = out.setdefault((i, j), {})
-                for h1, c1 in cell1.items():
-                    for h2, c2 in cell2.items():
-                        h = grp.mult(h1, h2)
-                        v = f.add(target.get(h, f.zero), f.mul(c1, c2))
-                        if v:
-                            target[h] = v
-                        else:
-                            target.pop(h, None)
-        return GroupAlgebraMatrix(
-            self.subgroup, f, self.n,
-            {key: cell for key, cell in out.items() if cell},
-        )
+        flat = accumulate(self.field, (
+            ((i, j, grp.mult(h1, h2)), c1 * c2)
+            for (i, k), cell1 in self.entries.items()
+            for (k2, j), cell2 in other.entries.items() if k == k2
+            for h1, c1 in cell1.items()
+            for h2, c2 in cell2.items()))
+        return GroupAlgebraMatrix(self.subgroup, self.field, self.n,
+                                  _cells(flat))
 
     def star(self) -> "GroupAlgebraMatrix":
         grp = self.subgroup.parent if isinstance(self.subgroup, Subgroup) else self.subgroup
@@ -567,24 +547,24 @@ def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
     of the target vertex.
     """
     grp = comp.group
-    f = y.field
-    entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (a, g), c in y.coeffs.items():
-        if (a, g) not in comp.arrow_pos:
-            raise ValueError(f"arrow {arrow_str(grp, (a, g))} is outside the component")
-        i = comp.vertex_pos[a]
-        target = tuple(sorted(grp.mult(g, m) for m in a))
-        j = comp.vertex_pos[target]
-        h = comp.transversal[j].inverse() * GroupElement(grp, g) * comp.transversal[i]
-        if not comp.stabilizer.contains(h):
-            raise RuntimeError("transversal conjugate landed outside the stabilizer")
-        cell = entries.setdefault((j, i), {})
-        v = f.add(cell.get(h.index, f.zero), c)
-        if v:
-            cell[h.index] = v
-        else:
-            cell.pop(h.index, None)
-    return GroupAlgebraMatrix(comp.stabilizer, f, comp.size, entries)
+
+    def terms():
+        for (a, g), c in y.coeffs.items():
+            if (a, g) not in comp.arrow_pos:
+                raise ValueError(
+                    f"arrow {arrow_str(grp, (a, g))} is outside the component")
+            i = comp.vertex_pos[a]
+            target = tuple(sorted(grp.mult(g, m) for m in a))
+            j = comp.vertex_pos[target]
+            h = (comp.transversal[j].inverse() * GroupElement(grp, g)
+                 * comp.transversal[i])
+            if not comp.stabilizer.contains(h):
+                raise RuntimeError(
+                    "transversal conjugate landed outside the stabilizer")
+            yield (j, i, h.index), c
+
+    return GroupAlgebraMatrix(comp.stabilizer, y.field, comp.size,
+                              _cells(accumulate(y.field, terms())))
 
 
 def elementary_matrix(comp: Component, g) -> MonomialMatrix:
@@ -913,6 +893,11 @@ def tensor_b_kdelta(
     vertex, that the right stabilizer action on arrows out of the base is
     trivial, and that the explicit maps to and from the vertex span are
     mutually inverse.
+
+    Moving a pair s across gives the relation e_{As} (x) y - e_A (x) s.y,
+    where As is e_A acted on by s and s.y is the arrow that lambda(s)
+    composes with y into; either term may vanish.  Each relation is
+    built once, keyed by its two tensor coordinates.
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
@@ -921,11 +906,11 @@ def tensor_b_kdelta(
     arrows = comp.arrows
     n_arr = len(arrows)
     flat = len(subsets) * n_arr
+    f = field
+    one, minus_one = f.one, f.neg(f.one)
 
     def tensor_index(a: Vertex, arrow: Arrow) -> int:
         return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
-
-    f = field
 
     def right_act(a: Vertex, s: SElement) -> Vertex | None:
         # e_A acted by the canonical pair (C, g) on the right
@@ -934,38 +919,57 @@ def tensor_b_kdelta(
         gi = grp.inv(s.g)
         return tuple(sorted(grp.mult(gi, m) for m in a))
 
-    def lambda_times_arrow(s: SElement, arrow: Arrow) -> Arrow | None:
-        # the single arrow in lambda(s) composable with the given arrow
-        b, h = arrow
-        hb = tuple(sorted(grp.mult(h, m) for m in b))
+    targets = [comp.groupoid.target(arrow) for arrow in arrows]
+    basis_pairs = algebra.canonical_basis()
+    # hits[i][j]: position of the single arrow in lambda(basis_pairs[i])
+    # composable with arrows[j], or None; it does not depend on the subset
+    hits: list[list[int | None]] = []
+    for s in basis_pairs:
         gi = grp.inv(s.g)
         need = {grp.mult(gi, m) for m in s.members}
-        if need.issubset(hb):
-            return (b, grp.mult(s.g, h))
-        return None
+        hits.append([
+            comp.arrow_pos[(b, grp.mult(s.g, h))] if need.issubset(t) else None
+            for (b, h), t in zip(arrows, targets)
+        ])
 
-    basis_pairs = algebra.canonical_basis()
-    relations: list[Column] = []
-    for a in subsets:
-        for s in basis_pairs:
+    # (moved index, hit index), None for a vanishing term; many
+    # (subset, pair, arrow) triples give the same relation
+    keys: dict[tuple[int | None, int | None], None] = {}
+    for ai, a in enumerate(subsets):
+        row_a = ai * n_arr
+        for s, hit_row in zip(basis_pairs, hits):
             moved = right_act(a, s)
-            for arrow in arrows:
-                col: Column = {}
-                if moved is not None:
-                    col[tensor_index(moved, arrow)] = f.one
-                hit = lambda_times_arrow(s, arrow)
-                if hit is not None:
-                    k = tensor_index(a, hit)
-                    v = f.sub(col.get(k, f.zero), f.one)
-                    if v:
-                        col[k] = v
-                    else:
-                        col.pop(k, None)
-                if col:
-                    relations.append(col)
+            if moved is None:
+                for h in hit_row:
+                    if h is not None:
+                        keys[(None, row_a + h)] = None
+            else:
+                row_m = sub_pos[moved] * n_arr
+                for j, h in enumerate(hit_row):
+                    keys[(row_m + j, None if h is None else row_a + h)] = None
+    relations: list[Column] = []
+    for m, h in keys:
+        if m == h:
+            continue  # the two terms cancel
+        col: Column = {}
+        if m is not None:
+            col[m] = one
+        if h is not None:
+            col[h] = minus_one
+        relations.append(col)
+
+    # phi: tensor coordinates -> vertex span; psi: the reverse section
+    n_vert = comp.size
+
+    def phi_column(a: Vertex, j: int) -> Column:
+        # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
+        # since 1 is in B, that is exactly A == gB, the arrow's target
+        if a == targets[j]:
+            return {comp.vertex_pos[arrows[j][0]]: one}
+        return {}
 
     if cross_check:
-        _tensor_cross_check(comp, algebra, right_act, lambda_times_arrow)
+        _tensor_cross_check(comp, algebra, right_act, hits, phi_column)
 
     elim = Eliminator(f)
     for col in relations:
@@ -983,27 +987,10 @@ def tensor_b_kdelta(
             b, g = arrow
             moved_arrow = (comp.base, grp.mult(g, h))
             for a in subsets:
-                col = {tensor_index(a, moved_arrow): f.one}
-                k = tensor_index(a, arrow)
-                v = f.sub(col.get(k, f.zero), f.one)
-                if v:
-                    col[k] = v
-                else:
-                    col.pop(k, None)
+                col = accumulate(f, [(tensor_index(a, moved_arrow), one),
+                                     (tensor_index(a, arrow), minus_one)])
                 if elim.reduce(col):
                     h_trivial = False
-
-    # phi: tensor coordinates -> vertex span; psi: the reverse section
-    n_vert = comp.size
-
-    def phi_column(a: Vertex, arrow: Arrow) -> Column:
-        b, g = arrow
-        if g in a:
-            gi = grp.inv(g)
-            shifted = tuple(sorted(grp.mult(gi, m) for m in a))
-            if shifted == b:
-                return {comp.vertex_pos[b]: f.one}
-        return {}
 
     psi_cols: list[Column] = []
     for v in comp.vertices:
@@ -1013,54 +1000,23 @@ def tensor_b_kdelta(
             {subk * n_arr + comp.arrow_pos[(v, 0)]: c for subk, c in vec.items()}
         )
 
-    phi_kills = True
-    for col in relations:
-        img: Column = {}
-        for idx, c in col.items():
-            a = subsets[idx // n_arr]
-            arrow = arrows[idx % n_arr]
-            for r, v in phi_column(a, arrow).items():
-                s = f.add(img.get(r, f.zero), f.mul(c, v))
-                if s:
-                    img[r] = s
-                else:
-                    img.pop(r, None)
-        if img:
-            phi_kills = False
-            break
+    def phi_image(col: Column) -> Column:
+        return accumulate(f, (
+            (r, c * v)
+            for idx, c in col.items()
+            for r, v in phi_column(subsets[idx // n_arr], idx % n_arr).items()))
 
-    phi_psi = True
-    for k, v in enumerate(comp.vertices):
-        img: Column = {}
-        for idx, c in psi_cols[k].items():
-            a = subsets[idx // n_arr]
-            arrow = arrows[idx % n_arr]
-            for r, val in phi_column(a, arrow).items():
-                s = f.add(img.get(r, f.zero), f.mul(c, val))
-                if s:
-                    img[r] = s
-                else:
-                    img.pop(r, None)
-        if img != {k: f.one}:
-            phi_psi = False
+    phi_kills = not any(phi_image(col) for col in relations)
+    phi_psi = all(phi_image(psi_cols[k]) == {k: one} for k in range(n_vert))
 
     psi_phi = True
     for a in subsets:
-        for arrow in arrows:
-            expect: Column = {}
-            for r, val in phi_column(a, arrow).items():
-                for idx, c in psi_cols[r].items():
-                    s = f.add(expect.get(idx, f.zero), f.mul(val, c))
-                    if s:
-                        expect[idx] = s
-                    else:
-                        expect.pop(idx, None)
-            k = tensor_index(a, arrow)
-            v = f.sub(expect.get(k, f.zero), f.one)
-            if v:
-                expect[k] = v
-            else:
-                expect.pop(k, None)
+        for j, arrow in enumerate(arrows):
+            expect = accumulate(f, chain(
+                ((idx, val * c)
+                 for r, val in phi_column(a, j).items()
+                 for idx, c in psi_cols[r].items()),
+                [(tensor_index(a, arrow), minus_one)]))
             if expect and elim.reduce(expect):
                 psi_phi = False
 
@@ -1074,13 +1030,20 @@ def tensor_b_kdelta(
     )
 
 
-def _tensor_cross_check(comp, algebra, right_act, lambda_times_arrow) -> None:
-    """Verify the closed-form tensor moves against honest algebra products."""
+def _tensor_cross_check(comp, algebra, right_act, hits, phi_column) -> None:
+    """Verify the tables the tensor relations are built from.
+
+    The right action and the hit table are compared with honest algebra
+    products, and phi with its defining rule: e_A (x) (B, g) goes to the
+    vertex B exactly when g is in A and g^-1 A == B.
+    """
     grp = comp.group
     field = algebra.field
-    for a in algebra.subsets_with_identity():
+    subsets = algebra.subsets_with_identity()
+    basis = algebra.canonical_basis()
+    for a in subsets:
         e_a = algebra.primitive_idempotent(a)
-        for s in algebra.canonical_basis():
+        for s in basis:
             lo = algebra.bracket(grp.inv(s.g))
             prod = lo * e_a * algebra.monomial(s)
             moved = right_act(a, s)
@@ -1092,13 +1055,23 @@ def _tensor_cross_check(comp, algebra, right_act, lambda_times_arrow) -> None:
                 raise RuntimeError(
                     f"right action mismatch at e_{a} and {s.render()}"
                 )
-            img = lambda_delta(comp, algebra.monomial(s))
-            for arrow in comp.arrows:
-                unit = arrow_unit(comp.groupoid, arrow, field)
-                via_product = img * unit
-                hit = lambda_times_arrow(s, arrow)
-                if hit is None:
-                    if not via_product.is_zero():
-                        raise RuntimeError("composition mismatch (expected zero)")
-                elif via_product != arrow_unit(comp.groupoid, hit, field):
-                    raise RuntimeError("composition mismatch")
+    for s, hit_row in zip(basis, hits):
+        img = lambda_delta(comp, algebra.monomial(s))
+        for arrow, hit in zip(comp.arrows, hit_row):
+            via_product = img * arrow_unit(comp.groupoid, arrow, field)
+            if hit is None:
+                if not via_product.is_zero():
+                    raise RuntimeError("composition mismatch (expected zero)")
+            elif via_product != arrow_unit(comp.groupoid, comp.arrows[hit], field):
+                raise RuntimeError("composition mismatch")
+    for a in subsets:
+        for j, (b, g) in enumerate(comp.arrows):
+            shifted = tuple(sorted(grp.mult(grp.inv(g), m) for m in a))
+            if g in a and shifted == b:
+                expect = {comp.vertex_pos[b]: field.one}
+            else:
+                expect = {}
+            if phi_column(a, j) != expect:
+                raise RuntimeError(
+                    f"phi mismatch at e_{a} and {arrow_str(grp, (b, g))}"
+                )

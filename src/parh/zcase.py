@@ -281,20 +281,31 @@ def cancellation_decompose(
 # Bounded windows over the integers.
 
 
+def window_size(bound: int) -> int:
+    """The number of canonical pairs (A, m) with A inside [-bound, bound].
+
+    >>> window_size(1)
+    8
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return (bound + 1) << (2 * bound)
+
+
 def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
     """All canonical pairs (A, m) with A inside [-bound, bound].
 
     A always contains 0, and m runs over A.  Listed in a fixed order:
     member sets by size then lexicographically, then m.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    others = [m for m in range(-bound, bound + 1) if m != 0]
-    count = (bound + 1) << (2 * bound)
+    count = window_size(bound)
     if count > cap:
         raise SizeCapError(
-            f"window basis would hold {count} elements (cap {cap})"
+            f"window basis would hold {count} elements (cap {cap})",
+            limit=cap,
+            requested=count,
         )
+    others = [m for m in range(-bound, bound + 1) if m != 0]
     out = []
     for size in range(len(others) + 1):
         for extra in combinations(others, size):
@@ -357,6 +368,11 @@ class VkSpan:
     the canonical window basis at multiplier_bound = bound - k - 1, so
     every product stays strictly inside the declared window.  Membership
     queries reduce against the accumulated span.
+
+    No product is zero: for r = (A, m), r * f_j is
+    (A + {m+j}, m+j) - (A + {m+j}, m) with j >= 1.  So the span has
+    exactly window_size(multiplier_bound) * k columns, and the cap is
+    checked on that count before any product is built.
     """
 
     __slots__ = ("k", "bound", "multiplier_bound", "space", "columns", "_elim")
@@ -373,6 +389,13 @@ class VkSpan:
         self.space = WindowSpace(field, bound)
         self.columns: list[Column] = []
         self._elim = Eliminator(field)
+        count = window_size(self.multiplier_bound) * k
+        if count > cap:
+            raise SizeCapError(
+                f"level span would hold {count} columns (cap {cap})",
+                limit=cap,
+                requested=count,
+            )
         algebra = PartialGroupAlgebra(INTEGERS, field)
         fs = [f_element(j, field) for j in range(1, k + 1)]
         products = []
@@ -385,9 +408,9 @@ class VkSpan:
         # group columns by member set: differences never mix member sets,
         # so local insertion keeps elimination chains short
         products.sort(key=lambda x: min(s.sort_key() for s in x.coeffs))
-        if len(products) > cap:
-            raise SizeCapError(
-                f"level span would hold {len(products)} columns (cap {cap})"
+        if len(products) != count:
+            raise RuntimeError(
+                f"level span built {len(products)} columns, expected {count}"
             )
         for x in products:
             col = self.space.column(x)

@@ -99,6 +99,12 @@ def test_groupoid_order_cap_exits_3(capsys):
                        "--max-group-order", "4")
     assert code == EXIT_CAP
     assert "cap" in err
+    code, data, err = run_json(capsys, "groupoid", "components", "--group",
+                               "S3", "--max-group-order", "4")
+    assert code == EXIT_CAP
+    assert "cap" in err
+    assert data == {"error": "size_cap", "message": err[len("size cap: "):-1],
+                    "limit": 4, "requested": 6}
 
 
 # --- homology --------------------------------------------------------------
@@ -145,6 +151,12 @@ def test_homology_unknown_module_exits_2(capsys):
                        "--module", "nonsense")
     assert code == EXIT_CONFIG
     assert "module" in err
+    code, data, _ = run_json(capsys, "homology", "partial", "--group", "C2",
+                             "--module", "nonsense")
+    assert code == EXIT_CONFIG
+    assert data["error"] == "config"
+    assert "module" in data["message"]
+    assert data["limit"] is None and data["requested"] is None
 
 
 def test_homology_column_cap_exits_3(capsys):
@@ -153,6 +165,13 @@ def test_homology_column_cap_exits_3(capsys):
                        "--max-columns", "50")
     assert code == EXIT_CAP
     assert "cap" in err
+    code, data, _ = run_json(capsys, "homology", "partial", "--group", "C4",
+                             "--module", "regular", "--max", "3",
+                             "--max-columns", "50")
+    assert code == EXIT_CAP
+    assert data["error"] == "size_cap"
+    assert data["limit"] == 50
+    assert data["requested"] > 50
 
 
 def test_homology_ordinary_trivial_mod_2(capsys):
@@ -200,6 +219,26 @@ def test_verify_section5_all_components(capsys):
     assert data["ok"] is True
     assert all(c["section_identity"] for c in data["components"])
     assert all(c["tensor"]["ok"] for c in data["components"])
+
+
+@pytest.mark.parametrize("field", ["F5", "Q"])
+def test_verify_section5_s3_tensor_dimensions(capsys, field):
+    code, data, _ = run_json(capsys, "verify", "section5", "--group", "S3",
+                             "--field", field)
+    assert code == EXIT_OK
+    assert data["ok"] is True
+    tensors = [c["tensor"] for c in data["components"]]
+    assert sorted(t["dimension"] for t in tensors) == [
+        1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 5]
+    assert all(t["dimension"] == t["expected"] and t["ok"] for t in tensors)
+
+
+def test_z_quotient_cap_exits_3_before_building(capsys):
+    code, data, _ = run_json(capsys, "z", "quotient", "--k", "4",
+                             "--bound", "12")
+    assert code == EXIT_CAP
+    assert data["error"] == "size_cap"
+    assert data["requested"] == 524288 > data["limit"]
 
 
 def test_verify_section6_module_map_boundary(capsys):
@@ -329,6 +368,8 @@ def test_help_schema_is_valid_json(capsys):
     schemas = json.loads(capsys.readouterr().out)
     assert "verify corollary-b" in schemas
     assert "z quotient" in schemas
+    assert set(schemas["error (exit 2 or 3)"]) == {
+        "error", "message", "limit", "requested"}
 
 
 def test_every_json_report_serializes(capsys):

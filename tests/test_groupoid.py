@@ -340,7 +340,7 @@ def test_equivalence_data():
     assert [1, 2] in data.classes
 
 
-@pytest.mark.parametrize("name", ["C3", "C2xC2"])
+@pytest.mark.parametrize("name", ["C3", "C2xC2", "C4", "C5"])
 def test_tensor_b_kdelta(name):
     gd = build_groupoid(build_named_group(name))
     for comp in components(gd):

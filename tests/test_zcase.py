@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from parh.exel import PartialGroupAlgebra, SElement
+from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groups import INTEGERS, build_named_group
 from parh.linalg import GF, QQ, SizeCapError, in_span, subspace_equal
 from parh.zcase import (
@@ -261,6 +261,17 @@ def test_vk_span_membership_outside_window_is_loud():
     span = VkSpan(1, 4)
     with pytest.raises(WindowEscapeError):
         span.contains(_f(9))
+
+
+def test_vk_span_cap_is_checked_before_any_product(monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("a product was built before the cap check")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_products)
+    with pytest.raises(SizeCapError) as info:
+        VkSpan(4, 12)
+    assert info.value.requested == 524288
+    assert info.value.limit == 200_000
 
 
 def test_vk_span_validation():
