@@ -7,7 +7,8 @@ status: 0 when every requested check passes, 1 when a verification
 fails, 2 on a configuration error, 3 when a size cap or window escape
 stops the computation.  Under --json, exits 2 and 3 of a command also
 print {"error": "config"|"size_cap", "message", "limit", "requested"} on
-stdout, with null for a limit or size the error does not carry.  All
+stdout, with null for a limit or size the error does not carry; so does
+a command line that argparse rejects, when it contains --json.  All
 randomized commands take an explicit --seed and are fully reproducible.
 """
 
@@ -122,6 +123,18 @@ _SCHEMAS = {
     "error (exit 2 or 3)": {"error": "config|size_cap", "message": "str",
                             "limit": "int?", "requested": "int?"},
 }
+
+
+class _UsageError(Exception):
+    """A command-line parse error, after argparse printed its usage."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise _UsageError(message) from None
 
 
 class _SchemaAction(argparse.Action):
@@ -587,7 +600,7 @@ def _add_caps(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parh",
         description="Exact computations in partial group algebras: "
                     "canonical forms, groupoid components, partial group "
@@ -729,6 +742,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        if "--json" in (sys.argv[1:] if argv is None else argv):
+            _print_error("config", exc)
+        return EXIT_CONFIG
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     as_json = getattr(args, "json", False)

@@ -14,7 +14,7 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .exel import AlgebraElement, PartialGroupAlgebra, SElement
-from .groups import GroupElement, GroupError, Subgroup
+from .groups import GroupElement, GroupError, Subgroup, translate
 from .linalg import (
     Column,
     Eliminator,
@@ -54,8 +54,7 @@ class Groupoid:
 
     def target(self, arrow: Arrow) -> Vertex:
         a, g = arrow
-        grp = self.group
-        return tuple(sorted(grp.mult(g, m) for m in a))
+        return translate(self.group, g, a)
 
     def source(self, arrow: Arrow) -> Vertex:
         return arrow[0]
@@ -110,7 +109,7 @@ class Component:
         reached: dict[Vertex, int] = {}
         for g in range(grp.order):
             if grp.inv(g) in base_set:
-                target = tuple(sorted(grp.mult(g, m) for m in base))
+                target = translate(grp, g, base)
                 if target not in reached or g < reached[target]:
                     reached[target] = g
         others = sorted(v for v in reached if v != base)
@@ -121,7 +120,7 @@ class Component:
         ]
         assert self.transversal[0].is_identity()
         stab = [h for h in range(grp.order)
-                if tuple(sorted(grp.mult(h, m) for m in base)) == base]
+                if translate(grp, h, base) == base]
         self.stabilizer = Subgroup(grp, stab)
         self.arrows: list[Arrow] = []
         for v in self.vertices:
@@ -237,14 +236,14 @@ class ArrowSum:
             ((b, grp.mult(g, h)), c * d)
             for (a, g), c in self.coeffs.items()
             for (b, h), d in other.coeffs.items()
-            if tuple(sorted(grp.mult(h, m) for m in b)) == a))
+            if translate(grp, h, b) == a))
         return ArrowSum(self.groupoid, self.field, out)
 
     def star(self) -> "ArrowSum":
         grp = self.groupoid.group
         out = {}
         for (a, g), c in self.coeffs.items():
-            ga = tuple(sorted(grp.mult(g, m) for m in a))
+            ga = translate(grp, g, a)
             out[(ga, grp.inv(g))] = c
         return ArrowSum(self.groupoid, self.field, out)
 
@@ -554,7 +553,7 @@ def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
                 raise ValueError(
                     f"arrow {arrow_str(grp, (a, g))} is outside the component")
             i = comp.vertex_pos[a]
-            target = tuple(sorted(grp.mult(g, m) for m in a))
+            target = translate(grp, g, a)
             j = comp.vertex_pos[target]
             h = (comp.transversal[j].inverse() * GroupElement(grp, g)
                  * comp.transversal[i])
@@ -575,7 +574,7 @@ def elementary_matrix(comp: Component, g) -> MonomialMatrix:
     for i, v in enumerate(comp.vertices):
         if grp.inv(gi) not in v:
             continue
-        target = tuple(sorted(grp.mult(gi, m) for m in v))
+        target = translate(grp, gi, v)
         j = comp.vertex_pos[target]
         h = comp.transversal[j].inverse() * GroupElement(grp, gi) * comp.transversal[i]
         entries[(j, i)] = h
@@ -714,11 +713,11 @@ def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
             if side == "left":
                 if gi not in a:
                     continue
-                shifted = tuple(sorted(group.mult(g, m) for m in a))
+                shifted = translate(group, g, a)
             else:
                 if g not in a:
                     continue
-                shifted = tuple(sorted(group.mult(gi, m) for m in a))
+                shifted = translate(group, gi, a)
             entries[(pos[shifted], k)] = field.one
         mats[g] = SparseMatrix(field, len(subsets), len(subsets), entries)
     return PartialRepModule(
@@ -916,8 +915,7 @@ def tensor_b_kdelta(
         # e_A acted by the canonical pair (C, g) on the right
         if not set(s.members).issubset(a):
             return None
-        gi = grp.inv(s.g)
-        return tuple(sorted(grp.mult(gi, m) for m in a))
+        return translate(grp, grp.inv(s.g), a)
 
     targets = [comp.groupoid.target(arrow) for arrow in arrows]
     basis_pairs = algebra.canonical_basis()
@@ -1066,7 +1064,7 @@ def _tensor_cross_check(comp, algebra, right_act, hits, phi_column) -> None:
                 raise RuntimeError("composition mismatch")
     for a in subsets:
         for j, (b, g) in enumerate(comp.arrows):
-            shifted = tuple(sorted(grp.mult(grp.inv(g), m) for m in a))
+            shifted = translate(grp, grp.inv(g), a)
             if g in a and shifted == b:
                 expect = {comp.vertex_pos[b]: field.one}
             else:

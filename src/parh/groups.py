@@ -282,6 +282,16 @@ def subgroup_generated(parent: FiniteGroup, gens: Iterable[GroupElement | int]) 
     return Subgroup(parent, closure)
 
 
+def translate(group, g: int, subset: Iterable[int]) -> tuple[int, ...]:
+    """The left translate g * subset, as a sorted tuple of indices.
+
+    >>> c3 = build_named_group("C3")
+    >>> translate(c3, 1, (0, 2))
+    (0, 1)
+    """
+    return tuple(sorted([group.mult(g, m) for m in subset]))
+
+
 def _cyclic(n: int, names: Sequence[str], name: str) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, names=names, name=name)

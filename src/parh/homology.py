@@ -12,23 +12,31 @@ Four chain pipelines feed the checks in this module:
 - the classical bar complex of a finite group, written independently so
   that the comparison checks are carried by genuinely separate code.
 
+Cohomology has no complex of its own: over a field, dim H^n(V) equals
+dim H_n(V*), where V* is the dual module with [g] acting by the
+transpose of [g^-1].  Partial and classical cohomology are each the
+homology of their own dual, so the comparison checks still pit two
+separate codes against each other.
+
 Dimensions are exact in every degree: ranks over the rationals or a
 prime field, never floating point.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .exel import PartialGroupAlgebra
 from .groupoid import (
     PartialRepModule,
+    _set_str,
     b_module,
     build_groupoid,
     components,
     induce_module,
 )
-from .groups import trivial_rep
+from .groups import translate, trivial_rep
 from .linalg import (Eliminator, Field, QQ, SizeCapError, SparseMatrix,
                      accumulate, rank)
 
@@ -107,14 +115,9 @@ class ChainComplex:
         """dim ker d_n - rank d_{n+1} for n = 0..max_degree."""
         if max_degree + 1 not in self.diffs and max_degree > 0:
             raise ValueError("complex not built deep enough for max_degree")
-        ranks = {}
-        for n in range(1, max_degree + 2):
-            d = self.diffs.get(n)
-            ranks[n] = rank(d) if d is not None else 0
-        out = []
-        for n in range(max_degree + 1):
-            out.append(self.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0))
-        return out
+        ranks = {n: rank(d) for n, d in self.diffs.items() if n <= max_degree + 1}
+        return [self.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+                for n in range(max_degree + 1)]
 
 
 def _check_cap(group, n: int, block: int, cap: int, what: str) -> None:
@@ -148,6 +151,18 @@ def _subsets(group) -> list[tuple[int, ...]]:
 # Bar complex with idempotent coefficients, directly in the primitive basis.
 
 
+def _tuple_labels(group, n: int, cap: int, what: str, members) -> list[tuple]:
+    """Labels (A, t) over n-tuples t, with A every subset containing the
+    identity and ``members(t)``."""
+    subsets = _subsets(group)
+    _check_cap(group, n, len(subsets), cap, what)
+    out = []
+    for t in product(range(group.order), repeat=n):
+        need = {0, *members(t)}
+        out.extend((a, t) for a in subsets if need.issubset(a))
+    return out
+
+
 def bar_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP) -> list[tuple]:
     """Degree-n basis labels (A, (x_1, ..., x_n)).
 
@@ -155,16 +170,8 @@ def bar_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP) -> list[tuple]:
     identity and every prefix product x_1, x_1 x_2, ...; degree 0 is the
     idempotent subalgebra itself, one label (A, ()) per subset.
     """
-    subsets = _subsets(group)
-    _check_cap(group, n, len(subsets), cap, "bar basis")
-    out = []
-    for xs in product(range(group.order), repeat=n):
-        need = set(_prefixes(group, xs))
-        need.add(0)
-        for a in subsets:
-            if need.issubset(a):
-                out.append((a, xs))
-    return out
+    return _tuple_labels(group, n, cap, "bar basis",
+                         lambda xs: _prefixes(group, xs))
 
 
 def bar_differential(group, n: int, field: Field = QQ,
@@ -187,7 +194,7 @@ def bar_differential(group, n: int, field: Field = QQ,
     def terms():
         for c, (a, xs) in enumerate(cols):
             x1i = group.inv(xs[0])
-            tail_a = tuple(sorted(group.mult(x1i, m) for m in a))
+            tail_a = translate(group, x1i, a)
             yield (rpos[(tail_a, xs[1:])], c), f.one
             sign = f.neg(f.one)
             for j in range(len(xs) - 1):
@@ -205,16 +212,7 @@ def bar_differential(group, n: int, field: Field = QQ,
 
 def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP) -> list[tuple]:
     """Degree-n labels (A, (g_1, ..., g_n)) with A containing every g_i."""
-    subsets = _subsets(group)
-    _check_cap(group, n, len(subsets), cap, "homogeneous basis")
-    out = []
-    for gs in product(range(group.order), repeat=n):
-        need = set(gs)
-        need.add(0)
-        for a in subsets:
-            if need.issubset(a):
-                out.append((a, gs))
-    return out
+    return _tuple_labels(group, n, cap, "homogeneous basis", lambda gs: gs)
 
 
 def homogeneous_differential(group, n: int, field: Field = QQ,
@@ -256,13 +254,15 @@ def contracting_homotopy(group, n: int, field: Field = QQ,
                         row_labels=rows, col_labels=cols)
 
 
+@lru_cache(maxsize=16)
 def resolution_identity_holds(group, max_degree: int, field: Field = QQ,
                               cap: int = HOMOLOGY_SIZE_CAP) -> bool:
     """Check s d + d s = id through the requested degree.
 
     Degree zero uses d_1 s_0 = id; degree m uses
     s_{m-1} d_m + d_{m+1} s_m = id.  Everything is verified by sparse
-    matrix arithmetic, no shortcuts.
+    matrix arithmetic, no shortcuts.  The resolution does not depend on
+    any module, so the result is cached per (group, degree, field, cap).
     """
     diffs = {m: homogeneous_differential(group, m, field, cap)
              for m in range(1, max_degree + 2)}
@@ -393,90 +393,9 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     return ChainComplex(field, labels, diffs)
 
 
-def _transported_cocomplex(v_mod: PartialRepModule, max_n: int,
-                           cap: int) -> ChainComplex:
-    """Same blocks, with the coboundary raising degree by one.
-
-    Stored with the indexing shifted so that ``diffs[n]`` maps degree
-    n - 1 to degree n spaces turned around: ``diffs[n]`` has the degree-n
-    space as rows.  ``homology_dims`` then reports cohomology.
-    """
-    group = v_mod.group
-    field = v_mod.field
-    for n in range(max_n + 1):
-        _check_cap(group, n, v_mod.dim, cap, "transported cocomplex")
-    cache: dict = {}
-    degree = {n: _degree_blocks(v_mod, n, cache) for n in range(max_n + 1)}
-    labels = {n: degree[n][2] for n in range(max_n + 1)}
-    diffs = {}
-    for n in range(1, max_n + 1):
-        per_tuple, off_hi, _ = degree[n]
-        _, off_lo, _ = degree[n - 1]
-        lo_blocks = {xs: b for xs, b in degree[n - 1][0]}
-
-        def terms():
-            for xs, block in per_tuple:
-                x1 = xs[0]
-                tail = xs[1:]
-                sources = [(tail, field.one, v_mod.mats[x1], False)]
-                sign = field.neg(field.one)
-                for j in range(n - 1):
-                    sources.append((_contract(group, xs, j), sign, None, True))
-                    sign = field.neg(sign)
-                sources.append((xs[:-1], sign, None, True))
-                for ys, s, mat, needs_proj in sources:
-                    src = lo_blocks[ys]
-                    for j, b in enumerate(src.basis):
-                        w = mat.apply(b) if mat is not None else b
-                        if needs_proj:
-                            w = block.projection.apply(w)
-                            if not w:
-                                continue
-                        for tag, v in block.coords(w).items():
-                            yield (off_hi[xs] + tag, off_lo[ys] + j), s * v
-
-        diffs[n] = SparseMatrix(field, len(labels[n]), len(labels[n - 1]),
-                                accumulate(field, terms()),
-                                row_labels=labels[n],
-                                col_labels=labels[n - 1])
-    return _CoComplex(field, {n: labels[n] for n in range(max_n + 1)}, diffs)
-
-
-class _CoComplex(ChainComplex):
-    """Cochain data reusing the chain-complex rank bookkeeping.
-
-    ``diffs[n]`` maps the degree n-1 space to the degree n space, so
-    d2_zero checks d_{n+1} d_n = 0 and ``homology_dims`` computes
-    dim ker d_{n+1} - rank d_n in each degree.
-    """
-
-    def __init__(self, field: Field, labels: dict[int, list],
-                 diffs: dict[int, SparseMatrix]) -> None:
-        for n, d in diffs.items():
-            if d.nrows != len(labels[n]) or d.ncols != len(labels[n - 1]):
-                raise ValueError(f"coboundary at degree {n} has wrong shape")
-        self.field = field
-        self.labels = labels
-        self.diffs = diffs
-
-    def d2_zero(self) -> bool:
-        for n, d in self.diffs.items():
-            up = self.diffs.get(n + 1)
-            if up is not None and not (up * d).is_zero():
-                return False
-        return True
-
-    def homology_dims(self, max_degree: int) -> list[int]:
-        if max_degree + 1 not in self.diffs and max_degree > 0:
-            raise ValueError("cocomplex not built deep enough for max_degree")
-        ranks = {}
-        for n in range(1, max_degree + 2):
-            d = self.diffs.get(n)
-            ranks[n] = rank(d) if d is not None else 0
-        out = []
-        for n in range(max_degree + 1):
-            out.append(self.dim(n) - ranks.get(n + 1, 0) - ranks.get(n, 0))
-        return out
+# Cohomology has no complex class of its own; the name stays only because
+# the tracer in perfbench/spans.py patches ``_CoComplex.d2_zero`` by it.
+_CoComplex = ChainComplex
 
 
 def _check_module(group, v_mod: PartialRepModule, field: Field | None) -> Field:
@@ -518,26 +437,30 @@ def partial_homology(group, v_mod: PartialRepModule, field: Field | None = None,
                           "bar", dims, checks)
 
 
+def dual_module(v_mod: PartialRepModule) -> PartialRepModule:
+    """The dual module V*, on which [g] acts by the transpose of [g^-1].
+
+    Over a field, dim H^n(V) = dim H_n(V*) for finite-dimensional V,
+    because Hom_K(V* (x) P, K) = Hom(P, V) (K. S. Brown, Cohomology of
+    Groups, GTM 87); partial_cohomology and group_cohomology both compute
+    cohomology this way.  The dual is validated like any module.
+    """
+    group = v_mod.group
+    mats = {g: v_mod.mats[group.inv(g)].transpose() for g in range(group.order)}
+    return PartialRepModule(group, v_mod.field, mats, side=v_mod.side)
+
+
 def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = None,
                        max_degree: int = 3, cap: int = HOMOLOGY_SIZE_CAP,
                        module_name: str | None = None) -> HomologyReport:
-    """Per-degree cohomology of a left module, same machinery upside down.
+    """Per-degree cohomology of a left module: the homology of its dual.
 
-    Cochains in degree n are the blocks e_{(x)} V; the coboundary
-    precomposes with the bar differential, so the degree-0 space is the
-    common kernel of the maps v -> [x] v - e_x v.
+    Degree 0 is the common kernel of the maps v -> [x] v - e_x v, where
+    e_x = [x][x^-1].
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     f = _check_module(group, v_mod, field)
-    cx = _transported_cocomplex(v_mod, max_degree + 1, cap)
-    dims = cx.homology_dims(max_degree)
-    checks = {
-        "d2_zero": cx.d2_zero(),
-        "homotopy_id": resolution_identity_holds(group, max_degree, f, cap),
-    }
-    return HomologyReport(group.name, module_name or _module_desc(v_mod), f,
-                          "bar", dims, checks)
+    return partial_homology(group, dual_module(v_mod), f, max_degree, cap,
+                            module_name or _module_desc(v_mod))
 
 
 def b_tensor_dim(v_mod: PartialRepModule) -> int:
@@ -563,18 +486,12 @@ def b_tensor_dim(v_mod: PartialRepModule) -> int:
         for k, a in enumerate(subsets):
             shifted = None
             if members.issubset(a):
-                shifted = pos[tuple(sorted(group.mult(gi, m) for m in a))]
+                shifted = pos[translate(group, gi, a)]
             for j in range(d):
-                col: dict[int, object] = {}
+                terms = [(k * d + r, -v) for r, v in act.column(j).items()]
                 if shifted is not None:
-                    col[shifted * d + j] = field.one
-                for r, v in act.column(j).items():
-                    key = k * d + r
-                    s2 = field.sub(col.get(key, field.zero), v)
-                    if s2:
-                        col[key] = s2
-                    else:
-                        col.pop(key, None)
+                    terms.append((shifted * d + j, field.one))
+                col = accumulate(field, terms)
                 if col:
                     elim.add(col)
     return len(subsets) * d - elim.rank
@@ -617,10 +534,6 @@ def _check_group_rep(h_group, u: dict, field: Field):
     return mats
 
 
-def _group_tuple_index(m: int, n: int) -> dict[tuple[int, ...], int]:
-    return {t: k for k, t in enumerate(product(range(m), repeat=n))}
-
-
 def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
                    cap: int = HOMOLOGY_SIZE_CAP) -> HomologyReport:
     """Classical bar-complex homology of a finite group or subgroup.
@@ -646,7 +559,7 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
         labels[n] = [(t, i) for t in product(range(m), repeat=n)
                      for i in range(d)]
     for n in range(1, max_degree + 2):
-        tpos = _group_tuple_index(m, n - 1)
+        tpos = {t: k for k, t in enumerate(product(range(m), repeat=n - 1))}
 
         def terms():
             for ct, hs in enumerate(product(range(m), repeat=n)):
@@ -675,47 +588,12 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
 
 def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
                      cap: int = HOMOLOGY_SIZE_CAP) -> HomologyReport:
-    """Classical bar-complex cohomology; degree 0 is the invariants."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    elems, mult, inv = _local_tables(h_group)
+    """Classical cohomology as the homology of the dual representation
+    h -> U(h^-1)^T; degree 0 is the invariants."""
+    elems, _, inv = _local_tables(h_group)
     mats = _check_group_rep(h_group, u, field)
-    m = len(elems)
-    d = mats[0].nrows
-    labels = {}
-    diffs = {}
-    for n in range(max_degree + 2):
-        if (m ** n) * d > cap:
-            raise SizeCapError(
-                f"group cochain space at degree {n} exceeds cap {cap}",
-                limit=cap, requested=(m ** n) * d)
-        labels[n] = [(t, i) for t in product(range(m), repeat=n)
-                     for i in range(d)]
-    for n in range(1, max_degree + 2):
-        tpos = _group_tuple_index(m, n - 1)
-
-        def terms():
-            for ct, hs in enumerate(product(range(m), repeat=n)):
-                tail_off = tpos[hs[1:]] * d
-                lead = mats[hs[0]]
-                for j in range(d):
-                    for r, v in lead.column(j).items():
-                        yield (ct * d + r, tail_off + j), v
-                    sign = field.neg(field.one)
-                    for i in range(n - 1):
-                        merged = (hs[:i] + (mult[hs[i]][hs[i + 1]],)
-                                  + hs[i + 2:])
-                        yield (ct * d + j, tpos[merged] * d + j), sign
-                        sign = field.neg(sign)
-                    yield (ct * d + j, tpos[hs[:-1]] * d + j), sign
-
-        diffs[n] = SparseMatrix(field, len(labels[n]), len(labels[n - 1]),
-                                accumulate(field, terms()))
-    cx = _CoComplex(field, labels, diffs)
-    return HomologyReport(getattr(h_group, "name", "H"),
-                          f"representation of dimension {d}", field,
-                          "ordinary", cx.homology_dims(max_degree),
-                          {"d2_zero": cx.d2_zero(), "homotopy_id": None})
+    dual = {g: mats[inv[k]].transpose() for k, g in enumerate(elems)}
+    return group_homology(h_group, dual, field, max_degree, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +616,6 @@ def verify_theorem_a(group, comp, u: dict, field: Field,
     classical complex of the stabilizer directly.  The report lists both
     dimension vectors and the first degree where they disagree, if any.
     """
-    from .groupoid import _set_str
-
     v = induce_module(comp, u, field)
     lh = partial_homology(group, v, field, max_degree, cap,
                           module_name="induced from stabilizer")
@@ -774,8 +650,6 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     component by component, the classical (co)homology of each stabilizer
     with trivial coefficients.
     """
-    from .groupoid import _set_str
-
     bm = b_module(group, field)
     lh = partial_homology(group, bm, field, max_degree, cap,
                           module_name="idempotent subalgebra")

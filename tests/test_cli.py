@@ -344,6 +344,26 @@ def test_unknown_command_exits_2(capsys):
     assert "choose from" in err
 
 
+def test_argument_error_under_json_prints_error_object(capsys):
+    code, out, err = run(capsys, "kpar", "dim", "--group", "C2", "--json",
+                         "--bogus")
+    assert code == EXIT_CONFIG
+    assert err.startswith("usage: parh")
+    assert "unrecognized arguments: --bogus" in err
+    assert json.loads(out) == {"error": "config",
+                               "message": "unrecognized arguments: --bogus",
+                               "limit": None, "requested": None}
+    code, out, err = run(capsys, "homology", "partial", "--json", "--max", "x")
+    assert code == EXIT_CONFIG
+    assert err.startswith("usage: parh homology partial")
+    assert json.loads(out)["error"] == "config"
+    code, out, err = run(capsys, "kpar", "dim", "--group", "C2", "--bogus")
+    assert code == EXIT_CONFIG and out == "" and "--bogus" in err
+    assert main(["kpar", "dim", "--json", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: parh kpar dim") and '"error"' not in out
+
+
 def test_missing_table_file_exits_2(capsys):
     code, _, err = run(capsys, "kpar", "dim", "--table", "/no/such/file")
     assert code == EXIT_CONFIG

@@ -15,12 +15,15 @@ from parh.homology import (
     HOMOLOGY_SIZE_CAP,
     ChainComplex,
     HomologyReport,
+    _contract,
+    _degree_blocks,
     _subsets,
     _transported_complex,
     b_tensor_dim,
     bar_basis,
     bar_differential,
     contracting_homotopy,
+    dual_module,
     group_cohomology,
     group_homology,
     homogeneous_basis,
@@ -31,7 +34,7 @@ from parh.homology import (
     verify_corollary_b,
     verify_theorem_a,
 )
-from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, rank
+from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, accumulate, rank
 
 
 def _component(name, base_size):
@@ -148,6 +151,14 @@ def test_homotopy_prepends_identity_entry():
 def test_homotopy_identity_small_groups():
     assert resolution_identity_holds(build_named_group("C2"), 3)
     assert resolution_identity_holds(build_named_group("C3"), 2)
+
+
+def test_homotopy_identity_runs_once_per_verify():
+    resolution_identity_holds.cache_clear()
+    report = verify_corollary_b(build_named_group("C2"), GF(2), 2)
+    assert report["ok"]
+    info = resolution_identity_holds.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_homotopy_identity_degree_zero_section():
@@ -287,6 +298,138 @@ def test_partial_cohomology_c2_idempotent_module_f2():
     assert report.checks["d2_zero"]
 
 
+def _cohomology_modules(group, field):
+    """B, the regular module for |G| <= 4, and the induced regular
+    representation of every component."""
+    yield "B", b_module(group, field)
+    if group.order <= 4:
+        yield "regular", regular_module(group, field)
+    for comp in components(build_groupoid(group)):
+        yield (f"induced {comp.base}",
+               induce_module(comp, regular_rep(comp.stabilizer, field), field))
+
+
+def test_dual_module_is_an_involution():
+    for name in ("C3", "C2xC2", "S3"):
+        group = build_named_group(name)
+        for field in (QQ, GF(2)):
+            for label, v in _cohomology_modules(group, field):
+                dual = dual_module(v)
+                assert dual.side == v.side and dual.dim == v.dim
+                assert dual_module(dual).mats == v.mats, (name, label)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "S3"])
+def test_degree_zero_cohomology_is_common_kernel(name):
+    # H^0(V) is the common kernel of v -> [x] v - e_x v, e_x = [x][x^-1].
+    group = build_named_group(name)
+    for field in (QQ, GF(2), GF(3)):
+        for label, v in _cohomology_modules(group, field):
+            d = v.dim
+            entries = {}
+            for x in range(group.order):
+                m = v.mats[x] - v.mats[x] * v.mats[group.inv(x)]
+                for (i, j), c in m.entries.items():
+                    entries[(x * d + i, j)] = c
+            stacked = SparseMatrix(field, group.order * d, d, entries)
+            h0 = partial_cohomology(group, v, max_degree=0).dims[0]
+            assert h0 == d - rank(stacked), (name, field.name, label)
+
+
+def _cochain_reference_dims(v_mod, max_degree):
+    """Cohomology by the cochain complex that partial_cohomology replaced.
+
+    Cochains in degree n are the blocks e_(x) V.  The coboundary
+    precomposes with the bar differential: it acts by [x_1] on the tail
+    entry and projects the contractions and the final drop into the
+    target block.  ``cobound[n]`` maps degree n-1 to degree n, so
+    dim H^n = dim C^n - rank cobound[n+1] - rank cobound[n].
+    """
+    group, field = v_mod.group, v_mod.field
+    cache = {}
+    degree = {n: _degree_blocks(v_mod, n, cache) for n in range(max_degree + 2)}
+    ranks = {0: 0}
+    for n in range(1, max_degree + 2):
+        per_tuple, off_hi, labels_hi = degree[n]
+        lo_tuples, off_lo, labels_lo = degree[n - 1]
+        lo_blocks = dict(lo_tuples)
+
+        def terms():
+            for xs, block in per_tuple:
+                sources = [(xs[1:], field.one, v_mod.mats[xs[0]], False)]
+                sign = field.neg(field.one)
+                for j in range(n - 1):
+                    sources.append((_contract(group, xs, j), sign, None, True))
+                    sign = field.neg(sign)
+                sources.append((xs[:-1], sign, None, True))
+                for ys, s, mat, needs_proj in sources:
+                    for j, b in enumerate(lo_blocks[ys].basis):
+                        w = mat.apply(b) if mat is not None else b
+                        if needs_proj:
+                            w = block.projection.apply(w)
+                            if not w:
+                                continue
+                        for tag, c in block.coords(w).items():
+                            yield (off_hi[xs] + tag, off_lo[ys] + j), s * c
+
+        ranks[n] = rank(SparseMatrix(field, len(labels_hi), len(labels_lo),
+                                     accumulate(field, terms())))
+    return [len(degree[n][2]) - ranks[n] - ranks[n + 1]
+            for n in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("C2", 3), ("C3", 3), ("C4", 2), ("C2xC2", 2), ("S3", 1)])
+def test_cohomology_of_dual_matches_cochain_reference(name, max_degree):
+    group = build_named_group(name)
+    for field in (QQ, GF(2), GF(3)):
+        for label, v in _cohomology_modules(group, field):
+            report = partial_cohomology(group, v, max_degree=max_degree)
+            assert report.dims == _cochain_reference_dims(v, max_degree), (
+                name, field.name, label)
+            assert report.checks == {"d2_zero": True, "homotopy_id": True}
+
+
+def _standard_rep_s3(s3, field):
+    """S3 on the sum-zero vectors of K^3, in the basis e0 - e1, e1 - e2.
+
+    The points are the cosets of a subgroup of order 2.  The matrices are
+    not orthogonal, so U(h)^T is not U(h^-1).
+    """
+    t = next(g for g in range(1, 6) if s3.mult(g, g) == 0)
+    cosets = sorted({frozenset((g, s3.mult(g, t))) for g in range(6)}, key=min)
+    point = {c: k for k, c in enumerate(cosets)}
+    rep = {}
+    for g in s3.elements:
+        p = [point[frozenset(s3.mult(g.index, x) for x in c)] for c in cosets]
+        entries = {}
+        for col, (i, j) in enumerate(((0, 1), (1, 2))):
+            u = [0, 0, 0]
+            u[p[i]] += 1
+            u[p[j]] -= 1
+            entries[(0, col)] = u[0]
+            entries[(1, col)] = -u[2]
+        rep[g] = SparseMatrix(field, 2, 2, entries)
+    return rep
+
+
+def test_cohomology_of_a_module_that_is_not_self_dual():
+    # Over F3 the sum-zero module of S3 holds (1, 1, 1): it has invariants
+    # but no coinvariants, so cohomology and homology differ, and only
+    # the dual h -> U(h^-1)^T of a non-orthogonal representation is one.
+    s3, full = _component("S3", 6)
+    for field, hom, coh in [(QQ, [0, 0, 0], [0, 0, 0]),
+                            (GF(3), [0, 0, 1], [1, 1, 0])]:
+        u = _standard_rep_s3(s3, field)
+        assert group_homology(full.stabilizer, u, field, 2).dims == hom
+        assert group_cohomology(full.stabilizer, u, field, 2).dims == coh
+        v = induce_module(full, u, field)
+        assert partial_homology(s3, v, max_degree=2).dims == hom
+        assert partial_cohomology(s3, v, max_degree=2).dims == coh
+        assert _cochain_reference_dims(v, 2) == coh
+        assert verify_theorem_a(s3, full, u, field, 2)["ok"]
+
+
 # ---------------------------------------------------------------------------
 # Classical pipeline.
 
@@ -330,6 +473,12 @@ def test_group_cohomology_small_cases():
     c3 = build_named_group("C3")
     assert group_cohomology(c2, trivial_rep(c2, GF(2)), GF(2), 2).dims == [1, 1, 1]
     assert group_cohomology(c3, trivial_rep(c3, QQ), QQ, 2).dims == [1, 0, 0]
+
+
+def test_group_cohomology_rejects_missing_element():
+    c2 = build_named_group("C2")
+    with pytest.raises(ValueError):
+        group_cohomology(c2, {c2.identity: SparseMatrix.identity(QQ, 1)}, QQ, 1)
 
 
 def test_group_homology_rejects_non_representation():
