@@ -337,11 +337,6 @@ class PartialGroupAlgebra:
         gi = _gidx(self.group, g)
         return self.monomial(SElement(self.group, (gi,), self.group.identity_index))
 
-    def idem_set(self, members: Iterable) -> AlgebraElement:
-        """The product of e_t over a set of elements, as one pair (A, 1)."""
-        idx = [_gidx(self.group, m) for m in members]
-        return self.monomial(SElement(self.group, idx, self.group.identity_index))
-
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.group, self.field, terms)
 

@@ -138,9 +138,6 @@ class Component:
     def size(self) -> int:
         return len(self.vertices)
 
-    def contains_arrow(self, arrow: Arrow) -> bool:
-        return arrow in self.arrow_pos
-
     def __repr__(self) -> str:
         return (
             f"component at {_set_str(self.group, self.base)}: "
@@ -677,23 +674,27 @@ class PartialRepModule:
 
 
 def regular_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
-    """The algebra acting on itself in the canonical basis."""
-    algebra = PartialGroupAlgebra(group, field)
-    basis = algebra.canonical_basis()
-    pos = {s: k for k, s in enumerate(basis)}
-    mats = {}
-    from .exel import s_generator, s_mul
+    """The algebra acting on itself, in the arrow basis (D, k) of the groupoid.
 
-    for g in range(group.order):
-        gen = s_generator(group, g)
+    lambda_map is an isomorphism onto the groupoid algebra (Dokuchaev, Exel
+    and Piccione, J. Algebra 226, 2000).  Left: [h] (D, k) = (D, hk) when
+    h^-1 is in kD.  Right: (D, k) [h] = (h^-1 D, kh) when h is in D.  Every
+    other product is zero, so every e_x = [x][x^-1] is diagonal.
+    """
+    gd = build_groupoid(group, cap=group.order)  # the canonical basis had no cap
+    mats = {}
+    for h in range(group.order):
+        hi = group.inv(h)
         entries = {}
-        for k, s in enumerate(basis):
-            t = s_mul(gen, s) if side == "left" else s_mul(s, gen)
-            entries[(pos[t], k)] = field.one
-        mats[g] = SparseMatrix(field, len(basis), len(basis), entries)
-    return PartialRepModule(
-        group, field, mats, side=side, labels=[s.render() for s in basis]
-    )
+        for j, (d, k) in enumerate(gd.arrows):
+            if side == "left" and hi in translate(group, k, d):
+                entries[(gd.arrow_pos[(d, group.mult(h, k))], j)] = field.one
+            elif side == "right" and h in d:
+                image = (translate(group, hi, d), group.mult(k, h))
+                entries[(gd.arrow_pos[image], j)] = field.one
+        mats[h] = SparseMatrix(field, len(gd.arrows), len(gd.arrows), entries)
+    return PartialRepModule(group, field, mats, side=side,
+                            labels=[arrow_str(group, a) for a in gd.arrows])
 
 
 def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:

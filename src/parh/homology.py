@@ -6,9 +6,11 @@ Four chain pipelines feed the checks in this module:
   the contracting homotopy that certifies its exactness degree by degree;
 - the combinatorial bar complex with idempotent coefficients, built
   directly in the primitive basis with partial-permutation entries;
-- a transported complex that evaluates the same resolution against any
+- a transported complex that evaluates the same resolution against a
   finite-dimensional module of generator matrices, using the involution
-  that exchanges left and right module structures;
+  that exchanges left and right module structures.  The module must have
+  every e_x = [x][x^-1] diagonal (every module in parh.groupoid has), so
+  each block e_(x) V is a set of coordinates;
 - the classical bar complex of a finite group, written independently so
   that the comparison checks are carried by genuinely separate code.
 
@@ -283,107 +285,83 @@ def resolution_identity_holds(group, max_degree: int, field: Field = QQ,
 # Transport of the resolution against a module of generator matrices.
 
 
-class _Block:
-    """Image of one product of idempotent projections, with coordinates.
+def _check_transport_cap(v_mod: PartialRepModule, max_n: int, cap: int) -> None:
+    for n in range(max_n + 1):
+        _check_cap(v_mod.group, n, v_mod.dim, cap, "transported complex")
 
-    ``basis`` holds the chosen independent columns of the projection;
-    ``coords`` rewrites any vector of the image over that basis and
-    refuses vectors that escape it.
+
+def _idempotent_supports(v_mod: PartialRepModule) -> list[frozenset[int]]:
+    """The coordinates where e_x = [x][x^-1] is 1, per diagonal 0/1 e_x."""
+    group, one = v_mod.group, v_mod.field.one
+    supports = []
+    for x in range(group.order):
+        e_x = v_mod.mats[x] * v_mod.mats[group.inv(x)]
+        if any(i != j or v != one for (i, j), v in e_x.entries.items()):
+            raise ValueError(
+                f"e_x = [x][x^-1] at x = {group.element_name(x)} is not a "
+                "diagonal 0/1 matrix; (co)homology needs every e_x diagonal")
+        supports.append(frozenset(i for i, _ in e_x.entries))
+    return supports
+
+
+def _degree_blocks(group, supports: list[frozenset[int]], n: int, cache: dict):
+    """Per-tuple (offset, block) and the labels of one chain degree.
+
+    The block of (x_1, ..., x_n) holds the coordinates where every prefix
+    idempotent acts as 1, as {coordinate: position in the block}.
     """
-
-    __slots__ = ("projection", "basis", "_elim")
-
-    def __init__(self, field: Field, projection: SparseMatrix) -> None:
-        self.projection = projection
-        self._elim = Eliminator(field, track=True)
-        self.basis: list[dict] = []
-        for j in range(projection.ncols):
-            col = projection.column(j)
-            if not col:
-                continue
-            if self._elim.add(col, tag=len(self.basis)) is not None:
-                self.basis.append(col)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, col: dict) -> dict:
-        hist: dict = {}
-        residue = self._elim.reduce(dict(col), hist)
-        if residue:
-            raise RuntimeError("vector escapes its projection block")
-        return hist
-
-
-def _block_for(v_mod: PartialRepModule, prefix_set: frozenset[int],
-               cache: dict) -> _Block:
-    block = cache.get(prefix_set)
-    if block is None:
-        proj = SparseMatrix.identity(v_mod.field, v_mod.dim)
-        for p in sorted(prefix_set):
-            if p == 0:
-                continue
-            proj = proj * (v_mod.mats[p] * v_mod.mats[v_mod.group.inv(p)])
-        block = _Block(v_mod.field, proj)
-        cache[prefix_set] = block
-    return block
-
-
-def _degree_blocks(v_mod: PartialRepModule, n: int, cache: dict):
-    """Per-tuple blocks, offsets, and labels for one chain degree."""
-    group = v_mod.group
-    per_tuple = []
-    offsets = {}
+    blocks = {}
     labels = []
-    total = 0
     for xs in product(range(group.order), repeat=n):
-        block = _block_for(v_mod, frozenset(_prefixes(group, xs)), cache)
-        per_tuple.append((xs, block))
-        offsets[xs] = total
-        labels.extend((xs, j) for j in range(block.dim))
-        total += block.dim
-    return per_tuple, offsets, labels
+        key = frozenset(_prefixes(group, xs))
+        if key not in cache:
+            coords = supports[0].intersection(*(supports[p] for p in key))
+            cache[key] = {i: k for k, i in enumerate(sorted(coords))}
+        blocks[xs] = (len(labels), cache[key])
+        labels.extend((xs, j) for j in range(len(cache[key])))
+    return blocks, labels
 
 
 def _transported_complex(v_mod: PartialRepModule, max_n: int,
                          cap: int) -> ChainComplex:
     """Chain complex of blocks e_{(x)} V with the transported boundary.
 
-    The boundary of a block vector v at the tuple (x_1, ..., x_n) is the
-    coordinate image of [x_1^{-1}] v at the tail tuple, plus the
-    alternating contractions and the final drop of v itself.  Coordinate
-    lookups fail loudly if a vector ever leaves its target block.
+    The boundary of a block coordinate v at the tuple (x_1, ..., x_n) is
+    [x_1^{-1}] v at the tail tuple, plus the alternating contractions and
+    the final drop of v itself.  Coordinate lookups fail loudly if a vector
+    ever leaves its target block.
     """
     group = v_mod.group
     field = v_mod.field
-    for n in range(max_n + 1):
-        _check_cap(group, n, v_mod.dim, cap, "transported complex")
+    _check_transport_cap(v_mod, max_n, cap)
+    supports = _idempotent_supports(v_mod)
+    cols = [v_mod.mats[g].columns() for g in range(group.order)]
     cache: dict = {}
-    degree = {n: _degree_blocks(v_mod, n, cache) for n in range(max_n + 1)}
-    labels = {n: degree[n][2] for n in range(max_n + 1)}
+    degree = {n: _degree_blocks(group, supports, n, cache)
+              for n in range(max_n + 1)}
+    labels = {n: degree[n][1] for n in range(max_n + 1)}
     diffs = {}
     for n in range(1, max_n + 1):
-        per_tuple, _, _ = degree[n]
-        _, off_lo, _ = degree[n - 1]
-        lo_blocks = {xs: b for xs, b in degree[n - 1][0]}
+        lo_blocks = degree[n - 1][0]
 
         def terms():
             c = 0
-            for xs, block in per_tuple:
-                x1i = group.inv(xs[0])
-                tail = xs[1:]
-                targets = [(tail, field.one, v_mod.mats[x1i])]
+            for xs, (_, block) in degree[n][0].items():
+                targets = [(xs[1:], field.one, cols[group.inv(xs[0])])]
                 sign = field.neg(field.one)
                 for j in range(n - 1):
                     targets.append((_contract(group, xs, j), sign, None))
                     sign = field.neg(sign)
                 targets.append((xs[:-1], sign, None))
-                for b in block.basis:
+                for i in block:
+                    unit = {i: field.one}
                     for ys, s, mat in targets:
-                        w = mat.apply(b) if mat is not None else b
-                        for tag, v in lo_blocks[ys].coords(w).items():
-                            yield (off_lo[ys] + tag, c), s * v
+                        off, lo = lo_blocks[ys]
+                        for r, v in (unit if mat is None else mat[i]).items():
+                            if r not in lo:
+                                raise RuntimeError(
+                                    "vector escapes its projection block")
+                            yield (off + lo[r], c), s * v
                     c += 1
 
         diffs[n] = SparseMatrix(field, len(labels[n - 1]), len(labels[n]),
@@ -418,11 +396,13 @@ def partial_homology(group, v_mod: PartialRepModule, field: Field | None = None,
     """Per-degree homology of a left module against the bar machinery.
 
     Degree n is computed as dim ker d_n - rank d_{n+1} on the transported
-    complex of blocks e_{(x)} V; degree 0 equals the dimension of the
-    idempotent subalgebra tensored with the module (see b_tensor_dim for
-    the independent route).  The report's checks record that consecutive
-    differentials compose to zero and that the underlying resolution
-    passes its contracting-homotopy identity over the same field.
+    complex of blocks e_{(x)} V.  Every e_x = [x][x^-1] must be a diagonal
+    0/1 matrix, else ValueError; each block is then the set of coordinates
+    where every prefix idempotent is 1.  Degree 0 equals the dimension of
+    the idempotent subalgebra tensored with the module (see b_tensor_dim
+    for the independent route).  The report's checks record that
+    consecutive differentials compose to zero and that the underlying
+    resolution passes its contracting-homotopy identity over the field.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -459,6 +439,7 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     e_x = [x][x^-1].
     """
     f = _check_module(group, v_mod, field)
+    _check_transport_cap(v_mod, max_degree + 1, cap)
     return partial_homology(group, dual_module(v_mod), f, max_degree, cap,
                             module_name or _module_desc(v_mod))
 

@@ -219,16 +219,6 @@ class SparseMatrix:
                 entries[(i, j)] = v
         return cls(field, nrows, ncols, entries)
 
-    @classmethod
-    def from_columns(
-        cls, field: Field, nrows: int, cols: Sequence[Column]
-    ) -> "SparseMatrix":
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return cls(field, nrows, len(cols), entries)
-
     def get(self, i: int, j: int) -> Scalar:
         return self.entries.get((i, j), self.field.zero)
 

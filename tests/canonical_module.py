@@ -1,0 +1,26 @@
+"""The regular module in the canonical basis of pairs (A, g).
+
+``parh.groupoid.regular_module`` builds the regular module in the arrow
+basis of the subset groupoid.  This is the construction it replaced, kept
+as an oracle for it.  Its idempotents e_x = [x][x^-1] are not diagonal.
+"""
+
+from parh.exel import PartialGroupAlgebra, s_generator, s_mul
+from parh.groupoid import PartialRepModule
+from parh.linalg import QQ, SparseMatrix
+
+
+def canonical_regular_module(group, field=QQ, side="left"):
+    """The algebra acting on itself in the canonical basis."""
+    basis = PartialGroupAlgebra(group, field).canonical_basis()
+    pos = {s: k for k, s in enumerate(basis)}
+    mats = {}
+    for g in range(group.order):
+        gen = s_generator(group, g)
+        entries = {}
+        for k, s in enumerate(basis):
+            t = s_mul(gen, s) if side == "left" else s_mul(s, gen)
+            entries[(pos[t], k)] = field.one
+        mats[g] = SparseMatrix(field, len(basis), len(basis), entries)
+    return PartialRepModule(group, field, mats, side=side,
+                            labels=[s.render() for s in basis])

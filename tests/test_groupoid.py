@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from canonical_module import canonical_regular_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
 from parh.groupoid import (
@@ -192,6 +193,28 @@ def test_regular_module_validates():
         assert mod.dim == PartialGroupAlgebra(grp).dimension()
         mod_r = regular_module(grp, QQ, side="right")
         assert mod_r.dim == mod.dim
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "C2xC2", "S3"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_regular_module_is_the_canonical_one_in_the_arrow_basis(name, side):
+    # The lambda matrix L (canonical basis -> arrows) is invertible and
+    # L M_can(g) = M_arrow(g) L, so both bases carry the same module.
+    grp = build_named_group(name)
+    gd = build_groupoid(grp)
+    for field in (QQ, GF(2)):
+        algebra = PartialGroupAlgebra(grp, field)
+        basis = algebra.canonical_basis()
+        entries = {}
+        for j, s in enumerate(basis):
+            image = lambda_map(gd, algebra.monomial(s)).vector(gd.arrow_pos)
+            entries.update(((i, j), c) for i, c in image.items())
+        lam = SparseMatrix(field, len(gd.arrows), len(basis), entries)
+        assert lam.nrows == lam.ncols == rank(lam)
+        can = canonical_regular_module(grp, field, side)
+        arrow = regular_module(grp, field, side)
+        for g in range(grp.order):
+            assert lam * can.mats[g] == arrow.mats[g] * lam, (field.name, g)
 
 
 @pytest.mark.parametrize("name", ["C3", "C2xC2"])

@@ -1,7 +1,10 @@
 import json
+from itertools import product
 
 import pytest
 
+from canonical_module import canonical_regular_module
+from parh import homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
     b_module,
@@ -16,7 +19,7 @@ from parh.homology import (
     ChainComplex,
     HomologyReport,
     _contract,
-    _degree_blocks,
+    _prefixes,
     _subsets,
     _transported_complex,
     b_tensor_dim,
@@ -34,7 +37,8 @@ from parh.homology import (
     verify_corollary_b,
     verify_theorem_a,
 )
-from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, accumulate, rank
+from parh.linalg import (GF, QQ, Eliminator, SizeCapError, SparseMatrix,
+                         accumulate, rank)
 
 
 def _component(name, base_size):
@@ -188,8 +192,6 @@ def test_transported_equals_bar_for_idempotent_module(name, field):
     group = build_named_group(name)
     cx = _transported_complex(b_module(group, field), 3, HOMOLOGY_SIZE_CAP)
     subsets = _subsets(group)
-    from parh.homology import _prefixes
-
     for n in (1, 2, 3):
         bar = bar_differential(group, n, field)
         eng = cx.diffs[n]
@@ -336,18 +338,63 @@ def test_degree_zero_cohomology_is_common_kernel(name):
             assert h0 == d - rank(stacked), (name, field.name, label)
 
 
+class _ProjectionBlock:
+    """Image of one product of idempotent projections, with coordinates.
+
+    ``basis`` holds the chosen independent columns of the projection;
+    ``coords`` rewrites any vector of the image over that basis and
+    refuses vectors that escape it.  Unlike the library's coordinate
+    blocks, this works for idempotents that are not diagonal.
+    """
+
+    def __init__(self, field, projection):
+        self.projection = projection
+        self._elim = Eliminator(field, track=True)
+        self.basis = []
+        for j in range(projection.ncols):
+            col = projection.column(j)
+            if col and self._elim.add(col, tag=len(self.basis)) is not None:
+                self.basis.append(col)
+
+    def coords(self, col):
+        hist = {}
+        if self._elim.reduce(dict(col), hist):
+            raise RuntimeError("vector escapes its projection block")
+        return hist
+
+
+def _projection_blocks(v_mod, n, cache):
+    """Per-tuple projection blocks, offsets and labels for one degree."""
+    group = v_mod.group
+    per_tuple, offsets, labels = [], {}, []
+    for xs in product(range(group.order), repeat=n):
+        prefix_set = frozenset(_prefixes(group, xs))
+        if prefix_set not in cache:
+            proj = SparseMatrix.identity(v_mod.field, v_mod.dim)
+            for p in sorted(prefix_set - {0}):
+                proj = proj * (v_mod.mats[p] * v_mod.mats[group.inv(p)])
+            cache[prefix_set] = _ProjectionBlock(v_mod.field, proj)
+        block = cache[prefix_set]
+        per_tuple.append((xs, block))
+        offsets[xs] = len(labels)
+        labels.extend((xs, j) for j in range(len(block.basis)))
+    return per_tuple, offsets, labels
+
+
 def _cochain_reference_dims(v_mod, max_degree):
     """Cohomology by the cochain complex that partial_cohomology replaced.
 
-    Cochains in degree n are the blocks e_(x) V.  The coboundary
-    precomposes with the bar differential: it acts by [x_1] on the tail
-    entry and projects the contractions and the final drop into the
-    target block.  ``cobound[n]`` maps degree n-1 to degree n, so
+    Cochains in degree n are the blocks e_(x) V, found as images of
+    projection products, so the idempotents of V need not be diagonal.
+    The coboundary precomposes with the bar differential: it acts by
+    [x_1] on the tail entry and projects the contractions and the final
+    drop into the target block.  ``cobound[n]`` maps degree n-1 to degree n, so
     dim H^n = dim C^n - rank cobound[n+1] - rank cobound[n].
     """
     group, field = v_mod.group, v_mod.field
     cache = {}
-    degree = {n: _degree_blocks(v_mod, n, cache) for n in range(max_degree + 2)}
+    degree = {n: _projection_blocks(v_mod, n, cache)
+              for n in range(max_degree + 2)}
     ranks = {0: 0}
     for n in range(1, max_degree + 2):
         per_tuple, off_hi, labels_hi = degree[n]
@@ -388,6 +435,33 @@ def test_cohomology_of_dual_matches_cochain_reference(name, max_degree):
             assert report.dims == _cochain_reference_dims(v, max_degree), (
                 name, field.name, label)
             assert report.checks == {"d2_zero": True, "homotopy_id": True}
+        # The canonical basis, whose idempotents are not diagonal, gives
+        # the same cohomology as the arrow basis the library uses.
+        reference = _cochain_reference_dims(
+            canonical_regular_module(group, field), max_degree)
+        assert partial_cohomology(group, regular_module(group, field),
+                                  max_degree=max_degree).dims == reference, (
+            name, field.name)
+
+
+def test_non_diagonal_idempotents_are_refused():
+    c2 = build_named_group("C2")
+    v = canonical_regular_module(c2, QQ)
+    for run in (partial_homology, partial_cohomology):
+        with pytest.raises(ValueError, match="not a diagonal 0/1 matrix"):
+            run(c2, v, max_degree=1)
+
+
+def test_cohomology_cap_is_checked_before_the_dual(monkeypatch):
+    def no_dual(v_mod):
+        raise AssertionError("the dual was built before the cap check")
+
+    monkeypatch.setattr(homology, "dual_module", no_dual)
+    c2 = build_named_group("C2")
+    with pytest.raises(SizeCapError) as info:
+        partial_cohomology(c2, b_module(c2, QQ), max_degree=3, cap=10)
+    assert info.value.requested == 16
+    assert info.value.limit == 10
 
 
 def _standard_rep_s3(s3, field):
