@@ -19,9 +19,10 @@ computation:
   * the skew-symmetric cancellation algorithm: given commuting idempotents
     with sum r_1 e_1 + ... + r_k e_k = 0, produce a skew-symmetric matrix M
     and elements b_i with r_i = sum_j M[i][j] e_j + b_i (1 - e_i);
-  * bounded-window linear algebra over the integers: V_k spans, the two
-    containments behind the quotient identity, and decomposition of
-    augmentation-zero elements over the f_i;
+  * bounded-window linear algebra over the integers: V_k as a graph
+    incidence span (rank #vertices - #components, membership by component
+    sums), the two containments behind the quotient identity, and
+    decomposition of augmentation-zero elements over the f_i;
   * seeded samplers for property tests of all of the above.
 
 Everything is exact.  A window bounds which canonical monomials may appear
@@ -47,6 +48,7 @@ from .linalg import (
     Scalar,
     SizeCapError,
     SparseMatrix,
+    accumulate,
     kernel_basis,
 )
 
@@ -364,18 +366,23 @@ class WindowSpace:
 class VkSpan:
     """The visible part of the level-k span V_k = R f_1 + ... + R f_k.
 
-    Built from all products r * f_j with 1 <= j <= k and r running over
-    the canonical window basis at multiplier_bound = bound - k - 1, so
-    every product stays strictly inside the declared window.  Membership
-    queries reduce against the accumulated span.
+    For r = (A, m) in the window basis at multiplier_bound = bound - k - 1
+    and 1 <= j <= k, the column r * f_j is the edge (B, m+j) - (B, m) with
+    B = A + {m+j}, strictly inside the window.  So V_k is a graph incidence
+    span: over any field its rank is #vertices - #components, and x lies in
+    V_k iff it sums to zero on each component (N. Biggs, Algebraic Graph
+    Theory).  Edges are written in closed form and merged by union-find,
+    with no algebra product and no elimination.  No edge is a loop, so
+    there are window_size(multiplier_bound) * k columns; the cap is checked
+    on that count before any vertex is registered.
 
-    No product is zero: for r = (A, m), r * f_j is
-    (A + {m+j}, m+j) - (A + {m+j}, m) with j >= 1.  So the span has
-    exactly window_size(multiplier_bound) * k columns, and the cap is
-    checked on that count before any product is built.
+    >>> span = VkSpan(1, 3)
+    >>> len(span.columns), span.space.dim, span.rank
+    (8, 11, 6)
     """
 
-    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns", "_elim")
+    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns", "rank",
+                 "_parent")
 
     def __init__(self, k: int, bound: int, field: Field = QQ,
                  cap: int = Z_WINDOW_CAP) -> None:
@@ -388,7 +395,8 @@ class VkSpan:
         self.multiplier_bound = bound - k - 1
         self.space = WindowSpace(field, bound)
         self.columns: list[Column] = []
-        self._elim = Eliminator(field)
+        self.rank = 0
+        self._parent: list[int] = []
         count = window_size(self.multiplier_bound) * k
         if count > cap:
             raise SizeCapError(
@@ -396,33 +404,41 @@ class VkSpan:
                 limit=cap,
                 requested=count,
             )
-        algebra = PartialGroupAlgebra(INTEGERS, field)
-        fs = [f_element(j, field) for j in range(1, k + 1)]
-        products = []
+        index = self.space.index
+        parent = self._parent
+        one, minus_one = field.one, field.neg(field.one)
         for r in window_basis(self.multiplier_bound, cap):
-            mono = algebra.monomial(r)
-            for f in fs:
-                x = mono * f
-                if not x.is_zero():
-                    products.append(x)
-        # group columns by member set: differences never mix member sets,
-        # so local insertion keeps elimination chains short
-        products.sort(key=lambda x: min(s.sort_key() for s in x.coeffs))
-        if len(products) != count:
+            for j in range(1, k + 1):
+                head = r.g + j
+                members = r.members + (head,)
+                u = index(SElement(INTEGERS, members, head))
+                v = index(SElement(INTEGERS, members, r.g))
+                parent.extend(range(len(parent), self.space.dim))
+                self.columns.append({u: one, v: minus_one})
+                u, v = self._root(u), self._root(v)
+                if u != v:
+                    parent[v] = u
+                    self.rank += 1
+        if len(self.columns) != count:
             raise RuntimeError(
-                f"level span built {len(products)} columns, expected {count}"
+                f"level span built {len(self.columns)} columns, expected {count}"
             )
-        for x in products:
-            col = self.space.column(x)
-            self.columns.append(col)
-            self._elim.add(dict(col))
 
-    @property
-    def rank(self) -> int:
-        return self._elim.rank
+    def _root(self, row: int) -> int:
+        """The component of a row; a row no edge touches is its own."""
+        parent = self._parent
+        if row >= len(parent):
+            return row
+        while parent[row] != row:
+            parent[row] = parent[parent[row]]
+            row = parent[row]
+        return row
 
     def residue_column(self, col: Column) -> Column:
-        return self._elim.reduce(dict(col))
+        """The component sums of ``col``: a linear map with kernel V_k."""
+        root = self._root
+        return accumulate(self.space.field,
+                          ((root(row), c) for row, c in col.items()))
 
     def contains(self, x: AlgebraElement) -> bool:
         return not self.residue_column(self.space.column(x))

@@ -2,6 +2,8 @@ from random import Random
 
 import pytest
 
+from elimination_span import EliminationSpan
+from parh import zcase
 from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groups import INTEGERS, build_named_group
 from parh.linalg import GF, QQ, SizeCapError, in_span, subspace_equal
@@ -272,6 +274,73 @@ def test_vk_span_cap_is_checked_before_any_product(monkeypatch):
         VkSpan(4, 12)
     assert info.value.requested == 524288
     assert info.value.limit == 200_000
+
+
+def test_vk_span_builds_without_products(monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("the level span built an algebra product")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_products)
+    span = VkSpan(2, 8)
+    assert span.rank == 5888
+    assert len(span.columns) == 12288
+
+
+@pytest.mark.parametrize("k, bound, field, rank", [
+    (1, 6, QQ, 768),
+    (1, 6, GF(2), 768),
+    (1, 6, GF(3), 768),
+    (3, 10, QQ, 35328),
+], ids=repr)
+def test_vk_span_rank_is_independent_of_the_field(k, bound, field, rank):
+    # over F2 the edge orientation is invisible, since -1 = +1
+    assert VkSpan(k, bound, field).rank == rank
+
+
+def test_vk_span_rows_registered_after_construction():
+    span = VkSpan(1, 6)
+    dim = span.space.dim
+    # member 6 lies beyond every edge, which reaches at most m + k = 5
+    x = ZALG.idem(6)
+    col = span.space.column(x)
+    assert span.space.dim == dim + 1
+    assert span.residue_column(col) == col
+    assert not span.contains(x)
+    assert span.contains(ZALG.zero())
+
+
+ORACLE_CASES = [(k, bound, field)
+                for k in (1, 2)
+                for bound in (k + 3, 2 * k + 4)
+                for field in (QQ, GF(2))]
+
+
+@pytest.mark.parametrize("k, bound, field", ORACLE_CASES, ids=repr)
+def test_vk_span_matches_elimination_oracle(k, bound, field):
+    span = VkSpan(k, bound, field)
+    oracle = EliminationSpan(k, bound, field)
+    assert span.rank == oracle.rank
+    algebra = PartialGroupAlgebra(INTEGERS, field)
+    fs = [_f(j, field) for j in range(1, k + 1)]
+    products = [algebra.monomial(r) * f
+                for r in window_basis(span.multiplier_bound) for f in fs]
+    assert [span.space.element(col) for col in span.columns] == products
+    rng = Random(100 * k + bound)
+    samples = [random_ig_element(rng, bound, field) for _ in range(40)]
+    fk1 = _f(k + 1, field)
+    domain = window_basis(max(bound - 2 * k - 2, 0))
+    samples += [algebra.monomial(r) * fk1 for r in domain]
+    verdicts = [span.contains(x) for x in samples]
+    assert verdicts == [oracle.contains(x) for x in samples]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("k, field", [(1, QQ), (1, GF(2)), (2, QQ), (2, GF(2))],
+                         ids=repr)
+def test_quotient_check_matches_elimination_oracle(monkeypatch, k, field):
+    report = quotient_check(k, 2 * k + 4, field)
+    monkeypatch.setattr(zcase, "VkSpan", EliminationSpan)
+    assert quotient_check(k, 2 * k + 4, field) == report
 
 
 def test_vk_span_validation():
