@@ -23,18 +23,15 @@ from random import Random
 from .exel import PartialGroupAlgebra
 from .groupoid import (
     GROUPOID_ORDER_CAP,
-    arrow_unit,
+    _set_str,
     b_module,
     build_groupoid,
     component_summary,
-    component_support,
     components,
     induce_module,
-    lambda_delta,
     regular_module,
-    tensor_b_kdelta,
-    tilde_pi,
-    zeta_delta,
+    section5_report,
+    section6_report,
 )
 from .groups import (
     INTEGERS,
@@ -93,26 +90,34 @@ _SCHEMAS = {
     "verify theorem-a": {"group": "str", "component_base": "str",
                          "stabilizer": "str", "stabilizer_order": "int",
                          "field": "str", "max_degree": "int",
-                         "homology": "{partial, ordinary, equal}",
-                         "cohomology": "{partial, ordinary, equal}",
+                         "homology": "{partial, ordinary, equal, "
+                                     "first_mismatch}",
+                         "cohomology": "{partial, ordinary, equal, "
+                                       "first_mismatch}",
                          "ok": "bool"},
     "verify corollary-b": {"group": "str", "field": "str", "max_degree": "int",
                            "dims_bar": "[int]", "dims_sum": "[int]",
                            "equal": "bool", "cohomology": "{dims_bar, "
-                           "dims_sum, equal}", "ok": "bool"},
+                           "dims_sum, equal}",
+                           "components": "[{base, stabilizer_order, "
+                           "homology, cohomology}]", "ok": "bool"},
     "verify section5": {"group": "str", "field": "str",
-                        "components": "[{base, section_identity, tensor}]",
+                        "components": "[{component, base, "
+                        "section_identity, tensor}]",
                         "ok": "bool"},
     "verify section6": {"group": "str", "field": "str",
-                        "components": "[{base, support_full, section_identity,"
-                        " multiplicative, module_map}]", "ok": "bool"},
-    "verify kpar-coeff-vanishing": {"group": "str", "field": "str",
-                                    "dims": "[int]", "vanishing": "bool",
-                                    "ok": "bool"},
+                        "components": "[{component, base, support_full, "
+                        "section_identity, multiplicative, module_map}]",
+                        "ok": "bool"},
+    "verify kpar-coeff-vanishing": {"group": "str", "module": "str",
+                                    "field": "str", "method": "str",
+                                    "dims": "[int]", "checks": "{str: bool}",
+                                    "vanishing": "bool", "ok": "bool"},
     "z relations": {"bound": "int", "field": "str", "checked": "int",
                     "failures": "[{...}]", "ok": "bool"},
     "z quotient": {"k": "int", "N": "int", "field": "str",
-                   "domain_bound": "int", "s1_dim": "int", "s2_dim": "int",
+                   "domain_bound": "int", "domain_dim": "int",
+                   "s1_dim": "int", "s2_dim": "int", "vk_rank": "int",
                    "s2_in_s1": "bool", "s1_in_s2": "bool",
                    "violations": "[{direction, element}]", "ok": "bool"},
     "z cancellation": {"ring": "str", "count": "int", "max_k": "int",
@@ -279,14 +284,22 @@ def _homology_common(args, fn, symbol):
     v_mod, mod_name = _module_for(args, group, field)
     report = fn(group, v_mod, max_degree=args.max, cap=args.max_columns,
                 module_name=mod_name)
+    return _dims_result(
+        args, report, symbol,
+        f"{group.name}, module {mod_name}, field {field.name}, "
+        f"method {report.method}",
+        [f"  check {name}: {_bool_word(bool(value))}"
+         for name, value in report.checks.items()],
+        all(bool(v) for v in report.checks.values()))
+
+
+def _dims_result(args, report, symbol, header, check_lines, ok):
+    """The dimension lines, then check_lines, then the --expect-dims verdict."""
     data = report.as_dict()
-    ok = all(bool(v) for v in report.checks.values())
-    lines = [f"{group.name}, module {mod_name}, field {field.name}, "
-             f"method {report.method}"]
+    lines = [header]
     for i, d in enumerate(report.dims):
         lines.append(f"  {symbol}{i} dimension {d}")
-    for name, value in report.checks.items():
-        lines.append(f"  check {name}: {_bool_word(bool(value))}")
+    lines.extend(check_lines)
     if args.expect_dims is not None:
         expected = _parse_dims(args.expect_dims)
         data["expected"] = expected
@@ -313,20 +326,11 @@ def cmd_homology_ordinary(args):
     symbol = "H^" if args.co else "H_"
     report = fn(group, rep(group, field), field, args.max,
                 cap=args.max_columns)
-    data = report.as_dict()
-    ok = all(v for v in report.checks.values() if v is not None)
-    lines = [f"{group.name}, {args.rep} coefficients, field {field.name}, "
-             f"method {report.method}"]
-    for i, d in enumerate(report.dims):
-        lines.append(f"  {symbol}{i} dimension {d}")
-    if args.expect_dims is not None:
-        expected = _parse_dims(args.expect_dims)
-        data["expected"] = expected
-        hit = report.dims == expected
-        lines.append(f"  expected {expected}: {_bool_word(hit)}")
-        ok = ok and hit
-    data["ok"] = ok
-    return data, lines, ok
+    return _dims_result(
+        args, report, symbol,
+        f"{group.name}, {args.rep} coefficients, field {field.name}, "
+        f"method {report.method}",
+        [], all(v for v in report.checks.values() if v is not None))
 
 
 def cmd_verify_theorem_a(args):
@@ -383,103 +387,51 @@ def cmd_verify_corollary_b(args):
     return data, lines, data["ok"]
 
 
-def cmd_verify_section5(args):
+def _verify_components(args, report, describe, row_ok, notes=()):
+    """One {component, base, **report(comp, field)} row and line each."""
     group = _load_group(args)
     field = _parse_field(args.field)
-    gd = build_groupoid(group, cap=args.max_group_order)
     rows = []
     lines = [f"{group.name}, field {field.name}"]
-    ok = True
-    for k, comp in enumerate(components(gd)):
-        section = all(
-            lambda_delta(comp, tilde_pi(comp, v, field))
-            == arrow_unit(gd, (v, group.identity_index), field)
-            for v in comp.vertices
-        )
-        tensor = tensor_b_kdelta(comp, field)
-        row_ok = section and tensor.ok
-        ok = ok and row_ok
-        rows.append({"component": k, "base": _base_str(comp),
-                     "section_identity": section,
-                     "tensor": tensor.as_dict()})
-        lines.append(
-            f"  component {k} at {_base_str(comp)}: section "
-            + _bool_word(section)
-            + f", tensor dimension {tensor.dimension} (expect "
-            f"{tensor.expected}), stabilizer action trivial "
-            + _bool_word(tensor.h_action_trivial)
-            + ", maps inverse "
-            + _bool_word(tensor.phi_psi_identity and tensor.psi_phi_identity))
+    for k, comp in enumerate(_components_of(group, args.max_group_order)):
+        row = {"component": k, "base": _set_str(group, comp.base),
+               **report(comp, field)}
+        rows.append(row)
+        lines.append(f"  component {k} at {row['base']}: {describe(row)}")
+    lines.extend(notes)
+    ok = all(row_ok(r) for r in rows)
     lines.append(f"ok: {_bool_word(ok)}")
     return ({"group": group.name, "field": field.name, "components": rows,
              "ok": ok}, lines, ok)
 
 
-def _base_str(comp):
-    names = [comp.group.element_name(m) for m in comp.base]
-    return "{" + ",".join(names) + "}"
+def cmd_verify_section5(args):
+    def describe(row):
+        t = row["tensor"]
+        return (f"section {_bool_word(row['section_identity'])}, tensor "
+                f"dimension {t['dimension']} (expect {t['expected']}), "
+                "stabilizer action trivial "
+                f"{_bool_word(t['h_action_trivial'])}, maps inverse "
+                + _bool_word(t["phi_psi_identity"] and t["psi_phi_identity"]))
+
+    return _verify_components(
+        args, section5_report, describe,
+        lambda r: r["section_identity"] and r["tensor"]["ok"])
 
 
 def cmd_verify_section6(args):
-    group = _load_group(args)
-    field = _parse_field(args.field)
-    gd = build_groupoid(group, cap=args.max_group_order)
-    algebra = PartialGroupAlgebra(group, field)
-    basis = algebra.canonical_basis()
-    rows = []
-    lines = [f"{group.name}, field {field.name}"]
-    ok = True
-    for k, comp in enumerate(components(gd)):
-        lifts = {a: zeta_delta(comp, a, field) for a in comp.arrows}
-        units = {a: arrow_unit(gd, a, field) for a in comp.arrows}
-        section = all(lambda_delta(comp, lifts[a]) == units[a]
-                      for a in comp.arrows)
-        multiplicative = True
-        for a1 in comp.arrows:
-            for a2 in comp.arrows:
-                prod = units[a1] * units[a2]
-                got = lifts[a1] * lifts[a2]
-                if prod.is_zero():
-                    hit = got.is_zero()
-                else:
-                    (arrow,) = prod.coeffs
-                    hit = got == lifts[arrow]
-                if not hit:
-                    multiplicative = False
-        support_full = len(component_support(comp)) == group.order
-        module_map = _module_map_holds(gd, comp, algebra, basis, lifts, units)
-        row_ok = section and multiplicative and module_map
-        ok = ok and row_ok
-        rows.append({"component": k, "base": _base_str(comp),
-                     "support_full": support_full,
-                     "section_identity": section,
-                     "multiplicative": multiplicative,
-                     "module_map": module_map})
-        lines.append(
-            f"  component {k} at {_base_str(comp)}: section "
-            + _bool_word(section)
-            + ", multiplicative " + _bool_word(multiplicative)
-            + ", module map " + _bool_word(module_map)
-            + " (support full: " + _bool_word(support_full) + ")")
-    lines.append("note: the lift is a module map on every component, "
-                 "whatever its support")
-    lines.append(f"ok: {_bool_word(ok)}")
-    return ({"group": group.name, "field": field.name, "components": rows,
-             "ok": ok}, lines, ok)
+    def describe(row):
+        return (f"section {_bool_word(row['section_identity'])}, "
+                f"multiplicative {_bool_word(row['multiplicative'])}, "
+                f"module map {_bool_word(row['module_map'])} "
+                f"(support full: {_bool_word(row['support_full'])})")
 
-
-def _module_map_holds(gd, comp, algebra, basis, lifts, units) -> bool:
-    for s in basis:
-        r = algebra.monomial(s)
-        projected = lambda_delta(comp, r)
-        for arrow in comp.arrows:
-            image = projected * units[arrow]
-            lhs = algebra.zero()
-            for a, c in image.coeffs.items():
-                lhs = lhs + lifts[a].scale(c)
-            if lhs != r * lifts[arrow]:
-                return False
-    return True
+    return _verify_components(
+        args, section6_report, describe,
+        lambda r: r["section_identity"] and r["multiplicative"]
+        and r["module_map"],
+        notes=["note: the lift is a module map on every component, "
+               "whatever its support"])
 
 
 def cmd_verify_kpar_vanishing(args):

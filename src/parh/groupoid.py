@@ -10,8 +10,8 @@ All of that structure is constructed explicitly here.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 from .exel import AlgebraElement, PartialGroupAlgebra, SElement
 from .groups import GroupElement, GroupError, Subgroup, translate
@@ -56,9 +56,6 @@ class Groupoid:
         a, g = arrow
         return translate(self.group, g, a)
 
-    def source(self, arrow: Arrow) -> Vertex:
-        return arrow[0]
-
     def __repr__(self) -> str:
         return (
             f"groupoid of {self.group.name}: "
@@ -78,12 +75,7 @@ def build_groupoid(group, cap: int = GROUPOID_ORDER_CAP) -> Groupoid:
             limit=cap,
             requested=n,
         )
-    rest = [i for i in range(n) if i != 0]
-    vertices: list[Vertex] = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            vertices.append(tuple(sorted((0,) + extra)))
-    vertices.sort()
+    vertices = PartialGroupAlgebra(group).subsets_with_identity()
     arrows: list[Arrow] = []
     for a in vertices:
         members = set(a)
@@ -122,12 +114,10 @@ class Component:
         stab = [h for h in range(grp.order)
                 if translate(grp, h, base) == base]
         self.stabilizer = Subgroup(grp, stab)
-        self.arrows: list[Arrow] = []
-        for v in self.vertices:
-            vset = set(v)
-            for g in range(grp.order):
-                if grp.inv(g) in vset:
-                    self.arrows.append((v, g))
+        # the vertices are sorted (the base is lex-least), so this keeps
+        # the groupoid's arrow order
+        self.arrows: list[Arrow] = [
+            a for a in groupoid.arrows if a[0] in self.vertex_pos]
         self.arrow_pos = {a: k for k, a in enumerate(self.arrows)}
 
     @property
@@ -468,73 +458,6 @@ class GroupAlgebraMatrix:
         return self.render()
 
 
-class MonomialMatrix:
-    """A partial permutation matrix with group-element entries.
-
-    Entries are stored as (row, col) -> element of the stabilizer; at most
-    one entry per row and per column.
-    """
-
-    __slots__ = ("subgroup", "n", "entries")
-
-    def __init__(self, subgroup, n: int, entries: dict[tuple[int, int], GroupElement]) -> None:
-        rows = [i for i, _ in entries]
-        cols = [j for _, j in entries]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("monomial matrix needs at most one entry per row/column")
-        for h in entries.values():
-            if not subgroup.contains(h):
-                raise ValueError(f"entry {h} is not in the stabilizer")
-        self.subgroup = subgroup
-        self.n = n
-        self.entries = dict(entries)
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.subgroup != other.subgroup or self.n != other.n:
-            raise ValueError("incompatible monomial matrices")
-        by_col = {j: (i, h) for (i, j), h in self.entries.items()}
-        out = {}
-        for (k, j), h2 in other.entries.items():
-            hit = by_col.get(k)
-            if hit is not None:
-                i, h1 = hit
-                out[(i, j)] = h1 * h2
-        return MonomialMatrix(self.subgroup, self.n, out)
-
-    def star(self) -> "MonomialMatrix":
-        return MonomialMatrix(
-            self.subgroup, self.n,
-            {(j, i): h.inverse() for (i, j), h in self.entries.items()},
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialMatrix)
-            and self.subgroup == other.subgroup
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def to_group_matrix(self, field: Field = QQ) -> GroupAlgebraMatrix:
-        return GroupAlgebraMatrix(
-            self.subgroup, field, self.n,
-            {key: {h.index: field.one} for key, h in self.entries.items()},
-        )
-
-    def render(self) -> str:
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                h = self.entries.get((i, j))
-                row.append("0" if h is None else h.name)
-            rows.append("[" + ", ".join(row) + "]")
-        return "\n".join(rows)
-
-    def __repr__(self) -> str:
-        return self.render()
-
-
 def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
     """Rewrite an arrow sum as a matrix over the stabilizer group algebra.
 
@@ -563,19 +486,16 @@ def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
                               _cells(accumulate(y.field, terms())))
 
 
-def elementary_matrix(comp: Component, g) -> MonomialMatrix:
-    """The monomial matrix of a group element on one component."""
+def elementary_matrix(comp: Component, g) -> GroupAlgebraMatrix:
+    """The monomial matrix of a group element on one component, over Q.
+
+    It is eta of the arrows (v, g) out of the vertices v that contain
+    g^-1, so every nonzero cell is {g_j^-1 g g_i: 1}.
+    """
     grp = comp.group
     gi = g.index if isinstance(g, GroupElement) else grp.element(g).index
-    entries = {}
-    for i, v in enumerate(comp.vertices):
-        if grp.inv(gi) not in v:
-            continue
-        target = translate(grp, gi, v)
-        j = comp.vertex_pos[target]
-        h = comp.transversal[j].inverse() * GroupElement(grp, gi) * comp.transversal[i]
-        entries[(j, i)] = h
-    return MonomialMatrix(comp.stabilizer, comp.size, entries)
+    arrows = {(v, gi): 1 for v in comp.vertices if grp.inv(gi) in v}
+    return eta(comp, ArrowSum(comp.groupoid, QQ, arrows))
 
 
 class PartialRepModule:
@@ -588,7 +508,7 @@ class PartialRepModule:
     are checked with the group product reversed.
     """
 
-    __slots__ = ("group", "field", "dim", "mats", "side", "labels", "_pair_cache")
+    __slots__ = ("group", "field", "dim", "mats", "side", "_pair_cache")
 
     def __init__(
         self,
@@ -596,8 +516,6 @@ class PartialRepModule:
         field: Field,
         mats: dict[int, SparseMatrix],
         side: str = "left",
-        labels: Sequence[str] | None = None,
-        validate: bool = True,
     ) -> None:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
@@ -616,10 +534,8 @@ class PartialRepModule:
         self.dim = nrows
         self.mats = dict(mats)
         self.side = side
-        self.labels = list(labels) if labels is not None else None
         self._pair_cache: dict[SElement, SparseMatrix] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         grp = self.group
@@ -664,14 +580,6 @@ class PartialRepModule:
         self._pair_cache[s] = m
         return m
 
-    def act(self, x: AlgebraElement) -> SparseMatrix:
-        if x.group is not self.group or x.field != self.field:
-            raise ValueError("element from a different algebra")
-        out = SparseMatrix.zero(self.field, self.dim, self.dim)
-        for s, c in x.coeffs.items():
-            out = out + self.act_pair(s).scale(c)
-        return out
-
 
 def regular_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
     """The algebra acting on itself, in the arrow basis (D, k) of the groupoid.
@@ -693,8 +601,7 @@ def regular_module(group, field: Field = QQ, side: str = "left") -> PartialRepMo
                 image = (translate(group, hi, d), group.mult(k, h))
                 entries[(gd.arrow_pos[image], j)] = field.one
         mats[h] = SparseMatrix(field, len(gd.arrows), len(gd.arrows), entries)
-    return PartialRepModule(group, field, mats, side=side,
-                            labels=[arrow_str(group, a) for a in gd.arrows])
+    return PartialRepModule(group, field, mats, side=side)
 
 
 def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
@@ -721,10 +628,7 @@ def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
                 shifted = translate(group, gi, a)
             entries[(pos[shifted], k)] = field.one
         mats[g] = SparseMatrix(field, len(subsets), len(subsets), entries)
-    return PartialRepModule(
-        group, field, mats, side=side,
-        labels=["e" + _set_str(group, a) for a in subsets],
-    )
+    return PartialRepModule(group, field, mats, side=side)
 
 
 def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModule:
@@ -744,15 +648,12 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
     for g in range(grp.order):
         em = elementary_matrix(comp, g)
         entries = {}
-        for (j, i), h in em.entries.items():
-            block = mats_u[h.index]
-            for (r, c), v in block.entries.items():
+        for (j, i), cell in em.entries.items():
+            (h,) = cell
+            for (r, c), v in mats_u[h].entries.items():
                 entries[(j * d + r, i * d + c)] = v
         mats[g] = SparseMatrix(field, n * d, n * d, entries)
-    labels = [
-        f"{_set_str(grp, v)}:{k}" for v in comp.vertices for k in range(d)
-    ]
-    return PartialRepModule(grp, field, mats, side="left", labels=labels)
+    return PartialRepModule(grp, field, mats, side="left")
 
 
 def component_support(comp: Component) -> frozenset[int]:
@@ -802,19 +703,14 @@ class EquivalenceData:
     fingerprint that still determines it.
     """
 
-    __slots__ = ("component", "eps", "classes", "reps")
+    __slots__ = ("classes", "reps")
 
     def __init__(self, component: Component) -> None:
-        self.component = component
-        grp = component.group
-        self.eps: dict[int, frozenset[int]] = {}
-        for t in range(grp.order):
-            self.eps[t] = frozenset(
-                k for k, v in enumerate(component.vertices) if t in v
-            )
         by_eps: dict[frozenset[int], list[int]] = {}
-        for t in range(grp.order):
-            by_eps.setdefault(self.eps[t], []).append(t)
+        for t in range(component.group.order):
+            eps = frozenset(
+                k for k, v in enumerate(component.vertices) if t in v)
+            by_eps.setdefault(eps, []).append(t)
         self.classes = sorted(by_eps.values(), key=min)
         self.reps = [min(cls) for cls in self.classes]
         fingerprints = {
@@ -822,10 +718,6 @@ class EquivalenceData:
         }
         if len(fingerprints) != component.size:
             raise RuntimeError("representatives do not separate the vertices")
-
-
-def equivalence_data(comp: Component) -> EquivalenceData:
-    return EquivalenceData(comp)
 
 
 def tilde_pi(comp: Component, vertex: Vertex, field: Field = QQ) -> AlgebraElement:
@@ -837,7 +729,7 @@ def tilde_pi(comp: Component, vertex: Vertex, field: Field = QQ) -> AlgebraEleme
     """
     if vertex not in comp.vertex_pos:
         raise ValueError("not a vertex of the component")
-    data = equivalence_data(comp)
+    data = EquivalenceData(comp)
     algebra = PartialGroupAlgebra(comp.group, field)
     inside = [t for t in data.reps if t in vertex]
     outside = [t for t in data.reps if t not in vertex]
@@ -1074,3 +966,55 @@ def _tensor_cross_check(comp, algebra, right_act, hits, phi_column) -> None:
                 raise RuntimeError(
                     f"phi mismatch at e_{a} and {arrow_str(grp, (b, g))}"
                 )
+
+
+def section5_report(comp: Component, field: Field = QQ) -> dict:
+    """The vertex sections and the tensor equivalence on one component.
+
+    ``section_identity``: the component map sends tilde_pi of every vertex
+    to that vertex's identity arrow.  ``tensor``: the tensor_b_kdelta
+    report as a dict.
+    """
+    gd = comp.groupoid
+    section = all(
+        lambda_delta(comp, tilde_pi(comp, v, field))
+        == arrow_unit(gd, (v, gd.group.identity_index), field)
+        for v in comp.vertices
+    )
+    return {"section_identity": section,
+            "tensor": tensor_b_kdelta(comp, field).as_dict()}
+
+
+def section6_report(comp: Component, field: Field = QQ) -> dict:
+    """The three identities of the arrow lift zeta_delta on one component.
+
+    ``support_full``: the vertices cover the group (a fact, not a check).
+    ``section_identity``: lambda_delta(zeta(a)) == a for every arrow a.
+    ``multiplicative``: zeta(a1) * zeta(a2) == zeta(a1 * a2) for every
+    pair, where a zero arrow product lifts to zero.  ``module_map``:
+    zeta(lambda_delta(r) * a) == r * zeta(a) for every canonical basis
+    element r and arrow a, with zeta extended linearly.
+    """
+    gd = comp.groupoid
+    algebra = PartialGroupAlgebra(comp.group, field)
+    lifts = {a: zeta_delta(comp, a, field) for a in comp.arrows}
+    units = {a: arrow_unit(gd, a, field) for a in comp.arrows}
+
+    def lift(y: ArrowSum) -> AlgebraElement:
+        return algebra.element(accumulate(field, (
+            (s, c * v) for a, c in y.coeffs.items()
+            for s, v in lifts[a].coeffs.items())))
+
+    arrows = comp.arrows
+    projected = [(r, lambda_delta(comp, r))
+                 for r in map(algebra.monomial, algebra.canonical_basis())]
+    return {
+        "support_full": len(component_support(comp)) == comp.group.order,
+        "section_identity": all(lambda_delta(comp, lifts[a]) == units[a]
+                                for a in arrows),
+        "multiplicative": all(lift(units[a1] * units[a2])
+                              == lifts[a1] * lifts[a2]
+                              for a1 in arrows for a2 in arrows),
+        "module_map": all(lift(proj * units[a]) == r * lifts[a]
+                          for r, proj in projected for a in arrows),
+    }

@@ -629,7 +629,8 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     The left route runs the partial machinery on the idempotent
     subalgebra as a module over the whole algebra; the right route sums,
     component by component, the classical (co)homology of each stabilizer
-    with trivial coefficients.
+    with trivial coefficients.  Components often share a stabilizer, so
+    the classical pipeline runs once per distinct stabilizer.
     """
     bm = b_module(group, field)
     lh = partial_homology(group, bm, field, max_degree, cap,
@@ -639,18 +640,22 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     right_h = [0] * (max_degree + 1)
     right_c = [0] * (max_degree + 1)
     per_component = []
+    classical: dict = {}
     for comp in components(build_groupoid(group)):
         stab = comp.stabilizer
-        u = trivial_rep(stab, field)
-        hr = group_homology(stab, u, field, max_degree, cap)
-        cr = group_cohomology(stab, u, field, max_degree, cap)
-        right_h = [a + b for a, b in zip(right_h, hr.dims)]
-        right_c = [a + b for a, b in zip(right_c, cr.dims)]
+        if stab not in classical:
+            u = trivial_rep(stab, field)
+            classical[stab] = (
+                group_homology(stab, u, field, max_degree, cap).dims,
+                group_cohomology(stab, u, field, max_degree, cap).dims)
+        hr, cr = classical[stab]
+        right_h = [a + b for a, b in zip(right_h, hr)]
+        right_c = [a + b for a, b in zip(right_c, cr)]
         per_component.append({
             "base": _set_str(group, comp.base),
             "stabilizer_order": stab.order,
-            "homology": hr.dims,
-            "cohomology": cr.dims,
+            "homology": hr,
+            "cohomology": cr,
         })
     hom = {"partial": lh.dims, "stabilizer_sum": right_h,
            **_compare(lh.dims, right_h)}

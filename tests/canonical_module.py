@@ -22,5 +22,4 @@ def canonical_regular_module(group, field=QQ, side="left"):
             t = s_mul(gen, s) if side == "left" else s_mul(s, gen)
             entries[(pos[t], k)] = field.one
         mats[g] = SparseMatrix(field, len(basis), len(basis), entries)
-    return PartialRepModule(group, field, mats, side=side,
-                            labels=[s.render() for s in basis])
+    return PartialRepModule(group, field, mats, side=side)

@@ -19,7 +19,7 @@ from itertools import product
 
 from parh.exel import PartialGroupAlgebra, SElement, SkewElement, s_mul, skew_mul
 from parh.groupoid import (
-    MonomialMatrix,
+    GroupAlgebraMatrix,
     arrow_unit,
     build_groupoid,
     component_summary,
@@ -31,7 +31,7 @@ from parh.groupoid import (
     tilde_pi,
     zeta_delta,
 )
-from parh.groups import INTEGERS, GroupElement, build_named_group
+from parh.groups import INTEGERS, build_named_group
 from parh.homology import (
     bar_differential,
     homogeneous_differential,
@@ -109,9 +109,7 @@ def test_criterion_02_partial_representation_axioms():
             table.update({(g, h): elementary_matrix(comp, group.mult(g, h))
                           for g, h in product(range(group.order), repeat=2)})
             table["1"] = elementary_matrix(comp, 0)
-            unit = MonomialMatrix(
-                comp.stabilizer, comp.size,
-                {(i, i): GroupElement(group, 0) for i in range(comp.size)})
+            unit = GroupAlgebraMatrix.identity(comp.stabilizer, QQ, comp.size)
             if not (_rep_axioms_hold(range(group.order), table, group.inv,
                                      unit)):
                 bad.append((name, k))

@@ -255,6 +255,44 @@ def test_verify_section6_module_map_boundary(capsys):
     assert data["ok"] is True
 
 
+SECTION6_C4_JSON = (
+    '{"group": "C4", "field": "Q", "components": ['
+    '{"component": 0, "base": "{1}", "support_full": false, '
+    '"section_identity": true, "multiplicative": true, "module_map": true}, '
+    '{"component": 1, "base": "{1,g}", "support_full": false, '
+    '"section_identity": true, "multiplicative": true, "module_map": true}, '
+    '{"component": 2, "base": "{1,g,g2}", "support_full": true, '
+    '"section_identity": true, "multiplicative": true, "module_map": true}, '
+    '{"component": 3, "base": "{1,g,g2,g3}", "support_full": true, '
+    '"section_identity": true, "multiplicative": true, "module_map": true}, '
+    '{"component": 4, "base": "{1,g2}", "support_full": false, '
+    '"section_identity": true, "multiplicative": true, "module_map": true}'
+    '], "ok": true}\n')
+
+_TENSOR_OK = ('"h_action_trivial": true, "phi_kills_relations": true, '
+              '"phi_psi_identity": true, "psi_phi_identity": true, "ok": true')
+SECTION5_C3_F2_JSON = (
+    '{"group": "C3", "field": "F2", "components": ['
+    '{"component": 0, "base": "{1}", "section_identity": true, '
+    '"tensor": {"dimension": 1, "expected": 1, ' + _TENSOR_OK + '}}, '
+    '{"component": 1, "base": "{1,g}", "section_identity": true, '
+    '"tensor": {"dimension": 2, "expected": 2, ' + _TENSOR_OK + '}}, '
+    '{"component": 2, "base": "{1,g,g2}", "section_identity": true, '
+    '"tensor": {"dimension": 1, "expected": 1, ' + _TENSOR_OK + '}}'
+    '], "ok": true}\n')
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "section6", "--group", "C4"), SECTION6_C4_JSON),
+    (("verify", "section5", "--group", "C3", "--field", "F2"),
+     SECTION5_C3_F2_JSON),
+], ids=["section6-C4", "section5-C3-F2"])
+def test_verify_section_json_is_byte_exact(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert out == expected
+
+
 def test_verify_kpar_coeff_vanishing(capsys):
     code, data, _ = run_json(capsys, "verify", "kpar-coeff-vanishing",
                              "--group", "C2", "--field", "F2", "--max", "2")
@@ -390,6 +428,61 @@ def test_help_schema_is_valid_json(capsys):
     assert "z quotient" in schemas
     assert set(schemas["error (exit 2 or 3)"]) == {
         "error", "message", "limit", "requested"}
+
+
+# One cheap invocation, and its exit code, per --help-schema entry.
+_SCHEMA_RUNS = {
+    "groups list": (EXIT_OK, "groups", "list"),
+    "groups show": (EXIT_OK, "groups", "show", "--group", "C2"),
+    "kpar dim": (EXIT_OK, "kpar", "dim", "--group", "C2"),
+    "kpar basis": (EXIT_OK, "kpar", "basis", "--group", "C2"),
+    "groupoid components": (EXIT_OK, "groupoid", "components",
+                            "--group", "C2"),
+    "homology partial|cohomology": (EXIT_OK, "homology", "cohomology",
+                                    "--group", "C2", "--expect-dims", "2,0,0"),
+    "homology ordinary": (EXIT_OK, "homology", "ordinary", "--group", "C2",
+                          "--expect-dims", "1,0,0"),
+    "verify theorem-a": (EXIT_OK, "verify", "theorem-a", "--group", "C2",
+                         "--component", "1", "--max", "1"),
+    "verify corollary-b": (EXIT_OK, "verify", "corollary-b", "--group", "C2",
+                           "--max", "1"),
+    "verify section5": (EXIT_OK, "verify", "section5", "--group", "C2"),
+    "verify section6": (EXIT_OK, "verify", "section6", "--group", "C2"),
+    "verify kpar-coeff-vanishing": (EXIT_OK, "verify", "kpar-coeff-vanishing",
+                                    "--group", "C2", "--max", "1"),
+    "z relations": (EXIT_OK, "z", "relations", "--bound", "2"),
+    "z quotient": (EXIT_OK, "z", "quotient"),
+    "z cancellation": (EXIT_OK, "z", "cancellation", "--count", "2"),
+    "z ig-decompose": (EXIT_OK, "z", "ig-decompose", "--count", "2",
+                       "--bound", "2"),
+    "error (exit 2 or 3)": (EXIT_CONFIG, "kpar", "dim", "--group", "nope"),
+}
+
+
+def _listed_keys(spec):
+    """The keys that a schema value such as "{a, b}" or "[{a, b}]" names."""
+    body = spec.strip("[]")
+    if not body.startswith("{") or ":" in body or "..." in body:
+        return None
+    return [k.strip() for k in body[1:-1].split(",")]
+
+
+@pytest.mark.parametrize("command", sorted(_SCHEMA_RUNS))
+def test_json_keys_match_help_schema(capsys, command):
+    main(["--help-schema"])
+    schemas = json.loads(capsys.readouterr().out)
+    assert set(schemas) == set(_SCHEMA_RUNS)
+    schema = schemas[command]
+    code, *argv = _SCHEMA_RUNS[command]
+    got, data, _ = run_json(capsys, *argv)
+    assert got == code
+    assert list(data) == list(schema)
+    for key, spec in schema.items():
+        keys, value = _listed_keys(spec), data[key]
+        if keys is None or value == []:
+            continue
+        row = value[0] if isinstance(value, list) else value
+        assert list(row) == keys, key
 
 
 def test_every_json_report_serializes(capsys):

@@ -1,6 +1,7 @@
 """Groupoid structure, the map onto it, matrix models, tensor equivalence."""
 
 import random
+from functools import cache
 
 import pytest
 
@@ -8,8 +9,7 @@ from canonical_module import canonical_regular_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
 from parh.groupoid import (
-    ArrowSum,
-    MonomialMatrix,
+    EquivalenceData,
     PartialRepModule,
     arrow_unit,
     b_module,
@@ -18,7 +18,6 @@ from parh.groupoid import (
     component_support,
     components,
     elementary_matrix,
-    equivalence_data,
     eta,
     groupoid_identity,
     induce_module,
@@ -27,6 +26,7 @@ from parh.groupoid import (
     lambda_map,
     lambda_matrix,
     regular_module,
+    section6_report,
     tensor_b_kdelta,
     tilde_pi,
     zeta_delta,
@@ -154,8 +154,8 @@ def test_eta_elementary_matrices():
             em = elementary_matrix(comp, g)
             via_lambda = eta(comp, lambda_delta(comp, algebra.bracket(g)))
             assert via_lambda.is_monomial()
-            assert em.to_group_matrix(QQ) == via_lambda
-            assert em.star().to_group_matrix(QQ) == via_lambda.star()
+            assert em == via_lambda
+            assert em.star() == via_lambda.star()
 
 
 @pytest.mark.parametrize("name", ["C2xC2", "S3"])
@@ -260,39 +260,20 @@ def test_induce_module_trivial_and_regular():
     assert mod2.dim == 4
 
 
-@pytest.mark.parametrize("name", ["C3", "C2xC2", "C4", "C5", "C6", "S3"])
-def test_zeta_delta_section(name):
+@cache
+def _section6_rows(name):
+    """(component, section6_report) for every component of a named group."""
     gd = build_groupoid(build_named_group(name))
-    for comp in components(gd):
-        units = {}
-        lifts = {}
-        for arrow in comp.arrows:
-            z = zeta_delta(comp, arrow)
-            units[arrow] = arrow_unit(gd, arrow)
-            lifts[arrow] = z
-            assert lambda_delta(comp, z) == units[arrow]
-        # multiplicative, including zero products
-        for a1 in comp.arrows:
-            for a2 in comp.arrows:
-                prod_arrows = units[a1] * units[a2]
-                prod_lifts = lifts[a1] * lifts[a2]
-                if prod_arrows.is_zero():
-                    assert prod_lifts.is_zero()
-                else:
-                    (arrow,) = prod_arrows.coeffs
-                    assert prod_lifts == lifts[arrow]
+    return [(comp, section6_report(comp, QQ)) for comp in components(gd)]
 
 
-def _zeta_linearity_holds(gd, comp, algebra, element, arrow, lifts):
-    """Whether zeta(lambda_delta(element) * arrow) == element * zeta(arrow).
-
-    ``lifts`` maps each arrow of the component to its zeta_delta lift.
-    """
-    image = lambda_delta(comp, element) * arrow_unit(gd, arrow)
-    lhs = algebra.zero()
-    for a, c in image.coeffs.items():
-        lhs = lhs + lifts[a].scale(c)
-    return lhs == element * lifts[arrow]
+@pytest.mark.parametrize("name", ["C2", "C3", "C2xC2", "C4", "C5", "C6", "S3"])
+def test_zeta_delta_section(name):
+    # a section of the component map, and multiplicative, including
+    # zero products
+    for comp, row in _section6_rows(name):
+        assert row["section_identity"], (name, comp)
+        assert row["multiplicative"], (name, comp)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "C5", "C6", "S3"])
@@ -302,23 +283,17 @@ def test_zeta_delta_module_map_iff_full_support(name):
     # bracket [g] with g outside the support dies under lambda_delta, so
     # the identity demands that it also kill the section image; it does,
     # because the lift is the unit of its own block.
-    gd = build_groupoid(build_named_group(name))
-    algebra = PartialGroupAlgebra(gd.group)
-    basis = algebra.canonical_basis()
-    for comp in components(gd):
-        lifts = {a: zeta_delta(comp, a) for a in comp.arrows}
-        for s in basis:
-            r = algebra.monomial(s)
-            for arrow in comp.arrows:
-                assert _zeta_linearity_holds(gd, comp, algebra, r, arrow, lifts)
+    rows = _section6_rows(name)
+    group = rows[0][0].group
+    algebra = PartialGroupAlgebra(group)
+    for comp, row in rows:
+        assert row["module_map"], (name, comp)
         support = component_support(comp)
-        if len(support) < gd.group.order:
-            outside = min(set(range(gd.group.order)) - set(support))
-            r = algebra.bracket(outside)
-            arrow = (comp.base, 0)
+        assert row["support_full"] == (len(support) == group.order)
+        if len(support) < group.order:
+            r = algebra.bracket(min(set(range(group.order)) - support))
             assert lambda_delta(comp, r).is_zero()
-            assert (r * lifts[arrow]).is_zero()
-            assert _zeta_linearity_holds(gd, comp, algebra, r, arrow, lifts)
+            assert (r * zeta_delta(comp, (comp.base, 0))).is_zero()
 
 
 def test_zeta_delta_respects_products_after_projection():
@@ -356,7 +331,7 @@ def test_tilde_pi_is_a_section(name):
 def test_equivalence_data():
     gd = build_groupoid(build_named_group("C3"))
     comp = components(gd)[0]  # the singleton {1}
-    data = equivalence_data(comp)
+    data = EquivalenceData(comp)
     assert sorted(sum(data.classes, [])) == [0, 1, 2]
     assert data.reps[0] == 0
     # elements outside every vertex form one class here
@@ -377,12 +352,3 @@ def test_tensor_b_kdelta_prime_field():
     comp = components(gd)[2]
     report = tensor_b_kdelta(comp, GF(5))
     assert report.ok
-
-
-def test_monomial_matrix_rejects_collisions():
-    grp = build_named_group("C2")
-    gd = build_groupoid(grp)
-    comp = [c for c in components(gd) if c.stabilizer.order == 2][0]
-    h = grp.element(1)
-    with pytest.raises(ValueError):
-        MonomialMatrix(comp.stabilizer, 2, {(0, 0): h, (0, 1): h})

@@ -629,6 +629,36 @@ def test_corollary_b_c2xc2_f2():
     assert json.dumps(report)
 
 
+def test_corollary_b_runs_the_classical_pipeline_once_per_stabilizer(
+        monkeypatch):
+    # S3 has 15 components but 6 distinct stabilizers; the per-component
+    # rows must still be each component's own classical dimensions.
+    group = build_named_group("S3")
+    comps = components(build_groupoid(group))
+    stabs = {comp.stabilizer for comp in comps}
+    assert (len(comps), len(stabs)) == (15, 6)
+    calls, depth = [], [0]
+    for name in ("group_homology", "group_cohomology"):
+        def counted(*args, _fn=getattr(homology, name), _name=name, **kw):
+            # count runs, not the homology call inside group_cohomology
+            if not depth[0]:
+                calls.append(_name)
+            depth[0] += 1
+            try:
+                return _fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(homology, name, counted)
+    report = verify_corollary_b(group, QQ, 1)
+    assert sorted(calls) == ["group_cohomology"] * 6 + ["group_homology"] * 6
+    assert report["ok"]
+    for comp, row in zip(comps, report["components"]):
+        u = trivial_rep(comp.stabilizer, QQ)
+        assert row["homology"] == group_homology(comp.stabilizer, u, QQ, 1).dims
+        assert row["cohomology"] == group_cohomology(
+            comp.stabilizer, u, QQ, 1).dims
+
+
 # ---------------------------------------------------------------------------
 # Report and complex plumbing.
 
