@@ -232,11 +232,6 @@ class AlgebraElement:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def star(self) -> "AlgebraElement":
         return AlgebraElement(
             self.group, self.field, {s.star(): c for s, c in self.coeffs.items()}

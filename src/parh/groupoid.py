@@ -204,18 +204,6 @@ class ArrowSum:
                                            other.coeffs.items()))
         return ArrowSum(self.groupoid, self.field, out)
 
-    def __neg__(self) -> "ArrowSum":
-        f = self.field
-        return ArrowSum(self.groupoid, f, {a: f.neg(c) for a, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ArrowSum") -> "ArrowSum":
-        return self + (-other)
-
-    def scale(self, c) -> "ArrowSum":
-        f = self.field
-        c = f.of(c)
-        return ArrowSum(self.groupoid, f, {a: f.mul(c, v) for a, v in self.coeffs.items()})
-
     def __mul__(self, other: "ArrowSum") -> "ArrowSum":
         self._check(other)
         grp = self.groupoid.group
@@ -244,9 +232,6 @@ class ArrowSum:
             and self.field == other.field
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((id(self.groupoid), self.field, frozenset(self.coeffs.items())))
 
     def vector(self, arrow_pos: dict[Arrow, int]) -> Column:
         return {arrow_pos[a]: c for a, c in self.coeffs.items()}
@@ -396,7 +381,7 @@ class GroupAlgebraMatrix:
 
     def __mul__(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
         self._check(other)
-        grp = self.subgroup.parent if isinstance(self.subgroup, Subgroup) else self.subgroup
+        grp = self.subgroup.parent
         flat = accumulate(self.field, (
             ((i, j, grp.mult(h1, h2)), c1 * c2)
             for (i, k), cell1 in self.entries.items()
@@ -407,7 +392,7 @@ class GroupAlgebraMatrix:
                                   _cells(flat))
 
     def star(self) -> "GroupAlgebraMatrix":
-        grp = self.subgroup.parent if isinstance(self.subgroup, Subgroup) else self.subgroup
+        grp = self.subgroup.parent
         out = {}
         for (i, j), cell in self.entries.items():
             out[(j, i)] = {grp.inv(h): c for h, c in cell.items()}
@@ -436,7 +421,7 @@ class GroupAlgebraMatrix:
         return True
 
     def render(self) -> str:
-        grp = self.subgroup.parent if isinstance(self.subgroup, Subgroup) else self.subgroup
+        grp = self.subgroup.parent
         rows = []
         for i in range(self.n):
             row = []
@@ -499,26 +484,16 @@ def elementary_matrix(comp: Component, g) -> GroupAlgebraMatrix:
 
 
 class PartialRepModule:
-    """A finite-dimensional module given by generator matrices.
+    """A finite-dimensional left module given by generator matrices.
 
-    ``mats[g]`` is the matrix of the generator [g]; on construction the
-    unit and the two defining relations are checked exhaustively, for the
-    chosen side.  Left modules compose as pi(g) pi(h) ~ pi(gh); for right
-    modules the matrices multiply in the opposite order, so the relations
-    are checked with the group product reversed.
+    ``mats[g]`` is the matrix of the generator [g], and matrices compose
+    as pi(g) pi(h) ~ pi(gh).  On construction the unit and the two
+    defining relations are checked exhaustively, once.
     """
 
-    __slots__ = ("group", "field", "dim", "mats", "side", "_pair_cache")
+    __slots__ = ("group", "field", "dim", "mats")
 
-    def __init__(
-        self,
-        group,
-        field: Field,
-        mats: dict[int, SparseMatrix],
-        side: str = "left",
-    ) -> None:
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+    def __init__(self, group, field: Field, mats: dict[int, SparseMatrix]) -> None:
         if set(mats) != set(range(group.order)):
             raise ValueError("need one matrix per group element")
         shapes = {(m.nrows, m.ncols) for m in mats.values()}
@@ -533,9 +508,26 @@ class PartialRepModule:
         self.field = field
         self.dim = nrows
         self.mats = dict(mats)
-        self.side = side
-        self._pair_cache: dict[SElement, SparseMatrix] = {}
         self._validate()
+
+    @classmethod
+    def _of_clean(cls, group, field: Field,
+                  mats: dict[int, SparseMatrix]) -> "PartialRepModule":
+        """Adopt generator matrices that satisfy the relations, without
+        checking again.
+
+        The one use is the dual V*, mats[g] = M(g^-1)^T for a checked
+        module M.  Transposing reverses products, so relation 1 of V* at
+        (g, h) is relation 2 of M at (h^-1, g^-1) transposed, relation 2
+        of V* at (g, h) is relation 1 of M at (h^-1, g^-1) transposed, and
+        the unit is I^T = I.
+        """
+        v = cls.__new__(cls)
+        v.group = group
+        v.field = field
+        v.dim = mats[0].nrows
+        v.mats = mats
+        return v
 
     def _validate(self) -> None:
         grp = self.group
@@ -546,7 +538,7 @@ class PartialRepModule:
             gi = grp.inv(g)
             for h in range(n):
                 hi = grp.inv(h)
-                gh = grp.mult(g, h) if self.side == "left" else grp.mult(h, g)
+                gh = grp.mult(g, h)
                 lhs1 = self.mats[g] * self.mats[h] * self.mats[hi]
                 rhs1 = self.mats[gh] * self.mats[hi]
                 if lhs1 != rhs1:
@@ -561,33 +553,23 @@ class PartialRepModule:
                     )
 
     def act_pair(self, s: SElement) -> SparseMatrix:
-        """Matrix of a canonical pair (A, g)."""
+        """Matrix of a canonical pair (A, g): e_t acts by [t][t^-1]."""
         if s.group is not self.group:
             raise ValueError("pair from a different group")
-        cached = self._pair_cache.get(s)
-        if cached is not None:
-            return cached
         grp = self.group
-        e = grp.identity_index
         m = self.mats[s.g]
         for t in s.members:
-            if t == e:
-                continue
-            if self.side == "left":
+            if t != grp.identity_index:
                 m = self.mats[t] * self.mats[grp.inv(t)] * m
-            else:
-                m = m * (self.mats[grp.inv(t)] * self.mats[t])
-        self._pair_cache[s] = m
         return m
 
 
-def regular_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
-    """The algebra acting on itself, in the arrow basis (D, k) of the groupoid.
+def regular_module(group, field: Field = QQ) -> PartialRepModule:
+    """The left regular module, in the arrow basis (D, k) of the groupoid.
 
     lambda_map is an isomorphism onto the groupoid algebra (Dokuchaev, Exel
-    and Piccione, J. Algebra 226, 2000).  Left: [h] (D, k) = (D, hk) when
-    h^-1 is in kD.  Right: (D, k) [h] = (h^-1 D, kh) when h is in D.  Every
-    other product is zero, so every e_x = [x][x^-1] is diagonal.
+    and Piccione, J. Algebra 226, 2000): [h] (D, k) = (D, hk) when h^-1 is
+    in kD, and zero otherwise, so every e_x = [x][x^-1] is diagonal.
     """
     gd = build_groupoid(group, cap=group.order)  # the canonical basis had no cap
     mats = {}
@@ -595,20 +577,16 @@ def regular_module(group, field: Field = QQ, side: str = "left") -> PartialRepMo
         hi = group.inv(h)
         entries = {}
         for j, (d, k) in enumerate(gd.arrows):
-            if side == "left" and hi in translate(group, k, d):
+            if hi in translate(group, k, d):
                 entries[(gd.arrow_pos[(d, group.mult(h, k))], j)] = field.one
-            elif side == "right" and h in d:
-                image = (translate(group, hi, d), group.mult(k, h))
-                entries[(gd.arrow_pos[image], j)] = field.one
         mats[h] = SparseMatrix(field, len(gd.arrows), len(gd.arrows), entries)
-    return PartialRepModule(group, field, mats, side=side)
+    return PartialRepModule(group, field, mats)
 
 
-def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
-    """The idempotent subalgebra in its primitive basis.
+def b_module(group, field: Field = QQ) -> PartialRepModule:
+    """The idempotent subalgebra as a left module, in its primitive basis.
 
-    Left: e_A goes to e_{gA} when g^-1 is in A, else to zero.  Right: e_A
-    goes to e_{g^-1 A} when g is in A, else to zero.
+    [g] sends e_A to e_{gA} when g^-1 is in A, and to zero otherwise.
     """
     algebra = PartialGroupAlgebra(group, field)
     subsets = algebra.subsets_with_identity()
@@ -618,17 +596,10 @@ def b_module(group, field: Field = QQ, side: str = "left") -> PartialRepModule:
         gi = group.inv(g)
         entries = {}
         for k, a in enumerate(subsets):
-            if side == "left":
-                if gi not in a:
-                    continue
-                shifted = translate(group, g, a)
-            else:
-                if g not in a:
-                    continue
-                shifted = translate(group, gi, a)
-            entries[(pos[shifted], k)] = field.one
+            if gi in a:
+                entries[(pos[translate(group, g, a)], k)] = field.one
         mats[g] = SparseMatrix(field, len(subsets), len(subsets), entries)
-    return PartialRepModule(group, field, mats, side=side)
+    return PartialRepModule(group, field, mats)
 
 
 def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModule:
@@ -653,7 +624,7 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
             for (r, c), v in mats_u[h].entries.items():
                 entries[(j * d + r, i * d + c)] = v
         mats[g] = SparseMatrix(field, n * d, n * d, entries)
-    return PartialRepModule(grp, field, mats, side="left")
+    return PartialRepModule(grp, field, mats)
 
 
 def component_support(comp: Component) -> frozenset[int]:

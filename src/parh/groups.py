@@ -59,11 +59,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash((id(self.group), self.index))
 
-    def __lt__(self, other: "GroupElement") -> bool:
-        if self.group is not other.group:
-            raise GroupError("elements of different groups")
-        return self.index < other.index
-
     def __repr__(self) -> str:
         return self.name
 

@@ -379,8 +379,6 @@ _CoComplex = ChainComplex
 def _check_module(group, v_mod: PartialRepModule, field: Field | None) -> Field:
     if v_mod.group is not group:
         raise ValueError("module is over a different group")
-    if v_mod.side != "left":
-        raise ValueError("homology and cohomology take left modules")
     if field is not None and field != v_mod.field:
         raise ValueError("requested field differs from the module field")
     return v_mod.field
@@ -423,11 +421,12 @@ def dual_module(v_mod: PartialRepModule) -> PartialRepModule:
     Over a field, dim H^n(V) = dim H_n(V*) for finite-dimensional V,
     because Hom_K(V* (x) P, K) = Hom(P, V) (K. S. Brown, Cohomology of
     Groups, GTM 87); partial_cohomology and group_cohomology both compute
-    cohomology this way.  The dual is validated like any module.
+    cohomology this way.  The dual satisfies the relations because V does,
+    by transposition, so it is adopted without checking again.
     """
     group = v_mod.group
     mats = {g: v_mod.mats[group.inv(g)].transpose() for g in range(group.order)}
-    return PartialRepModule(group, v_mod.field, mats, side=v_mod.side)
+    return PartialRepModule._of_clean(group, v_mod.field, mats)
 
 
 def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = None,
@@ -454,7 +453,7 @@ def b_tensor_dim(v_mod: PartialRepModule) -> int:
     partial_homology and shares none of its chain machinery.
     """
     group = v_mod.group
-    field = _check_module(group, v_mod, None)
+    field = v_mod.field
     algebra = PartialGroupAlgebra(group, field)
     subsets = algebra.subsets_with_identity()
     pos = {a: k for k, a in enumerate(subsets)}

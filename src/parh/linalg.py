@@ -85,9 +85,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
 
@@ -325,9 +322,6 @@ class SparseMatrix:
             and self.ncols == other.ncols
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
 
     def to_dense(self) -> list[list[Scalar]]:
         out = [[self.field.zero] * self.ncols for _ in range(self.nrows)]

@@ -10,8 +10,8 @@ from parh.groupoid import PartialRepModule
 from parh.linalg import QQ, SparseMatrix
 
 
-def canonical_regular_module(group, field=QQ, side="left"):
-    """The algebra acting on itself in the canonical basis."""
+def canonical_regular_module(group, field=QQ):
+    """The algebra acting on itself on the left, in the canonical basis."""
     basis = PartialGroupAlgebra(group, field).canonical_basis()
     pos = {s: k for k, s in enumerate(basis)}
     mats = {}
@@ -19,7 +19,6 @@ def canonical_regular_module(group, field=QQ, side="left"):
         gen = s_generator(group, g)
         entries = {}
         for k, s in enumerate(basis):
-            t = s_mul(gen, s) if side == "left" else s_mul(s, gen)
-            entries[(pos[t], k)] = field.one
+            entries[(pos[s_mul(gen, s)], k)] = field.one
         mats[g] = SparseMatrix(field, len(basis), len(basis), entries)
-    return PartialRepModule(group, field, mats, side=side)
+    return PartialRepModule(group, field, mats)

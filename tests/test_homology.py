@@ -7,6 +7,7 @@ from canonical_module import canonical_regular_module
 from parh import homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
+    PartialRepModule,
     b_module,
     build_groupoid,
     components,
@@ -268,8 +269,6 @@ def test_partial_homology_validation():
     with pytest.raises(ValueError):
         partial_homology(c3, b_module(c2, QQ))
     with pytest.raises(ValueError):
-        partial_homology(c2, b_module(c2, QQ, side="right"))
-    with pytest.raises(ValueError):
         partial_homology(c2, b_module(c2, QQ), field=GF(2))
     with pytest.raises(ValueError):
         partial_homology(c2, b_module(c2, QQ), max_degree=-1)
@@ -317,8 +316,50 @@ def test_dual_module_is_an_involution():
         for field in (QQ, GF(2)):
             for label, v in _cohomology_modules(group, field):
                 dual = dual_module(v)
-                assert dual.side == v.side and dual.dim == v.dim
+                assert dual.dim == v.dim
                 assert dual_module(dual).mats == v.mats, (name, label)
+
+
+def _dual_check_modules(group):
+    """B, the regular module in both bases up to order 6, every induced
+    regular module and, on S3, the sum-zero module over Q and F3."""
+    comps = components(build_groupoid(group))
+    yield b_module(group, QQ)
+    if group.order <= 6:
+        yield regular_module(group, QQ)
+        yield canonical_regular_module(group, QQ)
+    for comp in comps:
+        yield induce_module(comp, regular_rep(comp.stabilizer, QQ), QQ)
+    if group.name == "S3":
+        full = next(c for c in comps if len(c.base) == 6)
+        for field in (QQ, GF(3)):
+            yield induce_module(full, _standard_rep_s3(group, field), field)
+
+
+@pytest.mark.parametrize(
+    "name", ["C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8"])
+def test_dual_module_satisfies_the_relations(name):
+    # dual_module adopts V* unchecked; the constructor raises on a broken
+    # relation.
+    group = build_named_group(name)
+    for v in _dual_check_modules(group):
+        PartialRepModule(group, v.field, dual_module(v).mats)
+
+
+def test_cohomology_validates_only_the_module(monkeypatch):
+    calls = []
+    validate = PartialRepModule._validate
+
+    def counting(self):
+        calls.append(self.dim)
+        validate(self)
+
+    monkeypatch.setattr(PartialRepModule, "_validate", counting)
+    s3 = build_named_group("S3")
+    v = b_module(s3, QQ)
+    built = len(calls)
+    partial_cohomology(s3, v, max_degree=1)
+    assert built == 1 and len(calls) == built
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "S3"])
