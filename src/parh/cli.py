@@ -166,6 +166,8 @@ def _load_group(args):
     if getattr(args, "table", None):
         path = Path(args.table)
         return parse_cayley_table(path.read_text(), name=path.stem)
+    if args.group is None:
+        raise ValueError("this command needs --group or --table")
     return build_named_group(args.group)
 
 
@@ -702,6 +704,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     as_json = getattr(args, "json", False)
     try:
+        if getattr(args, "count", 0) < 0:
+            raise ValueError(f"--count must be nonnegative, got {args.count}")
         data, lines, ok = args.handler(args)
     except (SizeCapError, WindowEscapeError) as exc:
         print(f"size cap: {exc}", file=sys.stderr)

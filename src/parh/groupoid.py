@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .exel import AlgebraElement, PartialGroupAlgebra, SElement
+from .exel import AlgebraElement, PartialGroupAlgebra
 from .groups import GroupElement, GroupError, Subgroup, translate
 from .linalg import (
     Column,
@@ -552,17 +552,6 @@ class PartialRepModule:
                         f"partial relation [g^-1][g][h] fails at ({g}, {h})"
                     )
 
-    def act_pair(self, s: SElement) -> SparseMatrix:
-        """Matrix of a canonical pair (A, g): e_t acts by [t][t^-1]."""
-        if s.group is not self.group:
-            raise ValueError("pair from a different group")
-        grp = self.group
-        m = self.mats[s.g]
-        for t in s.members:
-            if t != grp.identity_index:
-                m = self.mats[t] * self.mats[grp.inv(t)] * m
-        return m
-
 
 def regular_module(group, field: Field = QQ) -> PartialRepModule:
     """The left regular module, in the arrow basis (D, k) of the groupoid.
@@ -751,16 +740,18 @@ def tensor_b_kdelta(
     """Form B tensored with the component algebra over the main algebra.
 
     The tensor product is presented as the plain tensor of the primitive
-    basis of B with the arrows, modulo moving canonical basis elements
-    across.  The computation checks that the result has one dimension per
-    vertex, that the right stabilizer action on arrows out of the base is
-    trivial, and that the explicit maps to and from the vertex span are
-    mutually inverse.
+    basis of B with the arrows, modulo moving the brackets [g] across.  The
+    computation checks that the result has one dimension per vertex, that
+    the right stabilizer action on arrows out of the base is trivial, and
+    that the explicit maps to and from the vertex span are mutually
+    inverse.
 
-    Moving a pair s across gives the relation e_{As} (x) y - e_A (x) s.y,
-    where As is e_A acted on by s and s.y is the arrow that lambda(s)
-    composes with y into; either term may vanish.  Each relation is
-    built once, keyed by its two tensor coordinates.
+    The brackets generate the algebra (Exel, Proc. AMS 126, 1998), and the
+    relation of a product rs at (m, y) is that of s at (mr, y) plus that
+    of r at (m, sy), so their relations span all the others.  Moving [g]
+    gives e_A[g] (x) y - e_A (x) [g]y, where e_A[g] = [g^-1] e_A [g] is
+    e_{g^-1 A} when g is in A, and [g](B, h) is the arrow (B, gh) when
+    g^-1 is in the target hB; either term may vanish.
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
@@ -775,67 +766,47 @@ def tensor_b_kdelta(
     def tensor_index(a: Vertex, arrow: Arrow) -> int:
         return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
 
-    def right_act(a: Vertex, s: SElement) -> Vertex | None:
-        # e_A acted by the canonical pair (C, g) on the right
-        if not set(s.members).issubset(a):
-            return None
-        return translate(grp, grp.inv(s.g), a)
-
     targets = [comp.groupoid.target(arrow) for arrow in arrows]
-    basis_pairs = algebra.canonical_basis()
-    # hits[i][j]: position of the single arrow in lambda(basis_pairs[i])
-    # composable with arrows[j], or None; it does not depend on the subset
+    # moved[g][k]: position of e_{A_k}[g] among the subsets, hits[g][j]:
+    # position of [g] arrows[j] among the arrows; None where it is zero
+    moved: list[list[int | None]] = []
     hits: list[list[int | None]] = []
-    for s in basis_pairs:
-        gi = grp.inv(s.g)
-        need = {grp.mult(gi, m) for m in s.members}
-        hits.append([
-            comp.arrow_pos[(b, grp.mult(s.g, h))] if need.issubset(t) else None
-            for (b, h), t in zip(arrows, targets)
-        ])
-
-    # (moved index, hit index), None for a vanishing term; many
-    # (subset, pair, arrow) triples give the same relation
-    keys: dict[tuple[int | None, int | None], None] = {}
-    for ai, a in enumerate(subsets):
-        row_a = ai * n_arr
-        for s, hit_row in zip(basis_pairs, hits):
-            moved = right_act(a, s)
-            if moved is None:
-                for h in hit_row:
-                    if h is not None:
-                        keys[(None, row_a + h)] = None
-            else:
-                row_m = sub_pos[moved] * n_arr
-                for j, h in enumerate(hit_row):
-                    keys[(row_m + j, None if h is None else row_a + h)] = None
-    relations: list[Column] = []
-    for m, h in keys:
-        if m == h:
-            continue  # the two terms cancel
-        col: Column = {}
-        if m is not None:
-            col[m] = one
-        if h is not None:
-            col[h] = minus_one
-        relations.append(col)
+    for g in range(grp.order):
+        gi = grp.inv(g)
+        moved.append([sub_pos[translate(grp, gi, a)] if g in a else None
+                      for a in subsets])
+        hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
+                     for (b, h), t in zip(arrows, targets)])
 
     # phi: tensor coordinates -> vertex span; psi: the reverse section
     n_vert = comp.size
 
-    def phi_column(a: Vertex, j: int) -> Column:
+    def phi_column(k: int, j: int) -> Column:
         # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
         # since 1 is in B, that is exactly A == gB, the arrow's target
-        if a == targets[j]:
+        if subsets[k] == targets[j]:
             return {comp.vertex_pos[arrows[j][0]]: one}
         return {}
 
+    def phi(idx: int | None) -> Column:
+        # a vanishing term of a relation maps to zero
+        return {} if idx is None else phi_column(*divmod(idx, n_arr))
+
     if cross_check:
-        _tensor_cross_check(comp, algebra, right_act, hits, phi_column)
+        _tensor_cross_check(comp, algebra, moved, hits, phi_column)
 
     elim = Eliminator(f)
-    for col in relations:
-        elim.add(col)
+    phi_kills = True
+    for move_row, hit_row in zip(moved, hits):
+        for k, m in enumerate(move_row):
+            for j, h in enumerate(hit_row):
+                u = None if m is None else m * n_arr + j
+                v = None if h is None else k * n_arr + h
+                if u == v:
+                    continue  # both terms vanish, or they cancel
+                elim.add({i: c for i, c in ((u, one), (v, minus_one))
+                          if i is not None})
+                phi_kills = phi_kills and phi(u) == phi(v)
     dimension = flat - elim.rank
 
     # right stabilizer action on arrows out of the base vertex
@@ -863,20 +834,17 @@ def tensor_b_kdelta(
         )
 
     def phi_image(col: Column) -> Column:
-        return accumulate(f, (
-            (r, c * v)
-            for idx, c in col.items()
-            for r, v in phi_column(subsets[idx // n_arr], idx % n_arr).items()))
+        return accumulate(f, ((r, c * v) for idx, c in col.items()
+                              for r, v in phi(idx).items()))
 
-    phi_kills = not any(phi_image(col) for col in relations)
     phi_psi = all(phi_image(psi_cols[k]) == {k: one} for k in range(n_vert))
 
     psi_phi = True
-    for a in subsets:
+    for k, a in enumerate(subsets):
         for j, arrow in enumerate(arrows):
             expect = accumulate(f, chain(
                 ((idx, val * c)
-                 for r, val in phi_column(a, j).items()
+                 for r, val in phi_column(k, j).items()
                  for idx, c in psi_cols[r].items()),
                 [(tensor_index(a, arrow), minus_one)]))
             if expect and elim.reduce(expect):
@@ -892,48 +860,41 @@ def tensor_b_kdelta(
     )
 
 
-def _tensor_cross_check(comp, algebra, right_act, hits, phi_column) -> None:
-    """Verify the tables the tensor relations are built from.
+def _tensor_cross_check(comp, algebra, moved, hits, phi_column) -> None:
+    """Verify the closed forms the tensor relations are built from.
 
-    The right action and the hit table are compared with honest algebra
-    products, and phi with its defining rule: e_A (x) (B, g) goes to the
+    e_A[g] and [g]y are compared with honest products of the brackets,
+    [g^-1] e_A [g] in the algebra and lambda_delta([g]) y in the groupoid
+    algebra, and phi with its defining rule: e_A (x) (B, g) goes to the
     vertex B exactly when g is in A and g^-1 A == B.
     """
     grp = comp.group
+    gd = comp.groupoid
     field = algebra.field
     subsets = algebra.subsets_with_identity()
-    basis = algebra.canonical_basis()
-    for a in subsets:
-        e_a = algebra.primitive_idempotent(a)
-        for s in basis:
-            lo = algebra.bracket(grp.inv(s.g))
-            prod = lo * e_a * algebra.monomial(s)
-            moved = right_act(a, s)
-            if moved is None:
-                expect = algebra.zero()
-            else:
-                expect = algebra.primitive_idempotent(moved)
-            if prod != expect:
-                raise RuntimeError(
-                    f"right action mismatch at e_{a} and {s.render()}"
-                )
-    for s, hit_row in zip(basis, hits):
-        img = lambda_delta(comp, algebra.monomial(s))
+    idems = [algebra.primitive_idempotent(a) for a in subsets]
+    for g, (move_row, hit_row) in enumerate(zip(moved, hits)):
+        lo, hi = algebra.bracket(grp.inv(g)), algebra.bracket(g)
+        for a, e_a, m in zip(subsets, idems, move_row):
+            expect = algebra.zero() if m is None else idems[m]
+            if lo * e_a * hi != expect:
+                raise RuntimeError(f"right action mismatch at e_{a} and "
+                                   f"[{grp.element_name(g)}]")
+        img = lambda_delta(comp, hi)
         for arrow, hit in zip(comp.arrows, hit_row):
-            via_product = img * arrow_unit(comp.groupoid, arrow, field)
-            if hit is None:
-                if not via_product.is_zero():
-                    raise RuntimeError("composition mismatch (expected zero)")
-            elif via_product != arrow_unit(comp.groupoid, comp.arrows[hit], field):
-                raise RuntimeError("composition mismatch")
-    for a in subsets:
+            expect = (ArrowSum(gd, field) if hit is None
+                      else arrow_unit(gd, comp.arrows[hit], field))
+            if img * arrow_unit(gd, arrow, field) != expect:
+                raise RuntimeError(f"composition mismatch at [{grp.element_name(g)}]"
+                                   f" and {arrow_str(grp, arrow)}")
+    for k, a in enumerate(subsets):
         for j, (b, g) in enumerate(comp.arrows):
             shifted = translate(grp, grp.inv(g), a)
             if g in a and shifted == b:
                 expect = {comp.vertex_pos[b]: field.one}
             else:
                 expect = {}
-            if phi_column(a, j) != expect:
+            if phi_column(k, j) != expect:
                 raise RuntimeError(
                     f"phi mismatch at e_{a} and {arrow_str(grp, (b, g))}"
                 )
@@ -963,8 +924,10 @@ def section6_report(comp: Component, field: Field = QQ) -> dict:
     ``section_identity``: lambda_delta(zeta(a)) == a for every arrow a.
     ``multiplicative``: zeta(a1) * zeta(a2) == zeta(a1 * a2) for every
     pair, where a zero arrow product lifts to zero.  ``module_map``:
-    zeta(lambda_delta(r) * a) == r * zeta(a) for every canonical basis
-    element r and arrow a, with zeta extended linearly.
+    zeta(lambda_delta(r) * a) == r * zeta(a) for every bracket r = [g]
+    and arrow a, with zeta extended linearly.  The brackets suffice: they
+    generate the algebra, [1] is the unit, and since lambda_delta is
+    multiplicative the identity for r and for s gives it for rs.
     """
     gd = comp.groupoid
     algebra = PartialGroupAlgebra(comp.group, field)
@@ -978,7 +941,7 @@ def section6_report(comp: Component, field: Field = QQ) -> dict:
 
     arrows = comp.arrows
     projected = [(r, lambda_delta(comp, r))
-                 for r in map(algebra.monomial, algebra.canonical_basis())]
+                 for r in map(algebra.bracket, range(comp.group.order))]
     return {
         "support_full": len(component_support(comp)) == comp.group.order,
         "section_identity": all(lambda_delta(comp, lifts[a]) == units[a]

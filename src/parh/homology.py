@@ -50,7 +50,7 @@ class HomologyReport:
 
     ``method`` records which pipeline produced the numbers: ``bar`` for
     the idempotent-coefficient machinery, ``ordinary`` for the classical
-    group complex, ``stabilizer-sum`` for a sum over components.
+    group complex.
     ``checks`` carries the structural verifications that ran alongside
     the computation (``homotopy_id`` is None for pipelines that have no
     resolution identity to check).
@@ -447,28 +447,26 @@ def b_tensor_dim(v_mod: PartialRepModule) -> int:
     """Dimension of the idempotent subalgebra tensored with the module.
 
     Computed by the relation-cokernel route: span the vectors
-    (e_A acted on the right by a canonical pair) tensor v  minus
-    e_A tensor (the pair acting on v), inside the span of all e_A tensor
-    v, and subtract the rank.  This is the degree-0 oracle for
-    partial_homology and shares none of its chain machinery.
+    e_A[g] (x) v - e_A (x) [g]v inside the span of all e_A (x) v, where
+    e_A[g] = [g^-1] e_A [g] is e_{g^-1 A} when g is in A and zero
+    otherwise, and subtract the rank.  The brackets [g] generate the
+    algebra, so their relations span those of every element.  This is the
+    degree-0 oracle for partial_homology and shares none of its chain
+    machinery.
     """
     group = v_mod.group
     field = v_mod.field
-    algebra = PartialGroupAlgebra(group, field)
-    subsets = algebra.subsets_with_identity()
+    subsets = PartialGroupAlgebra(group).subsets_with_identity()
     pos = {a: k for k, a in enumerate(subsets)}
     d = v_mod.dim
     elim = Eliminator(field)
-    for s in algebra.canonical_basis():
-        act = v_mod.act_pair(s)
-        members = set(s.members)
-        gi = group.inv(s.g)
+    for g in range(group.order):
+        act = v_mod.mats[g].columns()
+        gi = group.inv(g)
         for k, a in enumerate(subsets):
-            shifted = None
-            if members.issubset(a):
-                shifted = pos[translate(group, gi, a)]
+            shifted = pos[translate(group, gi, a)] if g in a else None
             for j in range(d):
-                terms = [(k * d + r, -v) for r, v in act.column(j).items()]
+                terms = [(k * d + r, -v) for r, v in act[j].items()]
                 if shifted is not None:
                     terms.append((shifted * d + j, field.one))
                 col = accumulate(field, terms)

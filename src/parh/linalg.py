@@ -103,7 +103,9 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
-    """The prime field with p elements."""
+    """The prime field with p elements; ValueError unless p is prime."""
+    if not _is_prime(p):
+        raise ValueError(f"field characteristic must be prime, got {p}")
     return Field(p)
 
 

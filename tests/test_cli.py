@@ -415,6 +415,32 @@ def test_unknown_field_exits_2(capsys):
     assert "field" in err
 
 
+_CONFIG_ERROR = {"error": "config", "limit": None, "requested": None}
+
+
+@pytest.mark.parametrize("spec", ["F0", "Fp:0"])
+def test_zero_characteristic_field_exits_2(capsys, spec):
+    # GF(0) would be the rationals; a field spec must name a prime
+    code, out, err = run(capsys, "homology", "partial", "--group", "C2",
+                         "--field", spec, "--json")
+    assert code == EXIT_CONFIG
+    assert "prime" in err
+    message = "field characteristic must be prime, got 0"
+    assert json.loads(out) == {**_CONFIG_ERROR, "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("z", "cancellation", "--count", "-3"),
+    ("z", "ig-decompose", "--count", "-1"),
+])
+def test_negative_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == EXIT_CONFIG
+    message = f"--count must be nonnegative, got {argv[-1]}"
+    assert message in err
+    assert json.loads(out) == {**_CONFIG_ERROR, "message": message}
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -457,6 +483,18 @@ _SCHEMA_RUNS = {
                        "--bound", "2"),
     "error (exit 2 or 3)": (EXIT_CONFIG, "kpar", "dim", "--group", "nope"),
 }
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c, (_, *argv) in _SCHEMA_RUNS.items() if "--group" in argv))
+def test_missing_group_exits_2(capsys, command):
+    _, *argv = _SCHEMA_RUNS[command]
+    i = argv.index("--group")
+    code, out, err = run(capsys, *argv[:i], *argv[i + 2:], "--json")
+    assert code == EXIT_CONFIG
+    message = "this command needs --group or --table"
+    assert err == f"error: {message}\n"
+    assert json.loads(out) == {**_CONFIG_ERROR, "message": message}
 
 
 def _listed_keys(spec):

@@ -6,6 +6,7 @@ from functools import cache
 import pytest
 
 from canonical_module import canonical_regular_module
+from tensor_relations import canonical_relations
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
 from parh.groupoid import (
@@ -31,7 +32,7 @@ from parh.groupoid import (
     tilde_pi,
     zeta_delta,
 )
-from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, rank
+from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, rank, span_rank
 
 
 def test_build_groupoid_counts():
@@ -333,13 +334,26 @@ def test_equivalence_data():
     assert [1, 2] in data.classes
 
 
-@pytest.mark.parametrize("name", ["C3", "C2xC2", "C4", "C5"])
+@pytest.mark.parametrize("name", ["C2", "C3", "C2xC2", "C4", "C5", "C6", "S3"])
 def test_tensor_b_kdelta(name):
     gd = build_groupoid(build_named_group(name))
     for comp in components(gd):
         report = tensor_b_kdelta(comp, QQ, cross_check=True)
         assert report.ok, report.as_dict()
         assert report.dimension == comp.size
+
+
+@pytest.mark.parametrize("name", ["C3", "C4", "C2xC2", "S3"])
+def test_bracket_relations_span_the_canonical_ones(name):
+    # Each [g] is the canonical pair ({1, g}, g), so the bracket relations
+    # are among the oracle's; an equal rank means an equal span.
+    gd = build_groupoid(build_named_group(name))
+    for field in (QQ, GF(2)):
+        for comp in components(gd):
+            relations, flat = canonical_relations(comp, field)
+            expect = flat - span_rank(relations, field)
+            assert tensor_b_kdelta(comp, field).dimension == expect, (
+                name, field.name, comp)
 
 
 def test_tensor_b_kdelta_prime_field():

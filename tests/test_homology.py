@@ -259,6 +259,14 @@ def test_degree_zero_matches_tensor_dimension():
     ]
     other_c3, two = _component("C3", 2)
     cases.append((other_c3, induce_module(two, trivial_rep(two.stabilizer, QQ), QQ)))
+    # S3 is nonabelian, so e_A [g] and [g] e_A differ there: the oracle
+    # agrees only if it takes the right action on B
+    for name in ("C4", "S3"):
+        group = build_named_group(name)
+        modules = [b_module(group, QQ), regular_module(group, GF(3))]
+        modules += [induce_module(comp, regular_rep(comp.stabilizer, QQ), QQ)
+                    for comp in components(build_groupoid(group))]
+        cases += [(group, w) for v in modules for w in (v, dual_module(v))]
     for group, v in cases:
         assert partial_homology(group, v, max_degree=0).dims[0] == b_tensor_dim(v)
 

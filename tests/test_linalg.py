@@ -44,6 +44,8 @@ def test_field_rejects_nonprime_and_huge():
     with pytest.raises(ValueError):
         GF(1)
     with pytest.raises(ValueError):
+        GF(0)  # Field(0) is QQ, but GF names a prime field
+    with pytest.raises(ValueError):
         GF(2**31 + 11)
     with pytest.raises(ZeroDivisionError):
         GF(5).of(Fraction(1, 5))
