@@ -361,7 +361,8 @@ def cmd_verify_theorem_a(args):
 def cmd_verify_corollary_b(args):
     group = _load_group(args)
     field = _parse_field(args.field)
-    inner = verify_corollary_b(group, field, args.max, cap=args.max_columns)
+    inner = verify_corollary_b(group, field, args.max, cap=args.max_columns,
+                               group_cap=args.max_group_order)
     data = {
         "group": inner["group"],
         "field": inner["field"],

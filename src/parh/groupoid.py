@@ -17,8 +17,8 @@ from .exel import AlgebraElement, PartialGroupAlgebra
 from .groups import GroupElement, GroupError, Subgroup, translate
 from .linalg import (
     Column,
-    Eliminator,
     Field,
+    IncidenceSpan,
     QQ,
     Scalar,
     SizeCapError,
@@ -751,7 +751,8 @@ def tensor_b_kdelta(
     of r at (m, sy), so their relations span all the others.  Moving [g]
     gives e_A[g] (x) y - e_A (x) [g]y, where e_A[g] = [g^-1] e_A [g] is
     e_{g^-1 A} when g is in A, and [g](B, h) is the arrow (B, gh) when
-    g^-1 is in the target hB; either term may vanish.
+    g^-1 is in the target hB; either term may vanish.  So each relation is
+    a signed edge u - v or a ground edge u, and an IncidenceSpan holds them.
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
@@ -795,7 +796,7 @@ def tensor_b_kdelta(
     if cross_check:
         _tensor_cross_check(comp, algebra, moved, hits, phi_column)
 
-    elim = Eliminator(f)
+    span = IncidenceSpan(f)
     phi_kills = True
     for move_row, hit_row in zip(moved, hits):
         for k, m in enumerate(move_row):
@@ -804,26 +805,16 @@ def tensor_b_kdelta(
                 v = None if h is None else k * n_arr + h
                 if u == v:
                     continue  # both terms vanish, or they cancel
-                elim.add({i: c for i, c in ((u, one), (v, minus_one))
-                          if i is not None})
+                span.add(*(i for i in (u, v) if i is not None))
                 phi_kills = phi_kills and phi(u) == phi(v)
-    dimension = flat - elim.rank
+    dimension = flat - span.rank
 
     # right stabilizer action on arrows out of the base vertex
-    h_trivial = True
-    for h in comp.stabilizer.indices:
-        if h == 0:
-            continue
-        for arrow in arrows:
-            if arrow[0] != comp.base:
-                continue
-            b, g = arrow
-            moved_arrow = (comp.base, grp.mult(g, h))
-            for a in subsets:
-                col = accumulate(f, [(tensor_index(a, moved_arrow), one),
-                                     (tensor_index(a, arrow), minus_one)])
-                if elim.reduce(col):
-                    h_trivial = False
+    h_trivial = not any(
+        span.residue_column({tensor_index(a, (b, grp.mult(g, h))): one,
+                             tensor_index(a, (b, g)): minus_one})
+        for h in comp.stabilizer.indices if h != 0
+        for b, g in arrows if b == comp.base for a in subsets)
 
     psi_cols: list[Column] = []
     for v in comp.vertices:
@@ -847,7 +838,7 @@ def tensor_b_kdelta(
                  for r, val in phi_column(k, j).items()
                  for idx, c in psi_cols[r].items()),
                 [(tensor_index(a, arrow), minus_one)]))
-            if expect and elim.reduce(expect):
+            if span.residue_column(expect):
                 psi_phi = False
 
     return TensorReport(

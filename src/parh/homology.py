@@ -31,6 +31,7 @@ from itertools import product
 
 from .exel import PartialGroupAlgebra
 from .groupoid import (
+    GROUPOID_ORDER_CAP,
     PartialRepModule,
     _set_str,
     b_module,
@@ -620,15 +621,18 @@ def verify_theorem_a(group, comp, u: dict, field: Field,
 
 
 def verify_corollary_b(group, field: Field, max_degree: int = 3,
-                       cap: int = HOMOLOGY_SIZE_CAP) -> dict:
+                       cap: int = HOMOLOGY_SIZE_CAP,
+                       group_cap: int = GROUPOID_ORDER_CAP) -> dict:
     """Idempotent-subalgebra (co)homology against the stabilizer sum.
 
     The left route runs the partial machinery on the idempotent
     subalgebra as a module over the whole algebra; the right route sums,
     component by component, the classical (co)homology of each stabilizer
     with trivial coefficients.  Components often share a stabilizer, so
-    the classical pipeline runs once per distinct stabilizer.
+    the classical pipeline runs once per distinct stabilizer.  The group
+    order is checked against ``group_cap`` before anything is built.
     """
+    comps = components(build_groupoid(group, group_cap))
     bm = b_module(group, field)
     lh = partial_homology(group, bm, field, max_degree, cap,
                           module_name="idempotent subalgebra")
@@ -638,7 +642,7 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     right_c = [0] * (max_degree + 1)
     per_component = []
     classical: dict = {}
-    for comp in components(build_groupoid(group)):
+    for comp in comps:
         stab = comp.stabilizer
         if stab not in classical:
             u = trivial_rep(stab, field)

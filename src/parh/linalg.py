@@ -440,6 +440,51 @@ class Eliminator:
         return row
 
 
+class IncidenceSpan:
+    """The span of signed graph edges u - v, merged by union-find.
+
+    A one-term column u is the edge from u to the ground row -1, which no
+    column stores.  Over any field the rank is the number of unions, and a
+    column is in the span iff it sums to zero on each component off the
+    ground (N. Biggs, Algebraic Graph Theory).  A union keeps the root of
+    the edge's first endpoint.
+
+    >>> span = IncidenceSpan(GF(3)); span.add(3); span.add(3, 4); span.rank
+    2
+    >>> span.residue_column({4: 2}), span.residue_column({0: 1, 5: 2})
+    ({}, {0: 1, 5: 2})
+    """
+
+    __slots__ = ("field", "rank", "_parent")
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+        self.rank = 0
+        self._parent: dict[int, int] = {}
+
+    def _root(self, row: int) -> int:
+        """The component of a row; a row no edge touches is its own."""
+        parent = self._parent
+        while (up := parent.get(row, row)) != row:
+            parent[row] = top = parent.get(up, up)
+            row = top
+        return row
+
+    def add(self, u: int, v: int = -1) -> None:
+        """Absorb the edge u - v, or the one-term column u."""
+        u, v = self._root(u), self._root(v)
+        if u != v:
+            self._parent[v] = u
+            self.rank += 1
+
+    def residue_column(self, col: Column) -> Column:
+        """The component sums of ``col`` off the ground; zero iff in the span."""
+        root = self._root
+        res = accumulate(self.field, ((root(row), c) for row, c in col.items()))
+        res.pop(root(-1), None)
+        return res
+
+
 def rank(m: SparseMatrix) -> int:
     """Rank of a sparse matrix, processing sparse columns first.
 

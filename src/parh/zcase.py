@@ -44,11 +44,11 @@ from .linalg import (
     Column,
     Eliminator,
     Field,
+    IncidenceSpan,
     QQ,
     Scalar,
     SizeCapError,
     SparseMatrix,
-    accumulate,
     kernel_basis,
 )
 
@@ -363,26 +363,24 @@ class WindowSpace:
         return AlgebraElement(INTEGERS, self.field, coeffs)
 
 
-class VkSpan:
+class VkSpan(IncidenceSpan):
     """The visible part of the level-k span V_k = R f_1 + ... + R f_k.
 
     For r = (A, m) in the window basis at multiplier_bound = bound - k - 1
     and 1 <= j <= k, the column r * f_j is the edge (B, m+j) - (B, m) with
     B = A + {m+j}, strictly inside the window.  So V_k is a graph incidence
-    span: over any field its rank is #vertices - #components, and x lies in
-    V_k iff it sums to zero on each component (N. Biggs, Algebraic Graph
-    Theory).  Edges are written in closed form and merged by union-find,
-    with no algebra product and no elimination.  No edge is a loop, so
-    there are window_size(multiplier_bound) * k columns; the cap is checked
-    on that count before any vertex is registered.
+    span, an :class:`IncidenceSpan` whose rows are the window basis:
+    edges are written in closed form, with no algebra product and no
+    elimination, and ``residue_column`` gives the component sums.  No edge
+    is a loop, so there are window_size(multiplier_bound) * k columns; the
+    cap is checked on that count before any vertex is registered.
 
     >>> span = VkSpan(1, 3)
     >>> len(span.columns), span.space.dim, span.rank
     (8, 11, 6)
     """
 
-    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns", "rank",
-                 "_parent")
+    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns")
 
     def __init__(self, k: int, bound: int, field: Field = QQ,
                  cap: int = Z_WINDOW_CAP) -> None:
@@ -390,13 +388,12 @@ class VkSpan:
             raise ValueError("level k must be at least 1")
         if bound < k + 1:
             raise ValueError("window too small: need bound >= k + 1")
+        super().__init__(field)
         self.k = k
         self.bound = bound
         self.multiplier_bound = bound - k - 1
         self.space = WindowSpace(field, bound)
         self.columns: list[Column] = []
-        self.rank = 0
-        self._parent: list[int] = []
         count = window_size(self.multiplier_bound) * k
         if count > cap:
             raise SizeCapError(
@@ -405,7 +402,6 @@ class VkSpan:
                 requested=count,
             )
         index = self.space.index
-        parent = self._parent
         one, minus_one = field.one, field.neg(field.one)
         for r in window_basis(self.multiplier_bound, cap):
             for j in range(1, k + 1):
@@ -413,32 +409,12 @@ class VkSpan:
                 members = r.members + (head,)
                 u = index(SElement(INTEGERS, members, head))
                 v = index(SElement(INTEGERS, members, r.g))
-                parent.extend(range(len(parent), self.space.dim))
                 self.columns.append({u: one, v: minus_one})
-                u, v = self._root(u), self._root(v)
-                if u != v:
-                    parent[v] = u
-                    self.rank += 1
+                self.add(u, v)
         if len(self.columns) != count:
             raise RuntimeError(
                 f"level span built {len(self.columns)} columns, expected {count}"
             )
-
-    def _root(self, row: int) -> int:
-        """The component of a row; a row no edge touches is its own."""
-        parent = self._parent
-        if row >= len(parent):
-            return row
-        while parent[row] != row:
-            parent[row] = parent[parent[row]]
-            row = parent[row]
-        return row
-
-    def residue_column(self, col: Column) -> Column:
-        """The component sums of ``col``: a linear map with kernel V_k."""
-        root = self._root
-        return accumulate(self.space.field,
-                          ((root(row), c) for row, c in col.items()))
 
     def contains(self, x: AlgebraElement) -> bool:
         return not self.residue_column(self.space.column(x))

@@ -213,6 +213,30 @@ def test_verify_corollary_b_matches_documented_shape(capsys):
     assert data["cohomology"]["equal"] is True
 
 
+def test_verify_corollary_b_lifts_the_group_order_cap(capsys, tmp_path):
+    path = tmp_path / "c9.txt"
+    path.write_text("9\n" + "".join(
+        " ".join(str((i + j) % 9) for j in range(9)) + "\n" for i in range(9)))
+    code, data, _ = run_json(capsys, "verify", "corollary-b", "--table",
+                             str(path), "--field", "F3", "--max", "1",
+                             "--max-group-order", "9")
+    assert code == EXIT_OK
+    assert data["dims_bar"] == data["dims_sum"] == [59, 3]
+    assert data["ok"] is True
+
+
+def test_verify_corollary_b_group_order_cap_exits_3(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("b_module ran before the group order cap")
+
+    monkeypatch.setattr("parh.homology.b_module", unreachable)
+    code, data, err = run_json(capsys, "verify", "corollary-b", "--group",
+                               "S3", "--max-group-order", "4")
+    assert code == EXIT_CAP
+    assert data == {"error": "size_cap", "message": err[len("size cap: "):-1],
+                    "limit": 4, "requested": 6}
+
+
 def test_verify_section5_all_components(capsys):
     code, data, _ = run_json(capsys, "verify", "section5", "--group", "C3")
     assert code == EXIT_OK

@@ -348,7 +348,7 @@ def test_bracket_relations_span_the_canonical_ones(name):
     # Each [g] is the canonical pair ({1, g}, g), so the bracket relations
     # are among the oracle's; an equal rank means an equal span.
     gd = build_groupoid(build_named_group(name))
-    for field in (QQ, GF(2)):
+    for field in (QQ, GF(2), GF(3)):
         for comp in components(gd):
             relations, flat = canonical_relations(comp, field)
             expect = flat - span_rank(relations, field)

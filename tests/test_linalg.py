@@ -10,6 +10,7 @@ from parh.linalg import (
     Eliminator,
     Field,
     GF,
+    IncidenceSpan,
     SparseMatrix,
     in_span,
     kernel_basis,
@@ -185,6 +186,47 @@ def test_in_span_agrees_with_rank(field):
                     else:
                         recon.pop(i, None)
             assert recon == v
+
+
+def test_incidence_span_ground_merged_later():
+    span = IncidenceSpan(GF(5))
+    span.add(3)
+    assert span.residue_column({4: 2}) == {4: 2}
+    span.add(3, 4)
+    assert span.rank == 2
+    assert span.residue_column({4: 2}) == {}
+    span.add(5, 4)
+    assert span.residue_column({3: 1, 5: 4}) == {}
+    assert span.residue_column({0: 1, 1: 4}) == {0: 1, 1: 4}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+def test_incidence_span_matches_elimination(field):
+    # Edges u - v, one-term columns u and repeats of earlier columns, fed to
+    # the union-find and to Gaussian elimination: the ranks and the
+    # membership of random columns must agree.
+    rng = random.Random(3)
+    one, minus_one = field.one, field.neg(field.one)
+    for _ in range(250):
+        n = rng.randint(1, 8)
+        span, elim = IncidenceSpan(field), Eliminator(field)
+        added = []
+        for _ in range(rng.randint(0, 10)):
+            if added and rng.random() < 0.2:
+                edge = rng.choice(added)
+            elif rng.random() < 0.3:
+                edge = (rng.randrange(n),)
+            else:
+                edge = tuple(rng.sample(range(n), 2)) if n > 1 else (0,)
+            added.append(edge)
+            span.add(*edge)
+            elim.add(dict(zip(edge, (one, minus_one))))
+        assert span.rank == elim.rank
+        for _ in range(5):
+            x = {i: field.of(rng.randint(-2, 2)) for i in range(n)
+                 if rng.random() < 0.5}
+            x = {i: c for i, c in x.items() if c}
+            assert (span.residue_column(x) == {}) == (not elim.reduce(x))
 
 
 def test_labels_travel_with_transpose():
