@@ -190,7 +190,7 @@ def _module_for(args, group, field):
     if spec == "b":
         return b_module(group, field), "B"
     if spec == "regular":
-        return regular_module(group, field), "regular"
+        return regular_module(group, field, args.max_group_order), "regular"
     if spec in ("wxtrivial", "wxregular"):
         comps = _components_of(group, args.max_group_order)
         comp = _pick_component(comps, args.component)
@@ -440,7 +440,8 @@ def cmd_verify_section6(args):
 def cmd_verify_kpar_vanishing(args):
     group = _load_group(args)
     field = _parse_field(args.field)
-    report = partial_cohomology(group, regular_module(group, field),
+    report = partial_cohomology(group, regular_module(group, field,
+                                                      args.max_group_order),
                                 max_degree=args.max, cap=args.max_columns,
                                 module_name="regular")
     vanishing = all(d == 0 for d in report.dims[1:])

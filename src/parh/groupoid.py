@@ -530,37 +530,45 @@ class PartialRepModule:
         return v
 
     def _validate(self) -> None:
+        """The unit, then both relations, read at every pair (x, y).
+
+        With e_z = [z][z^-1], relation 1 at (g, h) = (xy, y^-1) reads
+        [x][y] = [xy] e_(y^-1), and relation 2 at (g, h) = (x^-1, xy)
+        reads [x][y] = e_x [xy].  Each [x][y] is formed once and dropped,
+        so the check takes 3 n^2 products and keeps n matrices alive.
+        """
         grp = self.group
-        if self.mats[0] != SparseMatrix.identity(self.field, self.dim):
+        mats = self.mats
+        if mats[0] != SparseMatrix.identity(self.field, self.dim):
             raise ValueError("the identity generator must act as the identity")
         n = grp.order
-        for g in range(n):
-            gi = grp.inv(g)
-            for h in range(n):
-                hi = grp.inv(h)
-                gh = grp.mult(g, h)
-                lhs1 = self.mats[g] * self.mats[h] * self.mats[hi]
-                rhs1 = self.mats[gh] * self.mats[hi]
-                if lhs1 != rhs1:
+        idems = [mats[x] * mats[grp.inv(x)] for x in range(n)]
+        for x in range(n):
+            for y in range(n):
+                xy = grp.mult(x, y)
+                yi = grp.inv(y)
+                prod = idems[x] if xy == 0 else mats[x] * mats[y]
+                if mats[xy] * idems[yi] != prod:
                     raise ValueError(
-                        f"partial relation [g][h][h^-1] fails at ({g}, {h})"
+                        f"partial relation [g][h][h^-1] fails at ({xy}, {yi})"
                     )
-                lhs2 = self.mats[gi] * self.mats[g] * self.mats[h]
-                rhs2 = self.mats[gi] * self.mats[gh]
-                if lhs2 != rhs2:
+                if idems[x] * mats[xy] != prod:
                     raise ValueError(
-                        f"partial relation [g^-1][g][h] fails at ({g}, {h})"
+                        "partial relation [g^-1][g][h] fails at "
+                        f"({grp.inv(x)}, {xy})"
                     )
 
 
-def regular_module(group, field: Field = QQ) -> PartialRepModule:
+def regular_module(group, field: Field = QQ,
+                   cap: int = GROUPOID_ORDER_CAP) -> PartialRepModule:
     """The left regular module, in the arrow basis (D, k) of the groupoid.
 
     lambda_map is an isomorphism onto the groupoid algebra (Dokuchaev, Exel
     and Piccione, J. Algebra 226, 2000): [h] (D, k) = (D, hk) when h^-1 is
-    in kD, and zero otherwise, so every e_x = [x][x^-1] is diagonal.
+    in kD, and zero otherwise, so every e_x = [x][x^-1] is diagonal.  The
+    group order is checked against ``cap`` before anything is built.
     """
-    gd = build_groupoid(group, cap=group.order)  # the canonical basis had no cap
+    gd = build_groupoid(group, cap)
     mats = {}
     for h in range(group.order):
         hi = group.inv(h)

@@ -8,8 +8,11 @@ time and can be queried between insertions, which is what the quotient and
 filtration checks need.
 
 The inner loops branch on the characteristic once, outside the loop: over
-F_p they run on plain ints reduced ``% p``, over Q on ``Fraction`` ``+`` and
-``*``.
+F_p they run on plain ints reduced ``% p``, over Q on plain ``+`` and ``*``.
+A rational scalar is an ``int`` until a division makes it a ``Fraction``,
+so integer matrices over Q are multiplied and added in exact int
+arithmetic; only elimination, whose pivots are inverted, brings in
+fractions.
 """
 
 from __future__ import annotations
@@ -35,12 +38,16 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The rationals (characteristic 0) or the prime field F_p.
 
-    Rational scalars are :class:`fractions.Fraction`; prime-field scalars
-    are ints in ``range(p)``.  ``p`` must be an odd-or-even prime below
-    2**31 so that inverses via ``pow(a, -1, p)`` stay cheap.
+    Rational scalars are ints, or :class:`fractions.Fraction` once a
+    division makes them non-integral (``inv`` always returns a Fraction);
+    prime-field scalars are ints in ``range(p)``.  ``p`` must be an
+    odd-or-even prime below 2**31 so that inverses via ``pow(a, -1, p)``
+    stay cheap.
 
     >>> QQ.add(Fraction(1, 2), Fraction(1, 3))
     Fraction(5, 6)
+    >>> QQ.of(Fraction(6, 3)), QQ.of("-3/7")
+    (2, Fraction(-3, 7))
     >>> GF(5).inv(2)
     3
     """
@@ -54,8 +61,8 @@ class Field:
             if not _is_prime(char):
                 raise ValueError(f"field characteristic must be 0 or prime, got {char}")
         self.char = char
-        self.zero = Fraction(0) if char == 0 else 0
-        self.one = Fraction(1) if char == 0 else 1
+        self.zero = 0
+        self.one = 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.char == self.char
@@ -71,11 +78,19 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
     def of(self, x) -> "Scalar":
-        """Coerce an int, Fraction, or string like ``-3/7`` into the field."""
+        """Coerce an int, Fraction, or string like ``-3/7`` into the field.
+
+        Over Q an integral value comes back as an ``int`` (a bool too), and
+        any other value as a ``Fraction``: ``QQ.of(0.5)`` is 1/2.
+        """
+        if type(x) is int:
+            return x % self.char if self.char else x
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
-            return x if isinstance(x, Fraction) else Fraction(x)
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            return int(x) if x.denominator == 1 else x
         if isinstance(x, Fraction):
             if x.denominator % self.char == 0:
                 raise ZeroDivisionError(f"{x} has no image in F_{self.char}")
@@ -119,7 +134,7 @@ def _clean(col: Column) -> Column:
 def accumulate(field: Field, terms: Iterable[tuple[object, Scalar]]) -> dict:
     """Sum ``(key, value)`` terms into a new dict that stores no zeros.
 
-    Values are ``Fraction`` over Q and ints over F_p, reduced here.  A
+    Values are ints or ``Fraction`` over Q and ints over F_p, reduced here.  A
     key whose running sum cancels is dropped, and a later term puts it
     back at the end, so keys come out in the order of ``terms``.
 
@@ -508,7 +523,7 @@ def kernel_basis(m: SparseMatrix) -> list[Column]:
     deterministic.
 
     >>> kernel_basis(SparseMatrix.from_dense(QQ, [[1, 1]]))
-    [{0: Fraction(-1, 1), 1: Fraction(1, 1)}]
+    [{0: Fraction(-1, 1), 1: 1}]
     """
     elim = Eliminator(m.field, track=True)
     out: list[Column] = []

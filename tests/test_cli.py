@@ -237,6 +237,34 @@ def test_verify_corollary_b_group_order_cap_exits_3(capsys, monkeypatch):
                     "limit": 4, "requested": 6}
 
 
+REGULAR_MODULE_COMMANDS = [
+    ("verify", "kpar-coeff-vanishing"),
+    ("homology", "partial", "--module", "regular"),
+    ("homology", "cohomology", "--module", "regular"),
+]
+
+
+@pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)
+def test_regular_module_group_order_cap_exits_3(capsys, monkeypatch, command):
+    def unreachable(*args):
+        raise AssertionError("a module was built before the group order cap")
+
+    monkeypatch.setattr("parh.groupoid.PartialRepModule", unreachable)
+    code, data, err = run_json(capsys, *command, "--group", "S3",
+                               "--max-group-order", "4")
+    assert code == EXIT_CAP
+    assert data == {"error": "size_cap", "message": err[len("size cap: "):-1],
+                    "limit": 4, "requested": 6}
+
+
+@pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)
+def test_regular_module_runs_at_the_group_order_cap(capsys, command):
+    code, data, _ = run_json(capsys, *command, "--group", "S3", "--max", "1",
+                             "--max-group-order", "6")
+    assert code == EXIT_OK
+    assert data["dims"] == [32, 0]
+
+
 def test_verify_section5_all_components(capsys):
     code, data, _ = run_json(capsys, "verify", "section5", "--group", "C3")
     assert code == EXIT_OK

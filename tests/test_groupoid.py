@@ -1,6 +1,7 @@
 """Groupoid structure, the map onto it, matrix models, tensor equivalence."""
 
 import random
+import re
 from functools import cache
 
 import pytest
@@ -242,6 +243,21 @@ def test_partial_rep_module_rejects_bad_matrices():
         PartialRepModule(grp, QQ, {0: good, 1: bad})
     with pytest.raises(ValueError):
         PartialRepModule(grp, QQ, {0: bad, 1: good})
+
+
+@pytest.mark.parametrize("m1, m2, relation", [
+    ([[0, 0], [0, 1]], [[0, 0], [1, 1]], "[g^-1][g][h]"),
+    ([[0, 0], [0, 1]], [[0, 1], [0, 1]], "[g][h][h^-1]"),
+])
+def test_each_partial_relation_is_checked(m1, m2, relation):
+    """On C3 each pair of matrices satisfies one relation at every (g, h)
+    and fails the other."""
+    grp = build_named_group("C3")
+    mats = {0: SparseMatrix.identity(QQ, 2),
+            1: SparseMatrix.from_dense(QQ, m1),
+            2: SparseMatrix.from_dense(QQ, m2)}
+    with pytest.raises(ValueError, match=re.escape(relation) + " fails"):
+        PartialRepModule(grp, QQ, mats)
 
 
 def test_induce_module_trivial_and_regular():

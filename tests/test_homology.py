@@ -1,5 +1,7 @@
 import json
-from itertools import product
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +19,7 @@ from parh.groupoid import (
 from parh.groups import build_named_group, subgroup_generated, trivial_rep, regular_rep
 from parh.homology import (
     HOMOLOGY_SIZE_CAP,
+    RANK_PRIME,
     ChainComplex,
     HomologyReport,
     _contract,
@@ -738,3 +741,127 @@ def test_chain_complex_shape_check():
     with pytest.raises(ValueError):
         ChainComplex(QQ, {0: ["a"], 1: ["b", "c"]},
                      {1: SparseMatrix.zero(QQ, 2, 2)})
+
+
+# ---------------------------------------------------------------------------
+# Q ranks certified modulo RANK_PRIME, with the exact ranks as fall-back.
+
+
+def _koszul(a, field=QQ):
+    """The Koszul complex of the sequence a: exterior powers of Q^len(a),
+    d(e_S) = sum over i in S of +-a_i e_(S - i).  It is exact over Q
+    whenever some a_i is nonzero."""
+    n = len(a)
+    labels = {k: list(combinations(range(n), k)) for k in range(n + 1)}
+    diffs = {}
+    for k in range(1, n + 1):
+        rpos = {s: r for r, s in enumerate(labels[k - 1])}
+        entries = {}
+        for c, s in enumerate(labels[k]):
+            for pos, i in enumerate(s):
+                entries[(rpos[s[:pos] + s[pos + 1:]], c)] = (-1) ** pos * a[i]
+        diffs[k] = SparseMatrix(field, len(labels[k - 1]), len(labels[k]),
+                                entries)
+    return ChainComplex(field, labels, diffs)
+
+
+def _exact_dims(cx, max_degree):
+    ranks = {n: rank(d) for n, d in cx.diffs.items() if n <= max_degree + 1}
+    return [cx.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+            for n in range(max_degree + 1)]
+
+
+def _ranked_fields(monkeypatch):
+    """The field of every matrix that homology ranks from now on."""
+    fields = []
+
+    def counted(m):
+        fields.append(m.field)
+        return rank(m)
+
+    monkeypatch.setattr(homology, "rank", counted)
+    return fields
+
+
+def test_integral_complex_is_certified_modulo_the_prime(monkeypatch):
+    rng = random.Random(31)
+    a = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(4)]
+    cx = _koszul(a)
+    want = _exact_dims(cx, 3)
+    fields = _ranked_fields(monkeypatch)
+    assert cx.homology_dims(3) == want == [0, 0, 0, 0]
+    assert fields == [GF(RANK_PRIME)] * 4
+
+
+def test_rank_drop_modulo_the_prime_takes_the_exact_ranks(monkeypatch):
+    rng = random.Random(32)
+    a = [RANK_PRIME] + [RANK_PRIME * rng.randint(-9, 9) for _ in range(2)]
+    cx = _koszul(a)
+    want = _exact_dims(cx, 2)
+    fields = _ranked_fields(monkeypatch)
+    assert cx.homology_dims(2) == want == [0, 0, 0]
+    assert fields == [GF(RANK_PRIME)] * 3 + [QQ] * 3
+
+
+def test_non_integral_entry_takes_the_exact_ranks(monkeypatch):
+    rng = random.Random(33)
+    a = [Fraction(1, 2)] + [rng.randint(-9, 9) for _ in range(2)]
+    cx = _koszul(a)
+    want = _exact_dims(cx, 2)
+    fields = _ranked_fields(monkeypatch)
+    assert cx.homology_dims(2) == want == [0, 0, 0]
+    assert fields == [QQ] * 3
+
+
+def test_degree_zero_alone_is_ranked_exactly(monkeypatch):
+    rng = random.Random(34)
+    cx = _koszul([RANK_PRIME * rng.randint(1, 9) for _ in range(2)])
+    fields = _ranked_fields(monkeypatch)
+    # Mod p the differential vanishes, so H_0 would read 1 instead of 0.
+    assert cx.homology_dims(0) == [0]
+    assert fields == [QQ]
+
+
+def test_d_squared_nonzero_is_never_certified(monkeypatch):
+    rng = random.Random(35)
+    d1 = SparseMatrix.from_dense(QQ, [[rng.randint(1, 5) for _ in range(2)]])
+    d2 = SparseMatrix.from_dense(QQ, [[rng.randint(1, 5)] for _ in range(2)])
+    cx = ChainComplex(QQ, {0: ["a"], 1: ["b", "c"], 2: ["d"]},
+                      {1: d1, 2: d2})
+    fields = _ranked_fields(monkeypatch)
+    # Mod p the rank formula reads [0, 0] too, which would pass for a
+    # certificate if d^2 = 0 were not checked first.
+    assert cx.homology_dims(1) == _exact_dims(cx, 1) == [0, 0]
+    assert not cx.d2_zero()
+    assert fields == [QQ] * 2
+
+
+def test_d_squared_is_multiplied_once_per_complex(monkeypatch):
+    cx = _koszul([2, 3, 5])
+    products = []
+    mul = SparseMatrix.__mul__
+
+    def counted(a, b):
+        products.append((a.nrows, b.ncols))
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    assert cx.homology_dims(2) == [0, 0, 0]
+    assert cx.d2_zero() and cx.d2_zero()
+    assert products == [(1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("module", ["B", "regular"])
+def test_s3_rational_homology_never_reaches_fractions(monkeypatch, module):
+    s3 = build_named_group("S3")
+    v = b_module(s3, QQ) if module == "B" else regular_module(s3, QQ)
+    want = {"B": [15, 0, 0, 0], "regular": [32, 0, 0, 0]}[module]
+    if module == "B":
+        assert _exact_dims(_transported_complex(v, 4, HOMOLOGY_SIZE_CAP),
+                           3) == want
+    fields = _ranked_fields(monkeypatch)
+    for fn in (partial_homology, partial_cohomology):
+        report = fn(s3, v, max_degree=3, cap=10 ** 6)
+        assert report.dims == want
+        assert report.checks == {"d2_zero": True, "homotopy_id": True}
+    assert fields and set(fields) == {GF(RANK_PRIME)}

@@ -12,6 +12,7 @@ from parh.linalg import (
     GF,
     IncidenceSpan,
     SparseMatrix,
+    accumulate,
     in_span,
     kernel_basis,
     rank,
@@ -26,6 +27,29 @@ def test_field_rationals():
     assert QQ.of("-3/7") == Fraction(-3, 7)
     assert QQ.of(4) == Fraction(4)
     assert QQ.name == "Q"
+
+
+def test_rational_scalars_are_ints_until_a_division():
+    two = QQ.of(Fraction(6, 3))
+    assert type(two) is int and two == 2
+    assert QQ.of(0.5) == Fraction(1, 2)
+    assert type(QQ.of("-3/7")) is Fraction
+    assert type(QQ.of(True)) is int and QQ.of(True) == 1
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.inv(1)) is Fraction
+
+
+def test_integral_rational_matrices_stay_int():
+    rng = random.Random(11)
+    a = _random_matrix(rng, QQ, 5, 6)
+    b = _random_matrix(rng, QQ, 6, 4)
+    vec = {j: rng.randint(-3, 3) or 1 for j in range(6)}
+    summed = accumulate(QQ, [((i, j), v) for (i, j), v in a.entries.items()]
+                        + [((0, 0), 7), ((4, 5), -2)])
+    for values in (a.entries.values(), summed.values(),
+                   (a * b).entries.values(), a.apply(vec).values(),
+                   (a + a).entries.values(), a.transpose().entries.values()):
+        assert values and all(type(v) is int for v in values)
 
 
 def test_field_prime():
@@ -330,7 +354,7 @@ def _assert_scalars(field, values):
         if field.char:
             assert type(v) is int and 0 <= v < field.char, v
         else:
-            assert type(v) is Fraction, v
+            assert type(v) in (int, Fraction), v
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
