@@ -42,6 +42,7 @@ from .groups import (
     trivial_rep,
 )
 from .homology import (
+    check_transport_cap,
     group_cohomology,
     group_homology,
     partial_cohomology,
@@ -185,12 +186,26 @@ def _pick_component(comps, index):
     return comps[index]
 
 
+def _regular_module(args, group, field):
+    """The regular module, refused before it is built when its
+    transported complex would exceed --max-columns.
+
+    Its arrow basis has the closed-form dimension of K_par G.  The
+    group-order cap of the groupoid build, and the degree check of the
+    pipelines, keep their turn first.
+    """
+    if group.order <= args.max_group_order and args.max >= 0:
+        check_transport_cap(group, PartialGroupAlgebra(group).dimension(),
+                            args.max + 1, args.max_columns)
+    return regular_module(group, field, args.max_group_order)
+
+
 def _module_for(args, group, field):
     spec = args.module.replace("⊗", "x").lower()
     if spec == "b":
         return b_module(group, field), "B"
     if spec == "regular":
-        return regular_module(group, field, args.max_group_order), "regular"
+        return _regular_module(args, group, field), "regular"
     if spec in ("wxtrivial", "wxregular"):
         comps = _components_of(group, args.max_group_order)
         comp = _pick_component(comps, args.component)
@@ -440,8 +455,7 @@ def cmd_verify_section6(args):
 def cmd_verify_kpar_vanishing(args):
     group = _load_group(args)
     field = _parse_field(args.field)
-    report = partial_cohomology(group, regular_module(group, field,
-                                                      args.max_group_order),
+    report = partial_cohomology(group, _regular_module(args, group, field),
                                 max_degree=args.max, cap=args.max_columns,
                                 module_name="regular")
     vanishing = all(d == 0 for d in report.dims[1:])

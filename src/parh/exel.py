@@ -41,27 +41,43 @@ class SElement:
     """A canonical pair (A, g): A a finite subset of G with 1, g in A.
 
     The constructor canonicalizes by adjoining 1 and g to the member set,
-    so every reachable value satisfies the invariant.
+    so every reachable value satisfies the invariant.  The hash is
+    computed once, at construction, as ``hash((id(group), members, g))``.
+
+    Inside the package, :func:`_canonical_pair` adopts a member tuple that
+    is already canonical (sorted, holding 1 and g) without sorting it
+    again; the two routes give equal pairs with equal hashes:
+
+    >>> from parh.groups import INTEGERS
+    >>> x = SElement(INTEGERS, [3, -1], 3)
+    >>> y = _canonical_pair(INTEGERS, (-1, 0, 3), 3)
+    >>> x.members, x == y, hash(x) == hash(y)
+    ((-1, 0, 3), True, True)
     """
 
-    __slots__ = ("group", "members", "g")
+    __slots__ = ("group", "members", "g", "_hash")
 
     def __init__(self, group, members: Iterable[int], g: int) -> None:
         e = group.identity_index
+        members = tuple(sorted(set(members) | {e, g}))
         self.group = group
         self.g = g
-        self.members = tuple(sorted(set(members) | {e, g}))
+        self.members = members
+        self._hash = hash((id(group), members, g))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, SElement)
+            and self._hash == other._hash
             and self.group is other.group
             and self.members == other.members
             and self.g == other.g
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.members, self.g))
+        return self._hash
 
     def sort_key(self):
         return (len(self.members), self.members, self.g)
@@ -70,8 +86,11 @@ class SElement:
         return self.g == self.group.identity_index
 
     def star(self) -> "SElement":
-        gi = self.group.inv(self.g)
-        return SElement(self.group, (self.group.mult(gi, m) for m in self.members), gi)
+        """(A, g) -> (g^-1 A, g^-1); g^-1 A holds g^-1 and 1 already."""
+        grp = self.group
+        gi = grp.inv(self.g)
+        members = tuple(sorted(grp.translate(gi, self.members)))
+        return _canonical_pair(grp, members, gi)
 
     def render(self) -> str:
         e = self.group.identity_index
@@ -85,14 +104,36 @@ class SElement:
         return self.render()
 
 
+def _canonical_pair(group, members: tuple[int, ...], g: int) -> SElement:
+    """The pair (members, g), adopting ``members`` as it is.
+
+    Precondition, not checked: ``members`` is a sorted tuple that holds
+    the identity and g.  Callers outside this package use ``SElement``.
+    """
+    s = object.__new__(SElement)
+    s.group = group
+    s.g = g
+    s.members = members
+    s._hash = hash((id(group), members, g))
+    return s
+
+
 def s_mul(x: SElement, y: SElement) -> SElement:
-    """Product of canonical pairs: (A, g)(B, h) = (A union gB, gh)."""
-    if x.group is not y.group:
-        raise GroupError("elements of different groups")
+    """Product of canonical pairs: (A, g)(B, h) = (A union gB, gh).
+
+    A holds 1 and g, and gB holds g and gh, so the union is canonical
+    once sorted.
+    """
     grp = x.group
+    if grp is not y.group:
+        raise GroupError("elements of different groups")
+    g = x.g
     members = set(x.members)
-    members.update(grp.mult(x.g, b) for b in y.members)
-    return SElement(grp, members, grp.mult(x.g, y.g))
+    if g == grp.identity_index:
+        members.update(y.members)
+        return _canonical_pair(grp, tuple(sorted(members)), y.g)
+    members.update(grp.translate(g, y.members))
+    return _canonical_pair(grp, tuple(sorted(members)), grp.mult(g, y.g))
 
 
 def s_inv(x: SElement) -> SElement:
@@ -241,7 +282,7 @@ class AlgebraElement:
         """Project onto B by flattening each (A, g) to (A, 1)."""
         e = self.group.identity_index
         coeffs = accumulate(self.field, (
-            (SElement(self.group, s.members, e), c)
+            (_canonical_pair(self.group, s.members, e), c)
             for s, c in self.coeffs.items()))
         return AlgebraElement._of_clean(self.group, self.field, coeffs)
 

@@ -153,6 +153,11 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
+    def translate(self, g: int, members: Iterable[int]) -> list[int]:
+        """The products g * m, in the order of ``members``, read off row g."""
+        row = self.table[g]
+        return [row[m] for m in members]
+
     def inv(self, i: int) -> int:
         return self._inv[i]
 
@@ -193,6 +198,20 @@ class Integers:
         if abs(k) >= _INTEGER_BOUND:
             raise GroupError("integer overflow in group operation")
         return k
+
+    def translate(self, g: int, members: Sequence[int]) -> list[int]:
+        """The sums g + m, in the order of the sorted sequence ``members``.
+
+        Translation is monotone, so testing the two endpoints for
+        overflow tests every member.
+
+        >>> INTEGERS.translate(2, (-1, 0, 3))
+        [1, 2, 5]
+        """
+        if members and (abs(members[0] + g) >= _INTEGER_BOUND
+                        or abs(members[-1] + g) >= _INTEGER_BOUND):
+            raise GroupError("integer overflow in group operation")
+        return [m + g for m in members]
 
     def inv(self, i: int) -> int:
         return -i

@@ -326,9 +326,12 @@ def resolution_identity_holds(group, max_degree: int, field: Field = QQ,
 # Transport of the resolution against a module of generator matrices.
 
 
-def _check_transport_cap(v_mod: PartialRepModule, max_n: int, cap: int) -> None:
+def check_transport_cap(group, dim: int, max_n: int, cap: int) -> None:
+    """Refuse the transported complex of a dim-dimensional module through
+    degree max_n; needs only the dimension, so it can run before the
+    module is built."""
     for n in range(max_n + 1):
-        _check_cap(v_mod.group, n, v_mod.dim, cap, "transported complex")
+        _check_cap(group, n, dim, cap, "transported complex")
 
 
 def _idempotent_supports(v_mod: PartialRepModule) -> list[frozenset[int]]:
@@ -374,7 +377,7 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     """
     group = v_mod.group
     field = v_mod.field
-    _check_transport_cap(v_mod, max_n, cap)
+    check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
     cols = [v_mod.mats[g].columns() for g in range(group.order)]
     cache: dict = {}
@@ -479,7 +482,7 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     e_x = [x][x^-1].
     """
     f = _check_module(group, v_mod, field)
-    _check_transport_cap(v_mod, max_degree + 1, cap)
+    check_transport_cap(group, v_mod.dim, max_degree + 1, cap)
     return partial_homology(group, dual_module(v_mod), f, max_degree, cap,
                             module_name or _module_desc(v_mod))
 

@@ -38,7 +38,7 @@ from itertools import combinations
 from random import Random
 from typing import Sequence
 
-from .exel import AlgebraElement, PartialGroupAlgebra, SElement
+from .exel import AlgebraElement, PartialGroupAlgebra, SElement, _canonical_pair
 from .groups import INTEGERS, GroupElement
 from .linalg import (
     Column,
@@ -294,6 +294,15 @@ def window_size(bound: int) -> int:
     return (bound + 1) << (2 * bound)
 
 
+def _window_member_sets(bound: int):
+    """The member sets A inside [-bound, bound] holding 0, as sorted
+    tuples: by size, then lexicographically."""
+    others = [m for m in range(-bound, bound + 1) if m != 0]
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            yield tuple(sorted((0,) + extra))
+
+
 def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
     """All canonical pairs (A, m) with A inside [-bound, bound].
 
@@ -307,14 +316,8 @@ def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
             limit=cap,
             requested=count,
         )
-    others = [m for m in range(-bound, bound + 1) if m != 0]
-    out = []
-    for size in range(len(others) + 1):
-        for extra in combinations(others, size):
-            members = tuple(sorted((0,) + extra))
-            for m in members:
-                out.append(SElement(INTEGERS, members, m))
-    return out
+    return [_canonical_pair(INTEGERS, members, m)
+            for members in _window_member_sets(bound) for m in members]
 
 
 def b_window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
@@ -325,9 +328,10 @@ def b_window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
 class WindowSpace:
     """Sparse coordinates over window-bounded canonical monomials.
 
-    Rows are registered lazily, in first-seen order.  Registering a
-    monomial with a member outside [-bound, bound] raises
-    WindowEscapeError; nothing is ever truncated.
+    Rows are registered lazily, in first-seen order, and keyed by the
+    canonical (members, g) of their pair.  Registering a monomial with a
+    member outside [-bound, bound] raises WindowEscapeError; nothing is
+    ever truncated.
     """
 
     __slots__ = ("field", "bound", "rows", "labels")
@@ -335,7 +339,7 @@ class WindowSpace:
     def __init__(self, field: Field, bound: int) -> None:
         self.field = field
         self.bound = bound
-        self.rows: dict[SElement, int] = {}
+        self.rows: dict[tuple[tuple[int, ...], int], int] = {}
         self.labels: list[SElement] = []
 
     @property
@@ -343,15 +347,22 @@ class WindowSpace:
         return len(self.labels)
 
     def index(self, s: SElement) -> int:
-        got = self.rows.get(s)
+        return self.pair_index(s.members, s.g)
+
+    def pair_index(self, members: tuple[int, ...], g: int) -> int:
+        """The row of the pair (members, g), where ``members`` is sorted
+        and holds 0 and g; the pair itself is built for a new row only."""
+        key = (members, g)
+        got = self.rows.get(key)
         if got is not None:
             return got
-        if any(abs(m) > self.bound for m in s.members):
+        s = _canonical_pair(INTEGERS, members, g)
+        if members[0] < -self.bound or members[-1] > self.bound:
             raise WindowEscapeError(
                 f"{s.render()} escapes the window [-{self.bound}, {self.bound}]"
             )
         idx = len(self.labels)
-        self.rows[s] = idx
+        self.rows[key] = idx
         self.labels.append(s)
         return idx
 
@@ -373,7 +384,9 @@ class VkSpan(IncidenceSpan):
     edges are written in closed form, with no algebra product and no
     elimination, and ``residue_column`` gives the component sums.  No edge
     is a loop, so there are window_size(multiplier_bound) * k columns; the
-    cap is checked on that count before any vertex is registered.
+    cap is checked on that count before any vertex is registered.  Each
+    member set A is enumerated once, in window-basis order, and vertices
+    are looked up by their canonical (B, g) without building r.
 
     >>> span = VkSpan(1, 3)
     >>> len(span.columns), span.space.dim, span.rank
@@ -401,16 +414,20 @@ class VkSpan(IncidenceSpan):
                 limit=cap,
                 requested=count,
             )
-        index = self.space.index
+        index = self.space.pair_index
+        add = self.add
+        columns = self.columns
         one, minus_one = field.one, field.neg(field.one)
-        for r in window_basis(self.multiplier_bound, cap):
-            for j in range(1, k + 1):
-                head = r.g + j
-                members = r.members + (head,)
-                u = index(SElement(INTEGERS, members, head))
-                v = index(SElement(INTEGERS, members, r.g))
-                self.columns.append({u: one, v: minus_one})
-                self.add(u, v)
+        heads = range(1, k + 1)
+        for a in _window_member_sets(self.multiplier_bound):
+            for m in a:
+                for j in heads:
+                    head = m + j
+                    b = a if head in a else tuple(sorted(a + (head,)))
+                    u = index(b, head)
+                    v = index(b, m)
+                    columns.append({u: one, v: minus_one})
+                    add(u, v)
         if len(self.columns) != count:
             raise RuntimeError(
                 f"level span built {len(self.columns)} columns, expected {count}"
@@ -525,7 +542,7 @@ def ig_decompose(x: AlgebraElement) -> dict[int, AlgebraElement]:
     for s, c in x.coeffs.items():
         if s.g == e:
             continue
-        flat = SElement(group, s.members, e)
+        flat = _canonical_pair(group, s.members, e)
         b = out.get(s.g)
         term = AlgebraElement(group, f, {flat: c})
         out[s.g] = term if b is None else b + term

@@ -258,6 +258,22 @@ def test_regular_module_group_order_cap_exits_3(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)
+def test_regular_module_column_cap_exits_3_before_building(capsys, monkeypatch,
+                                                           command):
+    def unreachable(*args):
+        raise AssertionError("the regular module was built before the column cap")
+
+    monkeypatch.setattr("parh.cli.regular_module", unreachable)
+    code, data, err = run_json(capsys, *command, "--group", "D4", "--field",
+                               "Q", "--max", "3")
+    assert code == EXIT_CAP
+    assert data == {"error": "size_cap", "message": err[len("size cap: "):-1],
+                    "limit": 1_000_000, "requested": 8 ** 4 * 576}
+    assert data["message"] == ("transported complex at degree 4 needs "
+                               "2359296 basis columns, cap is 1000000")
+
+
+@pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)
 def test_regular_module_runs_at_the_group_order_cap(capsys, command):
     code, data, _ = run_json(capsys, *command, "--group", "S3", "--max", "1",
                              "--max-group-order", "6")

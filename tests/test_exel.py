@@ -219,3 +219,17 @@ def test_integers_pairs():
     s = SElement(INTEGERS, {5}, -5)
     assert s.members == (-5, 0, 5)
     assert s.star().members == (0, 5, 10) and s.star().g == 5
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_product_overflow_is_loud(sign):
+    near = SElement(INTEGERS, (), sign * (2**62 - 1))
+    step = SElement(INTEGERS, (), sign)
+    with pytest.raises(GroupError):
+        s_mul(near, step)
+    # e_{+-1}: the translated member crosses, though the product g does not
+    with pytest.raises(GroupError):
+        s_mul(near, SElement(INTEGERS, (sign,), 0))
+    # the last representable member is still accepted
+    assert s_mul(near, SElement(INTEGERS, (), 0)) == near
+    assert s_mul(step, SElement(INTEGERS, (), sign * (2**62 - 2))).g == near.g

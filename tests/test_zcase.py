@@ -236,6 +236,11 @@ def test_window_space_escape_is_loud():
     space = WindowSpace(QQ, 1)
     with pytest.raises(WindowEscapeError):
         space.column(ZALG.idem(5))
+    with pytest.raises(WindowEscapeError):
+        space.column(ZALG.idem(-5))
+    with pytest.raises(WindowEscapeError):
+        space.index(SElement(INTEGERS, (-2,), 0))
+    assert space.dim == 0
     col = space.column(_f(1))
     assert space.element(col) == _f(1)
 
@@ -313,6 +318,8 @@ ORACLE_CASES = [(k, bound, field)
                 for k in (1, 2)
                 for bound in (k + 3, 2 * k + 4)
                 for field in (QQ, GF(2))]
+# k = 3 at bound 6: 144 columns, the one level above the benchmarked k = 2
+ORACLE_CASES += [(3, 6, field) for field in (QQ, GF(2))]
 
 
 @pytest.mark.parametrize("k, bound, field", ORACLE_CASES, ids=repr)
