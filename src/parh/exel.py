@@ -13,6 +13,12 @@ Two independent models are kept side by side:
 * a crossed-product model (:class:`SkewElement`) whose product is computed
   from the idempotent-twisting rule, used as an oracle to validate the
   canonical rule and never used by the main code paths.
+
+Every product of algebra elements runs through one kernel,
+:func:`_product`: it applies the rule of :func:`s_mul` to each pair of
+terms, sums on plain ``(members, g)`` keys as ``linalg.accumulate`` does,
+and builds one :class:`SElement` per surviving key.  ``s_mul`` stays the
+single-pair rule and the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -136,6 +142,46 @@ def s_mul(x: SElement, y: SElement) -> SElement:
     return _canonical_pair(grp, tuple(sorted(members)), grp.mult(g, y.g))
 
 
+def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
+    """The product x * y in the partial group algebra.
+
+    Each pair of terms gives the canonical pair of ``s_mul``, kept as a
+    plain ``(members, g)`` key: gB comes from ``translate`` and gh from
+    ``mult``, so their overflow checks apply.  The keys are summed with
+    the reduction mod p and the drop-on-cancel order of ``accumulate``,
+    and one SElement is built per surviving key, so the result equals the
+    term-by-term sum of ``s_mul`` products, key order included.
+    """
+    x._check(y)
+    grp = x.group
+    e = grp.identity_index
+    translate, mult = grp.translate, grp.mult
+    p = x.field.char
+    right = [(t.members, t.g, d) for t, d in y.coeffs.items()]
+    sums: dict = {}
+    get = sums.get
+    for s, c in x.coeffs.items():
+        g = s.g
+        left = set(s.members)
+        for members, h, d in right:
+            if g == e:
+                key = (tuple(sorted(left.union(members))), h)
+            else:
+                key = (tuple(sorted(left.union(translate(g, members)))),
+                       mult(g, h))
+            old = get(key)
+            v = c * d if old is None else old + c * d
+            if p:
+                v %= p
+            if v:
+                sums[key] = v
+            else:
+                del sums[key]
+    return AlgebraElement._of_clean(grp, x.field, {
+        _canonical_pair(grp, members, g): c
+        for (members, g), c in sums.items()})
+
+
 def s_inv(x: SElement) -> SElement:
     """The involution (A, g) -> (g^-1 A, g^-1); x * x.star() * x == x."""
     return x.star()
@@ -235,12 +281,15 @@ class AlgebraElement:
                   coeffs: dict[SElement, Scalar]) -> "AlgebraElement":
         """Adopt coefficients that are already in ``field`` and nonzero, as
         ``linalg.accumulate`` produces them, without checking again."""
-        x = cls(group, field)
+        x = object.__new__(cls)
+        x.group = group
+        x.field = field
         x.coeffs = coeffs
         return x
 
     def _check(self, other: "AlgebraElement") -> None:
-        if self.group is not other.group or self.field != other.field:
+        if self.group is not other.group or (self.field is not other.field
+                                             and self.field != other.field):
             raise ValueError("elements of different partial group algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -249,12 +298,22 @@ class AlgebraElement:
                                               other.coeffs.items()))
         return AlgebraElement._of_clean(self.group, self.field, coeffs)
 
+    def _negated_terms(self):
+        """The terms (s, -c); over F_p, -c of a nonzero c is p - c."""
+        p = self.field.char
+        if p:
+            return ((s, p - c) for s, c in self.coeffs.items())
+        return ((s, -c) for s, c in self.coeffs.items())
+
     def __neg__(self) -> "AlgebraElement":
-        f = self.field
-        return AlgebraElement(self.group, f, {s: f.neg(c) for s, c in self.coeffs.items()})
+        return AlgebraElement._of_clean(self.group, self.field,
+                                        dict(self._negated_terms()))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        self._check(other)
+        coeffs = accumulate(self.field, chain(self.coeffs.items(),
+                                              other._negated_terms()))
+        return AlgebraElement._of_clean(self.group, self.field, coeffs)
 
     def scale(self, c) -> "AlgebraElement":
         f = self.field
@@ -263,12 +322,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._check(other)
-            coeffs = accumulate(self.field, (
-                (s_mul(s, t), c * d)
-                for s, c in self.coeffs.items()
-                for t, d in other.coeffs.items()))
-            return AlgebraElement._of_clean(self.group, self.field, coeffs)
+            return _product(self, other)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -797,15 +797,14 @@ def tensor_b_kdelta(
             return {comp.vertex_pos[arrows[j][0]]: one}
         return {}
 
-    def phi(idx: int | None) -> Column:
-        # a vanishing term of a relation maps to zero
-        return {} if idx is None else phi_column(*divmod(idx, n_arr))
+    def phi(idx: int) -> Column:
+        return phi_column(*divmod(idx, n_arr))
 
     if cross_check:
         _tensor_cross_check(comp, algebra, moved, hits, phi_column)
 
     span = IncidenceSpan(f)
-    phi_kills = True
+    add = span.add
     for move_row, hit_row in zip(moved, hits):
         for k, m in enumerate(move_row):
             for j, h in enumerate(hit_row):
@@ -813,9 +812,21 @@ def tensor_b_kdelta(
                 v = None if h is None else k * n_arr + h
                 if u == v:
                     continue  # both terms vanish, or they cancel
-                span.add(*(i for i in (u, v) if i is not None))
-                phi_kills = phi_kills and phi(u) == phi(v)
+                if u is None:
+                    add(v)
+                elif v is None:
+                    add(u)
+                else:
+                    add(u, v)
     dimension = flat - span.rank
+
+    # phi kills every relation u - v (and u) iff phi(u) == phi(v) on each
+    # edge, that is iff phi is constant on each component of the span and
+    # zero on the ground's, so phi is read once per coordinate
+    root = span.root
+    image_of = {root(-1): {}}
+    phi_kills = all(image_of.setdefault(root(idx), col) == col
+                    for idx, col in enumerate(map(phi, range(flat))))
 
     # right stabilizer action on arrows out of the base vertex
     h_trivial = not any(

@@ -477,8 +477,9 @@ class IncidenceSpan:
         self.rank = 0
         self._parent: dict[int, int] = {}
 
-    def _root(self, row: int) -> int:
-        """The component of a row; a row no edge touches is its own."""
+    def root(self, row: int) -> int:
+        """The component of a row; a row no edge touches is its own, and
+        ``root(-1)`` is the ground's."""
         parent = self._parent
         while (up := parent.get(row, row)) != row:
             parent[row] = top = parent.get(up, up)
@@ -486,15 +487,24 @@ class IncidenceSpan:
         return row
 
     def add(self, u: int, v: int = -1) -> None:
-        """Absorb the edge u - v, or the one-term column u."""
-        u, v = self._root(u), self._root(v)
+        """Absorb the edge u - v, or the one-term column u.
+
+        Both roots are found here, with the path halving of ``root``.
+        """
+        parent = self._parent
+        while (up := parent.get(u, u)) != u:
+            parent[u] = top = parent.get(up, up)
+            u = top
+        while (up := parent.get(v, v)) != v:
+            parent[v] = top = parent.get(up, up)
+            v = top
         if u != v:
-            self._parent[v] = u
+            parent[v] = u
             self.rank += 1
 
     def residue_column(self, col: Column) -> Column:
         """The component sums of ``col`` off the ground; zero iff in the span."""
-        root = self._root
+        root = self.root
         res = accumulate(self.field, ((root(row), c) for row, c in col.items()))
         res.pop(root(-1), None)
         return res

@@ -136,9 +136,17 @@ def verify_f_relations(bound: int, field: Field = QQ) -> dict:
 
 
 def _check_commuting_idempotents(es: Sequence[AlgebraElement]) -> None:
+    """Raise ValueError unless every e is idempotent and they commute.
+
+    Every input is squared.  The pairwise products are formed only when
+    some input lies outside B, because B is commutative:
+    (A, 1)(C, 1) = (A union C, 1) = (C, 1)(A, 1).
+    """
     for e in es:
         if e * e != e:
             raise ValueError(f"not an idempotent: {e.render()}")
+    if all(e.is_in_b() for e in es):
+        return
     for a, b in combinations(es, 2):
         if a * b != b * a:
             raise ValueError("idempotents do not commute")
@@ -154,11 +162,12 @@ def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
         return []
     _check_commuting_idempotents(es)
     one = _algebra(es[0]).one()
-    parts = []
-    shrink = one
-    for e in es:
+    parts = [es[0]]
+    shrink = None
+    for prev, e in zip(es, es[1:]):
+        factor = one - prev
+        shrink = factor if shrink is None else shrink * factor
         parts.append(shrink * e)
-        shrink = shrink * (one - e)
     return parts
 
 

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from parh import zcase
 from parh.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -416,6 +417,24 @@ def test_z_cancellation_finite_ring(capsys):
                              "--field", "F2")
     assert code == EXIT_OK
     assert data["failures"] == []
+
+
+def test_z_cancellation_reports_a_failed_decomposition(capsys, monkeypatch):
+    # a wrong b makes cancellation_decompose raise RuntimeError; the trial
+    # is recorded as failed instead of escaping main
+    real = zcase._cancel
+
+    def wrong_b(es, rs, one):
+        mat, b = real(es, rs, one)
+        return mat, [x + one for x in b]
+
+    monkeypatch.setattr(zcase, "_cancel", wrong_b)
+    code, data, _ = run_json(capsys, "z", "cancellation", "--count", "6",
+                             "--max-k", "3", "--seed", "9")
+    assert code == EXIT_FAIL
+    assert data["ok"] is False
+    assert data["failures"]
+    assert set(data["failures"]) <= set(range(6))
 
 
 def test_z_cancellation_is_reproducible(capsys):

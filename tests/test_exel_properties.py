@@ -3,9 +3,13 @@
 The product rule (A, g)(B, h) = (A union gB, gh) is compared with the
 twisted-product oracle on the integers (members in [-6, 6]) and on S3 and
 D4, and the algebraic laws every semigroup of canonical pairs obeys are
-checked on the same draws.  Examples are derandomized, so every run sees
-the same inputs.
+checked on the same draws.  The algebra product, negation and difference
+are compared with their term-by-term routes (``s_mul`` products summed by
+``accumulate``, and the coercing constructor) over Q, F2, F3 and F5.
+Examples are derandomized, so every run sees the same inputs.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parh.exel import SElement, SkewElement, s_mul, skew_mul
+from parh.exel import (AlgebraElement, PartialGroupAlgebra, SElement,
+                       SkewElement, s_mul, skew_mul)
 from parh.groups import INTEGERS, build_named_group
-from parh.linalg import QQ, accumulate
+from parh.linalg import GF, QQ, accumulate
 
 GROUPS = {"Z": INTEGERS, "S3": build_named_group("S3"),
           "D4": build_named_group("D4")}
@@ -84,3 +89,81 @@ def test_product_and_constructor_give_one_key(xy, rng):
                                   product.g))
     assert len({product: 1, rebuilt: 2}) == 1
     assert accumulate(QQ, [(product, 1), (rebuilt, 2)]) == {product: 3}
+
+
+# --- algebra elements -------------------------------------------------------
+
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+def small_elements(group):
+    """Few members, so that products of terms often share a key."""
+    if group is INTEGERS:
+        return st.integers(-1, 1)
+    return st.integers(0, min(group.order, 4) - 1)
+
+
+def algebra_elements(group, field):
+    members = small_elements(group)
+    pair = st.builds(lambda a, g: SElement(group, a, g),
+                     st.frozensets(members, max_size=2), members)
+    coeff = st.integers(-2, 2)
+    if field.char == 0:
+        coeff = coeff | st.builds(Fraction, st.integers(-2, 2),
+                                  st.integers(1, 3))
+    return st.lists(st.tuples(pair, coeff), max_size=5).map(
+        lambda terms: AlgebraElement(group, field, dict(terms)))
+
+
+def ring_and_elements(n):
+    return st.tuples(st.sampled_from(sorted(GROUPS)),
+                     st.sampled_from(sorted(FIELDS))).flatmap(
+        lambda gf: st.tuples(*[algebra_elements(GROUPS[gf[0]],
+                                                FIELDS[gf[1]])] * n))
+
+
+def termwise_product(x, y):
+    return accumulate(x.field, ((s_mul(s, t), c * d)
+                                for s, c in x.coeffs.items()
+                                for t, d in y.coeffs.items()))
+
+
+def constructor_negation(x):
+    f = x.field
+    return AlgebraElement(x.group, f, {s: f.neg(c)
+                                       for s, c in x.coeffs.items()}).coeffs
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    assert list(got) == list(want)
+
+
+@PROPERTY
+@given(ring_and_elements(2))
+def test_algebra_product_matches_termwise_route(xy):
+    x, y = xy
+    assert_same_terms((x * y).coeffs, termwise_product(x, y))
+
+
+@PROPERTY
+@given(ring_and_elements(2))
+def test_negation_and_difference_match_constructor_route(xy):
+    x, y = xy
+    assert_same_terms((-x).coeffs, constructor_negation(x))
+    assert_same_terms((x - y).coeffs, accumulate(x.field, list(
+        x.coeffs.items()) + list(constructor_negation(y).items())))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_product_key_that_cancels_comes_back_last(group, field):
+    # (1 - e_g)(e_g + 1): e_g gets 1, cancels to 0 and is dropped, then
+    # comes back after the unit, so the unit is the first key
+    algebra = PartialGroupAlgebra(GROUPS[group], FIELDS[field])
+    one, e = algebra.one(), algebra.idem(1)
+    x, y = one - e, e + one
+    product = x * y
+    assert_same_terms(product.coeffs, termwise_product(x, y))
+    assert list(product.coeffs) == list(x.coeffs)
+    assert product == x

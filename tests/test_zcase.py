@@ -140,6 +140,36 @@ def test_combine_rejects_non_idempotent():
         combine_idempotents([])
 
 
+def test_non_commuting_idempotents_are_rejected():
+    # x = P + P[1]Q is an idempotent outside B that does not commute
+    # with P, so the pairwise products must be formed and must fail
+    c3 = PartialGroupAlgebra(build_named_group("C3"), QQ)
+    p = c3.primitive_idempotent((0, 1))
+    q = c3.primitive_idempotent((0, 2))
+    x = p + p * c3.bracket(1) * q
+    assert x * x == x and not x.is_in_b() and p * x != x * p
+    with pytest.raises(ValueError, match="do not commute"):
+        cancellation_decompose([p, x], [c3.zero(), c3.zero()])
+    with pytest.raises(ValueError, match="do not commute"):
+        combine_idempotents([p, x])
+
+
+def test_idempotents_in_b_are_squared_only(monkeypatch):
+    # B is commutative, so inputs in B need no commutation products
+    es = [random_b_idempotent(Random(seed)) for seed in range(4)]
+    assert all(e.is_in_b() for e in es)
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    zcase._check_commuting_idempotents(es)
+    assert len(calls) == len(es)
+
+
 # ---------------------------------------------------------------------------
 # Skew-symmetric cancellation.
 
