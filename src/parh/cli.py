@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from random import Random
 
@@ -569,7 +570,10 @@ def _add_caps(p):
                    help="refuse chain complexes above this column measure")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; argparse does
+    not change a parser while it parses."""
     parser = _Parser(
         prog="parh",
         description="Exact computations in partial group algebras: "

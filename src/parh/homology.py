@@ -105,8 +105,8 @@ class ChainComplex:
 
     ``labels[n]`` names the basis of the degree-n space; ``diffs[n]`` is
     the matrix of d_n mapping degree n to degree n-1.  Consecutive
-    differentials compose to zero; ``d2_zero`` verifies that by honest
-    matrix multiplication, once per complex.
+    differentials compose to zero; ``d2_zero`` verifies that once per
+    complex, applying d_n to each nonzero column of d_(n+1) in turn.
     """
 
     __slots__ = ("field", "labels", "diffs", "_d2")
@@ -127,8 +127,9 @@ class ChainComplex:
     def d2_zero(self) -> bool:
         if self._d2 is None:
             self._d2 = all(
-                (d * self.diffs[n + 1]).is_zero()
-                for n, d in self.diffs.items() if n + 1 in self.diffs)
+                not d.apply(col)
+                for n, d in self.diffs.items() if n + 1 in self.diffs
+                for col in self.diffs[n + 1]._column_index().values())
         return self._d2
 
     def homology_dims(self, max_degree: int) -> list[int]:
@@ -158,9 +159,11 @@ class ChainComplex:
 
 
 def _rank_mod_prime(d: SparseMatrix) -> int:
-    """Rank of an int matrix reduced modulo ``RANK_PRIME``."""
-    entries = {k: r for k, v in d.entries.items() if (r := v % RANK_PRIME)}
-    return rank(SparseMatrix._of_clean(_RANK_FIELD, d.nrows, d.ncols, entries))
+    """Rank of an int matrix reduced modulo ``RANK_PRIME``, column by column."""
+    index = d._column_index()
+    cols = [{r: c for r, v in index[j].items() if (c := v % RANK_PRIME)}
+            if j in index else {} for j in range(d.ncols)]
+    return rank(SparseMatrix._of_columns(_RANK_FIELD, d.nrows, cols))
 
 
 def _check_cap(group, n: int, block: int, cap: int, what: str) -> None:
@@ -194,10 +197,13 @@ def _subsets(group) -> list[tuple[int, ...]]:
 # Bar complex with idempotent coefficients, directly in the primitive basis.
 
 
-def _tuple_labels(group, n: int, cap: int, what: str, members) -> list[tuple]:
-    """Labels (A, t) over n-tuples t, with A every subset containing the
-    identity and ``members(t)``."""
-    subsets = _subsets(group)
+def _tuple_labels(group, n: int, cap: int, what: str, members,
+                  subsets=None) -> list[tuple]:
+    """Labels (A, t) over n-tuples t, with A each of ``subsets`` (default
+    every subset containing the identity) that holds the identity and
+    ``members(t)``."""
+    if subsets is None:
+        subsets = _subsets(group)
     _check_cap(group, n, len(subsets), cap, what)
     out = []
     for t in product(range(group.order), repeat=n):
@@ -253,18 +259,25 @@ def bar_differential(group, n: int, field: Field = QQ,
 # Homogeneous resolution and its contracting homotopy.
 
 
-def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP) -> list[tuple]:
-    """Degree-n labels (A, (g_1, ..., g_n)) with A containing every g_i."""
-    return _tuple_labels(group, n, cap, "homogeneous basis", lambda gs: gs)
+def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP, *,
+                      subsets=None) -> list[tuple]:
+    """Degree-n labels (A, (g_1, ..., g_n)) with A containing every g_i.
+
+    A ranges over ``subsets``, by default every subset that contains the
+    identity; the same holds for the two builders below.
+    """
+    return _tuple_labels(group, n, cap, "homogeneous basis", lambda gs: gs,
+                         subsets)
 
 
 def homogeneous_differential(group, n: int, field: Field = QQ,
-                             cap: int = HOMOLOGY_SIZE_CAP) -> SparseMatrix:
+                             cap: int = HOMOLOGY_SIZE_CAP, *,
+                             subsets=None) -> SparseMatrix:
     """Alternating sum of entry drops; the subset label never moves."""
     if n < 1:
         raise ValueError("homogeneous differential starts at degree 1")
-    rows = homogeneous_basis(group, n - 1, cap)
-    cols = homogeneous_basis(group, n, cap)
+    rows = homogeneous_basis(group, n - 1, cap, subsets=subsets)
+    cols = homogeneous_basis(group, n, cap, subsets=subsets)
     rpos = {lab: k for k, lab in enumerate(rows)}
     f = field
 
@@ -280,15 +293,16 @@ def homogeneous_differential(group, n: int, field: Field = QQ,
 
 
 def contracting_homotopy(group, n: int, field: Field = QQ,
-                         cap: int = HOMOLOGY_SIZE_CAP) -> SparseMatrix:
+                         cap: int = HOMOLOGY_SIZE_CAP, *,
+                         subsets=None) -> SparseMatrix:
     """Matrix of the degree-raising map prepending the identity entry.
 
     Together with the homogeneous differentials it satisfies
     s d + d s = id in every positive degree, and d_1 s_0 = id in degree
     zero, which is the degreewise exactness certificate.
     """
-    rows = homogeneous_basis(group, n + 1, cap)
-    cols = homogeneous_basis(group, n, cap)
+    rows = homogeneous_basis(group, n + 1, cap, subsets=subsets)
+    cols = homogeneous_basis(group, n, cap, subsets=subsets)
     rpos = {lab: k for k, lab in enumerate(rows)}
     entries = {}
     for c, (a, gs) in enumerate(cols):
@@ -300,19 +314,26 @@ def contracting_homotopy(group, n: int, field: Field = QQ,
 @lru_cache(maxsize=16)
 def resolution_identity_holds(group, max_degree: int, field: Field = QQ,
                               cap: int = HOMOLOGY_SIZE_CAP) -> bool:
-    """Check s d + d s = id through the requested degree.
+    """Check s d + d s = id through the requested degree, on the G block.
 
     Degree zero uses d_1 s_0 = id; degree m uses
-    s_{m-1} d_m + d_{m+1} s_m = id.  Everything is verified by sparse
-    matrix arithmetic, no shortcuts.  The resolution does not depend on
-    any module, so the result is cached per (group, degree, field, cap).
+    s_{m-1} d_m + d_{m+1} s_m = id, verified by sparse matrix arithmetic
+    on the labels (G, t) alone, |G|^n of them in degree n.  That suffices:
+    d only drops entries of t, so it never moves the subset A, and s
+    prepends the identity, which lies in every A.  So (A, t) -> (G, t) is
+    an injective map that commutes with d and s, and the identity on the
+    G block implies it on every block A.  The cap is checked on the widest
+    degree, |G|^(max_degree + 1) labels, before anything is built.  The
+    resolution does not depend on any module, so the result is cached per
+    (group, degree, field, cap).
     """
-    diffs = {m: homogeneous_differential(group, m, field, cap)
+    _check_cap(group, max_degree + 1, 1, cap, "homotopy certificate")
+    block = [tuple(range(group.order))]
+    diffs = {m: homogeneous_differential(group, m, field, cap, subsets=block)
              for m in range(1, max_degree + 2)}
-    homs = {m: contracting_homotopy(group, m, field, cap)
+    homs = {m: contracting_homotopy(group, m, field, cap, subsets=block)
             for m in range(0, max_degree + 1)}
-    n0 = len(homogeneous_basis(group, 0, cap))
-    if diffs[1] * homs[0] != SparseMatrix.identity(field, n0):
+    if diffs[1] * homs[0] != SparseMatrix.identity(field, diffs[1].nrows):
         return False
     for m in range(1, max_degree + 1):
         dim_m = diffs[m].ncols
@@ -372,14 +393,16 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
 
     The boundary of a block coordinate v at the tuple (x_1, ..., x_n) is
     [x_1^{-1}] v at the tail tuple, plus the alternating contractions and
-    the final drop of v itself.  Coordinate lookups fail loudly if a vector
-    ever leaves its target block.
+    the final drop of v itself.  Each column is summed as one dict, reduced
+    mod p, a coordinate dropped when its sum cancels.  Coordinate lookups
+    fail loudly if a vector ever leaves its target block.
     """
     group = v_mod.group
     field = v_mod.field
+    p = field.char
     check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
-    cols = [v_mod.mats[g].columns() for g in range(group.order)]
+    acts = [v_mod.mats[g].columns() for g in range(group.order)]
     cache: dict = {}
     degree = {n: _degree_blocks(group, supports, n, cache)
               for n in range(max_n + 1)}
@@ -387,31 +410,37 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     diffs = {}
     for n in range(1, max_n + 1):
         lo_blocks = degree[n - 1][0]
-
-        def terms():
-            c = 0
-            for xs, (_, block) in degree[n][0].items():
-                targets = [(xs[1:], field.one, cols[group.inv(xs[0])])]
-                sign = field.neg(field.one)
-                for j in range(n - 1):
-                    targets.append((_contract(group, xs, j), sign, None))
-                    sign = field.neg(sign)
-                targets.append((xs[:-1], sign, None))
-                for i in block:
-                    unit = {i: field.one}
-                    for ys, s, mat in targets:
-                        off, lo = lo_blocks[ys]
-                        for r, v in (unit if mat is None else mat[i]).items():
-                            if r not in lo:
-                                raise RuntimeError(
-                                    "vector escapes its projection block")
-                            yield (off + lo[r], c), s * v
-                    c += 1
-
-        diffs[n] = SparseMatrix(field, len(labels[n - 1]), len(labels[n]),
-                                accumulate(field, terms()),
-                                row_labels=labels[n - 1],
-                                col_labels=labels[n])
+        # the contractions take signs -1, +1, ..., the final drop (-1)^n
+        signs = [(-1) ** (j + 1) for j in range(n)]
+        cols = []
+        for xs, (_, block) in degree[n][0].items():
+            tail_off, tail = lo_blocks[xs[1:]]
+            act = acts[group.inv(xs[0])]
+            units = [lo_blocks[_contract(group, xs, j)] for j in range(n - 1)]
+            units.append(lo_blocks[xs[:-1]])
+            for i in block:
+                col = {}
+                for r, v in act[i].items():
+                    k = tail.get(r)
+                    if k is None:
+                        raise RuntimeError("vector escapes its projection block")
+                    col[tail_off + k] = v
+                for (off, lo), s in zip(units, signs):
+                    k = lo.get(i)
+                    if k is None:
+                        raise RuntimeError("vector escapes its projection block")
+                    key = off + k
+                    v = col.get(key, 0) + s
+                    if p:
+                        v %= p
+                    if v:
+                        col[key] = v
+                    else:
+                        col.pop(key, None)
+                cols.append(col)
+        diffs[n] = SparseMatrix._of_columns(field, len(labels[n - 1]), cols,
+                                            row_labels=labels[n - 1],
+                                            col_labels=labels[n])
     return ChainComplex(field, labels, diffs)
 
 
@@ -567,8 +596,15 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    return _group_homology(h_group, _check_group_rep(h_group, u, field),
+                           field, max_degree, cap)
+
+
+def _group_homology(h_group, mats: list, field: Field, max_degree: int,
+                    cap: int) -> HomologyReport:
+    """``group_homology`` of a representation already checked, indexed by
+    local element position."""
     elems, mult, inv = _local_tables(h_group)
-    mats = _check_group_rep(h_group, u, field)
     m = len(elems)
     d = mats[0].nrows
     labels = {}
@@ -611,11 +647,15 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
 def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
                      cap: int = HOMOLOGY_SIZE_CAP) -> HomologyReport:
     """Classical cohomology as the homology of the dual representation
-    h -> U(h^-1)^T; degree 0 is the invariants."""
-    elems, _, inv = _local_tables(h_group)
+    h -> U(h^-1)^T; degree 0 is the invariants.  The dual is a
+    representation because u is, by transposition, so it is not checked
+    again."""
+    _, _, inv = _local_tables(h_group)
     mats = _check_group_rep(h_group, u, field)
-    dual = {g: mats[inv[k]].transpose() for k, g in enumerate(elems)}
-    return group_homology(h_group, dual, field, max_degree, cap)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    dual = [mats[inv[k]].transpose() for k in range(len(mats))]
+    return _group_homology(h_group, dual, field, max_degree, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,22 @@ class SparseMatrix:
         return m
 
     @classmethod
+    def _of_columns(cls, field: Field, nrows: int, cols: list[Column],
+                    row_labels: Sequence[str] | None = None,
+                    col_labels: Sequence[str] | None = None) -> "SparseMatrix":
+        """Adopt column j as ``cols[j]``, clean as for ``_of_clean``.
+
+        Sets ``entries`` and the column index together; the dicts become
+        the index, so the caller must not change them afterwards.
+        """
+        m = cls(field, nrows, len(cols), row_labels=row_labels,
+                col_labels=col_labels)
+        m.entries = {(i, j): v for j, col in enumerate(cols)
+                     for i, v in col.items()}
+        m._cols = {j: col for j, col in enumerate(cols) if col}
+        return m
+
+    @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
         return cls(field, nrows, ncols)
 

@@ -152,6 +152,16 @@ def _check_commuting_idempotents(es: Sequence[AlgebraElement]) -> None:
             raise ValueError("idempotents do not commute")
 
 
+def _times(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x * y, forming no product when an operand is zero (then it is the
+    product)."""
+    if x.is_zero():
+        return x
+    if y.is_zero():
+        return y
+    return x * y
+
+
 def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
     """The summands e_1, (1-e_1) e_2, ..., (1-e_1)...(1-e_{n-1}) e_n.
 
@@ -166,8 +176,8 @@ def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
     shrink = None
     for prev, e in zip(es, es[1:]):
         factor = one - prev
-        shrink = factor if shrink is None else shrink * factor
-        parts.append(shrink * e)
+        shrink = factor if shrink is None else _times(shrink, factor)
+        parts.append(_times(shrink, e))
     return parts
 
 
@@ -214,9 +224,9 @@ def cancellation_reconstructs(
         return not result.b
     one = _algebra(es[0]).one()
     for i, r in enumerate(rs):
-        total = result.b[i] * (one - es[i])
+        total = _times(result.b[i], one - es[i])
         for j, e in enumerate(es):
-            total = total + result.matrix[i][j] * e
+            total = total + _times(result.matrix[i][j], e)
         if total != r:
             return False
     return True
@@ -234,23 +244,23 @@ def _cancel(
         return [[zero]], [rs[0]]
     if k == 2:
         r = rs[1]
-        b1 = rs[0] + r * es[1]
-        b2 = rs[1] - r * es[0]
+        b1 = rs[0] + _times(r, es[1])
+        b2 = rs[1] - _times(r, es[0])
         return [[zero, -r], [r, zero]], [b1, b2]
     ek = es[-1]
     shrink = one - ek
-    inner_es = [e * shrink for e in es[:-1]]
+    inner_es = [_times(e, shrink) for e in es[:-1]]
     m0, tilde = _cancel(inner_es, rs[:-1], one)
     x = rs[-1]
     for bt, e in zip(tilde, es[:-1]):
-        x = x + bt * e
-    if not (x * ek).is_zero():
+        x = x + _times(bt, e)
+    if not _times(x, ek).is_zero():
         raise RuntimeError("cancellation recursion lost the annihilation step")
     mat = [[zero] * k for _ in range(k)]
     for i in range(k - 1):
         for j in range(k - 1):
-            mat[i][j] = m0[i][j] * shrink
-        scaled = tilde[i] * es[i]
+            mat[i][j] = _times(m0[i][j], shrink)
+        scaled = _times(tilde[i], es[i])
         mat[i][k - 1] = scaled
         mat[k - 1][i] = -scaled
     return mat, tilde + [x]
@@ -275,9 +285,9 @@ def cancellation_decompose(
     if not es:
         return CancellationResult((), ())
     _check_commuting_idempotents(es)
-    total = rs[0] * es[0]
+    total = _times(rs[0], es[0])
     for r, e in zip(rs[1:], es[1:]):
-        total = total + r * e
+        total = total + _times(r, e)
     if not total.is_zero():
         raise ValueError("hypothesis fails: sum r_i e_i is not zero")
     one = _algebra(es[0]).one()
@@ -659,16 +669,16 @@ def random_cancellation_instance(
     }
     rs = []
     for i in range(k):
-        r = random_b_element(rng, group, field, bound) * (one - es[i])
+        r = _times(random_b_element(rng, group, field, bound), one - es[i])
         for j in range(k):
             if j > i:
-                r = r + cross[(i, j)] * es[j]
+                r = r + _times(cross[(i, j)], es[j])
             elif j < i:
-                r = r - cross[(j, i)] * es[j]
+                r = r - _times(cross[(j, i)], es[j])
         rs.append(r)
     total = algebra.zero()
     for r, e in zip(rs, es):
-        total = total + r * e
+        total = total + _times(r, e)
     if not total.is_zero():
         raise RuntimeError("sampler produced a non-solution")
     return es, rs

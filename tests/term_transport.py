@@ -1,0 +1,47 @@
+"""The transported differentials built term by term.
+
+``parh.homology._transported_complex`` sums each column of a
+differential as one dict.  This is the construction it replaced: every
+term ``((row, col), value)`` streamed through one ``linalg.accumulate``
+and the entries coerced again by ``SparseMatrix``.  It is kept as an
+oracle for the column-built matrices.
+"""
+
+from parh.homology import _contract, _degree_blocks, _idempotent_supports
+from parh.linalg import SparseMatrix, accumulate
+
+
+def term_built_differentials(v_mod, max_n):
+    """{n: d_n} for n = 1..max_n, on the labels of the transported complex."""
+    group, field = v_mod.group, v_mod.field
+    supports = _idempotent_supports(v_mod)
+    cols = [v_mod.mats[g].columns() for g in range(group.order)]
+    cache = {}
+    degree = {n: _degree_blocks(group, supports, n, cache)
+              for n in range(max_n + 1)}
+    diffs = {}
+    for n in range(1, max_n + 1):
+        lo_blocks = degree[n - 1][0]
+
+        def terms():
+            c = 0
+            for xs, (_, block) in degree[n][0].items():
+                targets = [(xs[1:], field.one, cols[group.inv(xs[0])])]
+                sign = field.neg(field.one)
+                for j in range(n - 1):
+                    targets.append((_contract(group, xs, j), sign, None))
+                    sign = field.neg(sign)
+                targets.append((xs[:-1], sign, None))
+                for i in block:
+                    unit = {i: field.one}
+                    for ys, s, mat in targets:
+                        off, lo = lo_blocks[ys]
+                        for r, v in (unit if mat is None else mat[i]).items():
+                            yield (off + lo[r], c), s * v
+                    c += 1
+
+        rows, labels = degree[n - 1][1], degree[n][1]
+        diffs[n] = SparseMatrix(field, len(rows), len(labels),
+                                accumulate(field, terms()),
+                                row_labels=rows, col_labels=labels)
+    return diffs

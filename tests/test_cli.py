@@ -7,6 +7,7 @@ verification, 2 configuration error, 3 size cap).
 """
 
 import json
+from itertools import permutations
 
 import pytest
 
@@ -16,9 +17,11 @@ from parh.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_OK,
+    build_parser,
     main,
 )
-from parh.groups import NAMED_GROUP_NAMES
+from parh.groupoid import build_groupoid, components
+from parh.groups import NAMED_GROUP_NAMES, parse_cayley_table
 
 
 def run(capsys, *argv):
@@ -224,6 +227,32 @@ def test_verify_corollary_b_lifts_the_group_order_cap(capsys, tmp_path):
     assert code == EXIT_OK
     assert data["dims_bar"] == data["dims_sum"] == [59, 3]
     assert data["ok"] is True
+
+
+def _a4_table_text():
+    """A4 as the even permutations of four points, identity at 0."""
+    perms = [p for p in sorted(permutations(range(4)))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    pos = {p: k for k, p in enumerate(perms)}
+    rows = [" ".join(str(pos[tuple(p[q[x]] for x in range(4))]) for q in perms)
+            for p in perms]
+    return "# A4\n12\n" + "\n".join(rows) + "\n"
+
+
+def test_verify_theorem_a_runs_on_a4_full_vertex(capsys, tmp_path):
+    # The homotopy certificate counts only the G block, 12^3 labels at
+    # --max 2; over all subsets it would count 2048 * 12^3 and exit 3.
+    path = tmp_path / "a4.txt"
+    path.write_text(_a4_table_text())
+    a4 = parse_cayley_table(path.read_text(), name="a4")
+    comps = components(build_groupoid(a4, cap=12))
+    full = next(k for k, c in enumerate(comps) if c.stabilizer.order == 12)
+    code, data, _ = run_json(capsys, "verify", "theorem-a", "--table",
+                             str(path), "--max-group-order", "12", "--field",
+                             "F2", "--max", "2", "--component", str(full))
+    assert code == EXIT_OK and data["ok"] is True
+    for side in ("homology", "cohomology"):
+        assert data[side]["partial"] == data[side]["ordinary"] == [1, 0, 1]
 
 
 def test_verify_corollary_b_group_order_cap_exits_3(capsys, monkeypatch):
@@ -526,6 +555,27 @@ def test_negative_count_exits_2(capsys, argv):
     message = f"--count must be nonnegative, got {argv[-1]}"
     assert message in err
     assert json.loads(out) == {**_CONFIG_ERROR, "message": message}
+
+
+# A valid command, a rejected command line under --json, --help-schema and
+# another subcommand, run in that order through one parser.
+_PARSER_RUNS = [
+    ("kpar", "dim", "--group", "C3", "--json"),
+    ("homology", "partial", "--json", "--max", "x"),
+    ("--help-schema",),
+    ("verify", "corollary-b", "--group", "C2", "--max", "1", "--json"),
+]
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys):
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in _PARSER_RUNS]
+    assert build_parser.cache_info().misses == 1
+    code, out, _ = shared[1]
+    assert code == EXIT_CONFIG and json.loads(out)["error"] == "config"
+    for argv, got in zip(_PARSER_RUNS, shared):
+        build_parser.cache_clear()
+        assert run(capsys, *argv) == got, argv
 
 
 def test_help_exits_0(capsys):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from canonical_module import canonical_regular_module
+from term_transport import term_built_differentials
 from parh import homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
@@ -16,7 +17,8 @@ from parh.groupoid import (
     induce_module,
     regular_module,
 )
-from parh.groups import build_named_group, subgroup_generated, trivial_rep, regular_rep
+from parh.groups import (NAMED_GROUP_NAMES, build_named_group, subgroup_generated,
+                         trivial_rep, regular_rep)
 from parh.homology import (
     HOMOLOGY_SIZE_CAP,
     RANK_PRIME,
@@ -177,6 +179,78 @@ def test_homotopy_identity_degree_zero_section():
     assert d1 * s0 == SparseMatrix.identity(QQ, n0)
 
 
+def _all_subsets_composites(group, max_degree):
+    """d_1 s_0 and s_(m-1) d_m + d_(m+1) s_m for m = 1..max_degree, on every
+    label (A, t), from the public builders over Q.  Their entries are
+    integers, so each reduced mod p is the composite over F_p."""
+    cap = 10 ** 7
+    diffs = {m: homology.homogeneous_differential(group, m, QQ, cap)
+             for m in range(1, max_degree + 2)}
+    homs = {m: homology.contracting_homotopy(group, m, QQ, cap)
+            for m in range(max_degree + 1)}
+    return [diffs[1] * homs[0]] + [
+        homs[m - 1] * diffs[m] + diffs[m + 1] * homs[m]
+        for m in range(1, max_degree + 1)]
+
+
+def _identity_on_every_block(composites, field):
+    return all(
+        {k: v % field.char if field.char else v
+         for k, v in c.entries.items()} == {(i, i): 1 for i in range(c.ncols)}
+        for c in composites)
+
+
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_g_block_certificate_agrees_with_all_subsets(name):
+    group = build_named_group(name)
+    composites = _all_subsets_composites(group, 3)
+    for field in (QQ, GF(2), GF(3)):
+        resolution_identity_holds.cache_clear()
+        assert resolution_identity_holds(group, 3, field)
+        assert _identity_on_every_block(composites, field)
+
+
+def test_corrupted_homotopy_fails_both_certificates(monkeypatch):
+    s3 = build_named_group("S3")
+    full = tuple(range(s3.order))
+    build = contracting_homotopy
+
+    def corrupted(group, n, field=QQ, cap=HOMOLOGY_SIZE_CAP, *, subsets=None):
+        # send s(G, (1,)) to (G, (0, 2)) instead of (G, (0, 1))
+        s = build(group, n, field, cap, subsets=subsets)
+        if n != 1:
+            return s
+        c = s.col_labels.index((full, (1,)))
+        rows = {lab: k for k, lab in enumerate(s.row_labels)}
+        entries = dict(s.entries)
+        del entries[(rows[(full, (0, 1))], c)]
+        entries[(rows[(full, (0, 2))], c)] = field.one
+        return SparseMatrix(field, s.nrows, s.ncols, entries,
+                            row_labels=s.row_labels, col_labels=s.col_labels)
+
+    monkeypatch.setattr(homology, "contracting_homotopy", corrupted)
+    resolution_identity_holds.cache_clear()
+    try:
+        composites = _all_subsets_composites(s3, 2)
+        for field in (QQ, GF(2), GF(3)):
+            assert not resolution_identity_holds(s3, 2, field)
+            assert not _identity_on_every_block(composites, field)
+    finally:
+        resolution_identity_holds.cache_clear()
+
+
+def test_certificate_cap_counts_the_g_block_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matrix was built before the cap check")
+
+    monkeypatch.setattr(homology, "homogeneous_differential", no_build)
+    s3 = build_named_group("S3")
+    resolution_identity_holds.cache_clear()
+    with pytest.raises(SizeCapError) as info:
+        resolution_identity_holds(s3, 3, QQ, 6 ** 4 - 1)
+    assert (info.value.requested, info.value.limit) == (6 ** 4, 6 ** 4 - 1)
+
+
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_homogeneous_exactness_by_ranks(name):
     group = build_named_group(name)
@@ -189,6 +263,25 @@ def test_homogeneous_exactness_by_ranks(name):
 
 # ---------------------------------------------------------------------------
 # Transported complex against the combinatorial bar complex (dual route).
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("module", ["B", "regular", "induced"])
+def test_column_built_differentials_match_term_built(module, field):
+    s3, comp = _component("S3", 2)
+    v = {"B": lambda: b_module(s3, field),
+         "regular": lambda: regular_module(s3, field),
+         "induced": lambda: induce_module(
+             comp, regular_rep(comp.stabilizer, field), field)}[module]()
+    cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
+    for n, want in term_built_differentials(v, 3).items():
+        got = cx.diffs[n]
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert (got.row_labels, got.col_labels) == (want.row_labels,
+                                                    want.col_labels)
+        # same entries in the same order, so elimination pivots alike
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.entries and got.columns() == want.columns()
 
 
 @pytest.mark.parametrize("name,field", [("C2", QQ), ("C3", QQ), ("C2xC2", GF(2))])
@@ -601,6 +694,26 @@ def test_group_cohomology_small_cases():
     assert group_cohomology(c3, trivial_rep(c3, QQ), QQ, 2).dims == [1, 0, 0]
 
 
+def test_group_cohomology_checks_the_representation_once(monkeypatch):
+    s3 = build_named_group("S3")
+    u = _standard_rep_s3(s3, GF(3))
+    checked = []
+    check = homology._check_group_rep
+
+    def counted(h_group, rep, field):
+        checked.append(rep)
+        return check(h_group, rep, field)
+
+    monkeypatch.setattr(homology, "_check_group_rep", counted)
+    report = group_cohomology(s3, u, GF(3), 2)
+    assert checked == [u]
+    monkeypatch.undo()
+    # the dual adopted unchecked gives what checking it again gives
+    elems = list(s3.elements)
+    dual = {g: u[elems[k].inverse()].transpose() for k, g in enumerate(elems)}
+    assert report.dims == group_homology(s3, dual, GF(3), 2).dims
+
+
 def test_group_cohomology_rejects_missing_element():
     c2 = build_named_group("C2")
     with pytest.raises(ValueError):
@@ -837,18 +950,27 @@ def test_d_squared_nonzero_is_never_certified(monkeypatch):
 
 
 def test_d_squared_is_multiplied_once_per_complex(monkeypatch):
+    # d^2 is evaluated column by column: d_n is applied once to each column
+    # of d_(n+1), for the whole complex, however often it is asked.
     cx = _koszul([2, 3, 5])
-    products = []
-    mul = SparseMatrix.__mul__
+    applied = []
+    apply = SparseMatrix.apply
 
-    def counted(a, b):
-        products.append((a.nrows, b.ncols))
-        return mul(a, b)
+    def counted(m, col):
+        applied.append((m.nrows, m.ncols, col))
+        return apply(m, col)
 
-    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    def no_products(a, b):
+        raise AssertionError("d^2 built a product matrix")
+
+    monkeypatch.setattr(SparseMatrix, "apply", counted)
+    monkeypatch.setattr(SparseMatrix, "__mul__", no_products)
     assert cx.homology_dims(2) == [0, 0, 0]
     assert cx.d2_zero() and cx.d2_zero()
-    assert products == [(1, 3), (3, 1)]
+    want = [(cx.diffs[n].nrows, cx.diffs[n].ncols, col)
+            for n in (1, 2) for col in cx.diffs[n + 1].columns()]
+    assert applied == want
+    assert [(r, c) for r, c, _ in applied] == [(1, 3)] * 3 + [(3, 3)]
 
 
 @pytest.mark.parametrize("module", ["B", "regular"])

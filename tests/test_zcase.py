@@ -224,6 +224,27 @@ def test_cancellation_random_instances(ring):
         assert cancellation_reconstructs(es, rs, result), (ring, trial)
 
 
+@pytest.mark.parametrize("ring", ["Z", "S3"])
+def test_cancellation_forms_no_product_with_a_zero_operand(monkeypatch, ring):
+    # a zero operand is its own product, so no product is formed for it
+    group = INTEGERS if ring == "Z" else build_named_group(ring)
+    rng = Random(647892279)
+    zero_operands = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        if self.is_zero() or other.is_zero():
+            zero_operands.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    for trial in range(30):
+        es, rs = random_cancellation_instance(rng, rng.randint(1, 5), group)
+        result = cancellation_decompose(es, rs)
+        assert cancellation_reconstructs(es, rs, result), (ring, trial)
+    assert zero_operands == []
+
+
 def test_cancellation_sampler_is_deterministic():
     a = random_cancellation_instance(Random(7), 3)
     b = random_cancellation_instance(Random(7), 3)
