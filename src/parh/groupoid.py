@@ -488,10 +488,11 @@ class PartialRepModule:
 
     ``mats[g]`` is the matrix of the generator [g], and matrices compose
     as pi(g) pi(h) ~ pi(gh).  On construction the unit and the two
-    defining relations are checked exhaustively, once.
+    defining relations are checked exhaustively, once; ``idems[x]`` keeps
+    the idempotent e_x = [x][x^-1] that the check forms.
     """
 
-    __slots__ = ("group", "field", "dim", "mats")
+    __slots__ = ("group", "field", "dim", "mats", "idems")
 
     def __init__(self, group, field: Field, mats: dict[int, SparseMatrix]) -> None:
         if set(mats) != set(range(group.order)):
@@ -511,10 +512,10 @@ class PartialRepModule:
         self._validate()
 
     @classmethod
-    def _of_clean(cls, group, field: Field,
-                  mats: dict[int, SparseMatrix]) -> "PartialRepModule":
-        """Adopt generator matrices that satisfy the relations, without
-        checking again.
+    def _of_clean(cls, group, field: Field, mats: dict[int, SparseMatrix],
+                  idems: list[SparseMatrix]) -> "PartialRepModule":
+        """Adopt generator matrices that satisfy the relations, and their
+        idempotents, without checking again.
 
         The one use is the dual V*, mats[g] = M(g^-1)^T for a checked
         module M.  Transposing reverses products, so relation 1 of V* at
@@ -527,6 +528,7 @@ class PartialRepModule:
         v.field = field
         v.dim = mats[0].nrows
         v.mats = mats
+        v.idems = idems
         return v
 
     def _validate(self) -> None:
@@ -535,14 +537,15 @@ class PartialRepModule:
         With e_z = [z][z^-1], relation 1 at (g, h) = (xy, y^-1) reads
         [x][y] = [xy] e_(y^-1), and relation 2 at (g, h) = (x^-1, xy)
         reads [x][y] = e_x [xy].  Each [x][y] is formed once and dropped,
-        so the check takes 3 n^2 products and keeps n matrices alive.
+        so the check takes 3 n^2 products and keeps the n idempotents,
+        which (co)homology reads again.
         """
         grp = self.group
         mats = self.mats
         if mats[0] != SparseMatrix.identity(self.field, self.dim):
             raise ValueError("the identity generator must act as the identity")
         n = grp.order
-        idems = [mats[x] * mats[grp.inv(x)] for x in range(n)]
+        self.idems = idems = [mats[x] * mats[grp.inv(x)] for x in range(n)]
         for x in range(n):
             for y in range(n):
                 xy = grp.mult(x, y)
@@ -618,8 +621,9 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
         entries = {}
         for (j, i), cell in em.entries.items():
             (h,) = cell
-            for (r, c), v in mats_u[h].entries.items():
-                entries[(j * d + r, i * d + c)] = v
+            for c, col in enumerate(mats_u[h].cols):
+                for r, v in col.items():
+                    entries[(j * d + r, i * d + c)] = v
         mats[g] = SparseMatrix(field, n * d, n * d, entries)
     return PartialRepModule(grp, field, mats)
 

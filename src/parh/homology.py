@@ -101,35 +101,35 @@ class HomologyReport:
 
 
 class ChainComplex:
-    """Labeled chain spaces with one sparse differential per degree.
+    """Chain spaces with one sparse differential per degree.
 
-    ``labels[n]`` names the basis of the degree-n space; ``diffs[n]`` is
+    ``dims[n]`` is the dimension of the degree-n space; ``diffs[n]`` is
     the matrix of d_n mapping degree n to degree n-1.  Consecutive
     differentials compose to zero; ``d2_zero`` verifies that once per
     complex, applying d_n to each nonzero column of d_(n+1) in turn.
     """
 
-    __slots__ = ("field", "labels", "diffs", "_d2")
+    __slots__ = ("field", "dims", "diffs", "_d2")
 
-    def __init__(self, field: Field, labels: dict[int, list],
+    def __init__(self, field: Field, dims: dict[int, int],
                  diffs: dict[int, SparseMatrix]) -> None:
         for n, d in diffs.items():
-            if d.ncols != len(labels[n]) or d.nrows != len(labels[n - 1]):
+            if d.ncols != dims[n] or d.nrows != dims[n - 1]:
                 raise ValueError(f"differential at degree {n} has wrong shape")
         self.field = field
-        self.labels = labels
+        self.dims = dims
         self.diffs = diffs
         self._d2: bool | None = None
 
     def dim(self, n: int) -> int:
-        return len(self.labels[n])
+        return self.dims[n]
 
     def d2_zero(self) -> bool:
         if self._d2 is None:
             self._d2 = all(
                 not d.apply(col)
                 for n, d in self.diffs.items() if n + 1 in self.diffs
-                for col in self.diffs[n + 1]._column_index().values())
+                for col in self.diffs[n + 1].cols if col)
         return self._d2
 
     def homology_dims(self, max_degree: int) -> list[int]:
@@ -145,7 +145,7 @@ class ChainComplex:
         diffs = {n: d for n, d in self.diffs.items() if n <= max_degree + 1}
         if (self.field.char == 0 and max_degree >= 1
                 and all(type(v) is int for d in diffs.values()
-                        for v in d.entries.values())
+                        for col in d.cols for v in col.values())
                 and self.d2_zero()):
             dims = self._dims(max_degree, {n: _rank_mod_prime(d)
                                            for n, d in diffs.items()})
@@ -160,9 +160,8 @@ class ChainComplex:
 
 def _rank_mod_prime(d: SparseMatrix) -> int:
     """Rank of an int matrix reduced modulo ``RANK_PRIME``, column by column."""
-    index = d._column_index()
-    cols = [{r: c for r, v in index[j].items() if (c := v % RANK_PRIME)}
-            if j in index else {} for j in range(d.ncols)]
+    cols = [{r: c for r, v in col.items() if (c := v % RANK_PRIME)}
+            for col in d.cols]
     return rank(SparseMatrix._of_columns(_RANK_FIELD, d.nrows, cols))
 
 
@@ -356,16 +355,16 @@ def check_transport_cap(group, dim: int, max_n: int, cap: int) -> None:
 
 
 def _idempotent_supports(v_mod: PartialRepModule) -> list[frozenset[int]]:
-    """The coordinates where e_x = [x][x^-1] is 1, per diagonal 0/1 e_x."""
+    """The coordinates where e_x = [x][x^-1] is 1, per diagonal 0/1 e_x,
+    read from the idempotents the module formed when it was checked."""
     group, one = v_mod.group, v_mod.field.one
     supports = []
-    for x in range(group.order):
-        e_x = v_mod.mats[x] * v_mod.mats[group.inv(x)]
-        if any(i != j or v != one for (i, j), v in e_x.entries.items()):
+    for x, e_x in enumerate(v_mod.idems):
+        if any(col and col != {j: one} for j, col in enumerate(e_x.cols)):
             raise ValueError(
                 f"e_x = [x][x^-1] at x = {group.element_name(x)} is not a "
                 "diagonal 0/1 matrix; (co)homology needs every e_x diagonal")
-        supports.append(frozenset(i for i, _ in e_x.entries))
+        supports.append(frozenset(j for j, col in enumerate(e_x.cols) if col))
     return supports
 
 
@@ -402,7 +401,7 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     p = field.char
     check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
-    acts = [v_mod.mats[g].columns() for g in range(group.order)]
+    acts = [v_mod.mats[g].cols for g in range(group.order)]
     cache: dict = {}
     degree = {n: _degree_blocks(group, supports, n, cache)
               for n in range(max_n + 1)}
@@ -441,7 +440,7 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
         diffs[n] = SparseMatrix._of_columns(field, len(labels[n - 1]), cols,
                                             row_labels=labels[n - 1],
                                             col_labels=labels[n])
-    return ChainComplex(field, labels, diffs)
+    return ChainComplex(field, {n: len(labels[n]) for n in labels}, diffs)
 
 
 # Cohomology has no complex class of its own; the name stays only because
@@ -495,11 +494,13 @@ def dual_module(v_mod: PartialRepModule) -> PartialRepModule:
     because Hom_K(V* (x) P, K) = Hom(P, V) (K. S. Brown, Cohomology of
     Groups, GTM 87); partial_cohomology and group_cohomology both compute
     cohomology this way.  The dual satisfies the relations because V does,
-    by transposition, so it is adopted without checking again.
+    by transposition, so it is adopted without checking again; so are
+    its idempotents e*_x = [x^-1]^T [x]^T = e_x^T.
     """
     group = v_mod.group
     mats = {g: v_mod.mats[group.inv(g)].transpose() for g in range(group.order)}
-    return PartialRepModule._of_clean(group, v_mod.field, mats)
+    idems = [e_x.transpose() for e_x in v_mod.idems]
+    return PartialRepModule._of_clean(group, v_mod.field, mats, idems)
 
 
 def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = None,
@@ -534,7 +535,7 @@ def b_tensor_dim(v_mod: PartialRepModule) -> int:
     d = v_mod.dim
     elim = Eliminator(field)
     for g in range(group.order):
-        act = v_mod.mats[g].columns()
+        act = v_mod.mats[g].cols
         gi = group.inv(g)
         for k, a in enumerate(subsets):
             shifted = pos[translate(group, gi, a)] if g in a else None
@@ -563,8 +564,10 @@ def _local_tables(h_group):
 
 def _check_group_rep(h_group, u: dict, field: Field):
     """Validate a representation keyed by group elements; return it
-    indexed by local element position."""
-    elems, mult, _ = _local_tables(h_group)
+    indexed by local element position, with the ``_local_tables`` it was
+    checked against."""
+    tables = _local_tables(h_group)
+    elems, mult, _ = tables
     try:
         mats = [u[g] for g in elems]
     except KeyError as exc:
@@ -582,7 +585,7 @@ def _check_group_rep(h_group, u: dict, field: Field):
         for b in range(m):
             if mats[a] * mats[b] != mats[mult[a][b]]:
                 raise ValueError(f"not a homomorphism at pair ({a}, {b})")
-    return mats
+    return mats, tables
 
 
 def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
@@ -596,26 +599,26 @@ def group_homology(h_group, u: dict, field: Field, max_degree: int = 3,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    return _group_homology(h_group, _check_group_rep(h_group, u, field),
-                           field, max_degree, cap)
+    mats, tables = _check_group_rep(h_group, u, field)
+    return _group_homology(h_group, mats, tables, field, max_degree, cap)
 
 
-def _group_homology(h_group, mats: list, field: Field, max_degree: int,
-                    cap: int) -> HomologyReport:
+def _group_homology(h_group, mats: list, tables, field: Field,
+                    max_degree: int, cap: int) -> HomologyReport:
     """``group_homology`` of a representation already checked, indexed by
-    local element position."""
-    elems, mult, inv = _local_tables(h_group)
+    local element position, on its ``_local_tables``.  Chain n has one
+    block of d coordinates per n-tuple, in ``product`` order."""
+    elems, mult, inv = tables
     m = len(elems)
     d = mats[0].nrows
-    labels = {}
+    dims = {}
     diffs = {}
     for n in range(max_degree + 2):
-        if (m ** n) * d > cap:
+        dims[n] = (m ** n) * d
+        if dims[n] > cap:
             raise SizeCapError(
                 f"group chain space at degree {n} exceeds cap {cap}",
-                limit=cap, requested=(m ** n) * d)
-        labels[n] = [(t, i) for t in product(range(m), repeat=n)
-                     for i in range(d)]
+                limit=cap, requested=dims[n])
     for n in range(1, max_degree + 2):
         tpos = {t: k for k, t in enumerate(product(range(m), repeat=n - 1))}
 
@@ -625,7 +628,7 @@ def _group_homology(h_group, mats: list, field: Field, max_degree: int,
                 lead = mats[inv[hs[0]]]
                 for i in range(d):
                     c = ct * d + i
-                    for r, v in lead.column(i).items():
+                    for r, v in lead.cols[i].items():
                         yield (tail_off + r, c), v
                     sign = field.neg(field.one)
                     for j in range(n - 1):
@@ -635,9 +638,9 @@ def _group_homology(h_group, mats: list, field: Field, max_degree: int,
                         sign = field.neg(sign)
                     yield (tpos[hs[:-1]] * d + i, c), sign
 
-        diffs[n] = SparseMatrix(field, len(labels[n - 1]), len(labels[n]),
+        diffs[n] = SparseMatrix(field, dims[n - 1], dims[n],
                                 accumulate(field, terms()))
-    cx = ChainComplex(field, labels, diffs)
+    cx = ChainComplex(field, dims, diffs)
     return HomologyReport(getattr(h_group, "name", "H"),
                           f"representation of dimension {d}", field,
                           "ordinary", cx.homology_dims(max_degree),
@@ -650,12 +653,12 @@ def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
     h -> U(h^-1)^T; degree 0 is the invariants.  The dual is a
     representation because u is, by transposition, so it is not checked
     again."""
-    _, _, inv = _local_tables(h_group)
-    mats = _check_group_rep(h_group, u, field)
+    mats, tables = _check_group_rep(h_group, u, field)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    _, _, inv = tables
     dual = [mats[inv[k]].transpose() for k in range(len(mats))]
-    return _group_homology(h_group, dual, field, max_degree, cap)
+    return _group_homology(h_group, dual, tables, field, max_degree, cap)
 
 
 # ---------------------------------------------------------------------------

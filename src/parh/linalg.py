@@ -2,10 +2,12 @@
 
 Everything downstream reduces to ranks, kernels, and membership tests for
 sparse matrices whose entries live in an exact field.  Columns are plain
-dicts mapping row index to a nonzero scalar; matrices never store zeros.
-Elimination is incremental: an :class:`Eliminator` absorbs columns one at a
-time and can be queried between insertions, which is what the quotient and
-filtration checks need.
+dicts mapping row index to a nonzero scalar, and a :class:`SparseMatrix`
+is its list of columns; matrices never store zeros.  Products, sums,
+ranks and kernels all run column by column.  Elimination is incremental:
+an :class:`Eliminator` absorbs columns one at a time and can be queried
+between insertions, which is what the quotient and filtration checks
+need.
 
 The inner loops branch on the characteristic once, outside the loop: over
 F_p they run on plain ints reduced ``% p``, over Q on plain ``+`` and ``*``.
@@ -18,7 +20,6 @@ fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -163,16 +164,17 @@ def accumulate(field: Field, terms: Iterable[tuple[object, Scalar]]) -> dict:
 
 
 class SparseMatrix:
-    """An nrows-by-ncols matrix stored as {(row, col): nonzero scalar}.
+    """An nrows-by-ncols matrix stored as its columns.
 
-    Optional row/column labels travel with the matrix so that reports can
-    name basis elements instead of bare indices.  ``entries`` is set once,
-    when the matrix is built, and every operation returns a new matrix, so
-    the column index is built once, on first use.
+    ``cols[j]`` is column j as a dict {row: nonzero scalar}; there is no
+    other storage, and ``entries`` is a view built from it.  Optional
+    row/column labels travel with the matrix so that reports can name
+    basis elements instead of bare indices.  Every operation returns a new
+    matrix, and no kernel changes the dicts of a matrix it reads, so a
+    column may be read in place but never written.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "row_labels",
-                 "col_labels", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "cols", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -185,48 +187,38 @@ class SparseMatrix:
     ) -> None:
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], Scalar] = {}
+        cols: list[Column] = [{} for _ in range(ncols)]
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
                 v = field.of(v)
                 if v:
-                    self.entries[(i, j)] = v
+                    cols[j][i] = v
         if row_labels is not None and len(row_labels) != nrows:
             raise ValueError("row_labels length must equal nrows")
         if col_labels is not None and len(col_labels) != ncols:
             raise ValueError("col_labels length must equal ncols")
+        self.field = field
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols = cols
         self.row_labels = list(row_labels) if row_labels is not None else None
         self.col_labels = list(col_labels) if col_labels is not None else None
-        self._cols: dict[int, Column] | None = None
-
-    @classmethod
-    def _of_clean(cls, field: Field, nrows: int, ncols: int,
-                  entries: dict[tuple[int, int], Scalar]) -> "SparseMatrix":
-        """Adopt entries that are already in range, in ``field`` and nonzero,
-        as the kernels of this class produce them, without checking again."""
-        m = cls(field, nrows, ncols)
-        m.entries = entries
-        return m
 
     @classmethod
     def _of_columns(cls, field: Field, nrows: int, cols: list[Column],
-                    row_labels: Sequence[str] | None = None,
-                    col_labels: Sequence[str] | None = None) -> "SparseMatrix":
-        """Adopt column j as ``cols[j]``, clean as for ``_of_clean``.
+                    row_labels: list | None = None,
+                    col_labels: list | None = None) -> "SparseMatrix":
+        """Adopt column j as ``cols[j]``, without checking again.
 
-        Sets ``entries`` and the column index together; the dicts become
-        the index, so the caller must not change them afterwards.
+        The columns must be in range, in ``field`` and free of zeros, as the
+        kernels of this class produce them; the dicts and label lists are
+        adopted, so the caller must not change them afterwards.
         """
-        m = cls(field, nrows, len(cols), row_labels=row_labels,
-                col_labels=col_labels)
-        m.entries = {(i, j): v for j, col in enumerate(cols)
-                     for i, v in col.items()}
-        m._cols = {j: col for j, col in enumerate(cols) if col}
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.cols = field, nrows, len(cols), cols
+        m.row_labels, m.col_labels = row_labels, col_labels
         return m
 
     @classmethod
@@ -235,7 +227,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "SparseMatrix":
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
+        return cls._of_columns(field, n, [{i: field.one} for i in range(n)])
 
     @classmethod
     def from_dense(cls, field: Field, rows: Sequence[Sequence]) -> "SparseMatrix":
@@ -249,58 +241,47 @@ class SparseMatrix:
                 entries[(i, j)] = v
         return cls(field, nrows, ncols, entries)
 
+    @property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        """The nonzero entries as a new {(row, col): value} dict, column by
+        column."""
+        return {(i, j): v for j, col in enumerate(self.cols)
+                for i, v in col.items()}
+
     def get(self, i: int, j: int) -> Scalar:
-        return self.entries.get((i, j), self.field.zero)
-
-    def _column_index(self) -> dict[int, Column]:
-        """The nonzero columns as {col: {row: value}}, in entry order.
-
-        Shared with the kernels of this module, which never mutate it;
-        ``column`` and ``columns`` hand out copies.
-        """
-        cols = self._cols
-        if cols is None:
-            cols = {}
-            for (i, j), v in self.entries.items():
-                col = cols.get(j)
-                if col is None:
-                    cols[j] = {i: v}
-                else:
-                    col[i] = v
-            self._cols = cols
-        return cols
+        if 0 <= j < self.ncols:
+            return self.cols[j].get(i, self.field.zero)
+        return self.field.zero
 
     def column(self, j: int) -> Column:
         if not (0 <= j < self.ncols):
             raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
-        return dict(self._column_index().get(j, ()))
+        return dict(self.cols[j])
 
     def columns(self) -> list[Column]:
-        cols = self._column_index()
-        return [dict(cols.get(j, ())) for j in range(self.ncols)]
+        return [dict(col) for col in self.cols]
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
+        cols: list[Column] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                cols[i][j] = v
+        return SparseMatrix._of_columns(self.field, self.ncols, cols,
+                                        row_labels=self.col_labels,
+                                        col_labels=self.row_labels)
 
-    def _check_same_shape(self, other: "SparseMatrix") -> None:
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_same_shape(other)
-        entries = accumulate(self.field, chain(self.entries.items(),
-                                               other.entries.items()))
-        return SparseMatrix._of_clean(self.field, self.nrows, self.ncols,
-                                      entries)
+        p = self.field.char
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            col = dict(a)
+            _axpy(p, col, 1, b)
+            cols.append(col)
+        return SparseMatrix._of_columns(self.field, self.nrows, cols)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(self.field.neg(self.field.one))
@@ -311,10 +292,9 @@ class SparseMatrix:
     def scale(self, c) -> "SparseMatrix":
         f = self.field
         c = f.of(c)
-        return SparseMatrix(
-            f, self.nrows, self.ncols,
-            {key: f.mul(c, v) for key, v in self.entries.items()},
-        )
+        cols = [{i: f.mul(c, v) for i, v in col.items()} if c else {}
+                for col in self.cols]
+        return SparseMatrix._of_columns(f, self.nrows, cols)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if not isinstance(other, SparseMatrix):
@@ -325,27 +305,36 @@ class SparseMatrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = self._column_index()
-        entries = accumulate(self.field, (
-            ((i, j), v * w)
-            for (k, j), w in other.entries.items()
-            for i, v in cols.get(k, {}).items()))
-        return SparseMatrix._of_clean(self.field, self.nrows, other.ncols,
-                                      entries)
+        p = self.field.char
+        left = self.cols
+        cols = []
+        for ocol in other.cols:
+            col: Column = {}
+            if len(ocol) == 1:
+                # a unit column, as in a partial permutation: copy in C
+                ((k, w),) = ocol.items()
+                if w == 1 and type(w) is int:
+                    col = left[k].copy()
+                else:
+                    _axpy(p, col, w, left[k])
+            elif ocol:
+                for k, w in ocol.items():
+                    _axpy(p, col, w, left[k])
+            cols.append(col)
+        return SparseMatrix._of_columns(self.field, self.nrows, cols)
 
     def apply(self, col: Column) -> Column:
-        """Multiply this matrix by a column vector given as a dict."""
-        cols = self._column_index()
+        """Multiply this matrix by a column vector given as a dict whose
+        keys are column indices of this matrix."""
+        cols = self.cols
         p = self.field.char
         out: Column = {}
         for j, c in col.items():
-            src = cols.get(j)
-            if src is not None:
-                _axpy(p, out, c, src)
+            _axpy(p, out, c, cols[j])
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -353,17 +342,18 @@ class SparseMatrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def to_dense(self) -> list[list[Scalar]]:
         out = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.cols))
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -535,9 +525,8 @@ def rank(m: SparseMatrix) -> int:
     1
     """
     elim = Eliminator(m.field)
-    cols = m._column_index()
-    for j in sorted(cols, key=lambda j: (len(cols[j]), j)):
-        elim.add(cols[j])
+    for col in sorted(filter(None, m.cols), key=len):
+        elim.add(col)
     return elim.rank
 
 
@@ -554,9 +543,8 @@ def kernel_basis(m: SparseMatrix) -> list[Column]:
     elim = Eliminator(m.field, track=True)
     out: list[Column] = []
     f = m.field
-    cols = m._column_index()
-    for j in range(m.ncols):
-        if elim.add(cols.get(j, {}), tag=j) is None:
+    for j, col in enumerate(m.cols):
+        if elim.add(col, tag=j) is None:
             dep = elim.last_dependency or {}
             vec = {t: f.neg(c) for t, c in dep.items() if c}
             vec[j] = f.one

@@ -398,6 +398,50 @@ def test_sparse_kernels_match_dense_reference(field):
         assert prod.to_dense() == _dense_mul(field, dense_a, dense_b)
         _assert_scalars(field, prod.entries.values())
 
+        add, sub, mul, _ = _dense_ops(field)
+        other = prod * b.transpose()
+        dense_o = other.to_dense()
+        assert (other.nrows, other.ncols) == (nrows, inner)
+        for got, op in ((a + other, add), (a - other, sub)):
+            assert got.to_dense() == [[op(x, y) for x, y in zip(ra, ro)]
+                                      for ra, ro in zip(dense_a, dense_o)]
+            _assert_scalars(field, got.entries.values())
+        for c in (0, 2, -1, 7):
+            got = a.scale(c)
+            k = field.of(c)
+            assert got.to_dense() == [[mul(k, x) for x in row]
+                                      for row in dense_a]
+            _assert_scalars(field, got.entries.values())
+        assert a.scale(0) == SparseMatrix.zero(field, nrows, inner)
+        assert a.scale(0).nnz() == 0 and a.scale(0).is_zero()
+
+        t = a.transpose()
+        assert (t.nrows, t.ncols) == (inner, nrows)
+        assert t.to_dense() == [list(col) for col in zip(*dense_a)]
+        assert t.transpose() == a
+
+        # a sum that cancels is the zero matrix and stores no zeros
+        for gone in (a + (-a), a - a, a + a.scale(-1)):
+            assert gone == SparseMatrix.zero(field, nrows, inner)
+            assert gone.is_zero() and gone.nnz() == 0 and gone.entries == {}
+            assert gone.cols == [{} for _ in range(inner)]
+        assert all(v for m in (a, a + other, a - other, prod, t)
+                   for col in m.cols for v in col.values())
+
+        # nnz, entries in column-major order, and get in and out of range
+        want_entries = {(i, j): row[j] for i, row in enumerate(dense_a)
+                        for j in range(inner) if row[j]}
+        assert a.nnz() == len(want_entries) == len(a.entries)
+        assert a.entries == want_entries
+        keys = list(a.entries)
+        assert [j for _, j in keys] == sorted(j for _, j in keys)
+        assert a.is_zero() == (not want_entries)
+        for i in range(nrows):
+            for j in range(inner):
+                assert a.get(i, j) == dense_a[i][j]
+            for j in (inner, inner + 3, -1, -inner):
+                assert a.get(i, j) == field.zero
+
         r, kernel = _dense_kernel(field, dense_a, inner)
         assert rank(a) == r
         got_kernel = kernel_basis(a)
