@@ -16,9 +16,12 @@ Four chain pipelines feed the checks in this module:
 
 Cohomology has no complex of its own: over a field, dim H^n(V) equals
 dim H_n(V*), where V* is the dual module with [g] acting by the
-transpose of [g^-1].  Partial and classical cohomology are each the
-homology of their own dual, so the comparison checks still pit two
-separate codes against each other.
+transpose of [g^-1].  A module or representation that equals its dual
+literally, [g^-1] = [g]^T for every g, has its homology as its
+cohomology, so the verify functions build one complex for both halves
+there.  Partial and classical cohomology are each the homology of their
+own dual, so the comparison checks still pit two separate codes against
+each other.
 
 Dimensions are exact in every degree: ranks over the rationals or a
 prime field, never floating point.  Every complex built here over Q has
@@ -493,14 +496,16 @@ def dual_module(v_mod: PartialRepModule) -> PartialRepModule:
     Over a field, dim H^n(V) = dim H_n(V*) for finite-dimensional V,
     because Hom_K(V* (x) P, K) = Hom(P, V) (K. S. Brown, Cohomology of
     Groups, GTM 87); partial_cohomology and group_cohomology both compute
-    cohomology this way.  The dual satisfies the relations because V does,
-    by transposition, so it is adopted without checking again; so are
-    its idempotents e*_x = [x^-1]^T [x]^T = e_x^T.
+    cohomology this way.  The dual satisfies the relations because V
+    does, by transposition, so it is adopted without checking again; so
+    are its idempotents e*_x = [x^-1]^T [x]^T = e_x^T and its
+    self-duality, which is that of V.
     """
     group = v_mod.group
     mats = {g: v_mod.mats[group.inv(g)].transpose() for g in range(group.order)}
     idems = [e_x.transpose() for e_x in v_mod.idems]
-    return PartialRepModule._of_clean(group, v_mod.field, mats, idems)
+    return PartialRepModule._of_clean(group, v_mod.field, mats, idems,
+                                      v_mod.self_dual)
 
 
 def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = None,
@@ -509,7 +514,8 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     """Per-degree cohomology of a left module: the homology of its dual.
 
     Degree 0 is the common kernel of the maps v -> [x] v - e_x v, where
-    e_x = [x][x^-1].
+    e_x = [x][x^-1].  A self-dual module has the same numbers as its
+    homology, which the verify functions read instead of calling this.
     """
     f = _check_module(group, v_mod, field)
     check_transport_cap(group, v_mod.dim, max_degree + 1, cap)
@@ -647,6 +653,14 @@ def _group_homology(h_group, mats: list, tables, field: Field,
                           {"d2_zero": cx.d2_zero(), "homotopy_id": None})
 
 
+def _self_dual_rep(h_group, u: dict) -> bool:
+    """Whether U(h^-1) is the transpose of U(h) for every h, so that the
+    representation equals its dual h -> U(h^-1)^T and its cohomology is
+    its homology; exact matrix equality.  Trivial and regular
+    representations are self-dual."""
+    return all(u[h.inverse()] == u[h].transpose() for h in h_group.elements)
+
+
 def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
                      cap: int = HOMOLOGY_SIZE_CAP) -> HomologyReport:
     """Classical cohomology as the homology of the dual representation
@@ -678,16 +692,20 @@ def verify_theorem_a(group, comp, u: dict, field: Field,
 
     The left route induces the stabilizer representation along the
     component and runs the partial machinery; the right route runs the
-    classical complex of the stabilizer directly.  The report lists both
-    dimension vectors and the first degree where they disagree, if any.
+    classical complex of the stabilizer directly.  On either route a
+    self-dual module or representation has its homology report read as
+    its cohomology, so that complex is built once; any other runs the
+    cohomology of its dual.  The report lists both dimension vectors and
+    the first degree where they disagree, if any.
     """
     v = induce_module(comp, u, field)
     lh = partial_homology(group, v, field, max_degree, cap,
                           module_name="induced from stabilizer")
     rh = group_homology(comp.stabilizer, u, field, max_degree, cap)
-    lc = partial_cohomology(group, v, field, max_degree, cap,
-                            module_name="induced from stabilizer")
-    rc = group_cohomology(comp.stabilizer, u, field, max_degree, cap)
+    lc = lh if v.self_dual else partial_cohomology(
+        group, v, field, max_degree, cap, module_name="induced from stabilizer")
+    rc = rh if _self_dual_rep(comp.stabilizer, u) else group_cohomology(
+        comp.stabilizer, u, field, max_degree, cap)
     hom = {"partial": lh.dims, "ordinary": rh.dims, **_compare(lh.dims, rh.dims)}
     coh = {"partial": lc.dims, "ordinary": rc.dims, **_compare(lc.dims, rc.dims)}
     checks_ok = all([lh.checks["d2_zero"], lh.checks["homotopy_id"],
@@ -715,15 +733,17 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     subalgebra as a module over the whole algebra; the right route sums,
     component by component, the classical (co)homology of each stabilizer
     with trivial coefficients.  Components often share a stabilizer, so
-    the classical pipeline runs once per distinct stabilizer.  The group
-    order is checked against ``group_cap`` before anything is built.
+    the classical pipeline runs once per distinct stabilizer.  B and the
+    trivial representations are self-dual, so on both routes the homology
+    report is read as the cohomology and each complex is built once.  The
+    group order is checked against ``group_cap`` before anything is built.
     """
     comps = components(build_groupoid(group, group_cap))
     bm = b_module(group, field)
     lh = partial_homology(group, bm, field, max_degree, cap,
                           module_name="idempotent subalgebra")
-    lc = partial_cohomology(group, bm, field, max_degree, cap,
-                            module_name="idempotent subalgebra")
+    lc = lh if bm.self_dual else partial_cohomology(
+        group, bm, field, max_degree, cap, module_name="idempotent subalgebra")
     right_h = [0] * (max_degree + 1)
     right_c = [0] * (max_degree + 1)
     per_component = []
@@ -732,9 +752,10 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
         stab = comp.stabilizer
         if stab not in classical:
             u = trivial_rep(stab, field)
-            classical[stab] = (
-                group_homology(stab, u, field, max_degree, cap).dims,
-                group_cohomology(stab, u, field, max_degree, cap).dims)
+            hr = group_homology(stab, u, field, max_degree, cap).dims
+            cr = hr if _self_dual_rep(stab, u) else group_cohomology(
+                stab, u, field, max_degree, cap).dims
+            classical[stab] = (hr, cr)
         hr, cr = classical[stab]
         right_h = [a + b for a, b in zip(right_h, hr)]
         right_c = [a + b for a, b in zip(right_c, cr)]

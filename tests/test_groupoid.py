@@ -8,9 +8,11 @@ import pytest
 
 from canonical_module import canonical_regular_module
 from tensor_relations import canonical_relations
+from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
 from parh.groupoid import (
+    ArrowSum,
     EquivalenceData,
     PartialRepModule,
     arrow_unit,
@@ -260,6 +262,55 @@ def test_each_partial_relation_is_checked(m1, m2, relation):
         PartialRepModule(grp, QQ, mats)
 
 
+def test_self_dual_module_checks_relation_one_only(monkeypatch):
+    # Relation 2 of a self-dual module is relation 1 transposed, so its
+    # check forms 2 n^2 products where any other module's forms 3 n^2.
+    # C3 rotating Q^2 by an integer matrix is not self-dual: the matrix
+    # is not orthogonal, so [g^-1] is not [g]^T.
+    c3 = build_named_group("C3")
+    r = SparseMatrix.from_dense(QQ, [[0, -1], [1, -1]])
+    rotation = {0: SparseMatrix.identity(QQ, 2), 1: r, 2: r * r}
+    products = []
+    mul = SparseMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    for name in ("C3", "S3", "D4"):
+        grp = build_named_group(name)
+        for build in (b_module, regular_module):
+            products.clear()
+            assert build(grp, QQ).self_dual
+            assert len(products) == 2 * grp.order ** 2, (name, build)
+    products.clear()
+    assert not PartialRepModule(c3, QQ, rotation).self_dual
+    assert len(products) == 3 * 3 ** 2
+
+
+@pytest.mark.parametrize("name", ["C3", "C2xC2", "S3"])
+def test_corruption_that_keeps_a_module_self_dual_is_caught(name):
+    # Change entry (i, j) of [x] and entry (j, i) of [x^-1] alike: the
+    # module stays self-dual, so only relation 1 is checked, and it fails.
+    grp = build_named_group(name)
+    rng = random.Random(17)
+    for build in (b_module, regular_module):
+        good = build(grp, GF(3)).mats
+        for x in range(1, grp.order):
+            xi = grp.inv(x)
+            dim = good[x].nrows
+            i, j = rng.randrange(dim), rng.randrange(dim)
+            bad = dict(good)
+            for g, (r, c) in ((x, (i, j)), (xi, (j, i))):
+                entries = bad[g].entries | {(r, c): bad[g].get(r, c) + 1}
+                bad[g] = SparseMatrix(GF(3), dim, dim, entries)
+            assert bad[x] != good[x]
+            assert all(bad[grp.inv(g)] == bad[g].transpose() for g in bad)
+            with pytest.raises(ValueError, match=re.escape("[g][h][h^-1]")):
+                PartialRepModule(grp, GF(3), bad)
+
+
 def test_induce_module_trivial_and_regular():
     gd = build_groupoid(build_named_group("C2xC2"))
     comps = components(gd)
@@ -286,6 +337,57 @@ def test_zeta_delta_section(name):
     for comp, row in _section6_rows(name):
         assert row["section_identity"], (name, comp)
         assert row["multiplicative"], (name, comp)
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "S3"])
+def test_section6_multiplies_each_generator_by_every_arrow(monkeypatch, name):
+    # The multiplicative check forms s * a for the 2 (size - 1) + |stab|
+    # generators s and every arrow a, and module_map forms [g] * a for
+    # every group element g; no other arrow products are formed.
+    products = []
+    mul = ArrowSum.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(ArrowSum, "__mul__", counted)
+    for comp in components(build_groupoid(build_named_group(name))):
+        products.clear()
+        row = section6_report(comp, QQ)
+        assert row["section_identity"] and row["multiplicative"]
+        assert row["module_map"]
+        gens = 2 * (comp.size - 1) + comp.stabilizer.order
+        assert len(products) == (gens + comp.group.order) * len(comp.arrows)
+
+
+@pytest.mark.parametrize("generator", [True, False],
+                         ids=["generator", "composite"])
+def test_section6_catches_a_corrupted_lift(monkeypatch, generator):
+    # One arrow's lift gains the lift of an arrow of another component.
+    # lambda_delta kills that term, so the section identity still holds,
+    # but the products with the generators of the component expose it,
+    # whether the arrow is one of them or a composite of them.
+    gd = build_groupoid(build_named_group("S3"))
+    comps = components(gd)
+    comp = next(c for c in comps if c.size == 2 and c.stabilizer.order == 2)
+    other = next(c for c in comps if c is not comp)
+    grp = comp.group
+    gens = {(comp.base, h) for h in comp.stabilizer.indices}
+    for v, t in zip(comp.vertices, comp.transversal):
+        gens.update(((comp.base, t.index), (v, grp.inv(t.index))))
+    target = next(a for a in comp.arrows if (a in gens) == generator)
+    noise = zeta_delta(other, other.arrows[0], QQ)
+    honest = groupoid_module.zeta_delta
+
+    def corrupted(c, arrow, field=QQ):
+        lift = honest(c, arrow, field)
+        return lift + noise if arrow == target else lift
+
+    monkeypatch.setattr(groupoid_module, "zeta_delta", corrupted)
+    row = section6_report(comp, QQ)
+    assert row["section_identity"]
+    assert not row["multiplicative"]
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "C5", "C6", "S3"])

@@ -164,11 +164,14 @@ def test_homotopy_identity_small_groups():
 
 
 def test_homotopy_identity_runs_once_per_verify():
+    # B is self-dual, so its cohomology is its homology report: the
+    # certificate is computed once and never asked for again.
     resolution_identity_holds.cache_clear()
     report = verify_corollary_b(build_named_group("C2"), GF(2), 2)
     assert report["ok"]
     info = resolution_identity_holds.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
+    assert report["cohomology"]["partial"] == report["homology"]["partial"]
 
 
 def test_homotopy_identity_degree_zero_section():
@@ -649,6 +652,74 @@ def test_cohomology_of_a_module_that_is_not_self_dual():
         assert verify_theorem_a(s3, full, u, field, 2)["ok"]
 
 
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_partial_permutation_modules_are_self_dual(name):
+    group = build_named_group(name)
+    comps = components(build_groupoid(group))
+    for field in (QQ, GF(2), GF(3)):
+        modules = [b_module(group, field), regular_module(group, field)]
+        modules += [induce_module(comp, rep(comp.stabilizer, field), field)
+                    for comp in comps for rep in (trivial_rep, regular_rep)]
+        for v in modules:
+            assert v.self_dual, (name, field.name, v.dim)
+            assert dual_module(v).mats == v.mats
+            assert dual_module(v).self_dual
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of a ``homology`` function from now on."""
+    calls = []
+    fn = getattr(homology, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(homology, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+def test_a_module_that_is_not_self_dual_takes_the_dual_route(
+        monkeypatch, field):
+    s3, full = _component("S3", 6)
+    u = _standard_rep_s3(s3, field)
+    v = induce_module(full, u, field)
+    assert not v.self_dual
+    assert not dual_module(v).self_dual
+    duals = _count_calls(monkeypatch, "dual_module")
+    report = partial_cohomology(s3, v, max_degree=2)
+    assert duals == [(v,)]
+    assert report.dims == _cochain_reference_dims(v, 2)
+    # group_cohomology ranks the transposed dual of u
+    elems = list(full.stabilizer.elements)
+    ranked = _count_calls(monkeypatch, "_group_homology")
+    group_cohomology(full.stabilizer, u, field, 2)
+    assert ([m.transpose() for m in ranked.pop()[1]]
+            == [u[h.inverse()] for h in elems] != [u[h] for h in elems])
+
+
+def test_verify_builds_one_complex_per_self_dual_module(monkeypatch):
+    s3, full = _component("S3", 6)
+    built = _count_calls(monkeypatch, "_transported_complex")
+    duals = _count_calls(monkeypatch, "dual_module")
+    v = b_module(s3, GF(2))
+    assert (partial_cohomology(s3, v, max_degree=2).dims
+            == partial_homology(s3, v, max_degree=2).dims)
+    assert duals == [(v,)]
+    built.clear()
+    duals.clear()
+    assert verify_corollary_b(s3, GF(2), 2)["ok"]
+    assert len(built) == 1 and not duals
+    for field in (QQ, GF(3)):
+        for u, complexes in ((regular_rep(full.stabilizer, field), 1),
+                             (trivial_rep(full.stabilizer, field), 1),
+                             (_standard_rep_s3(s3, field), 2)):
+            built.clear()
+            assert verify_theorem_a(s3, full, u, field, 2)["ok"]
+            assert len(built) == complexes, (field.name, complexes)
+
+
 # ---------------------------------------------------------------------------
 # Classical pipeline.
 
@@ -802,21 +873,16 @@ def test_corollary_b_runs_the_classical_pipeline_once_per_stabilizer(
     comps = components(build_groupoid(group))
     stabs = {comp.stabilizer for comp in comps}
     assert (len(comps), len(stabs)) == (15, 6)
-    calls, depth = [], [0]
-    for name in ("group_homology", "group_cohomology"):
-        def counted(*args, _fn=getattr(homology, name), _name=name, **kw):
-            # count runs, not the homology call inside group_cohomology
-            if not depth[0]:
-                calls.append(_name)
-            depth[0] += 1
-            try:
-                return _fn(*args, **kw)
-            finally:
-                depth[0] -= 1
-        monkeypatch.setattr(homology, name, counted)
+    # Trivial representations are self-dual, so each stabilizer's
+    # homology is read as its cohomology and group_cohomology never runs.
+    homology_runs = _count_calls(monkeypatch, "group_homology")
+    cohomology_runs = _count_calls(monkeypatch, "group_cohomology")
     report = verify_corollary_b(group, QQ, 1)
-    assert sorted(calls) == ["group_cohomology"] * 6 + ["group_homology"] * 6
+    ran_on = [args[0] for args in homology_runs]
+    assert len(ran_on) == 6 and set(ran_on) == stabs
+    assert cohomology_runs == []
     assert report["ok"]
+    monkeypatch.undo()
     for comp, row in zip(comps, report["components"]):
         u = trivial_rep(comp.stabilizer, QQ)
         assert row["homology"] == group_homology(comp.stabilizer, u, QQ, 1).dims
