@@ -203,6 +203,11 @@ def _regular_module(args, group, field):
 def _module_for(args, group, field):
     spec = args.module.replace("⊗", "x").lower()
     if spec == "b":
+        # B has one coordinate per subset containing 1; refuse its complex
+        # before the module is built, as _regular_module does
+        if args.max >= 0:
+            check_transport_cap(group, 2 ** (group.order - 1), args.max + 1,
+                                args.max_columns)
         return b_module(group, field), "B"
     if spec == "regular":
         return _regular_module(args, group, field), "regular"
@@ -274,6 +279,11 @@ def cmd_kpar_dim(args):
 def cmd_kpar_basis(args):
     group = _load_group(args)
     algebra = PartialGroupAlgebra(group)
+    dim = algebra.dimension()
+    if dim > COLUMN_CAP:
+        raise SizeCapError(
+            f"K_par {group.name} has {dim} basis elements, cap is {COLUMN_CAP}",
+            limit=COLUMN_CAP, requested=dim)
     basis = [s.render() for s in algebra.canonical_basis()]
     lines = [f"dim K_par {group.name} = {len(basis)}"] + basis
     return ({"group": group.name, "dim": len(basis), "basis": basis},

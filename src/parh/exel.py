@@ -7,12 +7,10 @@ and the idempotent lattice are all explicit on canonical forms, and the
 linearization K S(G) is the partial group algebra once [1] is identified
 with the unit, which the canonical form already does.
 
-Two independent models are kept side by side:
-
-* canonical pairs (A, g) with the direct product rule, used everywhere;
-* a crossed-product model (:class:`SkewElement`) whose product is computed
-  from the idempotent-twisting rule, used as an oracle to validate the
-  canonical rule and never used by the main code paths.
+Products follow the direct rule on canonical pairs.  The crossed-product
+model that validates it, with the idempotent-twisting rule coded
+independently, is an oracle and lives with the tests
+(``tests/twisted_product.py``).
 
 Every product of algebra elements runs through one kernel,
 :func:`_product`: it applies the rule of :func:`s_mul` to each pair of
@@ -26,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import GroupElement, GroupError
 from .linalg import Column, Field, QQ, Scalar, accumulate
@@ -182,79 +180,9 @@ def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
         for (members, g), c in sums.items()})
 
 
-def s_inv(x: SElement) -> SElement:
-    """The involution (A, g) -> (g^-1 A, g^-1); x * x.star() * x == x."""
-    return x.star()
-
-
 def s_generator(group, g) -> SElement:
     """The generator [g] as the canonical pair ({1, g}, g)."""
     return SElement(group, (), _gidx(group, g))
-
-
-class SkewElement:
-    """A twisted-product monomial e_S # g; the validation model.
-
-    ``factors`` is the index set S of idempotent factors; no canonical
-    closure is applied beyond what the product rule itself produces.
-    """
-
-    __slots__ = ("group", "factors", "g")
-
-    def __init__(self, group, factors: Iterable[int], g: int) -> None:
-        self.group = group
-        self.factors = frozenset(factors)
-        self.g = g
-
-    def canonical_pair(self) -> tuple[tuple[int, ...], int]:
-        """The (A, g) this monomial equals, closing under {1, g}."""
-        e = self.group.identity_index
-        return (tuple(sorted(self.factors | {e, self.g})), self.g)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SkewElement)
-            and self.group is other.group
-            and self.canonical_pair() == other.canonical_pair()
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.canonical_pair()))
-
-    def __repr__(self) -> str:
-        name = self.group.element_name
-        facs = "".join(f"e{{{name(t)}}}" for t in sorted(self.factors))
-        return f"{facs}#{name(self.g)}"
-
-
-def skew_generator(group, g) -> SkewElement:
-    """[g] in the twisted model: the g-indexed unit times the g-shift."""
-    gi = _gidx(group, g)
-    return SkewElement(group, {gi}, gi)
-
-
-def skew_mul(x: SkewElement, y: SkewElement) -> SkewElement:
-    """Twisted product (e_S # g)(e_T # h).
-
-    The right coefficient is cut down to the domain of the g-translation,
-    translated, and multiplied out:
-    e_S * tau_g(e_T * e_h * e_{g^-1}) = e_{S + gT + {gh, 1, g}}.
-    """
-    if x.group is not y.group:
-        raise GroupError("elements of different groups")
-    grp = x.group
-    g, h = x.g, y.g
-    cut = set(y.factors) | {h, grp.inv(g)}
-    translated = {grp.mult(g, t) for t in cut} | {g}
-    return SkewElement(grp, set(x.factors) | translated, grp.mult(g, h))
-
-
-def skew_star(x: SkewElement) -> SkewElement:
-    """Involution in the twisted model: translate factors by g^-1."""
-    grp = x.group
-    gi = grp.inv(x.g)
-    factors = {grp.mult(gi, t) for t in x.factors} | {gi}
-    return SkewElement(grp, factors, gi)
 
 
 class AlgebraElement:
@@ -396,8 +324,8 @@ class PartialGroupAlgebra:
     """The partial group algebra of a group over an exact field.
 
     Provides the generators, the canonical and primitive-idempotent bases
-    (finite groups only), coordinate conversion between them, the
-    conjugation actions on B, and a parser for the rendered text form.
+    (finite groups only), coordinate conversion between them, and a parser
+    for the rendered text form.
     """
 
     def __init__(self, group, field: Field = QQ) -> None:
@@ -429,26 +357,6 @@ class PartialGroupAlgebra:
 
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.group, self.field, terms)
-
-    # --- words ----------------------------------------------------------
-
-    def evaluate_word(self, word: Sequence) -> AlgebraElement:
-        """The product [g_1][g_2]...[g_n] as a single canonical pair.
-
-        The result is ({1, p_1, ..., p_n}, p_n) where p_i are the prefix
-        products; the empty word gives the unit.
-        """
-        s = SElement(self.group, (), self.group.identity_index)
-        for g in word:
-            s = s_mul(s, s_generator(self.group, g))
-        return self.monomial(s)
-
-    def evaluate_word_skew(self, word: Sequence) -> SkewElement:
-        """The same word folded in the twisted model; oracle only."""
-        x = SkewElement(self.group, (), self.group.identity_index)
-        for g in word:
-            x = skew_mul(x, skew_generator(self.group, g))
-        return x
 
     # --- bases (finite groups) -----------------------------------------
 
@@ -510,10 +418,6 @@ class PartialGroupAlgebra:
 
         return accumulate(self.field, terms())
 
-    def to_primitive(self, x: AlgebraElement) -> dict[tuple[int, ...], Scalar]:
-        subsets = self.subsets_with_identity()
-        return {subsets[k]: v for k, v in self.primitive_vector(x).items()}
-
     def from_primitive(self, coeffs: dict[tuple[int, ...], Scalar]) -> AlgebraElement:
         """Rebuild sum c_A e_A as canonical pairs by inclusion-exclusion.
 
@@ -536,26 +440,6 @@ class PartialGroupAlgebra:
 
     def primitive_idempotent(self, a: Iterable[int]) -> AlgebraElement:
         return self.from_primitive({tuple(sorted(set(a) | {0})): self.field.one})
-
-    # --- conjugation actions on B ----------------------------------------
-
-    def left_action_on_B(self, g, b: AlgebraElement) -> AlgebraElement:
-        """[g] b [g^-1], computed as the honest triple product."""
-        if not b.is_in_b():
-            raise ValueError("left action is defined on B only")
-        gi = _gidx(self.group, g)
-        lo = self.bracket(gi)
-        hi = self.bracket(self.group.inv(gi))
-        return lo * b * hi
-
-    def right_action_on_B(self, g, b: AlgebraElement) -> AlgebraElement:
-        """[g^-1] b [g], the right-translation companion of the above."""
-        if not b.is_in_b():
-            raise ValueError("right action is defined on B only")
-        gi = _gidx(self.group, g)
-        lo = self.bracket(self.group.inv(gi))
-        hi = self.bracket(gi)
-        return lo * b * hi
 
     # --- parsing ----------------------------------------------------------
 

@@ -24,7 +24,6 @@ from .linalg import (
     SizeCapError,
     SparseMatrix,
     accumulate,
-    span_rank,
 )
 
 GROUPOID_ORDER_CAP = 8
@@ -233,9 +232,6 @@ class ArrowSum:
             and self.coeffs == other.coeffs
         )
 
-    def vector(self, arrow_pos: dict[Arrow, int]) -> Column:
-        return {arrow_pos[a]: c for a, c in self.coeffs.items()}
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -256,11 +252,6 @@ def arrow_unit(groupoid: Groupoid, arrow: Arrow, field: Field = QQ) -> ArrowSum:
     if arrow not in groupoid.arrow_pos:
         raise ValueError(f"not an arrow: {arrow}")
     return ArrowSum(groupoid, field, {arrow: field.one})
-
-
-def groupoid_identity(groupoid: Groupoid, field: Field = QQ, vertices=None) -> ArrowSum:
-    verts = groupoid.vertices if vertices is None else vertices
-    return ArrowSum(groupoid, field, {(v, 0): field.one for v in verts})
 
 
 def lambda_map(groupoid: Groupoid, x: AlgebraElement, vertices=None) -> ArrowSum:
@@ -288,58 +279,6 @@ def lambda_map(groupoid: Groupoid, x: AlgebraElement, vertices=None) -> ArrowSum
 def lambda_delta(comp: Component, x: AlgebraElement) -> ArrowSum:
     """The component-restricted algebra map."""
     return lambda_map(comp.groupoid, x, vertices=comp.vertices)
-
-
-def lambda_matrix(comp: Component, algebra: PartialGroupAlgebra) -> SparseMatrix:
-    """Matrix of the component map over the canonical basis."""
-    basis = algebra.canonical_basis()
-    entries = {}
-    for j, s in enumerate(basis):
-        img = lambda_delta(comp, algebra.monomial(s))
-        for a, c in img.coeffs.items():
-            entries[(comp.arrow_pos[a], j)] = c
-    return SparseMatrix(
-        algebra.field,
-        len(comp.arrows),
-        len(basis),
-        entries,
-        row_labels=[arrow_str(comp.group, a) for a in comp.arrows],
-        col_labels=[s.render() for s in basis],
-    )
-
-
-def kernel_lambda(comp: Component, field: Field = QQ) -> list[AlgebraElement]:
-    """A basis of the kernel of the component map, as algebra elements.
-
-    The kernel is generated as a left ideal by its intersection with the
-    idempotent subalgebra B; that regeneration is checked here and a
-    failure raises, since everything downstream relies on it.
-    """
-    from .linalg import kernel_basis
-
-    algebra = PartialGroupAlgebra(comp.group, field)
-    basis = algebra.canonical_basis()
-    m = lambda_matrix(comp, algebra)
-    kern = kernel_basis(m)
-    out = [
-        algebra.element({basis[j]: c for j, c in vec.items()}) for vec in kern
-    ]
-    for k in out:
-        if not lambda_delta(comp, k).is_zero():
-            raise RuntimeError("kernel vector not killed by the component map")
-    # regeneration from the B-part as a left ideal
-    b_part = [k for k in out if k.is_in_b()]
-    pos = {s: i for i, s in enumerate(basis)}
-
-    def vec_of(x: AlgebraElement) -> Column:
-        return {pos[s]: c for s, c in x.coeffs.items()}
-
-    ideal_cols = [vec_of(algebra.monomial(r) * k) for r in basis for k in b_part]
-    if span_rank(ideal_cols, field) != len(out):
-        raise RuntimeError(
-            "kernel is not regenerated by its idempotent part as a left ideal"
-        )
-    return out
 
 
 def _cells(flat: dict[tuple[int, int, int], Scalar]) -> dict:
@@ -406,19 +345,6 @@ class GroupAlgebraMatrix:
             and self.n == other.n
             and self.entries == other.entries
         )
-
-    def is_monomial(self) -> bool:
-        """One single-element entry per nonzero row and column."""
-        rows = set()
-        cols = set()
-        for (i, j), cell in self.entries.items():
-            if len(cell) != 1 or set(cell.values()) != {self.field.one}:
-                return False
-            if i in rows or j in cols:
-                return False
-            rows.add(i)
-            cols.add(j)
-        return True
 
     def render(self) -> str:
         grp = self.subgroup.parent
@@ -761,9 +687,27 @@ class TensorReport:
         return f"TensorReport({self.as_dict()})"
 
 
-def tensor_b_kdelta(
-    comp: Component, field: Field = QQ, cross_check: bool = False
-) -> TensorReport:
+def _bracket_tables(comp: Component, sub_pos: dict[Vertex, int]):
+    """The closed forms the bracket relations are built from.
+
+    ``targets[j]`` is the target vertex of arrows[j]; ``moved[g][k]`` is
+    the position of e_{A_k}[g] among the subsets, ``hits[g][j]`` that of
+    [g] arrows[j] among the arrows, None where it is zero.
+    """
+    grp = comp.group
+    targets = [comp.groupoid.target(arrow) for arrow in comp.arrows]
+    moved: list[list[int | None]] = []
+    hits: list[list[int | None]] = []
+    for g in range(grp.order):
+        gi = grp.inv(g)
+        moved.append([sub_pos[translate(grp, gi, a)] if g in a else None
+                      for a in sub_pos])
+        hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
+                     for (b, h), t in zip(comp.arrows, targets)])
+    return targets, moved, hits
+
+
+def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     """Form B tensored with the component algebra over the main algebra.
 
     The tensor product is presented as the plain tensor of the primitive
@@ -794,17 +738,7 @@ def tensor_b_kdelta(
     def tensor_index(a: Vertex, arrow: Arrow) -> int:
         return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
 
-    targets = [comp.groupoid.target(arrow) for arrow in arrows]
-    # moved[g][k]: position of e_{A_k}[g] among the subsets, hits[g][j]:
-    # position of [g] arrows[j] among the arrows; None where it is zero
-    moved: list[list[int | None]] = []
-    hits: list[list[int | None]] = []
-    for g in range(grp.order):
-        gi = grp.inv(g)
-        moved.append([sub_pos[translate(grp, gi, a)] if g in a else None
-                      for a in subsets])
-        hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
-                     for (b, h), t in zip(arrows, targets)])
+    targets, moved, hits = _bracket_tables(comp, sub_pos)
 
     # phi: tensor coordinates -> vertex span; psi: the reverse section
     n_vert = comp.size
@@ -818,9 +752,6 @@ def tensor_b_kdelta(
 
     def phi(idx: int) -> Column:
         return phi_column(*divmod(idx, n_arr))
-
-    if cross_check:
-        _tensor_cross_check(comp, algebra, moved, hits, phi_column)
 
     span = IncidenceSpan(f)
     add = span.add
@@ -887,46 +818,6 @@ def tensor_b_kdelta(
         phi_psi_identity=phi_psi,
         psi_phi_identity=psi_phi,
     )
-
-
-def _tensor_cross_check(comp, algebra, moved, hits, phi_column) -> None:
-    """Verify the closed forms the tensor relations are built from.
-
-    e_A[g] and [g]y are compared with honest products of the brackets,
-    [g^-1] e_A [g] in the algebra and lambda_delta([g]) y in the groupoid
-    algebra, and phi with its defining rule: e_A (x) (B, g) goes to the
-    vertex B exactly when g is in A and g^-1 A == B.
-    """
-    grp = comp.group
-    gd = comp.groupoid
-    field = algebra.field
-    subsets = algebra.subsets_with_identity()
-    idems = [algebra.primitive_idempotent(a) for a in subsets]
-    for g, (move_row, hit_row) in enumerate(zip(moved, hits)):
-        lo, hi = algebra.bracket(grp.inv(g)), algebra.bracket(g)
-        for a, e_a, m in zip(subsets, idems, move_row):
-            expect = algebra.zero() if m is None else idems[m]
-            if lo * e_a * hi != expect:
-                raise RuntimeError(f"right action mismatch at e_{a} and "
-                                   f"[{grp.element_name(g)}]")
-        img = lambda_delta(comp, hi)
-        for arrow, hit in zip(comp.arrows, hit_row):
-            expect = (ArrowSum(gd, field) if hit is None
-                      else arrow_unit(gd, comp.arrows[hit], field))
-            if img * arrow_unit(gd, arrow, field) != expect:
-                raise RuntimeError(f"composition mismatch at [{grp.element_name(g)}]"
-                                   f" and {arrow_str(grp, arrow)}")
-    for k, a in enumerate(subsets):
-        for j, (b, g) in enumerate(comp.arrows):
-            shifted = translate(grp, grp.inv(g), a)
-            if g in a and shifted == b:
-                expect = {comp.vertex_pos[b]: field.one}
-            else:
-                expect = {}
-            if phi_column(k, j) != expect:
-                raise RuntimeError(
-                    f"phi mismatch at e_{a} and {arrow_str(grp, (b, g))}"
-                )
 
 
 def section5_report(comp: Component, field: Field = QQ) -> dict:

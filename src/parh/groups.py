@@ -273,29 +273,6 @@ class Subgroup:
         return f"subgroup {self.name} of {self.parent.name}"
 
 
-def subgroup_generated(parent: FiniteGroup, gens: Iterable[GroupElement | int]) -> Subgroup:
-    """The subgroup generated by the given elements (indices accepted)."""
-    seed = {0}
-    for g in gens:
-        idx = g.index if isinstance(g, GroupElement) else int(g)
-        if isinstance(g, GroupElement) and g.group is not parent:
-            raise GroupError("generator from a different group")
-        seed.add(idx)
-        seed.add(parent.inv(idx))
-    closure = set(seed)
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(closure):
-                for k in (parent.mult(i, j), parent.mult(j, i)):
-                    if k not in closure:
-                        closure.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return Subgroup(parent, closure)
-
-
 def translate(group, g: int, subset: Iterable[int]) -> tuple[int, ...]:
     """The left translate g * subset, as a sorted tuple of indices.
 

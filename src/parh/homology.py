@@ -1,11 +1,9 @@
 """Exact homology for partial representations of finite groups.
 
-Four chain pipelines feed the checks in this module:
+Three chain pipelines feed the checks in this module:
 
 - a homogeneous resolution over the idempotent subalgebra, together with
   the contracting homotopy that certifies its exactness degree by degree;
-- the combinatorial bar complex with idempotent coefficients, built
-  directly in the primitive basis with partial-permutation entries;
 - a transported complex that evaluates the same resolution against a
   finite-dimensional module of generator matrices, using the involution
   that exchanges left and right module structures.  The module must have
@@ -50,9 +48,8 @@ from .groupoid import (
     components,
     induce_module,
 )
-from .groups import translate, trivial_rep
-from .linalg import (GF, Eliminator, Field, QQ, SizeCapError, SparseMatrix,
-                     accumulate, rank)
+from .groups import trivial_rep
+from .linalg import GF, Field, QQ, SizeCapError, SparseMatrix, accumulate, rank
 
 HOMOLOGY_SIZE_CAP = 100_000
 
@@ -196,68 +193,6 @@ def _subsets(group) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Bar complex with idempotent coefficients, directly in the primitive basis.
-
-
-def _tuple_labels(group, n: int, cap: int, what: str, members,
-                  subsets=None) -> list[tuple]:
-    """Labels (A, t) over n-tuples t, with A each of ``subsets`` (default
-    every subset containing the identity) that holds the identity and
-    ``members(t)``."""
-    if subsets is None:
-        subsets = _subsets(group)
-    _check_cap(group, n, len(subsets), cap, what)
-    out = []
-    for t in product(range(group.order), repeat=n):
-        need = {0, *members(t)}
-        out.extend((a, t) for a in subsets if need.issubset(a))
-    return out
-
-
-def bar_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP) -> list[tuple]:
-    """Degree-n basis labels (A, (x_1, ..., x_n)).
-
-    A ranges over the primitive idempotent indices that contain the
-    identity and every prefix product x_1, x_1 x_2, ...; degree 0 is the
-    idempotent subalgebra itself, one label (A, ()) per subset.
-    """
-    return _tuple_labels(group, n, cap, "bar basis",
-                         lambda xs: _prefixes(group, xs))
-
-
-def bar_differential(group, n: int, field: Field = QQ,
-                     cap: int = HOMOLOGY_SIZE_CAP) -> SparseMatrix:
-    """Matrix of the degree-n bar differential in the primitive basis.
-
-    The column of (A, (x_1, ..., x_n)) has the three kinds of terms: the
-    translated tail (x_1^{-1} A, (x_2, ..., x_n)), the alternating-sign
-    contractions (A, (..., x_i x_{i+1}, ...)), and the sign (-1)^n drop
-    of the last entry.  Every entry is +-1 up to collisions, and the
-    composite of consecutive differentials is zero.
-    """
-    if n < 1:
-        raise ValueError("bar differential starts at degree 1")
-    rows = bar_basis(group, n - 1, cap)
-    cols = bar_basis(group, n, cap)
-    rpos = {lab: k for k, lab in enumerate(rows)}
-    f = field
-
-    def terms():
-        for c, (a, xs) in enumerate(cols):
-            x1i = group.inv(xs[0])
-            tail_a = translate(group, x1i, a)
-            yield (rpos[(tail_a, xs[1:])], c), f.one
-            sign = f.neg(f.one)
-            for j in range(len(xs) - 1):
-                yield (rpos[(a, _contract(group, xs, j))], c), sign
-                sign = f.neg(sign)
-            yield (rpos[(a, xs[:-1])], c), sign
-
-    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()),
-                        row_labels=rows, col_labels=cols)
-
-
-# ---------------------------------------------------------------------------
 # Homogeneous resolution and its contracting homotopy.
 
 
@@ -268,8 +203,14 @@ def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP, *,
     A ranges over ``subsets``, by default every subset that contains the
     identity; the same holds for the two builders below.
     """
-    return _tuple_labels(group, n, cap, "homogeneous basis", lambda gs: gs,
-                         subsets)
+    if subsets is None:
+        subsets = _subsets(group)
+    _check_cap(group, n, len(subsets), cap, "homogeneous basis")
+    out = []
+    for t in product(range(group.order), repeat=n):
+        need = {0, *t}
+        out.extend((a, t) for a in subsets if need.issubset(a))
+    return out
 
 
 def homogeneous_differential(group, n: int, field: Field = QQ,
@@ -472,8 +413,8 @@ def partial_homology(group, v_mod: PartialRepModule, field: Field | None = None,
     complex of blocks e_{(x)} V.  Every e_x = [x][x^-1] must be a diagonal
     0/1 matrix, else ValueError; each block is then the set of coordinates
     where every prefix idempotent is 1.  Degree 0 equals the dimension of
-    the idempotent subalgebra tensored with the module (see b_tensor_dim
-    for the independent route).  The report's checks record that
+    the idempotent subalgebra tensored with the module.  The report's
+    checks record that
     consecutive differentials compose to zero and that the underlying
     resolution passes its contracting-homotopy identity over the field.
     """
@@ -521,38 +462,6 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     check_transport_cap(group, v_mod.dim, max_degree + 1, cap)
     return partial_homology(group, dual_module(v_mod), f, max_degree, cap,
                             module_name or _module_desc(v_mod))
-
-
-def b_tensor_dim(v_mod: PartialRepModule) -> int:
-    """Dimension of the idempotent subalgebra tensored with the module.
-
-    Computed by the relation-cokernel route: span the vectors
-    e_A[g] (x) v - e_A (x) [g]v inside the span of all e_A (x) v, where
-    e_A[g] = [g^-1] e_A [g] is e_{g^-1 A} when g is in A and zero
-    otherwise, and subtract the rank.  The brackets [g] generate the
-    algebra, so their relations span those of every element.  This is the
-    degree-0 oracle for partial_homology and shares none of its chain
-    machinery.
-    """
-    group = v_mod.group
-    field = v_mod.field
-    subsets = PartialGroupAlgebra(group).subsets_with_identity()
-    pos = {a: k for k, a in enumerate(subsets)}
-    d = v_mod.dim
-    elim = Eliminator(field)
-    for g in range(group.order):
-        act = v_mod.mats[g].cols
-        gi = group.inv(g)
-        for k, a in enumerate(subsets):
-            shifted = pos[translate(group, gi, a)] if g in a else None
-            for j in range(d):
-                terms = [(k * d + r, -v) for r, v in act[j].items()]
-                if shifted is not None:
-                    terms.append((shifted * d + j, field.one))
-                col = accumulate(field, terms)
-                if col:
-                    elim.add(col)
-    return len(subsets) * d - elim.rank
 
 
 # ---------------------------------------------------------------------------

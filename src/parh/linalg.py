@@ -248,19 +248,6 @@ class SparseMatrix:
         return {(i, j): v for j, col in enumerate(self.cols)
                 for i, v in col.items()}
 
-    def get(self, i: int, j: int) -> Scalar:
-        if 0 <= j < self.ncols:
-            return self.cols[j].get(i, self.field.zero)
-        return self.field.zero
-
-    def column(self, j: int) -> Column:
-        if not (0 <= j < self.ncols):
-            raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
-        return dict(self.cols[j])
-
-    def columns(self) -> list[Column]:
-        return [dict(col) for col in self.cols]
-
     def transpose(self) -> "SparseMatrix":
         cols: list[Column] = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
@@ -344,13 +331,6 @@ class SparseMatrix:
             and self.ncols == other.ncols
             and self.cols == other.cols
         )
-
-    def to_dense(self) -> list[list[Scalar]]:
-        out = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
 
     def nnz(self) -> int:
         return sum(map(len, self.cols))
@@ -550,51 +530,6 @@ def kernel_basis(m: SparseMatrix) -> list[Column]:
             vec[j] = f.one
             out.append(vec)
     return out
-
-
-def in_span(v: Column, basis: Sequence[Column], field: Field) -> dict | None:
-    """Coefficients expressing ``v`` over ``basis``, or None if outside.
-
-    >>> in_span({0: 2}, [{0: 1}], QQ)
-    {0: Fraction(2, 1)}
-    >>> in_span({1: 1}, [{0: 1}], QQ) is None
-    True
-    """
-    elim = Eliminator(field, track=True)
-    for j, col in enumerate(basis):
-        elim.add(col, tag=j)
-    hist: dict = {}
-    res = elim.reduce(dict(v), hist)
-    if res:
-        return None
-    return {t: c for t, c in hist.items() if c}
-
-
-def subspace_equal(
-    a: Sequence[Column], b: Sequence[Column], field: Field
-) -> bool:
-    """Whether two column families span the same subspace."""
-    ea = Eliminator(field)
-    for col in a:
-        ea.add(col)
-    for col in b:
-        if ea.reduce(col):
-            return False
-    eb = Eliminator(field)
-    for col in b:
-        eb.add(col)
-    for col in a:
-        if eb.reduce(col):
-            return False
-    return True
-
-
-def span_rank(cols: Iterable[Column], field: Field) -> int:
-    """Rank of a family of columns without building a matrix."""
-    elim = Eliminator(field)
-    for col in cols:
-        elim.add(col)
-    return elim.rank
 
 
 class SizeCapError(RuntimeError):

@@ -339,11 +339,6 @@ def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
             for members in _window_member_sets(bound) for m in members]
 
 
-def b_window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
-    """The idempotent part of the window: pairs (A, 0)."""
-    return [s for s in window_basis(bound, cap) if s.g == 0]
-
-
 class WindowSpace:
     """Sparse coordinates over window-bounded canonical monomials.
 

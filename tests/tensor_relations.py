@@ -4,10 +4,12 @@
 tensor sign.  This is the relation builder it replaced, kept as an oracle
 for it: every canonical pair s = (C, g) is moved, giving the relation
 e_A s (x) y - e_A (x) s y for each subset A and arrow y, built once per
-pair of tensor coordinates.
+pair of tensor coordinates.  ``check_bracket_tables`` checks the closed
+forms the bracket relations are read from against honest products.
 """
 
 from parh.exel import PartialGroupAlgebra
+from parh.groupoid import ArrowSum, _bracket_tables, arrow_unit, lambda_delta
 from parh.groups import translate
 
 
@@ -67,3 +69,36 @@ def canonical_relations(comp, field):
             col[h] = minus_one
         relations.append(col)
     return relations, len(subsets) * n_arr
+
+
+def check_bracket_tables(comp, field):
+    """Compare the tables ``tensor_b_kdelta`` builds from with products.
+
+    ``groupoid._bracket_tables`` gives e_A[g], [g]y and the arrow targets.
+    e_A[g] and [g]y are compared with honest products of the brackets,
+    [g^-1] e_A [g] in the algebra and lambda_delta([g]) y in the groupoid
+    algebra, and phi's rule, e_A (x) (B, g) goes to the vertex B exactly
+    when A is the target gB, with its definition: g is in A and
+    g^-1 A == B.
+    """
+    grp = comp.group
+    gd = comp.groupoid
+    algebra = PartialGroupAlgebra(grp, field)
+    subsets = algebra.subsets_with_identity()
+    targets, moved, hits = _bracket_tables(
+        comp, {a: k for k, a in enumerate(subsets)})
+    idems = [algebra.primitive_idempotent(a) for a in subsets]
+    for g, (move_row, hit_row) in enumerate(zip(moved, hits)):
+        lo, hi = algebra.bracket(grp.inv(g)), algebra.bracket(g)
+        for a, e_a, m in zip(subsets, idems, move_row):
+            expect = algebra.zero() if m is None else idems[m]
+            assert lo * e_a * hi == expect, ("right action", a, g)
+        img = lambda_delta(comp, hi)
+        for arrow, hit in zip(comp.arrows, hit_row):
+            expect = (ArrowSum(gd, field) if hit is None
+                      else arrow_unit(gd, comp.arrows[hit], field))
+            assert img * arrow_unit(gd, arrow, field) == expect, (g, arrow)
+    for a in subsets:
+        for (b, g), t in zip(comp.arrows, targets):
+            rule = g in a and translate(grp, grp.inv(g), a) == b
+            assert (a == t) == rule, ("phi", a, b, g)

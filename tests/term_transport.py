@@ -15,7 +15,7 @@ def term_built_differentials(v_mod, max_n):
     """{n: d_n} for n = 1..max_n, on the labels of the transported complex."""
     group, field = v_mod.group, v_mod.field
     supports = _idempotent_supports(v_mod)
-    cols = [v_mod.mats[g].columns() for g in range(group.order)]
+    cols = [v_mod.mats[g].cols for g in range(group.order)]
     cache = {}
     degree = {n: _degree_blocks(group, supports, n, cache)
               for n in range(max_n + 1)}

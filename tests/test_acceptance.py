@@ -17,7 +17,9 @@ import random
 import time
 from itertools import product
 
-from parh.exel import PartialGroupAlgebra, SElement, SkewElement, s_mul, skew_mul
+from bar_complex import bar_differential
+from twisted_product import SkewElement, skew_mul
+from parh.exel import PartialGroupAlgebra, SElement, s_mul
 from parh.groupoid import (
     GroupAlgebraMatrix,
     arrow_unit,
@@ -33,7 +35,6 @@ from parh.groupoid import (
 )
 from parh.groups import INTEGERS, build_named_group
 from parh.homology import (
-    bar_differential,
     homogeneous_differential,
     partial_cohomology,
     resolution_identity_holds,

@@ -20,6 +20,7 @@ from parh.cli import (
     build_parser,
     main,
 )
+from parh.exel import PartialGroupAlgebra
 from parh.groupoid import build_groupoid, components
 from parh.groups import NAMED_GROUP_NAMES, parse_cayley_table
 
@@ -58,6 +59,25 @@ def test_kpar_basis_lists_every_canonical_pair(capsys):
     code, out, _ = run(capsys, "kpar", "basis", "--group", "C2")
     assert out.splitlines()[0] == "dim K_par C2 = 3"
     assert len(out.splitlines()) == 4
+
+
+def _c24_table(tmp_path):
+    path = tmp_path / "c24.txt"
+    path.write_text("24\n" + "\n".join(
+        " ".join(str((i + j) % 24) for j in range(24)) for i in range(24)))
+    return str(path)
+
+
+def test_kpar_basis_cap_exits_3_before_listing(capsys, monkeypatch, tmp_path):
+    def unreachable(self):
+        raise AssertionError("kpar basis listed pairs before the cap")
+
+    monkeypatch.setattr(PartialGroupAlgebra, "canonical_basis", unreachable)
+    code, data, err = run_json(capsys, "kpar", "basis", "--table",
+                               _c24_table(tmp_path))
+    assert code == EXIT_CAP
+    assert data == {"error": "size_cap", "message": err[len("size cap: "):-1],
+                    "limit": 1_000_000, "requested": 25 * 2 ** 22}
 
 
 def test_kpar_dim_from_table_file(capsys, tmp_path):
@@ -301,6 +321,30 @@ def test_regular_module_column_cap_exits_3_before_building(capsys, monkeypatch,
                     "limit": 1_000_000, "requested": 8 ** 4 * 576}
     assert data["message"] == ("transported complex at degree 4 needs "
                                "2359296 basis columns, cap is 1000000")
+
+
+@pytest.mark.parametrize("command", ["partial", "cohomology"])
+def test_b_module_column_cap_exits_3_before_building(capsys, monkeypatch,
+                                                     tmp_path, command):
+    # the early exit equals the late one, on the complex of B built
+    argv = ["homology", command, "--group", "S3", "--max", "3",
+            "--max-columns", "500"]
+    monkeypatch.setattr("parh.cli.check_transport_cap", lambda *args: None)
+    late = run(capsys, *argv, "--json")
+    monkeypatch.undo()
+
+    def unreachable(*args):
+        raise AssertionError("B was built before the column cap")
+
+    monkeypatch.setattr("parh.cli.b_module", unreachable)
+    assert run(capsys, *argv, "--json") == late
+    assert late[0] == EXIT_CAP and json.loads(late[1])["requested"] == 1152
+    code, data, _ = run_json(capsys, "homology", command, "--table",
+                             _c24_table(tmp_path))
+    assert code == EXIT_CAP
+    assert data == {"error": "size_cap", "message": "transported complex at "
+                    "degree 0 needs 8388608 basis columns, cap is 1000000",
+                    "limit": 1_000_000, "requested": 2 ** 23}
 
 
 @pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)

@@ -18,10 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parh.exel import (AlgebraElement, PartialGroupAlgebra, SElement,
-                       SkewElement, s_mul, skew_mul)
+from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement, s_mul
 from parh.groups import INTEGERS, build_named_group
 from parh.linalg import GF, QQ, accumulate
+from twisted_product import as_skew, skew_mul
 
 GROUPS = {"Z": INTEGERS, "S3": build_named_group("S3"),
           "D4": build_named_group("D4")}
@@ -45,10 +45,6 @@ def pairs(group):
 def group_and_pairs(n):
     return st.sampled_from(sorted(GROUPS)).flatmap(
         lambda name: st.tuples(*[pairs(GROUPS[name])] * n))
-
-
-def as_skew(s):
-    return SkewElement(s.group, s.members, s.g)
 
 
 @PROPERTY

@@ -7,7 +7,8 @@ from functools import cache
 import pytest
 
 from canonical_module import canonical_regular_module
-from tensor_relations import canonical_relations
+from span_oracles import span_rank
+from tensor_relations import canonical_relations, check_bracket_tables
 from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
@@ -23,19 +24,16 @@ from parh.groupoid import (
     components,
     elementary_matrix,
     eta,
-    groupoid_identity,
     induce_module,
-    kernel_lambda,
     lambda_delta,
     lambda_map,
-    lambda_matrix,
     regular_module,
     section6_report,
     tensor_b_kdelta,
     tilde_pi,
     zeta_delta,
 )
-from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, rank, span_rank
+from parh.linalg import GF, QQ, SizeCapError, SparseMatrix, kernel_basis, rank
 
 
 def test_build_groupoid_counts():
@@ -102,7 +100,7 @@ def test_transversal_and_stabilizer():
 
 def test_arrow_sum_algebra():
     gd = build_groupoid(build_named_group("C2xC2"))
-    ident = groupoid_identity(gd)
+    ident = ArrowSum(gd, QQ, {(v, 0): QQ.one for v in gd.vertices})
     algebra = PartialGroupAlgebra(gd.group)
     rng = random.Random(5)
     basis = algebra.canonical_basis()
@@ -130,6 +128,49 @@ def test_lambda_delta_of_generators():
     assert e_img.coeffs == {((0, 1), 0): QQ.one}
 
 
+def lambda_matrix(comp, algebra):
+    """Matrix of the component map over the canonical basis."""
+    basis = algebra.canonical_basis()
+    entries = {}
+    for j, s in enumerate(basis):
+        img = lambda_delta(comp, algebra.monomial(s))
+        for a, c in img.coeffs.items():
+            entries[(comp.arrow_pos[a], j)] = c
+    return SparseMatrix(algebra.field, len(comp.arrows), len(basis), entries)
+
+
+def kernel_lambda(comp, field=QQ):
+    """A basis of the kernel of the component map, as algebra elements.
+
+    The kernel is generated as a left ideal by its intersection with the
+    idempotent subalgebra B; that regeneration is checked here and a
+    failure raises.
+    """
+    algebra = PartialGroupAlgebra(comp.group, field)
+    basis = algebra.canonical_basis()
+    m = lambda_matrix(comp, algebra)
+    kern = kernel_basis(m)
+    out = [
+        algebra.element({basis[j]: c for j, c in vec.items()}) for vec in kern
+    ]
+    for k in out:
+        if not lambda_delta(comp, k).is_zero():
+            raise RuntimeError("kernel vector not killed by the component map")
+    # regeneration from the B-part as a left ideal
+    b_part = [k for k in out if k.is_in_b()]
+    pos = {s: i for i, s in enumerate(basis)}
+
+    def vec_of(x):
+        return {pos[s]: c for s, c in x.coeffs.items()}
+
+    ideal_cols = [vec_of(algebra.monomial(r) * k) for r in basis for k in b_part]
+    if span_rank(ideal_cols, field) != len(out):
+        raise RuntimeError(
+            "kernel is not regenerated by its idempotent part as a left ideal"
+        )
+    return out
+
+
 @pytest.mark.parametrize("name", ["C3", "C2xC2"])
 def test_lambda_delta_surjective(name):
     gd = build_groupoid(build_named_group(name))
@@ -150,6 +191,20 @@ def test_kernel_lambda_regeneration(name):
             assert lambda_delta(comp, k).is_zero()
 
 
+def is_monomial(m):
+    """One single-element entry per nonzero row and column."""
+    rows = set()
+    cols = set()
+    for (i, j), cell in m.entries.items():
+        if len(cell) != 1 or set(cell.values()) != {m.field.one}:
+            return False
+        if i in rows or j in cols:
+            return False
+        rows.add(i)
+        cols.add(j)
+    return True
+
+
 def test_eta_elementary_matrices():
     gd = build_groupoid(build_named_group("S3"))
     algebra = PartialGroupAlgebra(gd.group)
@@ -157,7 +212,7 @@ def test_eta_elementary_matrices():
         for g in gd.group.elements:
             em = elementary_matrix(comp, g)
             via_lambda = eta(comp, lambda_delta(comp, algebra.bracket(g)))
-            assert via_lambda.is_monomial()
+            assert is_monomial(via_lambda)
             assert em == via_lambda
             assert em.star() == via_lambda.star()
 
@@ -210,8 +265,9 @@ def test_regular_module_is_the_canonical_one_in_the_arrow_basis(name):
         basis = algebra.canonical_basis()
         entries = {}
         for j, s in enumerate(basis):
-            image = lambda_map(gd, algebra.monomial(s)).vector(gd.arrow_pos)
-            entries.update(((i, j), c) for i, c in image.items())
+            image = lambda_map(gd, algebra.monomial(s))
+            entries.update(((gd.arrow_pos[a], j), c)
+                           for a, c in image.coeffs.items())
         lam = SparseMatrix(field, len(gd.arrows), len(basis), entries)
         assert lam.nrows == lam.ncols == rank(lam)
         can = canonical_regular_module(grp, field)
@@ -231,8 +287,8 @@ def test_b_module_matches_triple_products(name):
         mat = mod.mats[g.index]
         for a in subsets:
             e_a = algebra.primitive_idempotent(a)
-            moved = algebra.left_action_on_B(g, e_a)
-            col = mat.column(pos[a])
+            moved = algebra.bracket(g) * e_a * algebra.bracket(g.inverse())
+            col = mat.cols[pos[a]]
             expect = algebra.primitive_vector(moved)
             assert col == expect
 
@@ -303,7 +359,7 @@ def test_corruption_that_keeps_a_module_self_dual_is_caught(name):
             i, j = rng.randrange(dim), rng.randrange(dim)
             bad = dict(good)
             for g, (r, c) in ((x, (i, j)), (xi, (j, i))):
-                entries = bad[g].entries | {(r, c): bad[g].get(r, c) + 1}
+                entries = bad[g].entries | {(r, c): bad[g].cols[c].get(r, 0) + 1}
                 bad[g] = SparseMatrix(GF(3), dim, dim, entries)
             assert bad[x] != good[x]
             assert all(bad[grp.inv(g)] == bad[g].transpose() for g in bad)
@@ -456,7 +512,8 @@ def test_equivalence_data():
 def test_tensor_b_kdelta(name):
     gd = build_groupoid(build_named_group(name))
     for comp in components(gd):
-        report = tensor_b_kdelta(comp, QQ, cross_check=True)
+        check_bracket_tables(comp, QQ)
+        report = tensor_b_kdelta(comp, QQ)
         assert report.ok, report.as_dict()
         assert report.dimension == comp.size
 

