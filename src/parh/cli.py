@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from random import Random
 
@@ -43,6 +43,7 @@ from .groups import (
     trivial_rep,
 )
 from .homology import (
+    HOMOLOGY_SIZE_CAP,
     check_transport_cap,
     group_cohomology,
     group_homology,
@@ -67,8 +68,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
-
-COLUMN_CAP = 1_000_000
 
 _SCHEMAS = {
     "groups list": {"groups": "[{name, order}]"},
@@ -186,41 +185,41 @@ def _pick_component(comps, index):
     return comps[index]
 
 
-def _regular_module(args, group, field):
-    """The regular module, refused before it is built when its
-    transported complex would exceed --max-columns.
-
-    Its arrow basis has the closed-form dimension of K_par G.  The
-    group-order cap of the groupoid build, and the degree check of the
-    pipelines, keep their turn first.
-    """
-    if group.order <= args.max_group_order and args.max >= 0:
-        check_transport_cap(group, PartialGroupAlgebra(group).dimension(),
-                            args.max + 1, args.max_columns)
-    return regular_module(group, field, args.max_group_order)
-
-
 def _module_for(args, group, field):
+    """The module --module names, and its name, refused before it is
+    built if its transported complex exceeds --max-columns.
+
+    The check reads the closed-form dimension: 2^(|G|-1) subsets for B,
+    dim K_par G for the regular module, component size times the
+    representation's dimension for W⊗trivial and W⊗regular.  The groupoid
+    cap and the component index come first; --max < 0 is left to the
+    pipelines' degree check.
+    """
     spec = args.module.replace("⊗", "x").lower()
     if spec == "b":
-        # B has one coordinate per subset containing 1; refuse its complex
-        # before the module is built, as _regular_module does
-        if args.max >= 0:
-            check_transport_cap(group, 2 ** (group.order - 1), args.max + 1,
-                                args.max_columns)
-        return b_module(group, field), "B"
-    if spec == "regular":
-        return _regular_module(args, group, field), "regular"
-    if spec in ("wxtrivial", "wxregular"):
+        name, dim = "B", 2 ** (group.order - 1)
+        build = partial(b_module, group, field)
+    elif spec == "regular":
+        name, dim = "regular", PartialGroupAlgebra(group).dimension()
+        build = partial(regular_module, group, field, args.max_group_order)
+        if group.order > args.max_group_order:
+            return build(), name  # refused by the groupoid cap
+    elif spec in ("wxtrivial", "wxregular"):
         comps = _components_of(group, args.max_group_order)
         comp = _pick_component(comps, args.component)
-        rep = trivial_rep if spec == "wxtrivial" else regular_rep
-        kind = "trivial" if spec == "wxtrivial" else "regular"
+        kind = spec[2:]
+        rep = (trivial_rep if kind == "trivial" else regular_rep)(
+            comp.stabilizer, field)
         name = f"W(x){kind} at component {args.component}"
-        return induce_module(comp, rep(comp.stabilizer, field), field), name
-    raise ValueError(
-        f"unknown module {args.module!r}; use B, regular, W⊗trivial, "
-        "or W⊗regular")
+        dim = comp.size * next(iter(rep.values())).nrows
+        build = partial(induce_module, comp, rep, field)
+    else:
+        raise ValueError(
+            f"unknown module {args.module!r}; use B, regular, W⊗trivial, "
+            "or W⊗regular")
+    if args.max >= 0:
+        check_transport_cap(group, dim, args.max + 1, args.max_columns)
+    return build(), name
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -280,10 +279,10 @@ def cmd_kpar_basis(args):
     group = _load_group(args)
     algebra = PartialGroupAlgebra(group)
     dim = algebra.dimension()
-    if dim > COLUMN_CAP:
-        raise SizeCapError(
-            f"K_par {group.name} has {dim} basis elements, cap is {COLUMN_CAP}",
-            limit=COLUMN_CAP, requested=dim)
+    if dim > HOMOLOGY_SIZE_CAP:
+        raise SizeCapError(f"K_par {group.name} has {dim} basis elements, "
+                           f"cap is {HOMOLOGY_SIZE_CAP}",
+                           limit=HOMOLOGY_SIZE_CAP, requested=dim)
     basis = [s.render() for s in algebra.canonical_basis()]
     lines = [f"dim K_par {group.name} = {len(basis)}"] + basis
     return ({"group": group.name, "dim": len(basis), "basis": basis},
@@ -465,9 +464,9 @@ def cmd_verify_section6(args):
 def cmd_verify_kpar_vanishing(args):
     group = _load_group(args)
     field = _parse_field(args.field)
-    report = partial_cohomology(group, _regular_module(args, group, field),
-                                max_degree=args.max, cap=args.max_columns,
-                                module_name="regular")
+    v_mod, name = _module_for(args, group, field)
+    report = partial_cohomology(group, v_mod, max_degree=args.max,
+                                cap=args.max_columns, module_name=name)
     vanishing = all(d == 0 for d in report.dims[1:])
     data = report.as_dict() | {"vanishing": vanishing, "ok": vanishing}
     lines = [f"{group.name}, regular coefficients, field {field.name}"]
@@ -576,7 +575,7 @@ def _add_common(p, *, field_default="Q"):
 def _add_caps(p):
     p.add_argument("--max-group-order", type=int, default=GROUPOID_ORDER_CAP,
                    help="refuse groupoid builds above this group order")
-    p.add_argument("--max-columns", type=int, default=COLUMN_CAP,
+    p.add_argument("--max-columns", type=int, default=HOMOLOGY_SIZE_CAP,
                    help="refuse chain complexes above this column measure")
 
 
@@ -684,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_caps(p)
     p.add_argument("--max", type=int, default=2)
-    p.set_defaults(handler=cmd_verify_kpar_vanishing)
+    p.set_defaults(handler=cmd_verify_kpar_vanishing, module="regular")
 
     z = sub.add_parser("z", help="integer-case identities").add_subparsers(
         dest="sub", required=True)

@@ -51,7 +51,8 @@ from .groupoid import (
 from .groups import trivial_rep
 from .linalg import GF, Field, QQ, SizeCapError, SparseMatrix, accumulate, rank
 
-HOMOLOGY_SIZE_CAP = 100_000
+# The column cap here, and of the CLI's --max-columns and ``kpar basis``.
+HOMOLOGY_SIZE_CAP = 1_000_000
 
 # Integer complexes over Q are ranked modulo this prime first.  With
 # p**2 + p < 2**30 every residue product is a one-digit CPython int, which
@@ -216,7 +217,8 @@ def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP, *,
 def homogeneous_differential(group, n: int, field: Field = QQ,
                              cap: int = HOMOLOGY_SIZE_CAP, *,
                              subsets=None) -> SparseMatrix:
-    """Alternating sum of entry drops; the subset label never moves."""
+    """Alternating sum of entry drops; the subset label never moves.  Rows
+    and columns follow ``homogeneous_basis``, here and in the homotopy."""
     if n < 1:
         raise ValueError("homogeneous differential starts at degree 1")
     rows = homogeneous_basis(group, n - 1, cap, subsets=subsets)
@@ -231,8 +233,7 @@ def homogeneous_differential(group, n: int, field: Field = QQ,
                 yield (rpos[(a, gs[:i] + gs[i + 1:])], c), sign
                 sign = f.neg(sign)
 
-    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()),
-                        row_labels=rows, col_labels=cols)
+    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()))
 
 
 def contracting_homotopy(group, n: int, field: Field = QQ,
@@ -250,8 +251,7 @@ def contracting_homotopy(group, n: int, field: Field = QQ,
     entries = {}
     for c, (a, gs) in enumerate(cols):
         entries[(rpos[(a, (0,) + gs)], c)] = field.one
-    return SparseMatrix(field, len(rows), len(cols), entries,
-                        row_labels=rows, col_labels=cols)
+    return SparseMatrix(field, len(rows), len(cols), entries)
 
 
 @lru_cache(maxsize=16)
@@ -313,21 +313,22 @@ def _idempotent_supports(v_mod: PartialRepModule) -> list[frozenset[int]]:
 
 
 def _degree_blocks(group, supports: list[frozenset[int]], n: int, cache: dict):
-    """Per-tuple (offset, block) and the labels of one chain degree.
+    """Per-tuple (offset, block) and the dimension of one chain degree.
 
     The block of (x_1, ..., x_n) holds the coordinates where every prefix
-    idempotent acts as 1, as {coordinate: position in the block}.
+    idempotent acts as 1, as {coordinate: position in the block}; blocks
+    follow each other in ``product`` order.
     """
     blocks = {}
-    labels = []
+    dim = 0
     for xs in product(range(group.order), repeat=n):
         key = frozenset(_prefixes(group, xs))
         if key not in cache:
             coords = supports[0].intersection(*(supports[p] for p in key))
             cache[key] = {i: k for k, i in enumerate(sorted(coords))}
-        blocks[xs] = (len(labels), cache[key])
-        labels.extend((xs, j) for j in range(len(cache[key])))
-    return blocks, labels
+        blocks[xs] = (dim, cache[key])
+        dim += len(cache[key])
+    return blocks, dim
 
 
 def _transported_complex(v_mod: PartialRepModule, max_n: int,
@@ -349,7 +350,7 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     cache: dict = {}
     degree = {n: _degree_blocks(group, supports, n, cache)
               for n in range(max_n + 1)}
-    labels = {n: degree[n][1] for n in range(max_n + 1)}
+    dims = {n: degree[n][1] for n in range(max_n + 1)}
     diffs = {}
     for n in range(1, max_n + 1):
         lo_blocks = degree[n - 1][0]
@@ -381,10 +382,8 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
                     else:
                         col.pop(key, None)
                 cols.append(col)
-        diffs[n] = SparseMatrix._of_columns(field, len(labels[n - 1]), cols,
-                                            row_labels=labels[n - 1],
-                                            col_labels=labels[n])
-    return ChainComplex(field, {n: len(labels[n]) for n in labels}, diffs)
+        diffs[n] = SparseMatrix._of_columns(field, dims[n - 1], cols)
+    return ChainComplex(field, dims, diffs)
 
 
 # Cohomology has no complex class of its own; the name stays only because
@@ -605,8 +604,12 @@ def verify_theorem_a(group, comp, u: dict, field: Field,
     self-dual module or representation has its homology report read as
     its cohomology, so that complex is built once; any other runs the
     cohomology of its dual.  The report lists both dimension vectors and
-    the first degree where they disagree, if any.
+    the first degree where they disagree, if any.  The transport cap is
+    checked on the induced dimension before the module is built.
     """
+    if max_degree >= 0:
+        check_transport_cap(group, comp.size * next(iter(u.values())).nrows,
+                            max_degree + 1, cap)
     v = induce_module(comp, u, field)
     lh = partial_homology(group, v, field, max_degree, cap,
                           module_name="induced from stabilizer")

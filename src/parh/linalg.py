@@ -128,10 +128,6 @@ def GF(p: int) -> Field:
 Column = dict[int, Scalar]
 
 
-def _clean(col: Column) -> Column:
-    return {r: v for r, v in col.items() if v}
-
-
 def accumulate(field: Field, terms: Iterable[tuple[object, Scalar]]) -> dict:
     """Sum ``(key, value)`` terms into a new dict that stores no zeros.
 
@@ -167,14 +163,12 @@ class SparseMatrix:
     """An nrows-by-ncols matrix stored as its columns.
 
     ``cols[j]`` is column j as a dict {row: nonzero scalar}; there is no
-    other storage, and ``entries`` is a view built from it.  Optional
-    row/column labels travel with the matrix so that reports can name
-    basis elements instead of bare indices.  Every operation returns a new
-    matrix, and no kernel changes the dicts of a matrix it reads, so a
-    column may be read in place but never written.
+    other storage, and ``entries`` is a view built from it.  Every
+    operation returns a new matrix, and no kernel changes the dicts of a
+    matrix it reads, so a column may be read in place but never written.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "cols", "row_labels", "col_labels")
+    __slots__ = ("field", "nrows", "ncols", "cols")
 
     def __init__(
         self,
@@ -182,8 +176,6 @@ class SparseMatrix:
         nrows: int,
         ncols: int,
         entries: dict[tuple[int, int], Scalar] | None = None,
-        row_labels: Sequence[str] | None = None,
-        col_labels: Sequence[str] | None = None,
     ) -> None:
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -195,35 +187,23 @@ class SparseMatrix:
                 v = field.of(v)
                 if v:
                     cols[j][i] = v
-        if row_labels is not None and len(row_labels) != nrows:
-            raise ValueError("row_labels length must equal nrows")
-        if col_labels is not None and len(col_labels) != ncols:
-            raise ValueError("col_labels length must equal ncols")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols
-        self.row_labels = list(row_labels) if row_labels is not None else None
-        self.col_labels = list(col_labels) if col_labels is not None else None
 
     @classmethod
-    def _of_columns(cls, field: Field, nrows: int, cols: list[Column],
-                    row_labels: list | None = None,
-                    col_labels: list | None = None) -> "SparseMatrix":
+    def _of_columns(cls, field: Field, nrows: int,
+                    cols: list[Column]) -> "SparseMatrix":
         """Adopt column j as ``cols[j]``, without checking again.
 
         The columns must be in range, in ``field`` and free of zeros, as the
-        kernels of this class produce them; the dicts and label lists are
-        adopted, so the caller must not change them afterwards.
+        kernels of this class produce them; the dicts are adopted, so the
+        caller must not change them afterwards.
         """
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.cols = field, nrows, len(cols), cols
-        m.row_labels, m.col_labels = row_labels, col_labels
         return m
-
-    @classmethod
-    def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
-        return cls(field, nrows, ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "SparseMatrix":
@@ -253,9 +233,7 @@ class SparseMatrix:
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 cols[i][j] = v
-        return SparseMatrix._of_columns(self.field, self.ncols, cols,
-                                        row_labels=self.col_labels,
-                                        col_labels=self.row_labels)
+        return SparseMatrix._of_columns(self.field, self.ncols, cols)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.field != other.field:
@@ -269,19 +247,6 @@ class SparseMatrix:
             _axpy(p, col, 1, b)
             cols.append(col)
         return SparseMatrix._of_columns(self.field, self.nrows, cols)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self) -> "SparseMatrix":
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c) -> "SparseMatrix":
-        f = self.field
-        c = f.of(c)
-        cols = [{i: f.mul(c, v) for i, v in col.items()} if c else {}
-                for col in self.cols]
-        return SparseMatrix._of_columns(f, self.nrows, cols)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if not isinstance(other, SparseMatrix):
@@ -362,82 +327,54 @@ def _axpy(p: int, target: dict, coeff, source: dict) -> None:
 class Eliminator:
     """Incremental Gaussian elimination over sparse columns.
 
-    Pivot columns are stored normalized (coefficient 1 at the pivot row).
-    ``reduce`` returns the unique residue of a column modulo the span of
-    everything absorbed so far; ``add`` absorbs a column, returning the new
-    pivot row or None when the column was already in the span.
-
-    With ``track=True`` the eliminator also carries an expression of every
-    pivot in terms of the original added columns, which powers kernel and
-    membership witnesses.
+    Pivot columns are stored normalized (coefficient 1 at the pivot row,
+    the largest row of the column).  ``reduce`` returns the unique residue
+    of a column modulo the span of everything absorbed so far; ``add``
+    absorbs a column, returning the new pivot row or None when the column
+    was already in the span.  Rows may be negative: ``kernel_basis`` gives
+    column j an extra coordinate 1 at row -1 - j and absorbs only residues
+    with a row >= 0 left, so pivots carry their column history for free.
     """
 
-    __slots__ = ("field", "pivots", "history", "track", "added", "last_dependency")
+    __slots__ = ("field", "pivots")
 
-    def __init__(self, field: Field, track: bool = False) -> None:
+    def __init__(self, field: Field) -> None:
         self.field = field
         self.pivots: dict[int, Column] = {}
-        self.history: dict[int, dict] = {}
-        self.track = track
-        self.added = 0
-        self.last_dependency: dict | None = None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, col: Column, hist: dict | None = None) -> Column:
-        """Residue of ``col`` modulo the current span.
+    def reduce(self, col: Column) -> Column:
+        """Residue of ``col`` modulo the current span, as a new dict.
 
-        When ``hist`` is a dict it accumulates, per original-column tag, the
-        coefficients used, so ``col - residue == sum(hist[t] * column_t)``.
         The pivot eliminated next is the first hit in dict order.
         """
         p = self.field.char
         pivots = self.pivots
-        col = _clean(col)
+        col = {r: v for r, v in col.items() if v}
         while True:
             for hit in col:
                 if hit in pivots:
                     break
             else:
                 return col
-            c = col[hit]
-            _axpy(p, col, -c, pivots[hit])
-            if hist is not None:
-                _axpy(p, hist, c, self.history[hit])
+            _axpy(p, col, -col[hit], pivots[hit])
 
-    def add(self, col: Column, tag=None) -> int | None:
-        """Absorb a column; return its pivot row, or None if dependent.
-
-        ``tag`` names the column in tracked histories (defaults to the
-        insertion index).  After a dependent add with tracking on,
-        ``last_dependency`` holds coefficients with
-        ``col == sum(last_dependency[t] * column_t)``.
-        """
-        f = self.field
-        if tag is None:
-            tag = self.added
-        hist: dict | None = {} if self.track else None
-        res = self.reduce(col, hist)
-        self.added += 1
+    def add(self, col: Column) -> int | None:
+        """Absorb a column; return its pivot row, or None if dependent."""
+        res = self.reduce(col)
         if not res:
-            if self.track:
-                self.last_dependency = hist
             return None
         row = max(res)
+        f = self.field
         inv = f.inv(res[row])
         p = f.char
         if p:
             self.pivots[row] = {r: inv * v % p for r, v in res.items()}
         else:
             self.pivots[row] = {r: inv * v for r, v in res.items()}
-        if self.track:
-            # pivot = inv * (col - sum(hist * originals))
-            hnew = {tag: inv}
-            _axpy(p, hnew, -inv, hist)
-            self.history[row] = hnew
-            self.last_dependency = None
         return row
 
 
@@ -513,22 +450,24 @@ def rank(m: SparseMatrix) -> int:
 def kernel_basis(m: SparseMatrix) -> list[Column]:
     """A basis of the right kernel, as dicts over column indices.
 
-    Columns are processed left to right, so each kernel vector has
-    coefficient 1 at its own (largest) column index; the result is
-    deterministic.
+    Column j is reduced with the augmented identity, one extra coordinate
+    1 at row -1 - j, so a residue's negative rows are the combination of
+    columns it is.  A residue with no row >= 0 left is a kernel vector,
+    with coefficient 1 at j, its largest column, and keys in ascending
+    order; any other is absorbed.  The result is deterministic.
 
     >>> kernel_basis(SparseMatrix.from_dense(QQ, [[1, 1]]))
     [{0: Fraction(-1, 1), 1: 1}]
     """
-    elim = Eliminator(m.field, track=True)
+    elim = Eliminator(m.field)
     out: list[Column] = []
-    f = m.field
+    one = m.field.one
     for j, col in enumerate(m.cols):
-        if elim.add(col, tag=j) is None:
-            dep = elim.last_dependency or {}
-            vec = {t: f.neg(c) for t, c in dep.items() if c}
-            vec[j] = f.one
-            out.append(vec)
+        res = elim.reduce({**col, -1 - j: one})
+        if max(res) >= 0:
+            elim.add(res)
+        else:
+            out.append({-1 - r: c for r, c in sorted(res.items(), reverse=True)})
     return out
 
 

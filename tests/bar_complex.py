@@ -36,7 +36,8 @@ def bar_differential(group, n, field=QQ):
     translated tail (x_1^{-1} A, (x_2, ..., x_n)), the alternating-sign
     contractions (A, (..., x_i x_{i+1}, ...)), and the sign (-1)^n drop
     of the last entry.  Every entry is +-1 up to collisions, and the
-    composite of consecutive differentials is zero.
+    composite of consecutive differentials is zero.  Rows and columns are
+    numbered as ``bar_basis`` lists degrees n-1 and n.
     """
     rows = bar_basis(group, n - 1)
     cols = bar_basis(group, n)
@@ -53,8 +54,7 @@ def bar_differential(group, n, field=QQ):
                 sign = f.neg(sign)
             yield (rpos[(a, xs[:-1])], c), sign
 
-    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()),
-                        row_labels=rows, col_labels=cols)
+    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()))
 
 
 def b_tensor_dim(v_mod):

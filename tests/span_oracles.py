@@ -2,6 +2,8 @@
 
 The library ranks whole matrices and reads level spans off a union-find;
 these plain eliminations over a list of columns check both from outside.
+Coefficients are tracked by the augmented identity, as ``kernel_basis``
+does: column t carries one extra coordinate 1 at row -1 - t.
 """
 
 from parh.linalg import QQ, Eliminator
@@ -15,14 +17,30 @@ def in_span(v, basis, field):
     >>> in_span({1: 1}, [{0: 1}], QQ) is None
     True
     """
-    elim = Eliminator(field, track=True)
-    for j, col in enumerate(basis):
-        elim.add(col, tag=j)
-    hist = {}
-    res = elim.reduce(dict(v), hist)
-    if res:
+    elim = Eliminator(field)
+    for t, col in enumerate(basis):
+        add_tagged(elim, col, t)
+    return tagged_coefficients(elim, v)
+
+
+def add_tagged(elim, col, t):
+    """Absorb ``col`` as column t, unless it is already in the span;
+    return whether it was absorbed.  No pivot lands on a negative row."""
+    res = elim.reduce({**col, -1 - t: elim.field.one})
+    if max(res) < 0:
+        return False
+    elim.add(res)
+    return True
+
+
+def tagged_coefficients(elim, v):
+    """Coefficients c with v == sum(c[t] * column_t) over the columns
+    absorbed by ``add_tagged``, or None if v is outside their span."""
+    res = elim.reduce(v)
+    if any(r >= 0 for r in res):
         return None
-    return {t: c for t, c in hist.items() if c}
+    neg = elim.field.neg
+    return {-1 - r: neg(c) for r, c in res.items()}
 
 
 def subspace_equal(a, b, field):

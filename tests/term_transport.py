@@ -12,7 +12,7 @@ from parh.linalg import SparseMatrix, accumulate
 
 
 def term_built_differentials(v_mod, max_n):
-    """{n: d_n} for n = 1..max_n, on the labels of the transported complex."""
+    """{n: d_n} for n = 1..max_n, on the blocks of the transported complex."""
     group, field = v_mod.group, v_mod.field
     supports = _idempotent_supports(v_mod)
     cols = [v_mod.mats[g].cols for g in range(group.order)]
@@ -40,8 +40,6 @@ def term_built_differentials(v_mod, max_n):
                             yield (off + lo[r], c), s * v
                     c += 1
 
-        rows, labels = degree[n - 1][1], degree[n][1]
-        diffs[n] = SparseMatrix(field, len(rows), len(labels),
-                                accumulate(field, terms()),
-                                row_labels=rows, col_labels=labels)
+        diffs[n] = SparseMatrix(field, degree[n - 1][1], degree[n][1],
+                                accumulate(field, terms()))
     return diffs

@@ -347,6 +347,41 @@ def test_b_module_column_cap_exits_3_before_building(capsys, monkeypatch,
                     "limit": 1_000_000, "requested": 2 ** 23}
 
 
+@pytest.mark.parametrize("command,degree,requested", [
+    (("homology", "partial", "--module", "W⊗regular"), 1, 12),
+    (("homology", "cohomology", "--module", "W⊗trivial"), 2, 36),
+    (("verify", "theorem-a", "--rep", "regular"), 1, 12),
+])
+def test_induced_module_column_cap_exits_3_before_building(
+        capsys, monkeypatch, command, degree, requested):
+    def unreachable(*args):
+        raise AssertionError("the induced module was built before the cap")
+
+    monkeypatch.setattr("parh.cli.induce_module", unreachable)
+    monkeypatch.setattr("parh.homology.induce_module", unreachable)
+    base = [*command, "--group", "S3", "--max-columns", "10"]
+    code, data, err = run_json(capsys, *base, "--component", "14",
+                               "--max", "3")
+    assert code == EXIT_CAP
+    # the exit the complex's own cap gave once the module was built
+    message = (f"transported complex at degree {degree} needs {requested} "
+               "basis columns, cap is 10")
+    assert (data, err) == ({"error": "size_cap", "message": message,
+                            "limit": 10, "requested": requested},
+                           f"size cap: {message}\n")
+    # the groupoid cap, then the component index, keep their turn first
+    code, data, _ = run_json(capsys, *base, "--component", "14", "--max", "3",
+                             "--max-group-order", "5")
+    assert (code, data["limit"], data["requested"]) == (EXIT_CAP, 5, 6)
+    code, data, _ = run_json(capsys, *base, "--component", "15", "--max", "3")
+    assert code == EXIT_CONFIG and "out of range" in data["message"]
+    # a negative degree is the pipelines' configuration error, as before
+    monkeypatch.undo()
+    code, data, _ = run_json(capsys, *base, "--component", "14", "--max", "-1")
+    assert code == EXIT_CONFIG
+    assert data["message"] == "max_degree must be nonnegative"
+
+
 @pytest.mark.parametrize("command", REGULAR_MODULE_COMMANDS)
 def test_regular_module_runs_at_the_group_order_cap(capsys, command):
     code, data, _ = run_json(capsys, *command, "--group", "S3", "--max", "1",

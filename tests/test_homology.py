@@ -7,6 +7,7 @@ import pytest
 
 from bar_complex import b_tensor_dim, bar_basis, bar_differential
 from canonical_module import canonical_regular_module
+from span_oracles import add_tagged, tagged_coefficients
 from term_transport import term_built_differentials
 from parh import homology
 from parh.exel import PartialGroupAlgebra
@@ -26,6 +27,8 @@ from parh.homology import (
     ChainComplex,
     HomologyReport,
     _contract,
+    _degree_blocks,
+    _idempotent_supports,
     _prefixes,
     _subsets,
     _transported_complex,
@@ -65,8 +68,8 @@ def test_bar_degree_one_column_is_right_action_difference():
     # right action of [x] - e_x on e_A.
     c2 = build_named_group("C2")
     d1 = bar_differential(c2, 1)
-    rows = d1.row_labels
-    cols = d1.col_labels
+    rows = bar_basis(c2, 0)
+    cols = bar_basis(c2, 1)
     for c, (a, xs) in enumerate(cols):
         x = xs[0]
         shifted = tuple(sorted(c2.mult(c2.inv(x), m) for m in a))
@@ -88,7 +91,7 @@ def test_bar_degree_one_matches_algebra_right_action():
     c3 = build_named_group("C3")
     algebra = PartialGroupAlgebra(c3)
     d1 = bar_differential(c3, 1)
-    for c, (a, xs) in enumerate(d1.col_labels):
+    for c, (a, xs) in enumerate(bar_basis(c3, 1)):
         x = xs[0]
         moved = algebra.bracket(c3.inv(x)) * algebra.primitive_idempotent(a)
         moved = moved * algebra.bracket(x)
@@ -101,8 +104,8 @@ def test_bar_two_tuple_column_has_the_three_terms():
     c2 = build_named_group("C2")
     d2 = bar_differential(c2, 2)
     full = (0, 1)
-    col_index = d2.col_labels.index((full, (1, 1)))
-    rows = {lab: k for k, lab in enumerate(d2.row_labels)}
+    col_index = bar_basis(c2, 2).index((full, (1, 1)))
+    rows = {lab: k for k, lab in enumerate(bar_basis(c2, 1))}
     assert d2.cols[col_index] == {
         rows[(full, (1,))]: QQ.of(2),
         rows[(full, (0,))]: QQ.of(-1),
@@ -133,8 +136,8 @@ def test_homogeneous_d_squared_is_zero():
 def test_homotopy_prepends_identity_entry():
     c2 = build_named_group("C2")
     s0 = contracting_homotopy(c2, 0)
-    rows = {lab: k for k, lab in enumerate(s0.row_labels)}
-    for c, (a, gs) in enumerate(s0.col_labels):
+    rows = {lab: k for k, lab in enumerate(homogeneous_basis(c2, 1))}
+    for c, (a, gs) in enumerate(homogeneous_basis(c2, 0)):
         assert gs == ()
         assert s0.cols[c] == {rows[(a, (0,))]: QQ.one}
 
@@ -204,13 +207,14 @@ def test_corrupted_homotopy_fails_both_certificates(monkeypatch):
         s = build(group, n, field, cap, subsets=subsets)
         if n != 1:
             return s
-        c = s.col_labels.index((full, (1,)))
-        rows = {lab: k for k, lab in enumerate(s.row_labels)}
+        c = homogeneous_basis(group, 1, cap, subsets=subsets).index(
+            (full, (1,)))
+        rows = {lab: k for k, lab in enumerate(
+            homogeneous_basis(group, 2, cap, subsets=subsets))}
         entries = dict(s.entries)
         del entries[(rows[(full, (0, 1))], c)]
         entries[(rows[(full, (0, 2))], c)] = field.one
-        return SparseMatrix(field, s.nrows, s.ncols, entries,
-                            row_labels=s.row_labels, col_labels=s.col_labels)
+        return SparseMatrix(field, s.nrows, s.ncols, entries)
 
     monkeypatch.setattr(homology, "contracting_homotopy", corrupted)
     resolution_identity_holds.cache_clear()
@@ -261,8 +265,6 @@ def test_column_built_differentials_match_term_built(module, field):
     for n, want in term_built_differentials(v, 3).items():
         got = cx.diffs[n]
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-        assert (got.row_labels, got.col_labels) == (want.row_labels,
-                                                    want.col_labels)
         # same entries in the same order, so elimination pivots alike
         assert list(got.entries.items()) == list(want.entries.items())
         assert got.entries and got.cols == want.cols
@@ -271,15 +273,24 @@ def test_column_built_differentials_match_term_built(module, field):
 @pytest.mark.parametrize("name,field", [("C2", QQ), ("C3", QQ), ("C2xC2", GF(2))])
 def test_transported_equals_bar_for_idempotent_module(name, field):
     group = build_named_group(name)
-    cx = _transported_complex(b_module(group, field), 3, HOMOLOGY_SIZE_CAP)
+    bm = b_module(group, field)
+    cx = _transported_complex(bm, 3, HOMOLOGY_SIZE_CAP)
+    supports = _idempotent_supports(bm)
     subsets = _subsets(group)
     for n in (1, 2, 3):
         bar = bar_differential(group, n, field)
         eng = cx.diffs[n]
         assert (bar.nrows, bar.ncols) == (eng.nrows, eng.ncols)
         assert bar.entries == eng.entries
-        for k, (xs, j) in enumerate(eng.col_labels):
-            a_bar, xs_bar = bar.col_labels[k]
+        # the coordinates (xs, j) of the transported complex, in order
+        blocks, dim = _degree_blocks(group, supports, n, {})
+        coords = []
+        for xs, (offset, block) in blocks.items():
+            assert offset == len(coords)
+            coords.extend((xs, j) for j in range(len(block)))
+        assert len(coords) == dim == eng.ncols
+        for k, (xs, j) in enumerate(coords):
+            a_bar, xs_bar = bar_basis(group, n)[k]
             qualifying = [a for a in subsets
                           if set(_prefixes(group, xs)).issubset(a)]
             assert xs_bar == xs and a_bar == qualifying[j]
@@ -459,9 +470,12 @@ def test_degree_zero_cohomology_is_common_kernel(name):
             d = v.dim
             entries = {}
             for x in range(group.order):
-                m = v.mats[x] - v.mats[x] * v.mats[group.inv(x)]
-                for (i, j), c in m.entries.items():
-                    entries[(x * d + i, j)] = c
+                e_x = v.mats[x] * v.mats[group.inv(x)]
+                terms = [((x * d + i, j), c)
+                         for (i, j), c in v.mats[x].entries.items()]
+                terms += [((x * d + i, j), field.neg(c))
+                          for (i, j), c in e_x.entries.items()]
+                entries.update(accumulate(field, terms))
             stacked = SparseMatrix(field, group.order * d, d, entries)
             h0 = partial_cohomology(group, v, max_degree=0).dims[0]
             assert h0 == d - rank(stacked), (name, field.name, label)
@@ -478,18 +492,17 @@ class _ProjectionBlock:
 
     def __init__(self, field, projection):
         self.projection = projection
-        self._elim = Eliminator(field, track=True)
+        self._elim = Eliminator(field)
         self.basis = []
-        for j in range(projection.ncols):
-            col = projection.cols[j]
-            if col and self._elim.add(col, tag=len(self.basis)) is not None:
+        for col in projection.cols:
+            if col and add_tagged(self._elim, col, len(self.basis)):
                 self.basis.append(col)
 
     def coords(self, col):
-        hist = {}
-        if self._elim.reduce(dict(col), hist):
+        coeffs = tagged_coefficients(self._elim, col)
+        if coeffs is None:
             raise RuntimeError("vector escapes its projection block")
-        return hist
+        return coeffs
 
 
 def _projection_blocks(v_mod, n, cache):
@@ -899,7 +912,7 @@ def test_chain_complex_needs_depth():
 
 def test_chain_complex_shape_check():
     with pytest.raises(ValueError):
-        ChainComplex(QQ, {0: 1, 1: 2}, {1: SparseMatrix.zero(QQ, 2, 2)})
+        ChainComplex(QQ, {0: 1, 1: 2}, {1: SparseMatrix(QQ, 2, 2)})
 
 
 # ---------------------------------------------------------------------------

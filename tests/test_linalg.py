@@ -16,6 +16,8 @@ from parh.linalg import (
     kernel_basis,
     rank,
 )
+from dense_reference import (dense_apply, dense_kernel, dense_mul, dense_ops,
+                             to_dense)
 from span_oracles import in_span, span_rank, subspace_equal
 
 
@@ -76,7 +78,7 @@ def test_field_rejects_nonprime_and_huge():
 
 def test_rank_examples():
     assert rank(SparseMatrix.identity(QQ, 2)) == 2
-    assert rank(SparseMatrix.zero(QQ, 3, 4)) == 0
+    assert rank(SparseMatrix(QQ, 3, 4)) == 0
     assert rank(SparseMatrix.from_dense(GF(2), [[1, 1], [1, 1]])) == 1
     assert rank(SparseMatrix.from_dense(QQ, [[1, 1], [1, 1]])) == 1
     # characteristic matters: singular mod 2, invertible over Q
@@ -117,31 +119,27 @@ def test_matrix_arithmetic():
     a = SparseMatrix.from_dense(QQ, [[1, 2], [3, 4]])
     b = SparseMatrix.from_dense(QQ, [[0, 1], [1, 0]])
     assert to_dense(a * b) == [[2, 1], [4, 3]]
-    assert (a + b - b) == a
+    assert to_dense(a + b) == [[1, 3], [4, 4]]
     assert (a * b).transpose() == b.transpose() * a.transpose()
-    assert (-a + a).is_zero()
-    assert a.scale(Fraction(1, 2)).cols[1][1] == 2
     v = {0: Fraction(1), 1: Fraction(1)}
     assert a.apply(v) == {0: Fraction(3), 1: Fraction(7)}
 
 
 def test_matrix_shape_errors():
     a = SparseMatrix.identity(QQ, 2)
-    b = SparseMatrix.zero(QQ, 3, 2)
+    b = SparseMatrix(QQ, 3, 2)
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(IndexError):
         SparseMatrix(QQ, 2, 2, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        SparseMatrix(QQ, 2, 2, {}, row_labels=["only-one"])
 
 
 def test_no_stored_zeros():
     m = SparseMatrix(QQ, 2, 2, {(0, 0): 0, (0, 1): 1})
     assert m.nnz() == 1
-    s = m - m
+    s = m + SparseMatrix(QQ, 2, 2, {(0, 1): -1})
     assert s.nnz() == 0 and s.is_zero()
 
 
@@ -154,15 +152,6 @@ def test_eliminator_incremental():
     assert elim.rank == 2
     res = elim.reduce({0: 5, 1: -3})
     assert res == {}
-
-
-def to_dense(m):
-    """The matrix as a list of rows, zeros included."""
-    out = [[m.field.zero] * m.ncols for _ in range(m.nrows)]
-    for j, col in enumerate(m.cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
 
 
 def _random_matrix(rng, field, nrows, ncols, density=0.5):
@@ -260,102 +249,6 @@ def test_incidence_span_matches_elimination(field):
             assert (span.residue_column(x) == {}) == (not elim.reduce(x))
 
 
-def test_labels_travel_with_transpose():
-    m = SparseMatrix(QQ, 2, 1, {(0, 0): 1}, row_labels=["r0", "r1"], col_labels=["c0"])
-    t = m.transpose()
-    assert t.row_labels == ["c0"]
-    assert t.col_labels == ["r0", "r1"]
-
-
-# Dense reference arithmetic, independent of Field and SparseMatrix: plain
-# Fraction over Q, ints reduced % p over F_p.
-
-
-def _dense_ops(field):
-    p = field.char
-    if p:
-        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
-                lambda a, b: a * b % p, lambda a: pow(a, -1, p))
-    return (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
-            lambda a: 1 / Fraction(a))
-
-
-def _dense_solve(ops, cols, target):
-    """Coefficients x with sum(x[k] * cols[k]) == target, or None.
-
-    ``cols`` must be independent, so a solution is unique.
-    """
-    add, sub, mul, inv = ops
-    k = len(cols)
-    rows = [[c[i] for c in cols] + [t] for i, t in enumerate(target)]
-    where = {}
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        s = inv(rows[r][c])
-        rows[r] = [mul(s, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        where[c] = r
-        r += 1
-    if any(rows[i][k] for i in range(r, len(rows))):
-        return None
-    return [rows[where[c]][k] if c in where else 0 for c in range(k)]
-
-
-def _dense_kernel(field, dense, ncols):
-    """Rank and kernel vectors the way `kernel_basis` promises them: one
-    per column dependent on the independent columns before it, with
-    coefficient 1 there."""
-    ops = _dense_ops(field)
-    sub = ops[1]
-    basis, indep, kernel = [], [], []
-    for j in range(ncols):
-        col = [row[j] for row in dense]
-        x = _dense_solve(ops, basis, col)
-        if x is None:
-            basis.append(col)
-            indep.append(j)
-            continue
-        vec = {t: sub(0, c) for t, c in zip(indep, x) if c}
-        vec[j] = 1
-        kernel.append(vec)
-    return len(basis), kernel
-
-
-def _dense_apply(field, dense, vec):
-    add, _, mul, _ = _dense_ops(field)
-    out = {}
-    for i, row in enumerate(dense):
-        s = 0
-        for j, c in vec.items():
-            s = add(s, mul(row[j], c))
-        if s:
-            out[i] = s
-    return out
-
-
-def _dense_mul(field, a, b):
-    add, _, mul, _ = _dense_ops(field)
-    inner = len(b)
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        line = []
-        for j in range(width):
-            s = 0
-            for k in range(inner):
-                s = add(s, mul(row[k], b[k][j]))
-            line.append(s)
-        out.append(line)
-    return out
-
-
 def _assert_scalars(field, values):
     for v in values:
         if field.char:
@@ -376,7 +269,7 @@ def test_sparse_kernels_match_dense_reference(field):
         vec = {j: field.of(rng.randint(1, 4) * rng.choice([-1, 1]))
                for j in range(inner) if rng.random() < 0.6}
         vec = {j: c for j, c in vec.items() if c}
-        want = _dense_apply(field, dense_a, vec)
+        want = dense_apply(field, dense_a, vec)
 
         got = a.apply(vec)
         assert got == want
@@ -392,25 +285,17 @@ def test_sparse_kernels_match_dense_reference(field):
             _assert_scalars(field, a.cols[j].values())
 
         prod = a * b
-        assert to_dense(prod) == _dense_mul(field, dense_a, dense_b)
+        assert to_dense(prod) == dense_mul(field, dense_a, dense_b)
         _assert_scalars(field, prod.entries.values())
 
-        add, sub, mul, _ = _dense_ops(field)
+        add, sub, _, _ = dense_ops(field)
         other = prod * b.transpose()
         dense_o = to_dense(other)
         assert (other.nrows, other.ncols) == (nrows, inner)
-        for got, op in ((a + other, add), (a - other, sub)):
-            assert to_dense(got) == [[op(x, y) for x, y in zip(ra, ro)]
-                                      for ra, ro in zip(dense_a, dense_o)]
-            _assert_scalars(field, got.entries.values())
-        for c in (0, 2, -1, 7):
-            got = a.scale(c)
-            k = field.of(c)
-            assert to_dense(got) == [[mul(k, x) for x in row]
-                                      for row in dense_a]
-            _assert_scalars(field, got.entries.values())
-        assert a.scale(0) == SparseMatrix.zero(field, nrows, inner)
-        assert a.scale(0).nnz() == 0 and a.scale(0).is_zero()
+        got = a + other
+        assert to_dense(got) == [[add(x, y) for x, y in zip(ra, ro)]
+                                  for ra, ro in zip(dense_a, dense_o)]
+        _assert_scalars(field, got.entries.values())
 
         t = a.transpose()
         assert (t.nrows, t.ncols) == (inner, nrows)
@@ -418,11 +303,13 @@ def test_sparse_kernels_match_dense_reference(field):
         assert t.transpose() == a
 
         # a sum that cancels is the zero matrix and stores no zeros
-        for gone in (a + (-a), a - a, a + a.scale(-1)):
-            assert gone == SparseMatrix.zero(field, nrows, inner)
-            assert gone.is_zero() and gone.nnz() == 0 and gone.entries == {}
-            assert gone.cols == [{} for _ in range(inner)]
-        assert all(v for m in (a, a + other, a - other, prod, t)
+        minus_a = SparseMatrix.from_dense(
+            field, [[sub(0, x) for x in row] for row in dense_a])
+        gone = a + minus_a
+        assert gone == SparseMatrix(field, nrows, inner)
+        assert gone.is_zero() and gone.nnz() == 0 and gone.entries == {}
+        assert gone.cols == [{} for _ in range(inner)]
+        assert all(v for m in (a, a + other, prod, t)
                    for col in m.cols for v in col.values())
 
         # nnz and entries in column-major order
@@ -434,7 +321,7 @@ def test_sparse_kernels_match_dense_reference(field):
         assert [j for _, j in keys] == sorted(j for _, j in keys)
         assert a.is_zero() == (not want_entries)
 
-        r, kernel = _dense_kernel(field, dense_a, inner)
+        r, kernel = dense_kernel(field, dense_a, inner)
         assert rank(a) == r
         got_kernel = kernel_basis(a)
         assert got_kernel == kernel
