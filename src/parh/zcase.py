@@ -162,15 +162,11 @@ def _times(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x * y
 
 
-def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
-    """The summands e_1, (1-e_1) e_2, ..., (1-e_1)...(1-e_{n-1}) e_n.
-
-    These are pairwise orthogonal idempotents whose sum is an idempotent
-    spanning the same ideal as the inputs together.
-    """
+def _parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
+    """The summands q_j = e_j (1-e_1)...(1-e_{j-1}) of commuting idempotents
+    e_1..e_n, unchecked; q_1..q_m depend only on e_1..e_m."""
     if not es:
         return []
-    _check_commuting_idempotents(es)
     one = _algebra(es[0]).one()
     parts = [es[0]]
     shrink = None
@@ -181,15 +177,24 @@ def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
     return parts
 
 
+def orthogonal_parts(es: Sequence[AlgebraElement]) -> list[AlgebraElement]:
+    """The summands e_1, (1-e_1) e_2, ..., (1-e_1)...(1-e_{n-1}) e_n.
+
+    The inputs must be commuting idempotents (checked; ValueError if not).
+    The summands are pairwise orthogonal idempotents, and the first i of
+    them sum to the join 1 - (1-e_1)...(1-e_i), which spans the same ideal
+    as e_1..e_i together and absorbs each of them.
+    """
+    _check_commuting_idempotents(es)
+    return _parts(es)
+
+
 def combine_idempotents(es: Sequence[AlgebraElement]) -> AlgebraElement:
     """Combine commuting idempotents into one with the same joint span."""
     parts = orthogonal_parts(es)
     if not parts:
         raise ValueError("need at least one idempotent")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    return sum(parts[1:], parts[0])
 
 
 @dataclass(frozen=True)
@@ -232,38 +237,18 @@ def cancellation_reconstructs(
     return True
 
 
-def _cancel(
-    es: list[AlgebraElement], rs: list[AlgebraElement], one: AlgebraElement
-) -> tuple[list[list[AlgebraElement]], list[AlgebraElement]]:
-    zero = one - one
+def _cancel(es: Sequence[AlgebraElement], rs: Sequence[AlgebraElement],
+            a: Sequence[AlgebraElement]) -> tuple[list, list]:
+    """The closed-form M and b for a_i = r_i e_i with sum a_i = 0."""
     k = len(es)
-    if k == 0:
-        return [], []
-    if k == 1:
-        # r_1 e_1 = 0 means r_1 = r_1 (1 - e_1); take b_1 = r_1.
-        return [[zero]], [rs[0]]
-    if k == 2:
-        r = rs[1]
-        b1 = rs[0] + _times(r, es[1])
-        b2 = rs[1] - _times(r, es[0])
-        return [[zero, -r], [r, zero]], [b1, b2]
-    ek = es[-1]
-    shrink = one - ek
-    inner_es = [_times(e, shrink) for e in es[:-1]]
-    m0, tilde = _cancel(inner_es, rs[:-1], one)
-    x = rs[-1]
-    for bt, e in zip(tilde, es[:-1]):
-        x = x + _times(bt, e)
-    if not _times(x, ek).is_zero():
-        raise RuntimeError("cancellation recursion lost the annihilation step")
+    zero = _algebra(es[0]).zero()
     mat = [[zero] * k for _ in range(k)]
-    for i in range(k - 1):
-        for j in range(k - 1):
-            mat[i][j] = _times(m0[i][j], shrink)
-        scaled = _times(tilde[i], es[i])
-        mat[i][k - 1] = scaled
-        mat[k - 1][i] = -scaled
-    return mat, tilde + [x]
+    for j, q in enumerate(_parts(es[:-1])):  # q_k is never read
+        for i in range(j + 1, k):
+            m = _times(a[i], q)
+            mat[i][j] = m
+            mat[j][i] = -m
+    return mat, [r - x for r, x in zip(rs, a)]
 
 
 def cancellation_decompose(
@@ -276,22 +261,28 @@ def cancellation_decompose(
 
         r_i = sum_j M[i][j] e_j + b_i (1 - e_i).
 
-    The recursion peels the last idempotent: the first k-1 terms satisfy
-    the same hypothesis against e_i (1 - e_k), and the step that frees r_k
-    solves x e = 0 by taking b = x itself.
+    The split is in closed form.  With a_i = r_i e_i and the orthogonal
+    parts q_j = e_j (1-e_1)...(1-e_{j-1}), M[i][j] = a_i q_j for j < i,
+    M[j][i] = -M[i][j] and b_i = r_i - a_i.  Only commutation of the e's
+    is used, so r_i may be any left coefficient.  As q_j e_j = q_j and
+    a_j e_j = a_j, sum_j M[i][j] e_j = a_i (q_1 + ... + q_{i-1})
+    - (a_{i+1} + ... + a_k) q_i.  The join q_1 + ... + q_i absorbs e_i,
+    so the first term is a_i - a_i q_i; as sum_j a_j = 0 and e_j q_i = 0
+    for j < i, the second is a_i q_i.  So sum_j M[i][j] e_j = a_i, and
+    adding b_i (1 - e_i) = r_i (1 - e_i) gives r_i.  That is k(k-1)/2
+    products for M and fewer than 2k for the q's; the a_i serve both the
+    hypothesis check and M.  Every result is validated by
+    ``skew_symmetric`` and ``cancellation_reconstructs``.
     """
     if len(es) != len(rs):
         raise ValueError("need one coefficient per idempotent")
     if not es:
         return CancellationResult((), ())
     _check_commuting_idempotents(es)
-    total = _times(rs[0], es[0])
-    for r, e in zip(rs[1:], es[1:]):
-        total = total + _times(r, e)
-    if not total.is_zero():
+    a = [_times(r, e) for r, e in zip(rs, es)]
+    if not sum(a[1:], a[0]).is_zero():
         raise ValueError("hypothesis fails: sum r_i e_i is not zero")
-    one = _algebra(es[0]).one()
-    mat, b = _cancel(list(es), list(rs), one)
+    mat, b = _cancel(es, rs, a)
     result = CancellationResult(tuple(tuple(row) for row in mat), tuple(b))
     if not result.skew_symmetric() or not cancellation_reconstructs(es, rs, result):
         raise RuntimeError("cancellation produced an invalid decomposition")

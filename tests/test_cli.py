@@ -532,8 +532,9 @@ def test_z_cancellation_reports_a_failed_decomposition(capsys, monkeypatch):
     # is recorded as failed instead of escaping main
     real = zcase._cancel
 
-    def wrong_b(es, rs, one):
-        mat, b = real(es, rs, one)
+    def wrong_b(es, rs, a):
+        mat, b = real(es, rs, a)
+        one = PartialGroupAlgebra(es[0].group, es[0].field).one()
         return mat, [x + one for x in b]
 
     monkeypatch.setattr(zcase, "_cancel", wrong_b)

@@ -132,6 +132,12 @@ GOLDEN = {
     "z cancellation --ring C3 --count 10 --max-k 3 --seed 2 --field F5": (
         "b225ea515489ffe90859eaeaedbb2aa73c46bfd804cfc6e96584fcac9cf24dcd",
         "86cb2b86b14b3f06a8d5c6838a00f64bf494325d448542294748ff67cb4aaffb"),
+    "z cancellation --ring S3 --count 30 --max-k 5 --field F2 --seed 3": (
+        "da24a3dad67cbbc8e0ce53a194bf003635bd6667c6c6cbf78a9a22b2d742cf79",
+        "cbc68644a4692e797381eb5d2b117a06315a4b8233c8e13cc6d145ced8f9b20f"),
+    "z cancellation --count 200 --seed 1": (
+        "52930a56b5d45bf408deea54cf1a64b09b38a030400bf4c85728cbc03fd07e36",
+        "64f63a1442d66713cf06dadbabb188e3df047b249bb6c6c6c73bb152d952cad8"),
     "z ig-decompose --count 10 --bound 2 --seed 1": (
         "583d1317cec339584682c447c8376f77bd13e36b5e7b3bb15db06ca96af3337f",
         "ab70d79ebac0155b4f7ef40f074273023469692f00297d46a005bbbb28bd3003"),

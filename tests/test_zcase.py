@@ -181,12 +181,14 @@ def test_cancellation_base_case_matches_derivation():
     es = [ea, ea]
     rs = [alg.one(), -alg.one()]
     result = cancellation_decompose(es, rs)
-    assert result.matrix[0][1] == alg.one()
-    assert result.matrix[1][0] == -alg.one()
+    # a = (e_a, -e_a), q_1 = e_a: M[1][0] = a_2 q_1 = -e_a, b_i = r_i - a_i
+    assert result.matrix[0][1] == ea
+    assert result.matrix[1][0] == -ea
     assert result.matrix[0][0].is_zero() and result.matrix[1][1].is_zero()
+    assert result.b == (alg.one() - ea, ea - alg.one())
     assert result.skew_symmetric()
     assert cancellation_reconstructs(es, rs, result)
-    # reconstruction of the first slot: 1 = 1 * e_a + b_1 (1 - e_a)
+    # reconstruction of the first slot: 1 = e_a * e_a + b_1 (1 - e_a)
     assert result.matrix[0][1] * ea + result.b[0] * (alg.one() - ea) == alg.one()
 
 
@@ -243,6 +245,39 @@ def test_cancellation_forms_no_product_with_a_zero_operand(monkeypatch, ring):
         result = cancellation_decompose(es, rs)
         assert cancellation_reconstructs(es, rs, result), (ring, trial)
     assert zero_operands == []
+
+
+@pytest.mark.parametrize("ring", ["Z", "S3"])
+def test_cancellation_forms_a_quadratic_number_of_products(monkeypatch, ring):
+    # k squares, k products a_i = r_i e_i, under 2k for the orthogonal parts
+    # and one product per pair for M; the reconstruction check is not counted
+    group = INTEGERS if ring == "Z" else build_named_group(ring)
+    rng = Random(20)
+    calls, checked = [], []
+    mul = AlgebraElement.__mul__
+    reconstructs = zcase.cancellation_reconstructs
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    def uncounted(es, rs, result):
+        before = len(calls)
+        ok = reconstructs(es, rs, result)
+        del calls[before:]
+        checked.append(ok)
+        return ok
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    monkeypatch.setattr(zcase, "cancellation_reconstructs", uncounted)
+    for k in range(1, 6):
+        for trial in range(8):
+            es, rs = random_cancellation_instance(rng, k, group)
+            calls.clear()
+            checked.clear()
+            cancellation_decompose(es, rs)
+            assert checked == [True], (ring, k, trial)
+            assert len(calls) <= 4 * k + k * (k - 1) // 2, (ring, k, trial)
 
 
 def test_cancellation_sampler_is_deterministic():
