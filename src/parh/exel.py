@@ -13,10 +13,12 @@ independently, is an oracle and lives with the tests
 (``tests/twisted_product.py``).
 
 Every product of algebra elements runs through one kernel,
-:func:`_product`: it applies the rule of :func:`s_mul` to each pair of
-terms, sums on plain ``(members, g)`` keys as ``linalg.accumulate`` does,
-and builds one :class:`SElement` per surviving key.  ``s_mul`` stays the
-single-pair rule and the kernel's test oracle.
+:func:`_sum_of_products`: for a list of pairs (x_i, y_i) it applies the
+rule of :func:`s_mul` to each pair of terms, sums every x_i y_i into one
+dict on plain ``(members, g)`` keys as ``linalg.accumulate`` does, and
+builds one :class:`SElement` per surviving key.  A single product
+:func:`_product` is its one-pair case.  ``s_mul`` stays the single-pair
+rule and the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -140,44 +142,56 @@ def s_mul(x: SElement, y: SElement) -> SElement:
     return _canonical_pair(grp, tuple(sorted(members)), grp.mult(g, y.g))
 
 
-def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-    """The product x * y in the partial group algebra.
+def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
+    """The sum of x * y over ``pairs`` in the partial group algebra.
 
     Each pair of terms gives the canonical pair of ``s_mul``, kept as a
     plain ``(members, g)`` key: gB comes from ``translate`` and gh from
-    ``mult``, so their overflow checks apply.  The keys are summed with
-    the reduction mod p and the drop-on-cancel order of ``accumulate``,
-    and one SElement is built per surviving key, so the result equals the
-    term-by-term sum of ``s_mul`` products, key order included.
+    ``mult``, so their overflow checks apply.  The keys of all the
+    products are summed in one dict, with the reduction mod p and the
+    drop-on-cancel order of ``accumulate``, and one SElement is built per
+    surviving key, so the result equals the term-by-term sum of ``s_mul``
+    products.  Every operand must lie in the algebra of ``group`` and
+    ``field`` (ValueError if not); a pair with a zero operand adds
+    nothing.
     """
-    x._check(y)
-    grp = x.group
-    e = grp.identity_index
-    translate, mult = grp.translate, grp.mult
-    p = x.field.char
-    right = [(t.members, t.g, d) for t, d in y.coeffs.items()]
+    ref = AlgebraElement._of_clean(group, field, {})
+    e = group.identity_index
+    translate, mult = group.translate, group.mult
+    p = field.char
     sums: dict = {}
     get = sums.get
-    for s, c in x.coeffs.items():
-        g = s.g
-        left = set(s.members)
-        for members, h, d in right:
-            if g == e:
-                key = (tuple(sorted(left.union(members))), h)
-            else:
-                key = (tuple(sorted(left.union(translate(g, members)))),
-                       mult(g, h))
-            old = get(key)
-            v = c * d if old is None else old + c * d
-            if p:
-                v %= p
-            if v:
-                sums[key] = v
-            else:
-                del sums[key]
-    return AlgebraElement._of_clean(grp, x.field, {
-        _canonical_pair(grp, members, g): c
+    for x, y in pairs:
+        ref._check(x)
+        ref._check(y)
+        if not x.coeffs or not y.coeffs:
+            continue
+        right = [(t.members, t.g, d) for t, d in y.coeffs.items()]
+        for s, c in x.coeffs.items():
+            g = s.g
+            left = set(s.members)
+            for members, h, d in right:
+                if g == e:
+                    key = (tuple(sorted(left.union(members))), h)
+                else:
+                    key = (tuple(sorted(left.union(translate(g, members)))),
+                           mult(g, h))
+                old = get(key)
+                v = c * d if old is None else old + c * d
+                if p:
+                    v %= p
+                if v:
+                    sums[key] = v
+                else:
+                    del sums[key]
+    return AlgebraElement._of_clean(group, field, {
+        _canonical_pair(group, members, g): c
         for (members, g), c in sums.items()})
+
+
+def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
+    """The product x * y: the one-pair case of :func:`_sum_of_products`."""
+    return _sum_of_products(x.group, x.field, ((x, y),))
 
 
 def s_generator(group, g) -> SElement:

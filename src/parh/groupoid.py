@@ -724,6 +724,13 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     e_{g^-1 A} when g is in A, and [g](B, h) is the arrow (B, gh) when
     g^-1 is in the target hB; either term may vanish.  So each relation is
     a signed edge u - v or a ground edge u, and an IncidenceSpan holds them.
+
+    The checks are read off the span's roots, found once per coordinate.
+    A column is in the span iff its residue, the component sums off the
+    ground, is zero, and the residue is linear: u - v is in the span iff
+    u and v share a root, and psi(phi(x)) - x iff the residues of psi(r),
+    one per vertex r, summed with the weights phi(x)_r give x's root, or
+    nothing when x lies in the ground's component.
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
@@ -733,25 +740,19 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     n_arr = len(arrows)
     flat = len(subsets) * n_arr
     f = field
-    one, minus_one = f.one, f.neg(f.one)
+    one = f.one
 
     def tensor_index(a: Vertex, arrow: Arrow) -> int:
         return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
 
     targets, moved, hits = _bracket_tables(comp, sub_pos)
 
-    # phi: tensor coordinates -> vertex span; psi: the reverse section
+    # phi: tensor coordinates -> vertex span; psi: the reverse section.
+    # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
+    # since 1 is in B, that is exactly A == gB, the arrow's target
     n_vert = comp.size
-
-    def phi_column(k: int, j: int) -> Column:
-        # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
-        # since 1 is in B, that is exactly A == gB, the arrow's target
-        if subsets[k] == targets[j]:
-            return {comp.vertex_pos[arrows[j][0]]: one}
-        return {}
-
-    def phi(idx: int) -> Column:
-        return phi_column(*divmod(idx, n_arr))
+    images = [{comp.vertex_pos[arrows[j][0]]: one} if a == targets[j] else {}
+              for a in subsets for j in range(n_arr)]
 
     span = IncidenceSpan(f)
     add = span.add
@@ -773,15 +774,18 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     # phi kills every relation u - v (and u) iff phi(u) == phi(v) on each
     # edge, that is iff phi is constant on each component of the span and
     # zero on the ground's, so phi is read once per coordinate
-    root = span.root
-    image_of = {root(-1): {}}
-    phi_kills = all(image_of.setdefault(root(idx), col) == col
-                    for idx, col in enumerate(map(phi, range(flat))))
+    ground = span.root(-1)
+    roots = [span.root(idx) for idx in range(flat)]
+    image_of = {ground: {}}
+    phi_kills = all(image_of.setdefault(r, col) == col
+                    for r, col in zip(roots, images))
 
-    # right stabilizer action on arrows out of the base vertex
-    h_trivial = not any(
-        span.residue_column({tensor_index(a, (b, grp.mult(g, h))): one,
-                             tensor_index(a, (b, g)): minus_one})
+    # right stabilizer action on arrows out of the base vertex: u - v is
+    # in the span iff u and v share a root, since otherwise at most one of
+    # the two roots is the ground and the other keeps its component sum
+    h_trivial = all(
+        roots[tensor_index(a, (b, grp.mult(g, h)))]
+        == roots[tensor_index(a, (b, g))]
         for h in comp.stabilizer.indices if h != 0
         for b, g in arrows if b == comp.base for a in subsets)
 
@@ -795,20 +799,19 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
 
     def phi_image(col: Column) -> Column:
         return accumulate(f, ((r, c * v) for idx, c in col.items()
-                              for r, v in phi(idx).items()))
+                              for r, v in images[idx].items()))
 
     phi_psi = all(phi_image(psi_cols[k]) == {k: one} for k in range(n_vert))
 
-    psi_phi = True
-    for k, a in enumerate(subsets):
-        for j, arrow in enumerate(arrows):
-            expect = accumulate(f, chain(
-                ((idx, val * c)
-                 for r, val in phi_column(k, j).items()
-                 for idx, c in psi_cols[r].items()),
-                [(tensor_index(a, arrow), minus_one)]))
-            if span.residue_column(expect):
-                psi_phi = False
+    # psi(phi(x)) - x is in the span iff its residue is zero; the residue
+    # is linear, so it is sum_r phi(x)_r psi_res[r] against that of x,
+    # which is x's root, or nothing on the ground's component
+    psi_res = [span.residue_column(col) for col in psi_cols]
+    psi_phi = all(
+        accumulate(f, ((row, val * c) for r, val in col.items()
+                       for row, c in psi_res[r].items()))
+        == ({} if r_x == ground else {r_x: one})
+        for r_x, col in zip(roots, images))
 
     return TensorReport(
         dimension=dimension,

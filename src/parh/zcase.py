@@ -38,7 +38,13 @@ from itertools import combinations
 from random import Random
 from typing import Sequence
 
-from .exel import AlgebraElement, PartialGroupAlgebra, SElement, _canonical_pair
+from .exel import (
+    AlgebraElement,
+    PartialGroupAlgebra,
+    SElement,
+    _canonical_pair,
+    _sum_of_products,
+)
 from .groups import INTEGERS, GroupElement
 from .linalg import (
     Column,
@@ -49,6 +55,7 @@ from .linalg import (
     Scalar,
     SizeCapError,
     SparseMatrix,
+    accumulate,
     kernel_basis,
 )
 
@@ -138,11 +145,15 @@ def verify_f_relations(bound: int, field: Field = QQ) -> dict:
 def _check_commuting_idempotents(es: Sequence[AlgebraElement]) -> None:
     """Raise ValueError unless every e is idempotent and they commute.
 
-    Every input is squared.  The pairwise products are formed only when
-    some input lies outside B, because B is commutative:
+    Every input is squared except a monomial idempotent, a single term
+    (A, 1) with coefficient 1, which is idempotent by the rule of
+    ``s_mul``: (A union A, 1) = (A, 1).  The pairwise products are formed
+    only when some input lies outside B, because B is commutative:
     (A, 1)(C, 1) = (A union C, 1) = (C, 1)(A, 1).
     """
     for e in es:
+        if _is_monomial_idempotent(e):
+            continue
         if e * e != e:
             raise ValueError(f"not an idempotent: {e.render()}")
     if all(e.is_in_b() for e in es):
@@ -150,6 +161,14 @@ def _check_commuting_idempotents(es: Sequence[AlgebraElement]) -> None:
     for a, b in combinations(es, 2):
         if a * b != b * a:
             raise ValueError("idempotents do not commute")
+
+
+def _is_monomial_idempotent(x: AlgebraElement) -> bool:
+    """Whether x is one term (A, 1) with coefficient 1."""
+    if len(x.coeffs) != 1:
+        return False
+    (s, c), = x.coeffs.items()
+    return c == x.field.one and s.is_idempotent()
 
 
 def _times(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -224,15 +243,20 @@ def cancellation_reconstructs(
     rs: Sequence[AlgebraElement],
     result: CancellationResult,
 ) -> bool:
-    """Whether the decomposition reproduces every r_i exactly."""
+    """Whether the decomposition reproduces every r_i exactly.
+
+    Each row sum b_i (1 - e_i) + sum_j M[i][j] e_j is formed in one
+    ``_sum_of_products`` call, with no intermediate element per product.
+    """
     if not es:
         return not result.b
-    one = _algebra(es[0]).one()
+    algebra = _algebra(es[0])
+    one = algebra.one()
     for i, r in enumerate(rs):
-        total = _times(result.b[i], one - es[i])
-        for j, e in enumerate(es):
-            total = total + _times(result.matrix[i][j], e)
-        if total != r:
+        row = result.matrix[i]
+        pairs = [(result.b[i], one - es[i])]
+        pairs += [(row[j], e) for j, e in enumerate(es)]
+        if _sum_of_products(algebra.group, algebra.field, pairs) != r:
             return False
     return True
 
@@ -552,9 +576,9 @@ def ig_decompose(x: AlgebraElement) -> dict[int, AlgebraElement]:
         term = AlgebraElement(group, f, {flat: c})
         out[s.g] = term if b is None else b + term
     out = {g: b for g, b in out.items() if not b.is_zero()}
-    total = AlgebraElement(group, f)
-    for g, b in out.items():
-        total = total + b * f_element(group.element(g) if group is not INTEGERS else g, f)
+    total = _sum_of_products(group, f, (
+        (b, f_element(group.element(g) if group is not INTEGERS else g, f))
+        for g, b in out.items()))
     if total != x:
         raise RuntimeError("decomposition failed to reconstruct the element")
     return out
@@ -614,13 +638,12 @@ def _window_members(rng: Random, group, bound: int) -> tuple[int, ...]:
 def random_b_element(rng: Random, group=INTEGERS, field: Field = QQ,
                      bound: int = 3, terms: int = 2) -> AlgebraElement:
     """A small random element of the idempotent subalgebra."""
-    algebra = PartialGroupAlgebra(group, field)
-    out = algebra.zero()
     e = group.identity_index
+    monomials = []
     for _ in range(rng.randint(0, terms)):
         s = SElement(group, _window_members(rng, group, bound), e)
-        out = out + algebra.monomial(s, field.of(rng.randint(-2, 2)))
-    return out
+        monomials.append((s, field.of(rng.randint(-2, 2))))
+    return AlgebraElement._of_clean(group, field, accumulate(field, monomials))
 
 
 def random_b_idempotent(rng: Random, group=INTEGERS, field: Field = QQ,
@@ -643,10 +666,10 @@ def random_cancellation_instance(
     The r_i are sampled from the full solution space: a skew pattern of
     B-coefficients against the other idempotents plus an arbitrary
     multiple of (1 - e_i), which is everything by the decomposition
-    theorem itself.
+    theorem itself.  Each r_i, and the check that sum r_i e_i = 0, is one
+    ``_sum_of_products`` call.
     """
-    algebra = PartialGroupAlgebra(group, field)
-    one = algebra.one()
+    one = PartialGroupAlgebra(group, field).one()
     es = [random_b_idempotent(rng, group, field, bound) for _ in range(k)]
     cross = {
         (i, j): random_b_element(rng, group, field, bound)
@@ -655,17 +678,11 @@ def random_cancellation_instance(
     }
     rs = []
     for i in range(k):
-        r = _times(random_b_element(rng, group, field, bound), one - es[i])
-        for j in range(k):
-            if j > i:
-                r = r + _times(cross[(i, j)], es[j])
-            elif j < i:
-                r = r - _times(cross[(j, i)], es[j])
-        rs.append(r)
-    total = algebra.zero()
-    for r, e in zip(rs, es):
-        total = total + _times(r, e)
-    if not total.is_zero():
+        pairs = [(random_b_element(rng, group, field, bound), one - es[i])]
+        pairs += [(cross[(i, j)] if j > i else -cross[(j, i)], es[j])
+                  for j in range(k) if j != i]
+        rs.append(_sum_of_products(group, field, pairs))
+    if not _sum_of_products(group, field, zip(rs, es)).is_zero():
         raise RuntimeError("sampler produced a non-solution")
     return es, rs
 

@@ -6,11 +6,24 @@ for it: every canonical pair s = (C, g) is moved, giving the relation
 e_A s (x) y - e_A (x) s y for each subset A and arrow y, built once per
 pair of tensor coordinates.  ``check_bracket_tables`` checks the closed
 forms the bracket relations are read from against honest products.
+``residue_tensor_report`` is the report ``tensor_b_kdelta`` gave before
+it read its checks off the span's roots: a residue column per stabilizer
+pair and per tensor coordinate.
 """
 
+from itertools import chain
+
+from parh import groupoid
 from parh.exel import PartialGroupAlgebra
-from parh.groupoid import ArrowSum, _bracket_tables, arrow_unit, lambda_delta
+from parh.groupoid import (
+    ArrowSum,
+    TensorReport,
+    _bracket_tables,
+    arrow_unit,
+    lambda_delta,
+)
 from parh.groups import translate
+from parh.linalg import IncidenceSpan, accumulate
 
 
 def canonical_relations(comp, field):
@@ -102,3 +115,92 @@ def check_bracket_tables(comp, field):
         for (b, g), t in zip(comp.arrows, targets):
             rule = g in a and translate(grp, grp.inv(g), a) == b
             assert (a == t) == rule, ("phi", a, b, g)
+
+
+def residue_tensor_report(comp, field):
+    """The TensorReport of ``tensor_b_kdelta``, each relation check made
+    by ``IncidenceSpan.residue_column`` on its own column.
+
+    The bracket tables and the vertex sections are read through the
+    ``parh.groupoid`` module at call time, so a test that patches them
+    there changes this report as it changes the one under test.
+    """
+    grp = comp.group
+    algebra = PartialGroupAlgebra(grp, field)
+    subsets = algebra.subsets_with_identity()
+    sub_pos = {a: k for k, a in enumerate(subsets)}
+    arrows = comp.arrows
+    n_arr = len(arrows)
+    flat = len(subsets) * n_arr
+    one, minus_one = field.one, field.neg(field.one)
+
+    def tensor_index(a, arrow):
+        return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
+
+    targets, moved, hits = groupoid._bracket_tables(comp, sub_pos)
+
+    def phi_column(k, j):
+        if subsets[k] == targets[j]:
+            return {comp.vertex_pos[arrows[j][0]]: one}
+        return {}
+
+    def phi(idx):
+        return phi_column(*divmod(idx, n_arr))
+
+    span = IncidenceSpan(field)
+    for move_row, hit_row in zip(moved, hits):
+        for k, m in enumerate(move_row):
+            for j, h in enumerate(hit_row):
+                u = None if m is None else m * n_arr + j
+                v = None if h is None else k * n_arr + h
+                if u == v:
+                    continue
+                if u is None:
+                    span.add(v)
+                elif v is None:
+                    span.add(u)
+                else:
+                    span.add(u, v)
+
+    image_of = {span.root(-1): {}}
+    phi_kills = all(image_of.setdefault(span.root(idx), col) == col
+                    for idx, col in enumerate(map(phi, range(flat))))
+
+    h_trivial = not any(
+        span.residue_column({tensor_index(a, (b, grp.mult(g, h))): one,
+                             tensor_index(a, (b, g)): minus_one})
+        for h in comp.stabilizer.indices if h != 0
+        for b, g in arrows if b == comp.base for a in subsets)
+
+    psi_cols = []
+    for v in comp.vertices:
+        vec = algebra.primitive_vector(groupoid.tilde_pi(comp, v, field))
+        psi_cols.append({subk * n_arr + comp.arrow_pos[(v, 0)]: c
+                         for subk, c in vec.items()})
+
+    def phi_image(col):
+        return accumulate(field, ((r, c * v) for idx, c in col.items()
+                                  for r, v in phi(idx).items()))
+
+    phi_psi = all(phi_image(psi_cols[k]) == {k: one}
+                  for k in range(comp.size))
+
+    psi_phi = True
+    for k, a in enumerate(subsets):
+        for j, arrow in enumerate(arrows):
+            expect = accumulate(field, chain(
+                ((idx, val * c)
+                 for r, val in phi_column(k, j).items()
+                 for idx, c in psi_cols[r].items()),
+                [(tensor_index(a, arrow), minus_one)]))
+            if span.residue_column(expect):
+                psi_phi = False
+
+    return TensorReport(
+        dimension=flat - span.rank,
+        expected=comp.size,
+        h_action_trivial=h_trivial,
+        phi_kills_relations=phi_kills,
+        phi_psi_identity=phi_psi,
+        psi_phi_identity=psi_phi,
+    )

@@ -5,7 +5,8 @@ twisted-product oracle on the integers (members in [-6, 6]) and on S3 and
 D4, and the algebraic laws every semigroup of canonical pairs obeys are
 checked on the same draws.  The algebra product, negation and difference
 are compared with their term-by-term routes (``s_mul`` products summed by
-``accumulate``, and the coercing constructor) over Q, F2, F3 and F5.
+``accumulate``, and the coercing constructor) over Q, F2, F3 and F5, and
+the fused sum of products with the sum of single products.
 Examples are derandomized, so every run sees the same inputs.
 """
 
@@ -18,7 +19,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement, s_mul
+from parh.exel import (
+    AlgebraElement,
+    PartialGroupAlgebra,
+    SElement,
+    _sum_of_products,
+    s_mul,
+)
 from parh.groups import INTEGERS, build_named_group
 from parh.linalg import GF, QQ, accumulate
 from twisted_product import as_skew, skew_mul
@@ -163,3 +170,67 @@ def test_product_key_that_cancels_comes_back_last(group, field):
     assert_same_terms(product.coeffs, termwise_product(x, y))
     assert list(product.coeffs) == list(x.coeffs)
     assert product == x
+
+
+# --- the fused sum of products -------------------------------------------
+
+FUSED_GROUPS = ("Z", "S3")
+FUSED_FIELDS = ("Q", "F2", "F3")
+
+
+def product_lists(group, field):
+    """Up to four pairs, each possibly followed by its negation, so that
+    whole products cancel; operands may be zero and carry brackets."""
+    element = algebra_elements(group, field)
+    pair = st.tuples(element, element, st.booleans())
+    return st.lists(pair, max_size=4).map(lambda drawn: [
+        p for x, y, cancel in drawn
+        for p in ([(x, y), (-x, y)] if cancel else [(x, y)])])
+
+
+@PROPERTY
+@given(st.tuples(st.sampled_from(FUSED_GROUPS),
+                 st.sampled_from(FUSED_FIELDS)).flatmap(
+    lambda gf: st.tuples(st.just(gf), product_lists(GROUPS[gf[0]],
+                                                    FIELDS[gf[1]]))))
+def test_sum_of_products_matches_sum_of_products(drawn):
+    (group, field), pairs = drawn
+    group, field = GROUPS[group], FIELDS[field]
+    want = AlgebraElement(group, field)
+    for x, y in pairs:
+        want = want + x * y
+    got = _sum_of_products(group, field, pairs)
+    assert got == want
+    assert got.coeffs == accumulate(field, (
+        (s_mul(s, t), c * d) for x, y in pairs
+        for s, c in x.coeffs.items() for t, d in y.coeffs.items()))
+    assert got.group is group and got.field == field
+    assert all(c and c == field.of(c) for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("field", FUSED_FIELDS)
+@pytest.mark.parametrize("group", FUSED_GROUPS)
+def test_sum_of_products_edge_cases(group, field):
+    algebra = PartialGroupAlgebra(GROUPS[group], FIELDS[field])
+    grp, f = algebra.group, algebra.field
+    x = algebra.bracket(1) + algebra.idem(2)
+    y = algebra.one() - algebra.bracket(2)
+    zero = algebra.zero()
+    assert _sum_of_products(grp, f, []).is_zero()
+    assert _sum_of_products(grp, f, [(zero, y), (x, zero)]).is_zero()
+    assert _sum_of_products(grp, f, [(x, y), (-x, y)]).is_zero()
+    assert _sum_of_products(grp, f, [(x, y), (zero, x)]) == x * y
+    assert_same_terms(_sum_of_products(grp, f, [(x, y)]).coeffs,
+                      termwise_product(x, y))
+
+
+@pytest.mark.parametrize("other", ["group", "field"])
+def test_sum_of_products_rejects_another_algebra(other):
+    algebra = PartialGroupAlgebra(GROUPS["S3"], QQ)
+    stranger = (PartialGroupAlgebra(INTEGERS, QQ) if other == "group"
+                else PartialGroupAlgebra(GROUPS["S3"], GF(3)))
+    x = algebra.bracket(1)
+    for pairs in ([(x, stranger.bracket(1))], [(stranger.one(), x)],
+                  [(x, x), (stranger.zero(), x)]):
+        with pytest.raises(ValueError, match="different partial group"):
+            _sum_of_products(algebra.group, algebra.field, pairs)

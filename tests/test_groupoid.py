@@ -8,7 +8,11 @@ import pytest
 
 from canonical_module import canonical_regular_module
 from span_oracles import span_rank
-from tensor_relations import canonical_relations, check_bracket_tables
+from tensor_relations import (
+    canonical_relations,
+    check_bracket_tables,
+    residue_tensor_report,
+)
 from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
@@ -529,6 +533,76 @@ def test_bracket_relations_span_the_canonical_ones(name):
             expect = flat - span_rank(relations, field)
             assert tensor_b_kdelta(comp, field).dimension == expect, (
                 name, field.name, comp)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "C6", "C2xC2",
+                                  "S3"])
+def test_tensor_report_matches_residue_oracle(name, field):
+    gd = build_groupoid(build_named_group(name))
+    for comp in components(gd):
+        assert (tensor_b_kdelta(comp, field).as_dict()
+                == residue_tensor_report(comp, field).as_dict()), comp
+
+
+_TILDE_PI = groupoid_module.tilde_pi
+_BRACKET_TABLES = groupoid_module._bracket_tables
+
+
+def _next_vertex_section(comp, vertex, field=QQ):
+    nxt = comp.vertices[(comp.vertex_pos[vertex] + 1) % comp.size]
+    return _TILDE_PI(comp, nxt, field)
+
+
+def _identity_bracket_only(comp, sub_pos):
+    # [1] moves nothing, so no relation is left
+    targets, moved, hits = _BRACKET_TABLES(comp, sub_pos)
+    return targets, moved[:1], hits[:1]
+
+
+def _hits_redirected(comp, sub_pos):
+    # [g] y lands on the arrow after the right one
+    targets, moved, hits = _BRACKET_TABLES(comp, sub_pos)
+    n = len(comp.arrows)
+    return targets, moved, [[None if h is None else (h + 1) % n for h in row]
+                            for row in hits]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", ["C4", "S3"])
+@pytest.mark.parametrize("mutation", ["section", "dropped", "redirected"])
+def test_tensor_flags_go_false_on_mutations(monkeypatch, mutation, name,
+                                            field):
+    if mutation == "section":
+        monkeypatch.setattr(groupoid_module, "tilde_pi", _next_vertex_section)
+    else:
+        monkeypatch.setattr(groupoid_module, "_bracket_tables",
+                            _identity_bracket_only if mutation == "dropped"
+                            else _hits_redirected)
+    gd = build_groupoid(build_named_group(name))
+    for comp in components(gd):
+        report = tensor_b_kdelta(comp, field)
+        assert report.as_dict() == residue_tensor_report(comp, field).as_dict()
+        flags = report.as_dict()
+        several = comp.size > 1
+        if mutation == "section":
+            # phi psi sends each vertex to the next one
+            assert flags["dimension"] == comp.size
+            assert flags["phi_psi_identity"] == flags["psi_phi_identity"] \
+                == (not several)
+            assert flags["h_action_trivial"] and flags["phi_kills_relations"]
+        elif mutation == "dropped":
+            # with no relation the arrows out of the base stay apart, and
+            # psi phi - 1 is not in the (empty) span
+            assert flags["dimension"] > comp.size
+            assert flags["h_action_trivial"] == (
+                len(comp.stabilizer.indices) == 1)
+            assert not flags["psi_phi_identity"]
+            assert flags["phi_kills_relations"] and flags["phi_psi_identity"]
+        else:
+            # a relation now joins coordinates of two vertices
+            assert flags["phi_kills_relations"] == (not several)
+        assert report.ok == (mutation != "dropped" and not several)
 
 
 def test_tensor_b_kdelta_prime_field():

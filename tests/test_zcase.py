@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -154,10 +155,7 @@ def test_non_commuting_idempotents_are_rejected():
         combine_idempotents([p, x])
 
 
-def test_idempotents_in_b_are_squared_only(monkeypatch):
-    # B is commutative, so inputs in B need no commutation products
-    es = [random_b_idempotent(Random(seed)) for seed in range(4)]
-    assert all(e.is_in_b() for e in es)
+def _counted_products(monkeypatch):
     calls = []
     mul = AlgebraElement.__mul__
 
@@ -166,8 +164,39 @@ def test_idempotents_in_b_are_squared_only(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    return calls
+
+
+def _is_monomial_idempotent(x):
+    return (len(x.coeffs) == 1 and list(x.coeffs.values()) == [1]
+            and next(iter(x.coeffs)).is_idempotent())
+
+
+def test_idempotents_in_b_are_squared_only(monkeypatch):
+    # B is commutative, so inputs in B need no commutation products, and a
+    # monomial idempotent (A, 1) is idempotent by the product rule
+    es = [random_b_idempotent(Random(seed)) for seed in range(4)]
+    assert all(e.is_in_b() for e in es)
+    squared = sum(not _is_monomial_idempotent(e) for e in es)
+    assert 0 < squared < len(es)
+    calls = _counted_products(monkeypatch)
     zcase._check_commuting_idempotents(es)
-    assert len(calls) == len(es)
+    assert len(calls) == squared
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_only_monomial_idempotents_skip_the_square(monkeypatch, field):
+    alg = PartialGroupAlgebra(build_named_group("C3"), field)
+    mono = alg.monomial(SElement(alg.group, (1,), 0))
+    doubled = alg.monomial(SElement(alg.group, (1,), 0), 2)
+    bracket = alg.monomial(SElement(alg.group, (2,), 1))
+    calls = _counted_products(monkeypatch)
+    zcase._check_commuting_idempotents([mono, alg.one()])
+    assert calls == []
+    for bad in (doubled, bracket):
+        with pytest.raises(ValueError, match="not an idempotent"):
+            zcase._check_commuting_idempotents([mono, bad])
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +313,45 @@ def test_cancellation_sampler_is_deterministic():
     a = random_cancellation_instance(Random(7), 3)
     b = random_cancellation_instance(Random(7), 3)
     assert a == b
+
+
+# sha256 of the rendered instances that `z cancellation` draws, pinned when
+# the sampler formed r_i and its own check by repeated `+` of products:
+# the default settings (200 instances, seed 0), the benchmark's (100
+# instances) at three seeds, and two finite rings
+_SAMPLER_DIGESTS = [
+    ("Z", QQ, 200, 0,
+     "5c65fdc2c7c4b2accc9650b55a99d545b559c567e504500eabfb3cad9ac2ee0b"),
+    ("Z", QQ, 100, 1,
+     "e306cd7843b57e32505c7126bdf8cdfa4fc5ddc90ba9011327593d8472c13ac7"),
+    ("Z", QQ, 100, 2,
+     "44b4d802447e5fc51878c7a13f4e3fcdfea0d4eadb6547b44a20ac6fc8c352b0"),
+    ("Z", QQ, 100, 1234567,
+     "909c56ee257dfcbf400ebec10ff644019ec1acc4b8e70fa10b33bc9b4cbc23fe"),
+    ("S3", GF(3), 50, 0,
+     "e33833cba1794225fda521ad280a1c8020e6d4de12e33893b9cc1e339e92109f"),
+    ("C4", GF(2), 50, 7,
+     "d0b1dd2935802f65b2a2ce4a817187a5897b4f1c8caf6ebdf1f897c07f6ef3bc"),
+]
+
+
+@pytest.mark.parametrize("ring, field, count, seed, digest", _SAMPLER_DIGESTS,
+                         ids=[f"{r}-{f.name}-{c}-{s}"
+                              for r, f, c, s, _ in _SAMPLER_DIGESTS])
+def test_cancellation_sampler_draws_are_pinned(ring, field, count, seed,
+                                               digest):
+    # the draws of `z cancellation --ring R --count N --seed S` (max-k 5,
+    # bound 3), which the command's output does not show
+    group = INTEGERS if ring == "Z" else build_named_group(ring)
+    rng = Random(seed)
+    h = hashlib.sha256()
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        es, rs = random_cancellation_instance(rng, k, group, field, 3)
+        for x in es + rs:
+            h.update(x.render().encode() + b"\n")
+        h.update(b"--\n")
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
