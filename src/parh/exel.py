@@ -432,24 +432,37 @@ class PartialGroupAlgebra:
 
         return accumulate(self.field, terms())
 
+    def idempotent_product(self, inside: Iterable, outside: Iterable) -> AlgebraElement:
+        """The product of e_i over ``inside`` and of (1 - e_o) over the set
+        O of ``outside``, with no product formed: the e's commute and
+        (C, 1)(D, 1) = (C union D, 1), so expanding the factors (1 - e_o)
+        gives the sum over T inside O of (-1)^|T| (I union T, 1), I the
+        inside elements with 1.  An element of both, or 1 in O, gives zero:
+        the terms at T and at T with it added are equal and cancel.
+        """
+        group, f = self.group, self.field
+        e = group.identity_index
+        base = {_gidx(group, i) for i in inside} | {e}
+        rest = sorted({_gidx(group, o) for o in outside})
+        signs = (f.one, f.neg(f.one))
+        terms = accumulate(f, (
+            (_canonical_pair(group, tuple(sorted(base.union(t))), e), signs[k % 2])
+            for k in range(len(rest) + 1)
+            for t in combinations(rest, k)))
+        return AlgebraElement._of_clean(group, f, terms)
+
     def from_primitive(self, coeffs: dict[tuple[int, ...], Scalar]) -> AlgebraElement:
         """Rebuild sum c_A e_A as canonical pairs by inclusion-exclusion.
 
+        e_A is the product of e_r over r in A and of (1 - e_s) over s in G
+        outside A, so it is ``idempotent_product`` with O = G minus A:
         e_A = sum over T outside A of (-1)^|T| (A union T, 1).
         """
         self._require_finite()
-        f = self.field
-        n = self.group.order
-        e = self.group.identity_index
         out = self.zero()
-        signs = (f.one, f.neg(f.one))
         for a, c in coeffs.items():
-            comp = [i for i in range(n) if i not in a]
-            terms = accumulate(f, (
-                (SElement(self.group, set(a) | set(t), e), signs[k % 2])
-                for k in range(len(comp) + 1)
-                for t in combinations(comp, k)))
-            out = out + AlgebraElement._of_clean(self.group, f, terms).scale(c)
+            rest = set(range(self.group.order)).difference(a)
+            out = out + self.idempotent_product(a, rest).scale(c)
         return out
 
     def primitive_idempotent(self, a: Iterable[int]) -> AlgebraElement:

@@ -1,11 +1,14 @@
-"""The groupoid of subsets containing 1, its algebra, and matrix models.
+"""The groupoid of subsets containing 1, its algebra, and its modules.
 
 Vertices are subsets A of a finite group G with 1 in A; an arrow (A, g)
 requires g^-1 in A and runs from A to gA.  The span of the arrows is an
 algebra under composition, the partial group algebra maps onto it one
 connected component at a time, and on each component the algebra of arrows
 is a matrix algebra over the group algebra of the base vertex's stabilizer.
-All of that structure is constructed explicitly here.
+The modules induced along a component are read off that structure in
+closed form, and the sections of the component map on vertices and on
+arrows are built by inclusion-exclusion; the matrix model itself is a
+test oracle (``tests/morita.py``).
 """
 
 from __future__ import annotations
@@ -281,134 +284,6 @@ def lambda_delta(comp: Component, x: AlgebraElement) -> ArrowSum:
     return lambda_map(comp.groupoid, x, vertices=comp.vertices)
 
 
-def _cells(flat: dict[tuple[int, int, int], Scalar]) -> dict:
-    """Regroup {(row, col, h): c} into {(row, col): {h: c}}."""
-    cells: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j, h), c in flat.items():
-        cells.setdefault((i, j), {})[h] = c
-    return cells
-
-
-class GroupAlgebraMatrix:
-    """A square matrix with entries in the group algebra of a stabilizer."""
-
-    __slots__ = ("subgroup", "field", "n", "entries")
-
-    def __init__(self, subgroup, field: Field, n: int, entries=None) -> None:
-        self.subgroup = subgroup
-        self.field = field
-        self.n = n
-        self.entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        if entries:
-            for (i, j), cell in entries.items():
-                cell = {h: field.of(c) for h, c in cell.items() if field.of(c)}
-                if cell:
-                    self.entries[(i, j)] = cell
-
-    @classmethod
-    def identity(cls, subgroup, field: Field, n: int) -> "GroupAlgebraMatrix":
-        ident = subgroup.identity.index
-        return cls(subgroup, field, n, {(i, i): {ident: field.one} for i in range(n)})
-
-    def _check(self, other: "GroupAlgebraMatrix") -> None:
-        if (
-            self.subgroup != other.subgroup
-            or self.field != other.field
-            or self.n != other.n
-        ):
-            raise ValueError("incompatible group-algebra matrices")
-
-    def __mul__(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
-        self._check(other)
-        grp = self.subgroup.parent
-        flat = accumulate(self.field, (
-            ((i, j, grp.mult(h1, h2)), c1 * c2)
-            for (i, k), cell1 in self.entries.items()
-            for (k2, j), cell2 in other.entries.items() if k == k2
-            for h1, c1 in cell1.items()
-            for h2, c2 in cell2.items()))
-        return GroupAlgebraMatrix(self.subgroup, self.field, self.n,
-                                  _cells(flat))
-
-    def star(self) -> "GroupAlgebraMatrix":
-        grp = self.subgroup.parent
-        out = {}
-        for (i, j), cell in self.entries.items():
-            out[(j, i)] = {grp.inv(h): c for h, c in cell.items()}
-        return GroupAlgebraMatrix(self.subgroup, self.field, self.n, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupAlgebraMatrix)
-            and self.subgroup == other.subgroup
-            and self.field == other.field
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def render(self) -> str:
-        grp = self.subgroup.parent
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                cell = self.entries.get((i, j))
-                if not cell:
-                    row.append("0")
-                    continue
-                parts = []
-                for h in sorted(cell):
-                    c = cell[h]
-                    name = grp.element_name(h)
-                    parts.append(name if c == self.field.one else f"{c}*{name}")
-                row.append("+".join(parts))
-            rows.append("[" + ", ".join(row) + "]")
-        return "\n".join(rows)
-
-    def __repr__(self) -> str:
-        return self.render()
-
-
-def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
-    """Rewrite an arrow sum as a matrix over the stabilizer group algebra.
-
-    The arrow (g_i A0, g) becomes the elementary matrix with
-    g_j^-1 g g_i in position (j, i), where g_j is the transversal element
-    of the target vertex.
-    """
-    grp = comp.group
-
-    def terms():
-        for (a, g), c in y.coeffs.items():
-            if (a, g) not in comp.arrow_pos:
-                raise ValueError(
-                    f"arrow {arrow_str(grp, (a, g))} is outside the component")
-            i = comp.vertex_pos[a]
-            target = translate(grp, g, a)
-            j = comp.vertex_pos[target]
-            h = (comp.transversal[j].inverse() * GroupElement(grp, g)
-                 * comp.transversal[i])
-            if not comp.stabilizer.contains(h):
-                raise RuntimeError(
-                    "transversal conjugate landed outside the stabilizer")
-            yield (j, i, h.index), c
-
-    return GroupAlgebraMatrix(comp.stabilizer, y.field, comp.size,
-                              _cells(accumulate(y.field, terms())))
-
-
-def elementary_matrix(comp: Component, g) -> GroupAlgebraMatrix:
-    """The monomial matrix of a group element on one component, over Q.
-
-    It is eta of the arrows (v, g) out of the vertices v that contain
-    g^-1, so every nonzero cell is {g_j^-1 g g_i: 1}.
-    """
-    grp = comp.group
-    gi = g.index if isinstance(g, GroupElement) else grp.element(g).index
-    arrows = {(v, gi): 1 for v in comp.vertices if grp.inv(gi) in v}
-    return eta(comp, ArrowSum(comp.groupoid, QQ, arrows))
-
-
 class PartialRepModule:
     """A finite-dimensional left module given by generator matrices.
 
@@ -547,24 +422,37 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
     """Induce a stabilizer representation along one component.
 
     ``u`` maps stabilizer elements (as parent group elements) to matrices.
-    The induced space is one copy of the representation per vertex; [g]
-    moves the copy at vertex i to the copy at g * vertex, twisted by the
-    stabilizer entry of the elementary matrix.
+    The induced space is one copy of the representation per vertex, in
+    the order of ``comp.vertices``, and each [g] is read off the
+    transversal t_i (t_i v_0 = v_i for the base v_0).  [g] kills the copy
+    at v_i unless g^-1 is in v_i; then g v_i is a vertex v_j, and
+    h = t_j^-1 g t_i fixes the base (h v_0 = t_j^-1 g v_i = v_0), so
+    [g] sends the copy at v_i to the copy at v_j through u(h).  This is
+    the block-monomial matrix of [g] in the Morita model M_n(K H) of the
+    component.  A conjugate h outside the stabilizer means a transversal
+    that does not reach its vertex: RuntimeError.
     """
-    stab = comp.stabilizer
-    mats_u = {h.index: u[h] for h in stab.elements}
+    grp = comp.group
+    mats_u = {h.index: u[h] for h in comp.stabilizer.elements}
     d = next(iter(mats_u.values())).nrows
     n = comp.size
-    grp = comp.group
+    t = [x.index for x in comp.transversal]
+    t_inv = [grp.inv(x) for x in t]
     mats = {}
     for g in range(grp.order):
-        em = elementary_matrix(comp, g)
+        gi = grp.inv(g)
         entries = {}
-        for (j, i), cell in em.entries.items():
-            (h,) = cell
-            for c, col in enumerate(mats_u[h].cols):
-                for r, v in col.items():
-                    entries[(j * d + r, i * d + c)] = v
+        for i, v in enumerate(comp.vertices):
+            if gi not in v:
+                continue
+            j = comp.vertex_pos[translate(grp, g, v)]
+            block = mats_u.get(grp.mult(t_inv[j], grp.mult(g, t[i])))
+            if block is None:
+                raise RuntimeError(
+                    "transversal conjugate landed outside the stabilizer")
+            for c, col in enumerate(block.cols):
+                for r, val in col.items():
+                    entries[(j * d + r, i * d + c)] = val
         mats[g] = SparseMatrix(field, n * d, n * d, entries)
     return PartialRepModule(grp, field, mats)
 
@@ -594,17 +482,17 @@ def zeta_delta(comp: Component, arrow: Arrow, field: Field = QQ) -> AlgebraEleme
     complement must run over the whole group: taking it over the
     component support only leaves a lift that other components do not
     kill whenever the vertices miss part of the group.
+
+    P_A is ``primitive_idempotent(A)``, the signed sum of the pairs
+    (C, 1) over the sets C containing A, built with no product; so the
+    lift is one product, and that one only translates: g^-1 is in A,
+    hence in every such C, so [g] (C, 1) = (gC, g).
     """
     if arrow not in comp.arrow_pos:
         raise ValueError("arrow outside the component")
     a, g = arrow
     algebra = PartialGroupAlgebra(comp.group, field)
-    x = algebra.bracket(g)
-    for r in sorted(a):
-        x = x * algebra.idem(r)
-    for s in sorted(set(range(comp.group.order)) - set(a)):
-        x = x * (algebra.one() - algebra.idem(s))
-    return x
+    return algebra.bracket(g) * algebra.primitive_idempotent(a)
 
 
 class EquivalenceData:
@@ -636,22 +524,19 @@ class EquivalenceData:
 def tilde_pi(comp: Component, vertex: Vertex, field: Field = QQ) -> AlgebraElement:
     """A reduced idempotent section of the component map on vertices.
 
-    Built only from class representatives: e_t for representatives inside
-    the vertex, (1 - e_f) for the others.  The component map returns the
-    vertex idempotent.
+    Built only from class representatives: the product of e_t over the
+    representatives t inside the vertex and of (1 - e_f) over the others
+    f.  The component map returns the vertex idempotent.  No product is
+    formed: expanding the factors (1 - e_f) gives the sum over sets T of
+    outside representatives of (-1)^|T| (I union T, 1), I the inside
+    ones (``PartialGroupAlgebra.idempotent_product``).
     """
     if vertex not in comp.vertex_pos:
         raise ValueError("not a vertex of the component")
-    data = EquivalenceData(comp)
+    reps = EquivalenceData(comp).reps
     algebra = PartialGroupAlgebra(comp.group, field)
-    inside = [t for t in data.reps if t in vertex]
-    outside = [t for t in data.reps if t not in vertex]
-    x = algebra.one()
-    for t in inside:
-        x = x * algebra.idem(t)
-    for t in outside:
-        x = x * (algebra.one() - algebra.idem(t))
-    return x
+    return algebra.idempotent_product(
+        [t for t in reps if t in vertex], [t for t in reps if t not in vertex])
 
 
 class TensorReport:

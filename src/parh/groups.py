@@ -249,15 +249,8 @@ class Subgroup:
         return len(self.indices)
 
     @property
-    def identity(self) -> GroupElement:
-        return self.parent.identity
-
-    @property
     def elements(self) -> list[GroupElement]:
         return [GroupElement(self.parent, i) for i in self.indices]
-
-    def contains(self, g: GroupElement) -> bool:
-        return g.group is self.parent and g.index in self.indices
 
     def __eq__(self, other: object) -> bool:
         return (

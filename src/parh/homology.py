@@ -578,9 +578,14 @@ def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
     mats, tables = _check_group_rep(h_group, u, field)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    return _group_homology(h_group, _dual_rep(mats, tables), tables, field,
+                           max_degree, cap)
+
+
+def _dual_rep(mats: list, tables) -> list:
+    """h -> U(h^-1)^T on a representation indexed by local position."""
     _, _, inv = tables
-    dual = [mats[inv[k]].transpose() for k in range(len(mats))]
-    return _group_homology(h_group, dual, tables, field, max_degree, cap)
+    return [mats[inv[k]].transpose() for k in range(len(mats))]
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +609,24 @@ def verify_theorem_a(group, comp, u: dict, field: Field,
     self-dual module or representation has its homology report read as
     its cohomology, so that complex is built once; any other runs the
     cohomology of its dual.  The report lists both dimension vectors and
-    the first degree where they disagree, if any.  The transport cap is
-    checked on the induced dimension before the module is built.
+    the first degree where they disagree, if any.  The representation is
+    checked once, first, and both classical halves read the checked
+    matrices; the transport cap is checked on the induced dimension
+    before the module is built.
     """
-    if max_degree >= 0:
-        check_transport_cap(group, comp.size * next(iter(u.values())).nrows,
-                            max_degree + 1, cap)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    stab = comp.stabilizer
+    mats, tables = _check_group_rep(stab, u, field)
+    check_transport_cap(group, comp.size * mats[0].nrows, max_degree + 1, cap)
     v = induce_module(comp, u, field)
     lh = partial_homology(group, v, field, max_degree, cap,
                           module_name="induced from stabilizer")
-    rh = group_homology(comp.stabilizer, u, field, max_degree, cap)
+    rh = _group_homology(stab, mats, tables, field, max_degree, cap)
     lc = lh if v.self_dual else partial_cohomology(
         group, v, field, max_degree, cap, module_name="induced from stabilizer")
-    rc = rh if _self_dual_rep(comp.stabilizer, u) else group_cohomology(
-        comp.stabilizer, u, field, max_degree, cap)
+    rc = rh if _self_dual_rep(stab, u) else _group_homology(
+        stab, _dual_rep(mats, tables), tables, field, max_degree, cap)
     hom = {"partial": lh.dims, "ordinary": rh.dims, **_compare(lh.dims, rh.dims)}
     coh = {"partial": lc.dims, "ordinary": rc.dims, **_compare(lc.dims, rc.dims)}
     checks_ok = all([lh.checks["d2_zero"], lh.checks["homotopy_id"],

@@ -66,6 +66,15 @@ class WindowEscapeError(RuntimeError):
     """A computed vector has support outside its declared window."""
 
 
+def _check_window_cap(count: int, what: str, unit: str,
+                      cap: int = Z_WINDOW_CAP) -> None:
+    """Refuse, before any of it is built, a window structure of ``count``
+    entries when that exceeds ``cap``."""
+    if count > cap:
+        raise SizeCapError(f"{what} would hold {count} {unit} (cap {cap})",
+                           limit=cap, requested=count)
+
+
 def _algebra(x: AlgebraElement) -> PartialGroupAlgebra:
     return PartialGroupAlgebra(x.group, x.field)
 
@@ -96,10 +105,12 @@ def verify_f_relations(bound: int, field: Field = QQ) -> dict:
         [i] f_j = e_i f_{i+j} - e_{i+j} f_i,
 
     together with f_0 = 0 and augmentation zero for every f_i.  The report
-    carries any counterexample instead of raising.
+    carries any counterexample instead of raising.  The (2 bound + 1)^2
+    pairs (i, j) are checked against Z_WINDOW_CAP first.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    _check_window_cap((2 * bound + 1) ** 2, "f-relations", "pairs (i, j)")
     algebra = PartialGroupAlgebra(INTEGERS, field)
 
     def f(n: int) -> AlgebraElement:
@@ -343,13 +354,7 @@ def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
     A always contains 0, and m runs over A.  Listed in a fixed order:
     member sets by size then lexicographically, then m.
     """
-    count = window_size(bound)
-    if count > cap:
-        raise SizeCapError(
-            f"window basis would hold {count} elements (cap {cap})",
-            limit=cap,
-            requested=count,
-        )
+    _check_window_cap(window_size(bound), "window basis", "elements", cap)
     return [_canonical_pair(INTEGERS, members, m)
             for members in _window_member_sets(bound) for m in members]
 
@@ -437,12 +442,7 @@ class VkSpan(IncidenceSpan):
         self.space = WindowSpace(field, bound)
         self.columns: list[Column] = []
         count = window_size(self.multiplier_bound) * k
-        if count > cap:
-            raise SizeCapError(
-                f"level span would hold {count} columns (cap {cap})",
-                limit=cap,
-                requested=count,
-            )
+        _check_window_cap(count, "level span", "columns", cap)
         index = self.space.pair_index
         add = self.add
         columns = self.columns
@@ -589,10 +589,12 @@ def k_tensor_ig_vanishes(bound: int, field: Field = QQ) -> dict:
 
     The scalar augmentation of B sends every e_i with i nonzero to 0.
     Since f_i = e_i f_i exactly, each generator's coefficient slot maps
-    to the scalar 0, so the induced matrix on generators is zero.
+    to the scalar 0, so the induced matrix on generators is zero.  The
+    2 bound generators are checked against Z_WINDOW_CAP first.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    _check_window_cap(2 * bound, "tensor check", "generators")
     algebra = PartialGroupAlgebra(INTEGERS, field)
     checked = 0
     all_zero = True
@@ -627,7 +629,11 @@ def _scalar_augmentation(b: AlgebraElement) -> Scalar:
 
 
 def _window_members(rng: Random, group, bound: int) -> tuple[int, ...]:
+    """Up to three distinct nonidentity members: from [-bound, bound] over
+    the integers, whose 2 bound candidates are checked against
+    Z_WINDOW_CAP before they are listed, else from the whole group."""
     if group is INTEGERS:
+        _check_window_cap(2 * bound, "sampling window", "members")
         pool = [m for m in range(-bound, bound + 1) if m != 0]
     else:
         pool = [i for i in range(group.order) if i != group.identity_index]

@@ -18,15 +18,14 @@ import time
 from itertools import product
 
 from bar_complex import bar_differential
+from morita import GroupAlgebraMatrix, elementary_matrix
 from twisted_product import SkewElement, skew_mul
 from parh.exel import PartialGroupAlgebra, SElement, s_mul
 from parh.groupoid import (
-    GroupAlgebraMatrix,
     arrow_unit,
     build_groupoid,
     component_summary,
     components,
-    elementary_matrix,
     lambda_delta,
     regular_module,
     tensor_b_kdelta,

@@ -488,6 +488,31 @@ def test_z_relations(capsys):
     assert data["failures"] == []
 
 
+@pytest.mark.parametrize("command,bound,requested", [
+    # (2b + 1)^2 pairs (i, j); 447^2 = 199 809 is under the cap
+    (("relations",), 224, 449 ** 2),
+    # a pool of 2b window members per draw, and 2b tensor generators
+    (("cancellation", "--count", "5"), 100_001, 200_002),
+    (("ig-decompose",), 100_001, 200_002),
+    (("ig-decompose", "--count", "0"), 100_001, 200_002),
+    (("relations",), 10 ** 20, (2 * 10 ** 20 + 1) ** 2),
+    (("cancellation", "--count", "5"), 10 ** 20, 2 * 10 ** 20),
+    (("ig-decompose",), 10 ** 20, 2 * 10 ** 20),
+])
+def test_z_bound_cap_exits_3_before_the_work(capsys, monkeypatch, command,
+                                             bound, requested):
+    def unreachable(*args):
+        raise AssertionError("an f-generator was built before the cap")
+
+    monkeypatch.setattr(zcase, "f_element", unreachable)
+    code, data, err = run_json(capsys, "z", *command, "--bound", str(bound))
+    assert code == EXIT_CAP
+    assert data["error"] == "size_cap"
+    assert (data["limit"], data["requested"]) == (zcase.Z_WINDOW_CAP,
+                                                  requested)
+    assert err == f"size cap: {data['message']}\n"
+
+
 def test_z_quotient_documented_example(capsys):
     code, out, _ = run(capsys, "z", "quotient", "--k", "1", "--bound", "6")
     assert code == EXIT_OK

@@ -80,6 +80,26 @@ GOLDEN = {
     "--max-columns 1": (
         "9412ebee5d845c30d1ff1d2b10d81996a57730a500dbe74c63bd6ceb68793ab4",
         "93d6e8b2d1d0e8cb7cc0774cdb2221418970215b12e536ff8f146a8483c24dbf"),
+    "homology partial --group S3 --module W⊗trivial --component 7 --max "
+    "2": (
+        "ef36ecd4482f66417aed4081f92c3e75a2dfc6e352fd61be3e8dee07fd3c3288",
+        "36c1b9ab9d3dec86091d594911014b2cd47deee8ec641388c9dd7750d92af315"),
+    "homology cohomology --group S3 --module W⊗regular --component 8 "
+    "--max 2": (
+        "5ba7df039b8e0597b37903dce0125e32b92a8fe71d4e1efabdea039042c38e70",
+        "531378b1948542af7c0cb1fb022d708e5fa7f8ed4b76772ddddb20fdf5b3c23f"),
+    "homology partial --group D4 --module W⊗trivial --component 8 --max "
+    "1": (
+        "f2d30ce2654b48b2dd5f7ac6323a7b6c471522071acd3213a87fbbcfc3e90be2",
+        "796446f8b224827fd71e3e23fcce6efca594f63ddffc71a3d0586d3120226cb2"),
+    "homology cohomology --group D4 --module W⊗regular --component 11 "
+    "--max 1": (
+        "05280f46990afc0464da8d4014b3e9c6b1bc83c22ed92532a6cdcc6c8a2978ae",
+        "56ea9dfea2471821c97cd5a3b95b1bba536e4bd261b0ee3e2dc63f87a99b0698"),
+    "homology partial --group D4 --module W⊗regular --component 35 "
+    "--max 1": (
+        "c2af09f46f1464cf0f71754ae781ca68d465726826426fce11c64f870c5133e4",
+        "640954898265b3edb6fd836a0fde7a17245a04c8767d150243394f4d1e1f3fe3"),
     "homology partial --group C4 --max 3 --max-columns 50": (
         "e7760faeb1d5b247bf32ece9b06dbba5944ea05a2a98f37813c6736f531e5d48",
         "f495e351ca2bc7bd50af5933b41cd4ce90611d68768419459193f42baf58bc03"),
@@ -99,6 +119,9 @@ GOLDEN = {
     "--max-columns 10": (
         "5f1e1a0050687341e391effaf6cc24ba8c57f6550ad577295c1e5128b1c38658",
         "7f4a030b6444e4c528f28e7a7ba167761fe4e24b4ebedb4f28914ec25638c266"),
+    "verify theorem-a --group S3 --component 5 --rep regular --max 2": (
+        "2b4641dce2acf14d45eb4204b31f7d8d27dfe890e3e69e077a20e65f74e8a89f",
+        "7a41aa7fe6a8ee50eb38e054e068acef7fc84d56ce6513742c91f55d8f2df12c"),
     "verify corollary-b --group S3 --max 1": (
         "319db1e444c2916865d3a0861b8e77f9ff174097f333847b238779a836d2f61e",
         "5409952c65d2611a123f7298f14df775c8447beefb4e3ef1a5caa8f20a38a988"),
@@ -111,6 +134,12 @@ GOLDEN = {
     "verify section6 --group C4 --field F2": (
         "d7f5eb6edb013922d7bceec7f788a32d1a03452157582be468e5fb60c9ce7a8c",
         "a7bd2a4360c88bdbf50b69488287ddf41bda74530ee4a433d56acf99cb57d338"),
+    "verify section5 --group D4 --field F3": (
+        "405d8f0738ffcb92f9de2e6418ebcb5c9edcd9707eb882946db23a54599891fe",
+        "7f8556debc371d417233ab5a2dbfc38e5dbb69696cea44f7e271e018f8d3fd30"),
+    "verify section6 --group S3 --field Q": (
+        "cf68fde622397a146818a10e809786fe329f661e688b437a1cc9e2a94bde6d66",
+        "97e02f7f5acc99ddcc5f2564d5fbf9b6200a54d004def0f01075a73588e0eddb"),
     "verify kpar-coeff-vanishing --group S3 --field F3 --max 1": (
         "28df6443722c0a065fa035793f7a5f9740988c1934673ec609fcb87ebc37f2b3",
         "9285adfd5f17ce69998a6211454f4325f4532b3d12019cda22cca76139e6c8f8"),

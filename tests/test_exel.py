@@ -7,7 +7,8 @@ import pytest
 
 from parh.exel import PartialGroupAlgebra, SElement, s_mul
 from parh.groups import GroupError, INTEGERS, build_named_group
-from parh.linalg import GF
+from parh.linalg import GF, QQ
+from idempotent_products import product_from_primitive, product_idempotent
 from twisted_product import evaluate_word
 
 
@@ -85,6 +86,37 @@ def test_primitive_round_trip(name):
         coords = algebra.primitive_vector(x)
         back = algebra.from_primitive({subsets[k]: c for k, c in coords.items()})
         assert back == x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["S3", "D4", "Z"])
+def test_idempotent_product_matches_honest_products(name, field):
+    # I and O drawn at random, so they may overlap, repeat an element or
+    # hold the identity, which all kill or leave the product alike
+    group = INTEGERS if name == "Z" else build_named_group(name)
+    pool = (list(range(-4, 5)) if name == "Z"
+            else list(range(group.order)))
+    algebra = PartialGroupAlgebra(group, field)
+    rng = random.Random(f"idempotent-product-{name}-{field.name}")
+    for _ in range(40):
+        inside = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        outside = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        assert (algebra.idempotent_product(inside, outside)
+                == product_idempotent(algebra, inside, outside)), (
+            inside, outside)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["C2xC2", "S3"])
+def test_from_primitive_matches_honest_products(name, field):
+    algebra = PartialGroupAlgebra(build_named_group(name), field)
+    subsets = algebra.subsets_with_identity()
+    rng = random.Random(f"from-primitive-{name}-{field.name}")
+    for _ in range(10):
+        coeffs = {rng.choice(subsets): rng.randint(-3, 3)
+                  for _ in range(rng.randint(0, 4))}
+        assert (algebra.from_primitive(coeffs)
+                == product_from_primitive(algebra, coeffs)), coeffs
 
 
 def test_primitive_idempotents_are_orthogonal():

@@ -7,6 +7,8 @@ from functools import cache
 import pytest
 
 from canonical_module import canonical_regular_module
+from idempotent_products import product_tilde_pi, product_zeta_delta
+from morita import elementary_matrix, eta, eta_induced_module
 from span_oracles import span_rank
 from tensor_relations import (
     canonical_relations,
@@ -15,7 +17,8 @@ from tensor_relations import (
 )
 from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
-from parh.groups import FiniteGroup, build_named_group, regular_rep, trivial_rep
+from parh.groups import (NAMED_GROUP_NAMES, FiniteGroup, build_named_group,
+                         regular_rep, trivial_rep)
 from parh.groupoid import (
     ArrowSum,
     EquivalenceData,
@@ -26,8 +29,6 @@ from parh.groupoid import (
     component_summary,
     component_support,
     components,
-    elementary_matrix,
-    eta,
     induce_module,
     lambda_delta,
     lambda_map,
@@ -381,6 +382,42 @@ def test_induce_module_trivial_and_regular():
     full = [c for c in comps if c.stabilizer.order == 4][0]
     mod2 = induce_module(full, regular_rep(full.stabilizer, QQ), QQ)
     assert mod2.dim == 4
+
+
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_induce_module_matches_the_eta_route(name):
+    gd = build_groupoid(build_named_group(name))
+    for field in (QQ, GF(2), GF(3)):
+        for comp in components(gd):
+            for rep in (trivial_rep, regular_rep):
+                u = rep(comp.stabilizer, field)
+                assert (induce_module(comp, u, field).mats
+                        == eta_induced_module(comp, u, field).mats), (
+                    field.name, comp, rep.__name__)
+
+
+def test_induce_module_refuses_a_transversal_that_misses_its_vertex():
+    # with t_1 and t_2 swapped, [t_1] sends the base to v_1, and
+    # t_2^-1 t_1 is not in the trivial stabilizer
+    grp = build_named_group("S3")
+    comp = next(c for c in components(build_groupoid(grp))
+                if c.size == 3 and c.stabilizer.order == 1)
+    t = comp.transversal
+    assert t[1] != t[2]
+    comp.transversal = [t[0], t[2], t[1]]
+    with pytest.raises(RuntimeError, match="outside the stabilizer"):
+        induce_module(comp, trivial_rep(comp.stabilizer, QQ), QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])
+def test_sections_match_honest_products(name, field):
+    for comp in components(build_groupoid(build_named_group(name))):
+        for v in comp.vertices:
+            assert tilde_pi(comp, v, field) == product_tilde_pi(comp, v, field)
+        for a in comp.arrows:
+            assert (zeta_delta(comp, a, field)
+                    == product_zeta_delta(comp, a, field)), (comp, a)
 
 
 @cache

@@ -838,6 +838,36 @@ def test_theorem_a_every_component_both_reps(name, field):
             assert report["ok"], (name, comp.base, rep.__name__)
 
 
+def test_theorem_a_refuses_a_partial_rep_before_inducing(monkeypatch):
+    # S3's component at {1,r,r2} has the rotations as stabilizer; a rep
+    # that misses r is refused as a rep, not by a lookup in the induction
+    s3 = build_named_group("S3")
+    comp = next(c for c in components(build_groupoid(s3))
+                if c.base == (0, 1, 2))
+    assert comp.stabilizer.order == 3
+    u = trivial_rep(comp.stabilizer, QQ)
+    del u[s3.element("r")]
+    induced = _count_calls(monkeypatch, "induce_module")
+    with pytest.raises(ValueError, match="every element"):
+        verify_theorem_a(s3, comp, u, QQ, 2)
+    assert not induced
+
+
+def test_theorem_a_checks_a_rep_that_is_not_self_dual_once(monkeypatch):
+    # the C3 character g -> 2 over F7 (2^3 = 1) is not self-dual: u(g^-1)
+    # is 4, so both classical halves run, on one check of u
+    c3, full = _component("C3", 3)
+    f7 = GF(7)
+    u = {h: SparseMatrix(f7, 1, 1, {(0, 0): 2 ** k})
+         for k, h in enumerate(full.stabilizer.elements)}
+    checked = _count_calls(monkeypatch, "_check_group_rep")
+    report = verify_theorem_a(c3, full, u, f7, 2)
+    assert len(checked) == 1
+    assert report["ok"]
+    assert report["homology"]["ordinary"] == [0, 0, 0]
+    assert report["cohomology"]["ordinary"] == [0, 0, 0]
+
+
 def test_corollary_b_c2_f2():
     report = verify_corollary_b(build_named_group("C2"), GF(2), 3)
     assert report["ok"]
