@@ -13,7 +13,6 @@ test oracle (``tests/morita.py``).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from .exel import AlgebraElement, PartialGroupAlgebra
@@ -200,12 +199,6 @@ class ArrowSum:
         if self.groupoid is not other.groupoid or self.field != other.field:
             raise ValueError("arrow sums over different groupoids")
 
-    def __add__(self, other: "ArrowSum") -> "ArrowSum":
-        self._check(other)
-        out = accumulate(self.field, chain(self.coeffs.items(),
-                                           other.coeffs.items()))
-        return ArrowSum(self.groupoid, self.field, out)
-
     def __mul__(self, other: "ArrowSum") -> "ArrowSum":
         self._check(other)
         grp = self.groupoid.group
@@ -214,14 +207,6 @@ class ArrowSum:
             for (a, g), c in self.coeffs.items()
             for (b, h), d in other.coeffs.items()
             if translate(grp, h, b) == a))
-        return ArrowSum(self.groupoid, self.field, out)
-
-    def star(self) -> "ArrowSum":
-        grp = self.groupoid.group
-        out = {}
-        for (a, g), c in self.coeffs.items():
-            ga = translate(grp, g, a)
-            out[(ga, grp.inv(g))] = c
         return ArrowSum(self.groupoid, self.field, out)
 
     def is_zero(self) -> bool:

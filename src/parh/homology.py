@@ -454,12 +454,15 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     """Per-degree cohomology of a left module: the homology of its dual.
 
     Degree 0 is the common kernel of the maps v -> [x] v - e_x v, where
-    e_x = [x][x^-1].  A self-dual module has the same numbers as its
-    homology, which the verify functions read instead of calling this.
+    e_x = [x][x^-1].  A self-dual module equals its dual literally, so its
+    cohomology is the homology of the module itself, and no dual is
+    built; the verify functions that hold that homology already read it
+    instead of calling this.
     """
     f = _check_module(group, v_mod, field)
     check_transport_cap(group, v_mod.dim, max_degree + 1, cap)
-    return partial_homology(group, dual_module(v_mod), f, max_degree, cap,
+    dual = v_mod if v_mod.self_dual else dual_module(v_mod)
+    return partial_homology(group, dual, f, max_degree, cap,
                             module_name or _module_desc(v_mod))
 
 

@@ -20,8 +20,9 @@ computation:
     with sum r_1 e_1 + ... + r_k e_k = 0, produce a skew-symmetric matrix M
     and elements b_i with r_i = sum_j M[i][j] e_j + b_i (1 - e_i);
   * bounded-window linear algebra over the integers: V_k as a graph
-    incidence span (rank #vertices - #components, membership by component
-    sums), the two containments behind the quotient identity, and
+    incidence span in closed form (the rank by a count over member sets,
+    membership by component sums on roots read off each member set, no
+    edge built), the two containments behind the quotient identity, and
     decomposition of augmentation-zero elements over the f_i;
   * seeded samplers for property tests of all of the above.
 
@@ -50,7 +51,6 @@ from .linalg import (
     Column,
     Eliminator,
     Field,
-    IncidenceSpan,
     QQ,
     Scalar,
     SizeCapError,
@@ -408,26 +408,56 @@ class WindowSpace:
         return AlgebraElement(INTEGERS, self.field, coeffs)
 
 
-class VkSpan(IncidenceSpan):
+def level_span_rank(k: int, multiplier_bound: int) -> int:
+    """The rank of :class:`VkSpan`, counted without building an edge.
+
+    With n = 2 mb + 1 members in [-mb, mb] (mb the multiplier bound), a
+    member set inside [-mb, mb] adds one per consecutive pair a < b of
+    its members with b - a <= k.  For a pair not straddling 0, the sets
+    that hold 0, a and b and nothing strictly between a and b number
+    2^(n - |{a, b, 0}| - (b - a - 1)).  A set whose only member outside
+    [-mb, mb] is o in (mb, mb + k] adds one per member m in [o - k, mb],
+    a star; 2^(n - 1) sets hold o and m = 0, and 2^(n - 2) hold o and
+    m != 0.
+
+    >>> level_span_rank(1, 1)
+    6
+    """
+    mb = multiplier_bound
+    n = 2 * mb + 1
+    total = 0
+    for a in range(-mb, mb + 1):
+        for b in range(a + 1, min(a + k, mb) + 1):
+            if not a < 0 < b:
+                total += 1 << (n - len({a, b, 0}) - (b - a - 1))
+    for o in range(mb + 1, mb + k + 1):
+        for m in range(max(o - k, -mb), mb + 1):
+            total += 1 << (n - 1 if m == 0 else n - 2)
+    return total
+
+
+class VkSpan:
     """The visible part of the level-k span V_k = R f_1 + ... + R f_k.
 
     For r = (A, m) in the window basis at multiplier_bound = bound - k - 1
     and 1 <= j <= k, the column r * f_j is the edge (B, m+j) - (B, m) with
     B = A + {m+j}, strictly inside the window.  So V_k is a graph incidence
-    span, an :class:`IncidenceSpan` whose rows are the window basis:
-    edges are written in closed form, with no algebra product and no
-    elimination, and ``residue_column`` gives the component sums.  No edge
-    is a loop, so there are window_size(multiplier_bound) * k columns; the
-    cap is checked on that count before any vertex is registered.  Each
-    member set A is enumerated once, in window-basis order, and vertices
-    are looked up by their canonical (B, g) without building r.
+    span: its rank is #vertices - #components, and x lies in it iff x sums
+    to zero on each component.  An edge never changes its member set B,
+    so each component lies inside one B and is read off B alone (see
+    ``root``), and ``level_span_rank`` counts the rank; no edge is built
+    or stored.  ``columns`` is the range of the
+    window_size(multiplier_bound) * k edge columns, and the cap is checked
+    on that count first.  Rows are registered lazily, by ``contains`` and
+    ``residue_column``.
 
     >>> span = VkSpan(1, 3)
     >>> len(span.columns), span.space.dim, span.rank
-    (8, 11, 6)
+    (8, 0, 6)
     """
 
-    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns")
+    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns",
+                 "rank")
 
     def __init__(self, k: int, bound: int, field: Field = QQ,
                  cap: int = Z_WINDOW_CAP) -> None:
@@ -435,32 +465,47 @@ class VkSpan(IncidenceSpan):
             raise ValueError("level k must be at least 1")
         if bound < k + 1:
             raise ValueError("window too small: need bound >= k + 1")
-        super().__init__(field)
         self.k = k
         self.bound = bound
         self.multiplier_bound = bound - k - 1
         self.space = WindowSpace(field, bound)
-        self.columns: list[Column] = []
         count = window_size(self.multiplier_bound) * k
         _check_window_cap(count, "level span", "columns", cap)
-        index = self.space.pair_index
-        add = self.add
-        columns = self.columns
-        one, minus_one = field.one, field.neg(field.one)
-        heads = range(1, k + 1)
-        for a in _window_member_sets(self.multiplier_bound):
-            for m in a:
-                for j in heads:
-                    head = m + j
-                    b = a if head in a else tuple(sorted(a + (head,)))
-                    u = index(b, head)
-                    v = index(b, m)
-                    columns.append({u: one, v: minus_one})
-                    add(u, v)
-        if len(self.columns) != count:
-            raise RuntimeError(
-                f"level span built {len(self.columns)} columns, expected {count}"
-            )
+        self.columns = range(count)
+        self.rank = level_span_rank(k, self.multiplier_bound)
+
+    def root(self, members: tuple[int, ...], g: int) -> int:
+        """The member h such that (members, h) is the root of the
+        component of (members, g).
+
+        Inside [-mb, mb], members m < h are joined when h - m <= k, so the
+        components are the runs of sorted members with gaps <= k, each
+        rooted at its least member.  A set whose only member outside
+        [-mb, mb] is o in (mb, mb + k] is a star joining o to its members
+        in [o - k, o - 1], rooted at o.  No edge touches any other set.
+        """
+        mb, k = self.multiplier_bound, self.k
+        top = members[-1]
+        if members[0] < -mb or top > mb + k:
+            return g
+        if top <= mb:
+            i = members.index(g)
+            while i and members[i] - members[i - 1] <= k:
+                i -= 1
+            return members[i]
+        if members[-2] > mb:
+            return g
+        return top if g >= top - k else g
+
+    def residue_column(self, col: Column) -> Column:
+        """The component sums of ``col``, each on its root's row; zero iff
+        ``col`` is in the span."""
+        labels, index = self.space.labels, self.space.pair_index
+        terms = []
+        for row, c in col.items():
+            s = labels[row]
+            terms.append((index(s.members, self.root(s.members, s.g)), c))
+        return accumulate(self.space.field, terms)
 
     def contains(self, x: AlgebraElement) -> bool:
         return not self.residue_column(self.space.column(x))

@@ -8,12 +8,29 @@ the elementary matrix with t_j^-1 g t_i in position (j, i), and
 ``elementary_matrix`` is the image of [g], the monomial matrix
 ``parh.groupoid.induce_module`` was once read from.  The package now
 reads each [g] off the transversal directly; this is the construction it
-replaced, kept as an oracle for it.
+replaced, kept as an oracle for it.  The sum and the involution of arrow
+sums, which only the tests read, are here too.
 """
+
+from itertools import chain
 
 from parh.groupoid import ArrowSum, Component, PartialRepModule, arrow_str
 from parh.groups import GroupElement, translate
 from parh.linalg import QQ, Field, Scalar, SparseMatrix, accumulate
+
+
+def arrow_add(x: ArrowSum, y: ArrowSum) -> ArrowSum:
+    """The sum of two arrow sums over one groupoid and field."""
+    x._check(y)
+    return ArrowSum(x.groupoid, x.field, accumulate(
+        x.field, chain(x.coeffs.items(), y.coeffs.items())))
+
+
+def arrow_star(x: ArrowSum) -> ArrowSum:
+    """The involution (A, g)* = (gA, g^-1), extended linearly."""
+    grp = x.groupoid.group
+    return ArrowSum(x.groupoid, x.field, {
+        (translate(grp, g, a), grp.inv(g)): c for (a, g), c in x.coeffs.items()})
 
 
 def _cells(flat: dict[tuple[int, int, int], Scalar]) -> dict:

@@ -9,7 +9,7 @@ from bar_complex import b_tensor_dim, bar_basis, bar_differential
 from canonical_module import canonical_regular_module
 from span_oracles import add_tagged, tagged_coefficients
 from term_transport import term_built_differentials
-from parh import homology
+from parh import cli, homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
     PartialRepModule,
@@ -693,6 +693,42 @@ def test_a_module_that_is_not_self_dual_takes_the_dual_route(
             == [u[h.inverse()] for h in elems] != [u[h] for h in elems])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.name)
+def test_self_dual_cohomology_builds_no_dual(monkeypatch, field, capsys):
+    # a self-dual module equals its dual, so its cohomology is its homology
+    c4 = build_named_group("C4")
+    modules = [b_module(c4, field), regular_module(c4, field)]
+    expected = [_cochain_reference_dims(v, 2) for v in modules]
+
+    def no_dual(v_mod):
+        raise AssertionError("a dual was built for a self-dual module")
+
+    monkeypatch.setattr(homology, "dual_module", no_dual)
+    for v, dims in zip(modules, expected):
+        assert v.self_dual
+        assert partial_cohomology(c4, v, max_degree=2).dims == dims
+    argv = ["verify", "kpar-coeff-vanishing", "--group", "S3", "--field",
+            field.name, "--max", "1", "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
+def test_cohomology_of_a_character_that_is_not_self_dual(monkeypatch):
+    # the C3 character g -> 2 over F7, induced on the full vertex, is not
+    # self-dual, so its cohomology is the homology of the built dual
+    c3, full = _component("C3", 3)
+    f7 = GF(7)
+    u = {h: SparseMatrix(f7, 1, 1, {(0, 0): 2 ** k})
+         for k, h in enumerate(full.stabilizer.elements)}
+    v = induce_module(full, u, f7)
+    assert not v.self_dual
+    duals = _count_calls(monkeypatch, "dual_module")
+    report = partial_cohomology(c3, v, max_degree=3)
+    assert duals == [(v,)]
+    assert report.dims == [0, 0, 0, 0] == _cochain_reference_dims(v, 3)
+    assert report.checks == {"d2_zero": True, "homotopy_id": True}
+
+
 def test_verify_builds_one_complex_per_self_dual_module(monkeypatch):
     s3, full = _component("S3", 6)
     built = _count_calls(monkeypatch, "_transported_complex")
@@ -700,7 +736,7 @@ def test_verify_builds_one_complex_per_self_dual_module(monkeypatch):
     v = b_module(s3, GF(2))
     assert (partial_cohomology(s3, v, max_degree=2).dims
             == partial_homology(s3, v, max_degree=2).dims)
-    assert duals == [(v,)]
+    assert not duals
     built.clear()
     duals.clear()
     assert verify_corollary_b(s3, GF(2), 2)["ok"]

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from elimination_span import EliminationSpan
+from union_find_span import UnionFindSpan
 from parh import zcase
 from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groups import INTEGERS, build_named_group
@@ -20,6 +21,7 @@ from parh.zcase import (
     f_element,
     ig_decompose,
     k_tensor_ig_vanishes,
+    level_span_rank,
     orthogonal_parts,
     quotient_check,
     random_b_idempotent,
@@ -27,6 +29,7 @@ from parh.zcase import (
     random_ig_element,
     verify_f_relations,
     window_basis,
+    window_size,
 )
 
 ZALG = PartialGroupAlgebra(INTEGERS, QQ)
@@ -477,23 +480,90 @@ ORACLE_CASES += [(3, 6, field) for field in (QQ, GF(2))]
 
 
 @pytest.mark.parametrize("k, bound, field", ORACLE_CASES, ids=repr)
-def test_vk_span_matches_elimination_oracle(k, bound, field):
-    span = VkSpan(k, bound, field)
-    oracle = EliminationSpan(k, bound, field)
-    assert span.rank == oracle.rank
+def test_union_find_oracle_edges_equal_products(k, bound, field):
+    # the edge-by-edge oracle writes each r * f_j down as a signed edge;
+    # every edge is the algebra product, and both oracles have one rank
+    span = UnionFindSpan(k, bound, field)
     algebra = PartialGroupAlgebra(INTEGERS, field)
     fs = [_f(j, field) for j in range(1, k + 1)]
     products = [algebra.monomial(r) * f
                 for r in window_basis(span.multiplier_bound) for f in fs]
     assert [span.space.element(col) for col in span.columns] == products
+    assert span.rank == EliminationSpan(k, bound, field).rank
+
+
+# every level k <= 3 at every bound from k + 1 to 2k + 5 whose edge count
+# is under the default cap; (3, 11) holds 393 216 edges, and its rank is
+# pinned by the count in test_level_span_rank_of_cap_lifted_windows
+SPAN_CASES = [(k, bound)
+              for k in (1, 2, 3) for bound in range(k + 1, 2 * k + 6)
+              if window_size(bound - k - 1) * k <= zcase.Z_WINDOW_CAP]
+# the elimination oracle forms every product; above this many it is slow
+ELIMINATION_COLUMNS = 20_000
+
+
+def _pair_probes(k, bound, field):
+    """(B, h) - (B, g) on B = {0, g, h}, for every g < h in [-bound, bound]
+    with h - g <= k + 1: one probe per edge of the window and per near
+    miss, on both sides of 0 and across the multiplier bound."""
+    algebra = PartialGroupAlgebra(INTEGERS, field)
+    probes = []
+    for g in range(-bound, bound + 1):
+        for h in range(g + 1, min(g + k + 1, bound) + 1):
+            members = {0, g, h}
+            probes.append(algebra.monomial(SElement(INTEGERS, members, h))
+                          - algebra.monomial(SElement(INTEGERS, members, g)))
+    return probes
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("k, bound", SPAN_CASES, ids=repr)
+def test_vk_span_matches_both_oracles(k, bound, field):
+    span = VkSpan(k, bound, field)
+    oracles = [UnionFindSpan(k, bound, field)]
+    if len(span.columns) <= ELIMINATION_COLUMNS:
+        oracles.append(EliminationSpan(k, bound, field))
+    assert [o.rank for o in oracles] == [span.rank] * len(oracles)
     rng = Random(100 * k + bound)
+    algebra = PartialGroupAlgebra(INTEGERS, field)
     samples = [random_ig_element(rng, bound, field) for _ in range(40)]
     fk1 = _f(k + 1, field)
     domain = window_basis(max(bound - 2 * k - 2, 0))
     samples += [algebra.monomial(r) * fk1 for r in domain]
+    samples += _pair_probes(k, bound, field)
     verdicts = [span.contains(x) for x in samples]
-    assert verdicts == [oracle.contains(x) for x in samples]
+    for oracle in oracles:
+        assert verdicts == [oracle.contains(x) for x in samples]
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("k, bound", SPAN_CASES, ids=repr)
+def test_vk_span_roots_partition_like_union_find(k, bound):
+    # on every vertex an edge touches, two vertices share a closed-form
+    # root iff they share a union-find root
+    oracle = UnionFindSpan(k, bound)
+    span = VkSpan(k, bound)
+    pairs = set()
+    for (members, g), row in oracle.space.rows.items():
+        pairs.add((oracle.root(row), (members, span.root(members, g))))
+    uf_roots = {a for a, _ in pairs}
+    assert len(pairs) == len(uf_roots) == len({b for _, b in pairs})
+    assert len(oracle.space.rows) - len(pairs) == oracle.rank
+
+
+# (k, bound, rank) measured on the edge-by-edge union-find with the cap
+# lifted (ROADMAP, "the integer case on growing domains"); every window but
+# (1, 8) is over the default cap
+CAP_LIFTED_RANKS = [(1, 8, 16_384), (2, 10, 118_784), (3, 11, 155_648),
+                    (3, 12, 679_936), (4, 12, 193_536), (5, 14, 1_009_664)]
+
+
+@pytest.mark.parametrize("k, bound, rank", CAP_LIFTED_RANKS, ids=repr)
+def test_level_span_rank_of_cap_lifted_windows(k, bound, rank):
+    assert level_span_rank(k, bound - k - 1) == rank
+    span = VkSpan(k, bound, cap=10**7)
+    assert span.rank == rank
+    assert span.space.dim == 0  # nothing was built
 
 
 @pytest.mark.parametrize("k, field", [(1, QQ), (1, GF(2)), (2, QQ), (2, GF(2))],
@@ -528,6 +598,19 @@ def test_quotient_check_level_two():
     report = quotient_check(2, 8)
     assert report["s2_in_s1"] and report["s1_in_s2"]
     assert report["violations"] == []
+
+
+# (k, bound, domain_dim, s1 = s2): the windows of CAP_LIFTED_RANKS, whose
+# dimensions were measured on the edge-by-edge union-find
+@pytest.mark.parametrize("k, bound, domain_dim, s1", [
+    (1, 8, 1280, 832), (2, 10, 1280, 960), (3, 11, 256, 192),
+    (3, 12, 1280, 1008), (4, 12, 48, 32), (5, 14, 48, 32)], ids=repr)
+def test_quotient_check_on_cap_lifted_windows(k, bound, domain_dim, s1):
+    report = quotient_check(k, bound, cap=10**7)
+    assert report["ok"] and report["violations"] == []
+    assert (report["domain_dim"], report["s1_dim"], report["s2_dim"]) == (
+        domain_dim, s1, s1)
+    assert (k, bound, report["vk_rank"]) in CAP_LIFTED_RANKS
 
 
 def test_quotient_spot_memberships():
