@@ -334,13 +334,22 @@ class Eliminator:
     was already in the span.  Rows may be negative: ``kernel_basis`` gives
     column j an extra coordinate 1 at row -1 - j and absorbs only residues
     with a row >= 0 left, so pivots carry their column history for free.
+
+    ``drop`` is a set of rows that ``reduce`` discards on entry, in the
+    one copy it makes of a column, so the eliminator works on the
+    projection that forgets them.  ``rank`` drops from d_(n+1) of a
+    complex with d^2 = 0 the rows J_n that the elimination of d_n
+    absorbed, which keeps its rank: the projection is injective on
+    ker d_n, which contains im d_(n+1) (Bauer, Kerber and Reininghaus,
+    2014; see ``rank``).
     """
 
-    __slots__ = ("field", "pivots")
+    __slots__ = ("field", "pivots", "drop")
 
-    def __init__(self, field: Field) -> None:
+    def __init__(self, field: Field, drop: frozenset[int] = frozenset()) -> None:
         self.field = field
         self.pivots: dict[int, Column] = {}
+        self.drop = drop
 
     @property
     def rank(self) -> int:
@@ -349,18 +358,24 @@ class Eliminator:
     def reduce(self, col: Column) -> Column:
         """Residue of ``col`` modulo the current span, as a new dict.
 
-        The pivot eliminated next is the first hit in dict order.
+        The pivot eliminated next is the first hit in dict order.  A unit
+        pivot {r: 1} only deletes entry r, so it is applied in place.
         """
         p = self.field.char
         pivots = self.pivots
-        col = {r: v for r, v in col.items() if v}
+        drop = self.drop
+        col = {r: v for r, v in col.items() if v and r not in drop}
         while True:
             for hit in col:
                 if hit in pivots:
                     break
             else:
                 return col
-            _axpy(p, col, -col[hit], pivots[hit])
+            pivot = pivots[hit]
+            if len(pivot) == 1:
+                del col[hit]
+            else:
+                _axpy(p, col, -col[hit], pivot)
 
     def add(self, col: Column) -> int | None:
         """Absorb a column; return its pivot row, or None if dependent."""
@@ -433,17 +448,37 @@ class IncidenceSpan:
         return res
 
 
-def rank(m: SparseMatrix) -> int:
+def rank(m: SparseMatrix, *, drop: frozenset[int] = frozenset(),
+         absorbed: list[int] | None = None) -> int:
     """Rank of a sparse matrix, processing sparse columns first.
+
+    ``drop`` is a set of rows to discard, and ``absorbed``, if given,
+    receives the indices of the columns that the elimination absorbed as
+    independent.  Together they compress a chain complex ranked bottom up
+    (U. Bauer, M. Kerber and J. Reininghaus, Clear and Compress:
+    Computing Persistent Homology in Chunks, 2014): the columns J_n
+    absorbed from d_n are rows of d_(n+1) that may be dropped.  If x in
+    ker d_n is supported on J_n, then sum c_j d_n e_j = 0 forces c = 0,
+    as the columns J_n are independent; so the projection that drops J_n
+    is injective on ker d_n, which contains im d_(n+1) when d^2 = 0, and
+    rank d_(n+1) is unchanged.  Without d^2 = 0 nothing may be dropped.
 
     >>> rank(SparseMatrix.identity(QQ, 2))
     2
     >>> rank(SparseMatrix.from_dense(GF(2), [[1, 1], [1, 1]]))
     1
+    >>> absorbed = []
+    >>> rank(SparseMatrix.from_dense(QQ, [[1, 1], [0, 0]]), absorbed=absorbed)
+    1
+    >>> absorbed
+    [0]
     """
-    elim = Eliminator(m.field)
-    for col in sorted(filter(None, m.cols), key=len):
-        elim.add(col)
+    elim = Eliminator(m.field, drop)
+    cols = m.cols
+    for j in sorted((j for j, col in enumerate(cols) if col),
+                    key=lambda j: len(cols[j])):
+        if elim.add(cols[j]) is not None and absorbed is not None:
+            absorbed.append(j)
     return elim.rank
 
 

@@ -54,6 +54,3 @@ class EliminationSpan:
 
     def residue_column(self, col):
         return self._elim.reduce(dict(col))
-
-    def contains(self, x):
-        return not self.residue_column(self.space.column(x))

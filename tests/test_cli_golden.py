@@ -128,6 +128,12 @@ GOLDEN = {
     "verify corollary-b --group C2xC2 --field F2 --max 1": (
         "2ccbf3bf9bbcc5b7b59db7f9486c3fa49c026d94e0527508ea9152e039ba9f7d",
         "7a7ba08a3c79d9289db79a007533ae3d139078e0546f589f5cb2c0b233a53f73"),
+    "verify corollary-b --group Q8 --field F2 --max 3": (
+        "4e70c53248e6129a800f5e658e2a48c5884c9ae04eaaf066eaaf0e7778c236ef",
+        "3190c0ef94ed41f1681ee0e31588bc884b9ec7ae896aa6707af60e493f151ca4"),
+    "verify corollary-b --group D4 --field Q --max 3": (
+        "c63061e8c3e48a845779a4b177cb154b4f7ba58733e9c8c2ddf1f7bc4740f729",
+        "5003544093342e7695e25f0f45744bdeaa6c719571ba383e9849831fd2cf6b66"),
     "verify section5 --group S3 --field F5": (
         "0a688d06a8595c10d56124393b922e4cc52d8328d098c02e16e1339939784bd4",
         "b72938002b5536877037f3f016f8ea20980e81a8654f4fa4449b8a32541dfbe4"),

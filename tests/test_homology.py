@@ -950,6 +950,26 @@ def test_corollary_b_runs_the_classical_pipeline_once_per_stabilizer(
             comp.stabilizer, u, QQ, 1).dims
 
 
+def test_corollary_b_needs_classical_d_squared_zero(monkeypatch):
+    # A classical complex that fails d^2 = 0 at one stabilizer, with its
+    # dimensions unchanged, must turn ``ok`` false although every
+    # dimension still agrees.
+    group = build_named_group("S3")
+    assert verify_corollary_b(group, QQ, 1)["ok"]
+    real = homology.group_homology
+
+    def broken_at_trivial(h_group, u, field, max_degree, cap):
+        report = real(h_group, u, field, max_degree, cap)
+        if h_group.order == 1:
+            report.checks["d2_zero"] = False
+        return report
+
+    monkeypatch.setattr(homology, "group_homology", broken_at_trivial)
+    report = verify_corollary_b(group, QQ, 1)
+    assert report["homology"]["equal"] and report["cohomology"]["equal"]
+    assert not report["ok"]
+
+
 # ---------------------------------------------------------------------------
 # Report and complex plumbing.
 
@@ -1013,9 +1033,9 @@ def _ranked_fields(monkeypatch):
     """The field of every matrix that homology ranks from now on."""
     fields = []
 
-    def counted(m):
+    def counted(m, **kw):
         fields.append(m.field)
-        return rank(m)
+        return rank(m, **kw)
 
     monkeypatch.setattr(homology, "rank", counted)
     return fields

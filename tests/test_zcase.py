@@ -39,6 +39,12 @@ def _f(i, field=QQ):
     return f_element(i, field)
 
 
+def _contains(span, x):
+    """Whether x lies in a level span (``VkSpan`` or an oracle): its
+    residue, the component sums of its window column, is zero."""
+    return not span.residue_column(span.space.column(x))
+
+
 # ---------------------------------------------------------------------------
 # Generators and relations.
 
@@ -408,23 +414,23 @@ def test_window_space_escape_is_loud():
 
 def test_vk_span_contains_both_signs():
     span = VkSpan(1, 6)
-    assert span.contains(_f(1))
-    assert span.contains(_f(-1))
-    assert span.contains(ZALG.zero())
-    assert not span.contains(_f(2))
+    assert _contains(span, _f(1))
+    assert _contains(span, _f(-1))
+    assert _contains(span, ZALG.zero())
+    assert not _contains(span, _f(2))
 
 
 def test_vk_span_contains_action_products():
     span = VkSpan(1, 4)
     x = ZALG.idem(1) * _f(2) - ZALG.idem(2) * _f(1)
-    assert span.contains(x)
-    assert span.contains(ZALG.bracket(1) * _f(1))
+    assert _contains(span, x)
+    assert _contains(span, ZALG.bracket(1) * _f(1))
 
 
 def test_vk_span_membership_outside_window_is_loud():
     span = VkSpan(1, 4)
     with pytest.raises(WindowEscapeError):
-        span.contains(_f(9))
+        _contains(span, _f(9))
 
 
 def test_vk_span_cap_is_checked_before_any_product(monkeypatch):
@@ -467,8 +473,8 @@ def test_vk_span_rows_registered_after_construction():
     col = span.space.column(x)
     assert span.space.dim == dim + 1
     assert span.residue_column(col) == col
-    assert not span.contains(x)
-    assert span.contains(ZALG.zero())
+    assert not _contains(span, x)
+    assert _contains(span, ZALG.zero())
 
 
 ORACLE_CASES = [(k, bound, field)
@@ -531,9 +537,9 @@ def test_vk_span_matches_both_oracles(k, bound, field):
     domain = window_basis(max(bound - 2 * k - 2, 0))
     samples += [algebra.monomial(r) * fk1 for r in domain]
     samples += _pair_probes(k, bound, field)
-    verdicts = [span.contains(x) for x in samples]
+    verdicts = [_contains(span, x) for x in samples]
     for oracle in oracles:
-        assert verdicts == [oracle.contains(x) for x in samples]
+        assert verdicts == [_contains(oracle, x) for x in samples]
     assert any(verdicts) and not all(verdicts)
 
 
@@ -613,12 +619,60 @@ def test_quotient_check_on_cap_lifted_windows(k, bound, domain_dim, s1):
     assert (k, bound, report["vk_rank"]) in CAP_LIFTED_RANKS
 
 
+def _s2_in_s1_by_products(k, bound, field, gens):
+    """The s2 elements y of ``quotient_check`` for ideal generators
+    ``gens``, each with the verdict y f_(k+1) in V_k read off the product."""
+    algebra = PartialGroupAlgebra(INTEGERS, field)
+    span, fk1 = VkSpan(k, bound, field), _f(k + 1, field)
+    domain = window_basis(bound - 2 * k - 2)
+    inside = set(domain)
+    out = []
+    for r in domain:
+        for z in gens(algebra):
+            y = algebra.monomial(r) * z
+            if not y.is_zero() and inside.issuperset(y.coeffs):
+                out.append((y.render(), _contains(span, y * fk1)))
+    return out
+
+
+@pytest.mark.parametrize("k, bound, field", [
+    (1, 6, QQ), (1, 6, GF(5)), (2, 8, QQ), (2, 8, GF(2)), (2, 8, GF(3))],
+    ids=repr)
+def test_quotient_check_s2_in_s1_by_linearity(monkeypatch, k, bound, field):
+    # The verdict is read off residue_matrix applied to each s2 vector; it
+    # must agree with forming y f_(k+1) for every s2 element y.
+    def ideal(algebra):
+        return [algebra.one() - algebra.idem(k + 1)] + [
+            algebra.idem(i) for i in range(1, k + 1)]
+
+    verdicts = _s2_in_s1_by_products(k, bound, field, ideal)
+    assert verdicts and all(ok for _, ok in verdicts)
+    report = quotient_check(k, bound, field)
+    assert report["s2_in_s1"] and report["ok"]
+    # Perturbed: 1 - e_(k+1) becomes 1, so the s2 vectors include every
+    # domain monomial r, and exactly those with r f_(k+1) outside V_k
+    # must be reported.
+    def perturbed(algebra):
+        return [algebra.one()] + ideal(algebra)[1:]
+
+    want = {y for y, ok in _s2_in_s1_by_products(k, bound, field, perturbed)
+            if not ok}
+    assert want
+    one = PartialGroupAlgebra.one
+    monkeypatch.setattr(PartialGroupAlgebra, "one",
+                        lambda self: one(self) + self.idem(k + 1))
+    report = quotient_check(k, bound, field)
+    assert not report["s2_in_s1"] and not report["ok"]
+    assert {v["element"] for v in report["violations"]
+            if v["direction"] == "s2_in_s1"} == want
+
+
 def test_quotient_spot_memberships():
     span = VkSpan(1, 6)
-    assert span.contains(ZALG.idem(1) * _f(2))
+    assert _contains(span, ZALG.idem(1) * _f(2))
     assert ((ZALG.one() - ZALG.idem(2)) * _f(2)).is_zero()
     # the generator [1] is in neither subspace
-    assert not span.contains(ZALG.bracket(1) * _f(2))
+    assert not _contains(span, ZALG.bracket(1) * _f(2))
     domain = window_basis(2)
     space = WindowSpace(QQ, 2)
     gens = []

@@ -44,6 +44,3 @@ class UnionFindSpan(IncidenceSpan):
                     self.columns.append({u: one, v: minus_one})
                     self.add(u, v)
         assert len(self.columns) == count
-
-    def contains(self, x):
-        return not self.residue_column(self.space.column(x))
