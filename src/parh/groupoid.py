@@ -13,6 +13,7 @@ test oracle (``tests/morita.py``).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .exel import AlgebraElement, PartialGroupAlgebra
@@ -277,9 +278,10 @@ class PartialRepModule:
     defining relations are checked exhaustively, once; ``idems[x]`` keeps
     the idempotent e_x = [x][x^-1] that the check forms, and
     ``self_dual`` whether the module equals its dual V* literally:
-    [g^-1] = [g]^T for every g, decided by exact matrix equality.  B, the
-    regular module and the modules induced from a trivial or regular
-    representation act by partial permutations, so they are self-dual.
+    [g^-1] = [g]^T for every g, decided exactly.  B, the regular module
+    and the modules induced from a trivial or regular representation act
+    by 0/1 partial maps, which the check composes as index lists, and
+    they are self-dual.
     """
 
     __slots__ = ("group", "field", "dim", "mats", "idems", "self_dual")
@@ -334,33 +336,102 @@ class PartialRepModule:
         A self-dual module, [x^-1] = [x]^T for every x, has
         e_x^T = [x^-1]^T [x]^T = e_x, so relation 2 at (x, y) transposed,
         [y^-1][x^-1] = [(xy)^-1] e_x, is relation 1 at (y^-1, x^-1), which
-        the loop checks too; its relation 2 is not formed again.  So the
-        check takes 2 n^2 products for a self-dual module and 3 n^2 for
-        any other (n of them the idempotents, which it keeps because
-        (co)homology reads them again).
+        the loop checks too; its relation 2 is not formed again.
+
+        When every column of every [g] is empty or the single entry int 1,
+        each [g] is a partial map (``_partial_maps``), a product of two is
+        their composition, and the same equalities are checked on index
+        lists, with no matrix product; [x^-1] = [x]^T holds iff the map of
+        x^-1 is the inverse of the injective map of x.  Any other module
+        takes 2 n^2 matrix products if self-dual and 3 n^2 if not.  Either
+        way the idempotents are kept as matrices, because (co)homology
+        reads them again.
         """
         grp = self.group
-        mats = self.mats
-        if mats[0] != SparseMatrix.identity(self.field, self.dim):
-            raise ValueError("the identity generator must act as the identity")
         n = grp.order
-        self.idems = idems = [mats[x] * mats[grp.inv(x)] for x in range(n)]
+        field, dim = self.field, self.dim
+        maps = _partial_maps(self.mats)
+        if maps is None:
+            gens, mul = self.mats, operator.mul
+            unit = SparseMatrix.identity(field, dim)
+            inverse = _transposes
+        else:
+            gens, mul = maps, _compose
+            unit = [*range(dim), -1]
+            inverse = _inverts
+        if gens[0] != unit:
+            raise ValueError("the identity generator must act as the identity")
+        idems = [mul(gens[x], gens[grp.inv(x)]) for x in range(n)]
+        if maps is None:
+            self.idems = idems
+        else:
+            one = field.one
+            self.idems = [SparseMatrix._of_columns(
+                field, dim, [{i: one} if i >= 0 else {} for i in e[:-1]])
+                for e in idems]
         self.self_dual = self_dual = all(
-            mats[grp.inv(x)] == mats[x].transpose() for x in range(n))
+            inverse(gens[x], gens[grp.inv(x)]) for x in range(n))
         for x in range(n):
             for y in range(n):
                 xy = grp.mult(x, y)
                 yi = grp.inv(y)
-                prod = idems[x] if xy == 0 else mats[x] * mats[y]
-                if mats[xy] * idems[yi] != prod:
+                prod = idems[x] if xy == 0 else mul(gens[x], gens[y])
+                if mul(gens[xy], idems[yi]) != prod:
                     raise ValueError(
                         f"partial relation [g][h][h^-1] fails at ({xy}, {yi})"
                     )
-                if not self_dual and idems[x] * mats[xy] != prod:
+                if not self_dual and mul(idems[x], gens[xy]) != prod:
                     raise ValueError(
                         "partial relation [g^-1][g][h] fails at "
                         f"({grp.inv(x)}, {xy})"
                     )
+
+
+def _partial_maps(mats: dict[int, SparseMatrix]) -> dict[int, list[int]] | None:
+    """Each generator as a partial map, or None unless every column of
+    every matrix is empty or the single entry int 1.
+
+    ``maps[g][j]`` is the row of the 1 in column j, or -1 for an empty
+    column, and one more -1 closes the list, so that ``a[-1]`` is -1.
+    """
+    maps = {}
+    for g, m in mats.items():
+        targets = []
+        for col in m.cols:
+            if not col:
+                targets.append(-1)
+                continue
+            if len(col) != 1:
+                return None
+            ((i, v),) = col.items()
+            if v != 1 or type(v) is not int:
+                return None
+            targets.append(i)
+        targets.append(-1)
+        maps[g] = targets
+    return maps
+
+
+def _compose(a: list[int], b: list[int]) -> list[int]:
+    """The partial map a after b, whose matrix is [a][b].  Where b is -1,
+    ``a[-1]`` reads the closing -1 of a, so no column needs a test."""
+    return list(map(a.__getitem__, b))
+
+
+def _inverts(a: list[int], b: list[int]) -> bool:
+    """Whether [b] = [a]^T: a is injective and b is its inverse."""
+    inverse = [-1] * len(a)
+    for j, i in enumerate(a):
+        if i >= 0:
+            if inverse[i] >= 0:
+                return False
+            inverse[i] = j
+    return inverse == b
+
+
+def _transposes(a: SparseMatrix, b: SparseMatrix) -> bool:
+    """Whether b = a^T."""
+    return b == a.transpose()
 
 
 def regular_module(group, field: Field = QQ,
@@ -369,18 +440,22 @@ def regular_module(group, field: Field = QQ,
 
     lambda_map is an isomorphism onto the groupoid algebra (Dokuchaev, Exel
     and Piccione, J. Algebra 226, 2000): [h] (D, k) = (D, hk) when h^-1 is
-    in kD, and zero otherwise, so every e_x = [x][x^-1] is diagonal.  The
+    in kD, and zero otherwise, so every e_x = [x][x^-1] is diagonal.  Since
+    (D, hk) is an arrow iff (hk)^-1 is in D, that is iff h^-1 is in kD,
+    [h] (D, k) is read off the arrow positions, with no translate.  The
     group order is checked against ``cap`` before anything is built.
     """
     gd = build_groupoid(group, cap)
+    arrow_pos = gd.arrow_pos
+    one = field.one
     mats = {}
     for h in range(group.order):
-        hi = group.inv(h)
-        entries = {}
-        for j, (d, k) in enumerate(gd.arrows):
-            if hi in translate(group, k, d):
-                entries[(gd.arrow_pos[(d, group.mult(h, k))], j)] = field.one
-        mats[h] = SparseMatrix(field, len(gd.arrows), len(gd.arrows), entries)
+        row = group.table[h]
+        cols = []
+        for d, k in gd.arrows:
+            i = arrow_pos.get((d, row[k]))
+            cols.append({} if i is None else {i: one})
+        mats[h] = SparseMatrix._of_columns(field, len(cols), cols)
     return PartialRepModule(group, field, mats)
 
 
@@ -392,14 +467,13 @@ def b_module(group, field: Field = QQ) -> PartialRepModule:
     algebra = PartialGroupAlgebra(group, field)
     subsets = algebra.subsets_with_identity()
     pos = {a: k for k, a in enumerate(subsets)}
+    one = field.one
     mats = {}
     for g in range(group.order):
         gi = group.inv(g)
-        entries = {}
-        for k, a in enumerate(subsets):
-            if gi in a:
-                entries[(pos[translate(group, g, a)], k)] = field.one
-        mats[g] = SparseMatrix(field, len(subsets), len(subsets), entries)
+        cols = [{pos[translate(group, g, a)]: one} if gi in a else {}
+                for a in subsets]
+        mats[g] = SparseMatrix._of_columns(field, len(cols), cols)
     return PartialRepModule(group, field, mats)
 
 

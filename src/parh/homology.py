@@ -117,7 +117,8 @@ class ChainComplex:
     ``dims[n]`` is the dimension of the degree-n space; ``diffs[n]`` is
     the matrix of d_n mapping degree n to degree n-1.  Consecutive
     differentials compose to zero; ``d2_zero`` verifies that once per
-    complex, applying d_n to each nonzero column of d_(n+1) in turn.
+    complex with ``SparseMatrix.annihilates``, which sums each column of
+    d_n d_(n+1) in one dict and stops at the first nonzero one.
     """
 
     __slots__ = ("field", "dims", "diffs", "_d2")
@@ -136,11 +137,12 @@ class ChainComplex:
         return self.dims[n]
 
     def d2_zero(self) -> bool:
+        """Whether d_n d_(n+1) = 0 for every pair of differentials built,
+        decided on the first call and remembered."""
         if self._d2 is None:
-            self._d2 = all(
-                not d.apply(col)
-                for n, d in self.diffs.items() if n + 1 in self.diffs
-                for col in self.diffs[n + 1].cols if col)
+            self._d2 = all(d.annihilates(self.diffs[n + 1])
+                           for n, d in self.diffs.items()
+                           if n + 1 in self.diffs)
         return self._d2
 
     def homology_dims(self, max_degree: int) -> list[int]:

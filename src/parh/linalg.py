@@ -285,6 +285,37 @@ class SparseMatrix:
             _axpy(p, out, c, cols[j])
         return out
 
+    def annihilates(self, other: "SparseMatrix") -> bool:
+        """Whether ``self * other`` is zero, without forming the product.
+
+        Each column of the product is summed in one dict, zeros kept, and
+        the first nonzero column ends the scan.
+
+        >>> d = SparseMatrix.from_dense(GF(2), [[1, 1]])
+        >>> d.annihilates(SparseMatrix.from_dense(GF(2), [[1], [1]]))
+        True
+        >>> d.annihilates(SparseMatrix.identity(GF(2), 2))
+        False
+        """
+        if self.field != other.field or self.ncols != other.nrows:
+            raise ValueError("field or shape mismatch")
+        p = self.field.char
+        left = self.cols
+        for ocol in other.cols:
+            col: Column = {}
+            get = col.get
+            if p:
+                for k, w in ocol.items():
+                    for r, v in left[k].items():
+                        col[r] = (get(r, 0) + w * v) % p
+            else:
+                for k, w in ocol.items():
+                    for r, v in left[k].items():
+                        col[r] = get(r, 0) + w * v
+            if any(col.values()):
+                return False
+        return True
+
     def is_zero(self) -> bool:
         return not any(self.cols)
 

@@ -149,6 +149,12 @@ GOLDEN = {
     "verify kpar-coeff-vanishing --group S3 --field F3 --max 1": (
         "28df6443722c0a065fa035793f7a5f9740988c1934673ec609fcb87ebc37f2b3",
         "9285adfd5f17ce69998a6211454f4325f4532b3d12019cda22cca76139e6c8f8"),
+    "verify kpar-coeff-vanishing --group D4 --field F3 --max 1": (
+        "0749f53517eb7fb5f0389abbe76b6b804f512ada1ea9f6a6592a3592880d68ee",
+        "61d581ec6093d7245f5168825c8abee169dfc9903224ea1ff70a9197b8f96a6b"),
+    "verify kpar-coeff-vanishing --group Q8 --field F2 --max 2": (
+        "219f91099f48fde03d1ef7460a93430375fb03502a3a4e512650115c08908c7c",
+        "b51f893666ac0f6854d681d77975686e48e359010384d9999148762333b7773a"),
     "z relations --bound 3": (
         "9b42e666e906ac49b980238befb64115d0b05f5f5f2aa08a4cb11a69094ff684",
         "c47255f76dcf8867c51f2182c4a2edfd70ed15e2a462508373cc03fc82e8ea2e"),

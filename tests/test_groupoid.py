@@ -19,7 +19,7 @@ from tensor_relations import (
 from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import (NAMED_GROUP_NAMES, FiniteGroup, build_named_group,
-                         regular_rep, trivial_rep)
+                         regular_rep, translate, trivial_rep)
 from parh.groupoid import (
     ArrowSum,
     EquivalenceData,
@@ -258,6 +258,20 @@ def test_regular_module_validates():
         assert mod.dim == PartialGroupAlgebra(grp).dimension()
 
 
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_regular_module_acts_where_h_inverse_lies_in_k_d(name):
+    # [h] (D, k) = (D, hk) exactly when h^-1 is in kD: the arrow positions
+    # that regular_module reads agree with the translate on every group.
+    grp = build_named_group(name)
+    gd = build_groupoid(grp)
+    mod = regular_module(grp, GF(2))
+    for h in range(grp.order):
+        for j, (d, k) in enumerate(gd.arrows):
+            want = ({gd.arrow_pos[(d, grp.mult(h, k))]: 1}
+                    if grp.inv(h) in translate(grp, k, d) else {})
+            assert mod.mats[h].cols[j] == want, (h, j)
+
+
 # The "left-" ids name the side these modules act on.
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "C2xC2", "S3"],
                          ids="left-{}".format)
@@ -324,8 +338,23 @@ def test_each_partial_relation_is_checked(m1, m2, relation):
         PartialRepModule(grp, QQ, mats)
 
 
+def _sign_twisted_b(grp):
+    """B with [g] scaled by the sign character, +1 on the squares of S3
+    or C4 (an index-2 subgroup) and -1 off them: a ±1 monomial module,
+    self-dual but not a 0/1 partial map."""
+    squares = {grp.mult(g, g) for g in range(grp.order)}
+    assert 2 * len(squares) == grp.order
+    mats = b_module(grp, QQ).mats
+    return {g: SparseMatrix._of_columns(
+        QQ, m.nrows, [{r: v if g in squares else -v for r, v in col.items()}
+                      for col in m.cols])
+            for g, m in mats.items()}
+
+
 def test_self_dual_module_checks_relation_one_only(monkeypatch):
-    # Relation 2 of a self-dual module is relation 1 transposed, so its
+    # B and the regular module act by 0/1 partial maps, which the check
+    # composes as index lists: no matrix product at all.  Relation 2 of
+    # any self-dual module is relation 1 transposed, so a ±1 module's
     # check forms 2 n^2 products where any other module's forms 3 n^2.
     # C3 rotating Q^2 by an integer matrix is not self-dual: the matrix
     # is not orthogonal, so [g^-1] is not [g]^T.
@@ -345,10 +374,27 @@ def test_self_dual_module_checks_relation_one_only(monkeypatch):
         for build in (b_module, regular_module):
             products.clear()
             assert build(grp, QQ).self_dual
-            assert len(products) == 2 * grp.order ** 2, (name, build)
+            assert not products, (name, build)
+    for name in ("C4", "S3"):
+        grp = build_named_group(name)
+        signed = _sign_twisted_b(grp)
+        products.clear()
+        assert PartialRepModule(grp, QQ, signed).self_dual
+        assert len(products) == 2 * grp.order ** 2, name
     products.clear()
     assert not PartialRepModule(c3, QQ, rotation).self_dual
     assert len(products) == 3 * 3 ** 2
+
+
+def test_non_injective_partial_map_is_not_self_dual():
+    # [g] sends both basis vectors to the first: [g]^3 = [g] satisfies
+    # both relations on C2, and [g]^T has a column with two entries, so
+    # it is not [g^-1] = [g].  e_g = [g]^2 = [g] is not diagonal.
+    c2 = build_named_group("C2")
+    folded = SparseMatrix.from_dense(QQ, [[1, 1], [0, 0]])
+    mod = PartialRepModule(c2, QQ, {0: SparseMatrix.identity(QQ, 2), 1: folded})
+    assert not mod.self_dual
+    assert mod.idems == [SparseMatrix.identity(QQ, 2), folded]
 
 
 @pytest.mark.parametrize("name", ["C3", "C2xC2", "S3"])

@@ -1094,27 +1094,26 @@ def test_d_squared_nonzero_is_never_certified(monkeypatch):
 
 
 def test_d_squared_is_multiplied_once_per_complex(monkeypatch):
-    # d^2 is evaluated column by column: d_n is applied once to each column
-    # of d_(n+1), for the whole complex, however often it is asked.
+    # d^2 is evaluated pair by pair: d_n annihilates d_(n+1) is asked once
+    # for each pair, for the whole complex, however often it is asked, and
+    # no product matrix and no apply call is made.
     cx = _koszul([2, 3, 5])
-    applied = []
-    apply = SparseMatrix.apply
+    asked = []
+    annihilates = SparseMatrix.annihilates
 
-    def counted(m, col):
-        applied.append((m.nrows, m.ncols, col))
-        return apply(m, col)
+    def counted(a, b):
+        asked.append((a, b))
+        return annihilates(a, b)
 
-    def no_products(a, b):
-        raise AssertionError("d^2 built a product matrix")
+    def refuse(*args):
+        raise AssertionError("d^2 built a product or applied a column")
 
-    monkeypatch.setattr(SparseMatrix, "apply", counted)
-    monkeypatch.setattr(SparseMatrix, "__mul__", no_products)
+    monkeypatch.setattr(SparseMatrix, "annihilates", counted)
+    monkeypatch.setattr(SparseMatrix, "apply", refuse)
+    monkeypatch.setattr(SparseMatrix, "__mul__", refuse)
     assert cx.homology_dims(2) == [0, 0, 0]
     assert cx.d2_zero() and cx.d2_zero()
-    want = [(cx.diffs[n].nrows, cx.diffs[n].ncols, col)
-            for n in (1, 2) for col in cx.diffs[n + 1].cols]
-    assert applied == want
-    assert [(r, c) for r, c, _ in applied] == [(1, 3)] * 3 + [(3, 3)]
+    assert asked == [(cx.diffs[1], cx.diffs[2]), (cx.diffs[2], cx.diffs[3])]
 
 
 @pytest.mark.parametrize("module", ["B", "regular"])

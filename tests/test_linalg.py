@@ -327,3 +327,34 @@ def test_sparse_kernels_match_dense_reference(field):
         assert got_kernel == kernel
         for v in got_kernel:
             _assert_scalars(field, v.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+def test_annihilates_matches_dense_product(field):
+    # a b = 0 exactly when the dense product is zero; a matrix of kernel
+    # vectors of a is annihilated, and stops being so when one column
+    # outside the kernel is appended.
+    rng = random.Random(25)
+    hits = 0
+    for _ in range(60):
+        nrows, inner, ncols = (rng.randint(1, 6) for _ in range(3))
+        a = _random_matrix(rng, field, nrows, inner, rng.choice([0.2, 0.5]))
+        b = _random_matrix(rng, field, inner, ncols, rng.choice([0.2, 0.5]))
+        dense = dense_mul(field, to_dense(a), to_dense(b))
+        assert a.annihilates(b) == (not any(map(any, dense)))
+        kernel = kernel_basis(a)
+        k = SparseMatrix._of_columns(field, inner, kernel)
+        assert a.annihilates(k)
+        hits += bool(kernel)
+        outside = [{j: field.one} for j in range(inner)
+                   if a.cols[j]][:1]
+        if outside:
+            wider = SparseMatrix._of_columns(field, inner, kernel + outside)
+            assert not a.annihilates(wider)
+    assert hits
+    with pytest.raises(ValueError):
+        SparseMatrix.identity(field, 2).annihilates(SparseMatrix(field, 3, 2))
+    other = GF(7) if field.char != 7 else QQ
+    with pytest.raises(ValueError):
+        SparseMatrix.identity(field, 2).annihilates(
+            SparseMatrix.identity(other, 2))
