@@ -54,7 +54,6 @@ from .homology import (
 )
 from .linalg import GF, QQ, Field, SizeCapError
 from .zcase import (
-    WindowEscapeError,
     cancellation_decompose,
     ig_decompose,
     k_tensor_ig_vanishes,
@@ -736,7 +735,7 @@ def main(argv=None) -> int:
         if getattr(args, "count", 0) < 0:
             raise ValueError(f"--count must be nonnegative, got {args.count}")
         data, lines, ok = args.handler(args)
-    except (SizeCapError, WindowEscapeError) as exc:
+    except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         if as_json:
             _print_error("size_cap", exc)

@@ -21,15 +21,15 @@ computation:
     and elements b_i with r_i = sum_j M[i][j] e_j + b_i (1 - e_i);
   * bounded-window linear algebra over the integers: V_k as a graph
     incidence span in closed form (the rank by a count over member sets,
-    membership by component sums on roots read off each member set, no
-    edge built), the two containments behind the quotient identity, and
-    decomposition of augmentation-zero elements over the f_i;
+    components by roots read off each member set, no edge built), the
+    two containments behind the quotient identity as union-find ranks of
+    graph spans, and decomposition of augmentation-zero elements over the
+    f_i;
   * seeded samplers for property tests of all of the above.
 
-Everything is exact.  A window bounds which canonical monomials may appear
-in a coordinate vector; a vector whose support leaves the declared window
-raises WindowEscapeError instead of being truncated, so no check can pass
-by silently dropping terms.
+Everything is exact.  A window bounds which canonical monomials may
+appear; a product that leaves the domain window of the quotient check is
+not a domain vector, so it is left out of S2, never truncated.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .exel import (
 )
 from .groups import INTEGERS, GroupElement
 from .linalg import (
-    Column,
-    Eliminator,
     Field,
+    IncidenceSpan,
     QQ,
     Scalar,
     SizeCapError,
@@ -60,10 +59,6 @@ from .linalg import (
 )
 
 Z_WINDOW_CAP = 200_000
-
-
-class WindowEscapeError(RuntimeError):
-    """A computed vector has support outside its declared window."""
 
 
 def _check_window_cap(count: int, what: str, unit: str,
@@ -359,55 +354,6 @@ def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
             for members in _window_member_sets(bound) for m in members]
 
 
-class WindowSpace:
-    """Sparse coordinates over window-bounded canonical monomials.
-
-    Rows are registered lazily, in first-seen order, and keyed by the
-    canonical (members, g) of their pair.  Registering a monomial with a
-    member outside [-bound, bound] raises WindowEscapeError; nothing is
-    ever truncated.
-    """
-
-    __slots__ = ("field", "bound", "rows", "labels")
-
-    def __init__(self, field: Field, bound: int) -> None:
-        self.field = field
-        self.bound = bound
-        self.rows: dict[tuple[tuple[int, ...], int], int] = {}
-        self.labels: list[SElement] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def index(self, s: SElement) -> int:
-        return self.pair_index(s.members, s.g)
-
-    def pair_index(self, members: tuple[int, ...], g: int) -> int:
-        """The row of the pair (members, g), where ``members`` is sorted
-        and holds 0 and g; the pair itself is built for a new row only."""
-        key = (members, g)
-        got = self.rows.get(key)
-        if got is not None:
-            return got
-        s = _canonical_pair(INTEGERS, members, g)
-        if members[0] < -self.bound or members[-1] > self.bound:
-            raise WindowEscapeError(
-                f"{s.render()} escapes the window [-{self.bound}, {self.bound}]"
-            )
-        idx = len(self.labels)
-        self.rows[key] = idx
-        self.labels.append(s)
-        return idx
-
-    def column(self, x: AlgebraElement) -> Column:
-        return {self.index(s): c for s, c in x.coeffs.items()}
-
-    def element(self, col: Column) -> AlgebraElement:
-        coeffs = {self.labels[r]: c for r, c in col.items()}
-        return AlgebraElement(INTEGERS, self.field, coeffs)
-
-
 def level_span_rank(k: int, multiplier_bound: int) -> int:
     """The rank of :class:`VkSpan`, counted without building an edge.
 
@@ -448,18 +394,16 @@ class VkSpan:
     ``root``), and ``level_span_rank`` counts the rank; no edge is built
     or stored.  ``columns`` is the range of the
     window_size(multiplier_bound) * k edge columns, and the cap is checked
-    on that count first.  Rows are registered lazily, by ``residue_column``.
+    on that count first.
 
     >>> span = VkSpan(1, 3)
-    >>> len(span.columns), span.space.dim, span.rank
-    (8, 0, 6)
+    >>> len(span.columns), span.rank, span.root((-1, 0, 1), 1)
+    (8, 6, -1)
     """
 
-    __slots__ = ("k", "bound", "multiplier_bound", "space", "columns",
-                 "rank")
+    __slots__ = ("k", "bound", "multiplier_bound", "columns", "rank")
 
-    def __init__(self, k: int, bound: int, field: Field = QQ,
-                 cap: int = Z_WINDOW_CAP) -> None:
+    def __init__(self, k: int, bound: int, cap: int = Z_WINDOW_CAP) -> None:
         if k < 1:
             raise ValueError("level k must be at least 1")
         if bound < k + 1:
@@ -467,7 +411,6 @@ class VkSpan:
         self.k = k
         self.bound = bound
         self.multiplier_bound = bound - k - 1
-        self.space = WindowSpace(field, bound)
         count = window_size(self.multiplier_bound) * k
         _check_window_cap(count, "level span", "columns", cap)
         self.columns = range(count)
@@ -496,15 +439,25 @@ class VkSpan:
             return g
         return top if g >= top - k else g
 
-    def residue_column(self, col: Column) -> Column:
-        """The component sums of ``col``, each on its root's row; zero iff
-        ``col`` is in the span."""
-        labels, index = self.space.labels, self.space.pair_index
-        terms = []
-        for row, c in col.items():
-            s = labels[row]
-            terms.append((index(s.members, self.root(s.members, s.g)), c))
-        return accumulate(self.space.field, terms)
+
+def _adjoin(members: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted member set members + {x}."""
+    return members if x in members else tuple(sorted(members + (x,)))
+
+
+def _ideal_products(k: int, members: tuple[int, ...], m: int) -> list[tuple]:
+    """The products of r = (A, m), A = members, with the ideal generators
+    1 - e_(k+1), e_1, ..., e_k, in that order.
+
+    A pair is written (members, g) and a product by its terms: (u,) is
+    the pair u, (u, v) is u - v and () is zero.  By the product rule,
+    r e_i = (A + {m+i}, m), and r (1 - e_(k+1)) = r - (A + {m+k+1}, m),
+    which is zero when m+k+1 is in A.
+    """
+    h = k + 1
+    out = [() if m + h in members
+           else ((members, m), (_adjoin(members, m + h), m))]
+    return out + [((_adjoin(members, m + i), m),) for i in range(1, h)]
 
 
 def quotient_check(k: int, bound: int, field: Field = QQ,
@@ -515,77 +468,96 @@ def quotient_check(k: int, bound: int, field: Field = QQ,
     domain_bound = bound - 2k - 2.  Two subspaces of that domain span are
     compared:
 
-      S1 = kernel of r -> (r * f_{k+1} modulo the visible V_k span),
+      S1 = kernel of R: r -> (r * f_{k+1} modulo the visible V_k span),
       S2 = span of the in-window products r (1 - e_{k+1}) and r e_i, i <= k.
 
     S2 inside S1 must hold exactly.  S1 inside S2 is expected; a failure
     is reported as a violation for review (window artifact against genuine
     counterexample) rather than raised.
+
+    Both are graph spans, ranked by union-find (``IncidenceSpan``) with no
+    algebra product and no elimination.  For r = (A, m) and
+    B = A + {m+k+1}, r f_(k+1) = (B, m+k+1) - (B, m); modulo V_k each pair
+    sums onto its component's root, so R sends r to the edge between
+    (B, root(B, m+k+1)) and (B, root(B, m)), and s1 = |domain| - rank R.
+    S2 is spanned by the pairs r e_i = (A + {m+i}, m) and the edges
+    r (1 - e_(k+1)) = (A, m) - (B, m), m+k+1 not in A, each kept when all
+    its terms lie in the domain.  Adjoining m+k+1 to A or to B gives B,
+    so both terms of such an edge have the same R-edge and R kills it
+    (checked; RuntimeError if not).  So R(S2) is the span of the R-edges
+    of the r e_i: S2 lies in S1 iff each is a loop, a violation renders
+    the pair, and dim(S1 meet S2) = s2 - rank R(S2), so S1 lies in S2 iff
+    s1 equals that.  Only if it does not are the ``kernel_basis`` vectors
+    of R listed; those outside S2 are the violations.
+
+    >>> report = quotient_check(1, 6)
+    >>> [report[key] for key in ("domain_dim", "vk_rank", "s1_dim", "s2_dim")]
+    [48, 768, 28, 28]
+    >>> report["ok"], report["violations"]
+    (True, [])
     """
     if k < 1:
         raise ValueError("level k must be at least 1")
     if bound < 2 * k + 4:
         raise ValueError("window too small: need bound >= 2k + 4")
     domain_bound = bound - 2 * k - 2
-    span = VkSpan(k, bound, field, cap)
-    algebra = PartialGroupAlgebra(INTEGERS, field)
-    fk1 = f_element(k + 1, field)
+    span = VkSpan(k, bound, cap)
     domain = window_basis(domain_bound, cap)
-    domain_pos = {s: t for t, s in enumerate(domain)}
+    pos = {(r.members, r.g): t for t, r in enumerate(domain)}
 
-    entries: dict[tuple[int, int], Scalar] = {}
-    for t, r in enumerate(domain):
-        res = span.residue_column(span.space.column(algebra.monomial(r) * fk1))
-        for row, c in res.items():
-            entries[(row, t)] = c
-    residue_matrix = SparseMatrix(
-        field, span.space.dim, len(domain), entries
-    )
-    s1_vectors = kernel_basis(residue_matrix)
-
-    ideal_gens = [algebra.one() - algebra.idem(k + 1)]
-    ideal_gens += [algebra.idem(i) for i in range(1, k + 1)]
-    s2_elements: list[AlgebraElement] = []
-    s2_vectors: list[Column] = []
+    rows: dict[tuple, int] = {}  # R's row of each (B, root), first seen first
+    edges: list[tuple[int, int]] = []
+    residue = IncidenceSpan(field)
     for r in domain:
-        mono = algebra.monomial(r)
-        for z in ideal_gens:
-            y = mono * z
-            if y.is_zero():
-                continue
-            if any(s not in domain_pos for s in y.coeffs):
-                continue  # product leaves the domain window; not a domain vector
-            s2_elements.append(y)
-            s2_vectors.append({domain_pos[s]: c for s, c in y.coeffs.items()})
+        h = r.g + k + 1
+        b = _adjoin(r.members, h)
+        edge = (rows.setdefault((b, span.root(b, h)), len(rows)),
+                rows.setdefault((b, span.root(b, r.g)), len(rows)))
+        edges.append(edge)
+        residue.add(*edge)
 
-    # residue(y f_{k+1}) is linear in y, and its value on each domain
-    # monomial is a column of residue_matrix, so no product is formed again.
+    s2, image = IncidenceSpan(field), IncidenceSpan(field)
     violations: list[dict] = []
-    for y, vec in zip(s2_elements, s2_vectors):
-        if residue_matrix.apply(vec):
-            violations.append(
-                {"direction": "s2_in_s1", "element": y.render()}
-            )
-    s2_elim = Eliminator(field)
-    for col in s2_vectors:
-        s2_elim.add(dict(col))
-    s1_in_s2 = True
-    for vec in s1_vectors:
-        if s2_elim.reduce(dict(vec)):
-            s1_in_s2 = False
-            combo = " + ".join(
-                f"({c}) {domain[t].render()}" for t, c in sorted(vec.items())
-            )
-            violations.append({"direction": "s1_in_s2", "element": combo})
-    s2_in_s1 = not any(v["direction"] == "s2_in_s1" for v in violations)
+    for r in domain:
+        for y in _ideal_products(k, r.members, r.g):
+            if not y or any(v not in pos for v in y):
+                continue  # zero, or it leaves the domain window
+            ts = [pos[v] for v in y]
+            s2.add(*ts)
+            if len(ts) == 2:
+                if edges[ts[0]] != edges[ts[1]]:
+                    raise RuntimeError(
+                        f"R does not kill {r.render()} (1 - e_{k + 1})")
+                continue
+            head, tail = edges[ts[0]]
+            image.add(head, tail)
+            if head != tail:
+                violations.append({"direction": "s2_in_s1",
+                                   "element": domain[ts[0]].render()})
+    s2_in_s1 = not violations
+    s1_dim = len(domain) - residue.rank
+    s1_in_s2 = s1_dim == s2.rank - image.rank
+    if not s1_in_s2:
+        one, minus_one = field.one, field.neg(field.one)
+        entries = {}
+        for t, (head, tail) in enumerate(edges):
+            if head != tail:
+                entries[(head, t)] = one
+                entries[(tail, t)] = minus_one
+        for vec in kernel_basis(SparseMatrix(field, len(rows), len(domain),
+                                             entries)):
+            if s2.residue_column(vec):
+                combo = " + ".join(f"({c}) {domain[t].render()}"
+                                   for t, c in sorted(vec.items()))
+                violations.append({"direction": "s1_in_s2", "element": combo})
     return {
         "k": k,
         "N": bound,
         "field": field.name,
         "domain_bound": domain_bound,
         "domain_dim": len(domain),
-        "s1_dim": len(s1_vectors),
-        "s2_dim": s2_elim.rank,
+        "s1_dim": s1_dim,
+        "s2_dim": s2.rank,
         "vk_rank": span.rank,
         "s2_in_s1": s2_in_s1,
         "s1_in_s2": s1_in_s2,

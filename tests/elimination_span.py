@@ -9,13 +9,8 @@ computed in the partial group algebra and absorbed by an ``Eliminator``.
 from parh.exel import PartialGroupAlgebra
 from parh.groups import INTEGERS
 from parh.linalg import QQ, Eliminator, SizeCapError
-from parh.zcase import (
-    Z_WINDOW_CAP,
-    WindowSpace,
-    f_element,
-    window_basis,
-    window_size,
-)
+from parh.zcase import Z_WINDOW_CAP, f_element, window_basis, window_size
+from window_space import WindowSpace
 
 
 class EliminationSpan:

@@ -3,18 +3,18 @@ from random import Random
 
 import pytest
 
+from elimination_quotient import elimination_quotient, ideal_generators
 from elimination_span import EliminationSpan
 from union_find_span import UnionFindSpan
 from parh import zcase
 from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groups import INTEGERS, build_named_group
-from parh.linalg import GF, QQ, SizeCapError
+from parh.linalg import GF, QQ, Eliminator, SizeCapError
 from span_oracles import in_span, subspace_equal
+from window_space import WindowEscapeError, WindowSpace, root_residue
 from parh.zcase import (
     CancellationResult,
     VkSpan,
-    WindowSpace,
-    WindowEscapeError,
     cancellation_decompose,
     cancellation_reconstructs,
     combine_idempotents,
@@ -41,7 +41,12 @@ def _f(i, field=QQ):
 
 def _contains(span, x):
     """Whether x lies in a level span (``VkSpan`` or an oracle): its
-    residue, the component sums of its window column, is zero."""
+    residue, the component sums of its window column, is zero.  A
+    ``VkSpan`` stores no coordinates, so x is written down in a window
+    space of the span's bound and summed onto ``span.root``."""
+    if isinstance(span, VkSpan):
+        space = WindowSpace(x.field, span.bound)
+        return not root_residue(span, space, space.column(x))
     return not span.residue_column(span.space.column(x))
 
 
@@ -454,25 +459,26 @@ def test_vk_span_builds_without_products(monkeypatch):
     assert len(span.columns) == 12288
 
 
-@pytest.mark.parametrize("k, bound, field, rank", [
-    (1, 6, QQ, 768),
-    (1, 6, GF(2), 768),
-    (1, 6, GF(3), 768),
-    (3, 10, QQ, 35328),
-], ids=repr)
-def test_vk_span_rank_is_independent_of_the_field(k, bound, field, rank):
-    # over F2 the edge orientation is invisible, since -1 = +1
-    assert VkSpan(k, bound, field).rank == rank
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("k, bound, rank", [(1, 6, 768), (3, 8, 1760)],
+                         ids=repr)
+def test_vk_span_rank_is_independent_of_the_field(k, bound, rank, field):
+    # VkSpan takes no field: both oracles, which do, reach its one rank
+    # over each field; over F2 the edge orientation is invisible
+    assert VkSpan(k, bound).rank == rank
+    assert UnionFindSpan(k, bound, field).rank == rank
+    assert EliminationSpan(k, bound, field).rank == rank
 
 
 def test_vk_span_rows_registered_after_construction():
     span = VkSpan(1, 6)
-    dim = span.space.dim
-    # member 6 lies beyond every edge, which reaches at most m + k = 5
+    space = WindowSpace(QQ, span.bound)
+    # member 6 lies beyond every edge, which reaches at most m + k = 5,
+    # so its pairs are their own roots
     x = ZALG.idem(6)
-    col = span.space.column(x)
-    assert span.space.dim == dim + 1
-    assert span.residue_column(col) == col
+    col = space.column(x)
+    assert space.dim == 1
+    assert root_residue(span, space, col) == col
     assert not _contains(span, x)
     assert _contains(span, ZALG.zero())
 
@@ -525,7 +531,7 @@ def _pair_probes(k, bound, field):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
 @pytest.mark.parametrize("k, bound", SPAN_CASES, ids=repr)
 def test_vk_span_matches_both_oracles(k, bound, field):
-    span = VkSpan(k, bound, field)
+    span = VkSpan(k, bound)
     oracles = [UnionFindSpan(k, bound, field)]
     if len(span.columns) <= ELIMINATION_COLUMNS:
         oracles.append(EliminationSpan(k, bound, field))
@@ -569,15 +575,80 @@ def test_level_span_rank_of_cap_lifted_windows(k, bound, rank):
     assert level_span_rank(k, bound - k - 1) == rank
     span = VkSpan(k, bound, cap=10**7)
     assert span.rank == rank
-    assert span.space.dim == 0  # nothing was built
+    assert isinstance(span.columns, range)  # nothing was built
 
 
-@pytest.mark.parametrize("k, field", [(1, QQ), (1, GF(2)), (2, QQ), (2, GF(2))],
-                         ids=repr)
-def test_quotient_check_matches_elimination_oracle(monkeypatch, k, field):
-    report = quotient_check(k, 2 * k + 4, field)
-    monkeypatch.setattr(zcase, "VkSpan", EliminationSpan)
-    assert quotient_check(k, 2 * k + 4, field) == report
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+# (k, bound, cap): the least window of each level k <= 3, and two of
+# domain bound 4 (1280 monomials), the second over the default cap
+QUOTIENT_WINDOWS = [(k, 2 * k + 4, zcase.Z_WINDOW_CAP) for k in (1, 2, 3)]
+QUOTIENT_WINDOWS += [(1, 8, 10**7), (2, 10, 10**7)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("k, bound, cap", QUOTIENT_WINDOWS, ids=repr)
+def test_quotient_check_matches_elimination_oracle(k, bound, cap, field):
+    # the whole report, violations included, against products, a residue
+    # matrix, its kernel_basis and an Eliminator
+    report, _, _ = elimination_quotient(k, bound, field, cap=cap)
+    assert quotient_check(k, bound, field, cap) == report
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("k, bound, cap", QUOTIENT_WINDOWS, ids=repr)
+def test_residue_edges_are_the_products(k, bound, cap, field):
+    # the fact quotient_check rests on: r f_(k+1) = (B, m+k+1) - (B, m)
+    # with B = A + {m+k+1}, for every domain monomial r = (A, m)
+    algebra = PartialGroupAlgebra(INTEGERS, field)
+    fk1 = _f(k + 1, field)
+    for r in window_basis(bound - 2 * k - 2, cap):
+        head = r.g + k + 1
+        b = set(r.members) | {head}
+        edge = (algebra.monomial(SElement(INTEGERS, b, head))
+                - algebra.monomial(SElement(INTEGERS, b, r.g)))
+        assert algebra.monomial(r) * fk1 == edge, r.render()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.name)
+def test_ideal_products_render_as_their_pairs(field):
+    # _ideal_products writes r (1 - e_(k+1)), r e_1, ..., r e_k down as
+    # the algebra products, and an s2_in_s1 violation renders the pair
+    # r e_i as the product y = r e_i renders itself
+    algebra = PartialGroupAlgebra(INTEGERS, field)
+
+    def element(terms):
+        signs = [field.one, field.neg(field.one)]
+        return sum((algebra.monomial(SElement(INTEGERS, *v), c)
+                    for v, c in zip(terms, signs)), algebra.zero())
+
+    for k in (1, 2, 3):
+        for r in window_basis(2):
+            ys = zcase._ideal_products(k, r.members, r.g)
+            gens = ideal_generators(k, field)
+            assert [element(y) for y in ys] == [
+                algebra.monomial(r) * z for z in gens]
+            for (pair,), z in zip(ys[1:], gens[1:]):
+                y = algebra.monomial(r) * z
+                assert y.render() == SElement(INTEGERS, *pair).render()
+
+
+@pytest.mark.parametrize("k, bound, field, cap, dims", [
+    (2, 8, QQ, zcase.Z_WINDOW_CAP, (48, 5888, 32)),
+    (2, 8, GF(3), zcase.Z_WINDOW_CAP, (48, 5888, 32)),
+    (3, 12, QQ, 10**7, (1280, 679_936, 1008))], ids=repr)
+def test_quotient_check_forms_no_product_and_no_elimination(
+        monkeypatch, k, bound, field, cap, dims):
+    def refuse(*args):
+        raise AssertionError("quotient_check formed a product or eliminated")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(Eliminator, "add", refuse)
+    monkeypatch.setattr(Eliminator, "reduce", refuse)
+    report = quotient_check(k, bound, field, cap)
+    assert report["ok"] and report["violations"] == []
+    domain_dim, vk_rank, s1 = dims
+    assert (report["domain_dim"], report["vk_rank"], report["s1_dim"],
+            report["s2_dim"]) == (domain_dim, vk_rank, s1, s1)
 
 
 def test_vk_span_validation():
@@ -623,7 +694,7 @@ def _s2_in_s1_by_products(k, bound, field, gens):
     """The s2 elements y of ``quotient_check`` for ideal generators
     ``gens``, each with the verdict y f_(k+1) in V_k read off the product."""
     algebra = PartialGroupAlgebra(INTEGERS, field)
-    span, fk1 = VkSpan(k, bound, field), _f(k + 1, field)
+    span, fk1 = VkSpan(k, bound), _f(k + 1, field)
     domain = window_basis(bound - 2 * k - 2)
     inside = set(domain)
     out = []
@@ -635,36 +706,76 @@ def _s2_in_s1_by_products(k, bound, field, gens):
     return out
 
 
-@pytest.mark.parametrize("k, bound, field", [
-    (1, 6, QQ), (1, 6, GF(5)), (2, 8, QQ), (2, 8, GF(2)), (2, 8, GF(3))],
-    ids=repr)
+FAILURE_CASES = [(1, 6, QQ), (1, 6, GF(5)), (2, 8, QQ), (2, 8, GF(2)),
+                 (2, 8, GF(3))]
+
+
+@pytest.mark.parametrize("k, bound, field", FAILURE_CASES, ids=repr)
 def test_quotient_check_s2_in_s1_by_linearity(monkeypatch, k, bound, field):
-    # The verdict is read off residue_matrix applied to each s2 vector; it
-    # must agree with forming y f_(k+1) for every s2 element y.
+    # The verdict is read off the residue edge of each one-term s2
+    # generator; it must agree with forming y f_(k+1) for every s2 element y.
     def ideal(algebra):
-        return [algebra.one() - algebra.idem(k + 1)] + [
-            algebra.idem(i) for i in range(1, k + 1)]
+        return ideal_generators(k, algebra.field)
 
     verdicts = _s2_in_s1_by_products(k, bound, field, ideal)
     assert verdicts and all(ok for _, ok in verdicts)
     report = quotient_check(k, bound, field)
     assert report["s2_in_s1"] and report["ok"]
-    # Perturbed: 1 - e_(k+1) becomes 1, so the s2 vectors include every
-    # domain monomial r, and exactly those with r f_(k+1) outside V_k
-    # must be reported.
+    # Perturbed: the bare r joins the generators, so the s2 vectors include
+    # every domain monomial r, and exactly those with r f_(k+1) outside
+    # V_k must be reported.
     def perturbed(algebra):
-        return [algebra.one()] + ideal(algebra)[1:]
+        return [algebra.one()] + ideal(algebra)
 
     want = {y for y, ok in _s2_in_s1_by_products(k, bound, field, perturbed)
             if not ok}
     assert want
-    one = PartialGroupAlgebra.one
-    monkeypatch.setattr(PartialGroupAlgebra, "one",
-                        lambda self: one(self) + self.idem(k + 1))
+    products = zcase._ideal_products
+    monkeypatch.setattr(zcase, "_ideal_products",
+                        lambda k, a, m: [((a, m),)] + products(k, a, m))
     report = quotient_check(k, bound, field)
     assert not report["s2_in_s1"] and not report["ok"]
     assert {v["element"] for v in report["violations"]
             if v["direction"] == "s2_in_s1"} == want
+    gens = perturbed(PartialGroupAlgebra(INTEGERS, field))
+    assert report == elimination_quotient(k, bound, field, gens)[0]
+
+
+@pytest.mark.parametrize("k, bound, field", FAILURE_CASES, ids=repr)
+def test_quotient_check_s1_in_s2_witnesses(monkeypatch, k, bound, field):
+    # Perturbed: every r e_1 leaves the generators, so S2 shrinks below S1
+    # and each reported witness lies in S1 and outside S2.
+    products = zcase._ideal_products
+
+    def without_e1(k, a, m):
+        ys = products(k, a, m)
+        del ys[1]
+        return ys
+
+    monkeypatch.setattr(zcase, "_ideal_products", without_e1)
+    report = quotient_check(k, bound, field)
+    gens = ideal_generators(k, field)
+    del gens[1]
+    oracle, s2, witnesses = elimination_quotient(k, bound, field, gens)
+    assert report == oracle
+    assert report["s2_in_s1"] and not report["s1_in_s2"]
+    assert len(witnesses) == len(report["violations"]) > 0
+    span, fk1 = VkSpan(k, bound), _f(k + 1, field)
+    space = WindowSpace(field, bound)
+    s2_cols = [space.column(y) for y in s2]
+    for x in witnesses:
+        assert _contains(span, x * fk1)
+        assert in_span(space.column(x), s2_cols, field) is None
+
+
+def test_quotient_check_raises_if_r_keeps_a_two_term_generator(monkeypatch):
+    # r - r e_1 = (A, m) - (A + {m+1}, m) is not killed by R when m+1 is
+    # not in A; a two-term generator must be, so the check raises
+    products = zcase._ideal_products
+    monkeypatch.setattr(zcase, "_ideal_products", lambda k, a, m: [
+        ((a, m), y) for (y,) in products(k, a, m)[1:2]])
+    with pytest.raises(RuntimeError, match="does not kill"):
+        quotient_check(1, 6)
 
 
 def test_quotient_spot_memberships():

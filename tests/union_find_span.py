@@ -9,11 +9,11 @@ signed edge (B, m+j) - (B, m) and absorbed by a ``linalg.IncidenceSpan``.
 from parh.linalg import QQ, IncidenceSpan
 from parh.zcase import (
     Z_WINDOW_CAP,
-    WindowSpace,
     _check_window_cap,
     _window_member_sets,
     window_size,
 )
+from window_space import WindowSpace
 
 
 class UnionFindSpan(IncidenceSpan):
