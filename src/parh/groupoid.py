@@ -281,10 +281,12 @@ class PartialRepModule:
     [g^-1] = [g]^T for every g, decided exactly.  B, the regular module
     and the modules induced from a trivial or regular representation act
     by 0/1 partial maps, which the check composes as index lists, and
-    they are self-dual.
+    they are self-dual.  ``maps`` keeps those lists (``_partial_maps``),
+    so that (co)homology builds its complex on them too; it is None for
+    any other module.
     """
 
-    __slots__ = ("group", "field", "dim", "mats", "idems", "self_dual")
+    __slots__ = ("group", "field", "dim", "mats", "idems", "self_dual", "maps")
 
     def __init__(self, group, field: Field, mats: dict[int, SparseMatrix]) -> None:
         if set(mats) != set(range(group.order)):
@@ -305,10 +307,11 @@ class PartialRepModule:
 
     @classmethod
     def _of_clean(cls, group, field: Field, mats: dict[int, SparseMatrix],
-                  idems: list[SparseMatrix],
-                  self_dual: bool) -> "PartialRepModule":
+                  idems: list[SparseMatrix], self_dual: bool,
+                  maps: dict[int, list[int]] | None) -> "PartialRepModule":
         """Adopt generator matrices that satisfy the relations, their
-        idempotents and their self-duality, without checking again.
+        idempotents, their self-duality and their partial maps (or None),
+        without checking again.
 
         The one use is the dual V*, mats[g] = M(g^-1)^T for a checked
         module M.  Transposing reverses products, so relation 1 of V* at
@@ -324,6 +327,7 @@ class PartialRepModule:
         v.mats = mats
         v.idems = idems
         v.self_dual = self_dual
+        v.maps = maps
         return v
 
     def _validate(self) -> None:
@@ -344,13 +348,13 @@ class PartialRepModule:
         lists, with no matrix product; [x^-1] = [x]^T holds iff the map of
         x^-1 is the inverse of the injective map of x.  Any other module
         takes 2 n^2 matrix products if self-dual and 3 n^2 if not.  Either
-        way the idempotents are kept as matrices, because (co)homology
-        reads them again.
+        way the idempotents are kept as matrices, and the lists as
+        ``maps``.
         """
         grp = self.group
         n = grp.order
         field, dim = self.field, self.dim
-        maps = _partial_maps(self.mats)
+        self.maps = maps = _partial_maps(self.mats)
         if maps is None:
             gens, mul = self.mats, operator.mul
             unit = SparseMatrix.identity(field, dim)

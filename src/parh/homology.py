@@ -8,7 +8,11 @@ Three chain pipelines feed the checks in this module:
   finite-dimensional module of generator matrices, using the involution
   that exchanges left and right module structures.  The module must have
   every e_x = [x][x^-1] diagonal (every module in parh.groupoid has), so
-  each block e_(x) V is a set of coordinates;
+  each block e_(x) V is a set of coordinates.  Its differential is the
+  alternating sum of faces; for a module of 0/1 partial maps (every
+  module the CLI builds) each face is an index list, the columns are
+  formed from the lists, and d^2 = 0 follows from the simplicial
+  identities between them, checked as list compositions;
 - the classical bar complex of a finite group, written independently so
   that the comparison checks are carried by genuinely separate code.
 
@@ -52,6 +56,8 @@ from .exel import PartialGroupAlgebra
 from .groupoid import (
     GROUPOID_ORDER_CAP,
     PartialRepModule,
+    _compose,
+    _partial_maps,
     _set_str,
     b_module,
     build_groupoid,
@@ -116,9 +122,19 @@ class ChainComplex:
 
     ``dims[n]`` is the dimension of the degree-n space; ``diffs[n]`` is
     the matrix of d_n mapping degree n to degree n-1.  Consecutive
-    differentials compose to zero; ``d2_zero`` verifies that once per
+    differentials compose to zero.  ``d2_zero`` verifies that once per
     complex with ``SparseMatrix.annihilates``, which sums each column of
-    d_n d_(n+1) in one dict and stops at the first nonzero one.
+    d_n d_(n+1) in one dict and stops at the first nonzero one, unless
+    the builder has proven it already.  ``_transported_complex`` does so
+    when it sums each d_n = sum_j (-1)^j d_j from faces that satisfy the
+    simplicial identities d_i d_j = d_(j-1) d_i for i < j (C. A. Weibel,
+    An Introduction to Homological Algebra, 1994, 8.1-8.2; J. P. May,
+    Simplicial Objects in Algebraic Topology, 1967).  Then d_(n-1) d_n is
+    the sum of (-1)^(i+j) d_i d_j over 0 <= i <= n-1, 0 <= j <= n.  The
+    identity sends each term with i < j to the term (i', j') = (j-1, i),
+    which has i' >= j' and the opposite sign, and this is a bijection of
+    the pairs i < j onto the pairs i' >= j'; so the two halves cancel
+    and d^2 = 0 over any ring.
     """
 
     __slots__ = ("field", "dims", "diffs", "_d2")
@@ -138,7 +154,7 @@ class ChainComplex:
 
     def d2_zero(self) -> bool:
         """Whether d_n d_(n+1) = 0 for every pair of differentials built,
-        decided on the first call and remembered."""
+        decided on the first call (or by the builder) and remembered."""
         if self._d2 is None:
             self._d2 = all(d.annihilates(self.diffs[n + 1])
                            for n, d in self.diffs.items()
@@ -368,59 +384,132 @@ def _degree_blocks(group, supports: list[frozenset[int]], n: int, cache: dict):
     return blocks, dim
 
 
+def _faces(group, n: int, blocks: dict, lo_blocks: dict,
+           maps: dict[int, list[int]] | None) -> list[list[int] | None]:
+    """The faces d_0, ..., d_n of degree n as index lists into degree n-1.
+
+    d_j for 1 <= j < n contracts x_j x_(j+1) and d_n drops x_n; neither
+    moves the block coordinate, so each is a list for every module.  d_0
+    sends (x; v) to (x_2..x_n; [x_1^-1] v): a list when the module acts by
+    partial maps, else None, and the transported complex reads it off
+    the matrices.  A coordinate that leaves its target block raises
+    RuntimeError; so does a zero [x_1^-1] v, which e_(x_1) v = v rules
+    out, so no list holds a -1.
+    """
+    inv = group.inv
+    faces: list = [[] for _ in range(n + 1)]
+    try:
+        for xs, (_, block) in blocks.items():
+            at = [lo_blocks[xs[1:]],
+                  *(lo_blocks[_contract(group, xs, j)] for j in range(n - 1)),
+                  lo_blocks[xs[:-1]]]
+            if maps is not None:
+                tail_off, tail = at[0]
+                act = maps[inv(xs[0])]
+                faces[0] += [tail_off + tail[act[i]] for i in block]
+            for face, (off, lo) in zip(faces[1:], at[1:]):
+                face += [off + lo[i] for i in block]
+    except KeyError:
+        raise RuntimeError("vector escapes its projection block") from None
+    if maps is None:
+        faces[0] = None
+    return faces
+
+
+def _simplicial_identities_hold(lo_faces: list[list[int]],
+                                faces: list[list[int]]) -> bool:
+    """Whether d_i d_j = d_(j-1) d_i for all i < j, where d_j runs over
+    the faces of degree n and d_i, d_(j-1) over those of degree n-1; each
+    side is one list composition."""
+    return all(_compose(lo_faces[i], faces[j])
+               == _compose(lo_faces[j - 1], faces[i])
+               for j in range(1, len(faces)) for i in range(j))
+
+
+def _add_faces(col: dict, targets, signs, p: int) -> dict:
+    """Add each sign at its target row of one column, in order; each sum
+    is reduced mod p and its row dropped when it cancels."""
+    for key, s in zip(targets, signs):
+        v = col.get(key, 0) + s
+        if p:
+            v %= p
+        if v:
+            col[key] = v
+        else:
+            del col[key]
+    return col
+
+
+def _matrix_columns(v_mod: PartialRepModule, blocks: dict, lo_blocks: dict,
+                    faces: list, signs: list[int]) -> list[dict]:
+    """The columns of one degree when d_0 is a matrix: column v of
+    [x_1^-1] at the tail tuple, then the list faces added by
+    ``_add_faces``."""
+    inv, p = v_mod.group.inv, v_mod.field.char
+    units, unit_signs = zip(*faces[1:]), signs[1:]
+    cols = []
+    for xs, (_, block) in blocks.items():
+        tail_off, tail = lo_blocks[xs[1:]]
+        act = v_mod.mats[inv(xs[0])].cols
+        for i, t in zip(block, units):
+            col = {}
+            for r, v in act[i].items():
+                k = tail.get(r)
+                if k is None:
+                    raise RuntimeError("vector escapes its projection block")
+                col[tail_off + k] = v
+            cols.append(_add_faces(col, t, unit_signs, p))
+    return cols
+
+
 def _transported_complex(v_mod: PartialRepModule, max_n: int,
                          cap: int) -> ChainComplex:
     """Chain complex of blocks e_{(x)} V with the transported boundary.
 
     The boundary of a block coordinate v at the tuple (x_1, ..., x_n) is
-    [x_1^{-1}] v at the tail tuple, plus the alternating contractions and
-    the final drop of v itself.  Each column is summed as one dict, reduced
-    mod p, a coordinate dropped when its sum cancels.  Coordinate lookups
-    fail loudly if a vector ever leaves its target block.
+    d_n = sum_j (-1)^j d_j over the faces of ``_faces``: [x_1^{-1}] v at
+    the tail tuple, then the contractions, then the final drop of v
+    itself.  Each column holds the sums in that order, reduced mod p, a
+    coordinate dropped when its sum cancels (``_add_faces``).
+
+    When every face is a list (the module acts by partial maps), each
+    column is summed from its rows of the lists, and d^2 = 0 is decided
+    by the simplicial identities d_i d_j = d_(j-1) d_i, i < j, on degrees
+    2..max_n (the proof is in ``ChainComplex``), so ``d2_zero`` forms no
+    product.  The faces of at most two degrees are alive at once.  A
+    complex whose identities fail, or whose d_0 is a matrix, has d^2
+    checked by its products.
     """
     group = v_mod.group
     field = v_mod.field
     p = field.char
     check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
-    acts = [v_mod.mats[g].cols for g in range(group.order)]
+    maps = v_mod.maps
     cache: dict = {}
-    degree = {n: _degree_blocks(group, supports, n, cache)
-              for n in range(max_n + 1)}
-    dims = {n: degree[n][1] for n in range(max_n + 1)}
+    lo_blocks, dim = _degree_blocks(group, supports, 0, cache)
+    dims = {0: dim}
     diffs = {}
+    lo_faces = None
+    simplicial = maps is not None
     for n in range(1, max_n + 1):
-        lo_blocks = degree[n - 1][0]
-        # the contractions take signs -1, +1, ..., the final drop (-1)^n
-        signs = [(-1) ** (j + 1) for j in range(n)]
-        cols = []
-        for xs, (_, block) in degree[n][0].items():
-            tail_off, tail = lo_blocks[xs[1:]]
-            act = acts[group.inv(xs[0])]
-            units = [lo_blocks[_contract(group, xs, j)] for j in range(n - 1)]
-            units.append(lo_blocks[xs[:-1]])
-            for i in block:
-                col = {}
-                for r, v in act[i].items():
-                    k = tail.get(r)
-                    if k is None:
-                        raise RuntimeError("vector escapes its projection block")
-                    col[tail_off + k] = v
-                for (off, lo), s in zip(units, signs):
-                    k = lo.get(i)
-                    if k is None:
-                        raise RuntimeError("vector escapes its projection block")
-                    key = off + k
-                    v = col.get(key, 0) + s
-                    if p:
-                        v %= p
-                    if v:
-                        col[key] = v
-                    else:
-                        col.pop(key, None)
-                cols.append(col)
+        blocks, dims[n] = _degree_blocks(group, supports, n, cache)
+        faces = _faces(group, n, blocks, lo_blocks, maps)
+        if simplicial and lo_faces is not None:
+            simplicial = _simplicial_identities_hold(lo_faces, faces)
+        lo_faces = faces
+        # d_j takes the sign (-1)^j, held as a residue mod p
+        signs = [(-1) ** j % p if p else (-1) ** j for j in range(n + 1)]
+        if maps is None:
+            cols = _matrix_columns(v_mod, blocks, lo_blocks, faces, signs)
+        else:
+            cols = [_add_faces({}, row, signs, p) for row in zip(*faces)]
         diffs[n] = SparseMatrix._of_columns(field, dims[n - 1], cols)
-    return ChainComplex(field, dims, diffs)
+        lo_blocks = blocks
+    complex_ = ChainComplex(field, dims, diffs)
+    if simplicial:
+        complex_._d2 = True
+    return complex_
 
 
 # Cohomology has no complex class of its own; the name stays only because
@@ -476,13 +565,16 @@ def dual_module(v_mod: PartialRepModule) -> PartialRepModule:
     cohomology this way.  The dual satisfies the relations because V
     does, by transposition, so it is adopted without checking again; so
     are its idempotents e*_x = [x^-1]^T [x]^T = e_x^T and its
-    self-duality, which is that of V.
+    self-duality, which is that of V.  A self-dual V has its own partial
+    maps; any other dual has those of its transposes, None unless each
+    is a 0/1 partial map, which fails for a map that is not injective.
     """
     group = v_mod.group
     mats = {g: v_mod.mats[group.inv(g)].transpose() for g in range(group.order)}
     idems = [e_x.transpose() for e_x in v_mod.idems]
+    maps = v_mod.maps if v_mod.self_dual else _partial_maps(mats)
     return PartialRepModule._of_clean(group, v_mod.field, mats, idems,
-                                      v_mod.self_dual)
+                                      v_mod.self_dual, maps)
 
 
 def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = None,

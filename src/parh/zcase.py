@@ -393,8 +393,10 @@ class VkSpan:
     so each component lies inside one B and is read off B alone (see
     ``root``), and ``level_span_rank`` counts the rank; no edge is built
     or stored.  ``columns`` is the range of the
-    window_size(multiplier_bound) * k edge columns, and the cap is checked
-    on that count first.
+    window_size(multiplier_bound) * k edge columns.  The cap bounds what
+    is computed: the pairs that the two loops of ``level_span_rank``
+    visit, at most (2 mb + 1) k and k^2 + k, are checked before the count
+    runs.
 
     >>> span = VkSpan(1, 3)
     >>> len(span.columns), span.rank, span.root((-1, 0, 1), 1)
@@ -410,11 +412,11 @@ class VkSpan:
             raise ValueError("window too small: need bound >= k + 1")
         self.k = k
         self.bound = bound
-        self.multiplier_bound = bound - k - 1
-        count = window_size(self.multiplier_bound) * k
-        _check_window_cap(count, "level span", "columns", cap)
-        self.columns = range(count)
-        self.rank = level_span_rank(k, self.multiplier_bound)
+        self.multiplier_bound = mb = bound - k - 1
+        for count in ((2 * mb + 1) * k, k * k + k):
+            _check_window_cap(count, "level span rank", "pairs", cap)
+        self.columns = range(window_size(mb) * k)
+        self.rank = level_span_rank(k, mb)
 
     def root(self, members: tuple[int, ...], g: int) -> int:
         """The member h such that (members, h) is the root of the
@@ -445,9 +447,12 @@ def _adjoin(members: tuple[int, ...], x: int) -> tuple[int, ...]:
     return members if x in members else tuple(sorted(members + (x,)))
 
 
-def _ideal_products(k: int, members: tuple[int, ...], m: int) -> list[tuple]:
+def _ideal_products(k: int, members: tuple[int, ...], m: int,
+                    bound: int) -> list[tuple]:
     """The products of r = (A, m), A = members, with the ideal generators
-    1 - e_(k+1), e_1, ..., e_k, in that order.
+    1 - e_(k+1), e_1, ..., e_(min(k, 2 bound)), in that order, for r in
+    the window of ``bound``: m + i leaves [-bound, bound] when i > 2 bound,
+    and so does r e_i.
 
     A pair is written (members, g) and a product by its terms: (u,) is
     the pair u, (u, v) is u - v and () is zero.  By the product rule,
@@ -457,7 +462,8 @@ def _ideal_products(k: int, members: tuple[int, ...], m: int) -> list[tuple]:
     h = k + 1
     out = [() if m + h in members
            else ((members, m), (_adjoin(members, m + h), m))]
-    return out + [((_adjoin(members, m + i), m),) for i in range(1, h)]
+    return out + [((_adjoin(members, m + i), m),)
+                  for i in range(1, min(h, 2 * bound + 1))]
 
 
 def quotient_check(k: int, bound: int, field: Field = QQ,
@@ -501,8 +507,8 @@ def quotient_check(k: int, bound: int, field: Field = QQ,
     if bound < 2 * k + 4:
         raise ValueError("window too small: need bound >= 2k + 4")
     domain_bound = bound - 2 * k - 2
-    span = VkSpan(k, bound, cap)
     domain = window_basis(domain_bound, cap)
+    span = VkSpan(k, bound, cap)
     pos = {(r.members, r.g): t for t, r in enumerate(domain)}
 
     rows: dict[tuple, int] = {}  # R's row of each (B, root), first seen first
@@ -519,7 +525,7 @@ def quotient_check(k: int, bound: int, field: Field = QQ,
     s2, image = IncidenceSpan(field), IncidenceSpan(field)
     violations: list[dict] = []
     for r in domain:
-        for y in _ideal_products(k, r.members, r.g):
+        for y in _ideal_products(k, r.members, r.g, domain_bound):
             if not y or any(v not in pos for v in y):
                 continue  # zero, or it leaves the domain window
             ts = [pos[v] for v in y]

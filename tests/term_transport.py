@@ -1,10 +1,12 @@
 """The transported differentials built term by term.
 
-``parh.homology._transported_complex`` sums each column of a
-differential as one dict.  This is the construction it replaced: every
-term ``((row, col), value)`` streamed through one ``linalg.accumulate``
-and the entries coerced again by ``SparseMatrix``.  It is kept as an
-oracle for the column-built matrices.
+``parh.homology._transported_complex`` lists the faces d_0, ..., d_n of
+each degree as index lists, and sums each column of d_n from its rows
+of the lists.  This is an earlier construction: every term
+``((row, col), value)`` of [x_1^-1] v, the contractions and the final
+drop streamed through one ``linalg.accumulate``, the entries coerced
+again by ``SparseMatrix``, with no face.  It is kept as an oracle for
+the face-built matrices, entry order included.
 """
 
 from parh.homology import _contract, _degree_blocks, _idempotent_supports

@@ -410,12 +410,36 @@ def test_verify_section5_s3_tensor_dimensions(capsys, field):
     assert all(t["dimension"] == t["expected"] and t["ok"] for t in tensors)
 
 
-def test_z_quotient_cap_exits_3_before_building(capsys):
-    code, data, _ = run_json(capsys, "z", "quotient", "--k", "4",
+def test_z_quotient_cap_exits_3_before_building(capsys, monkeypatch):
+    # domain bound 12 - 2 - 2 = 8: its basis is over the cap, and is
+    # refused before any monomial of it or the level span is formed
+    def unreachable(*args):
+        raise AssertionError("z quotient built something before the cap")
+
+    monkeypatch.setattr(zcase, "_canonical_pair", unreachable)
+    monkeypatch.setattr(zcase, "level_span_rank", unreachable)
+    code, data, _ = run_json(capsys, "z", "quotient", "--k", "1",
                              "--bound", "12")
     assert code == EXIT_CAP
     assert data["error"] == "size_cap"
-    assert data["requested"] == 524288 > data["limit"]
+    assert data["requested"] == zcase.window_size(8) == 589_824
+    assert data["limit"] == zcase.Z_WINDOW_CAP
+
+
+@pytest.mark.parametrize("k, bound, domain_dim, s1, vk_rank", [
+    (3, 12, 1280, 1008, 679_936),
+    (4, 12, 48, 32, 193_536),
+    (5, 14, 48, 32, 1_009_664)], ids=repr)
+def test_z_quotient_runs_windows_whose_edges_exceed_the_cap(
+        capsys, k, bound, domain_dim, s1, vk_rank):
+    # the level span counts its rank and builds no edge, so the cap bounds
+    # only the domain basis and the pairs that the count visits
+    code, data, _ = run_json(capsys, "z", "quotient", "--k", str(k),
+                             "--bound", str(bound))
+    assert code == EXIT_OK and data["ok"]
+    assert zcase.window_size(bound - k - 1) * k > zcase.Z_WINDOW_CAP
+    assert (data["domain_dim"], data["s1_dim"], data["s2_dim"],
+            data["vk_rank"]) == (domain_dim, s1, s1, vk_rank)
 
 
 def test_verify_section6_module_map_boundary(capsys):

@@ -165,8 +165,8 @@ GOLDEN = {
         "713adb13ae25a7ec1fe85c8d61461a047d67f0f8100a1acbe94805876bc3bf69",
         "67a19fd7e5f4ed32f75caab1b92c5b55397e95567fa077a711bb06e31267eaf2"),
     "z quotient --k 4 --bound 12": (
-        "ebc7adffb72fc2af9a2358ccaed33ac97275c19de8071d8a6b37acb25c4b8b1a",
-        "bfccf8a896cfc3e72dc1427d10d90276c187cf23afc2df1869503cca0f0e1e11"),
+        "cd31fc0837f8e864a1f2bfe0e5e14922a3838bf3b142945efc1365622a7d613c",
+        "49c33d1887ed73a93b0da30431a7107f3628ddf3415cf2b35ad95230d0d2e3b6"),
     "z cancellation --count 20 --seed 5": (
         "8d132b759a76cc141b12423c5e10d1497784f72dae71472c46a0fc79a7ebadeb",
         "796204f60c85e3100275070d02c9f38d192b175365177636b7d738dd50992a60"),

@@ -253,21 +253,175 @@ def test_homogeneous_exactness_by_ranks(name):
 # Transported complex against the combinatorial bar complex (dual route).
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
-@pytest.mark.parametrize("module", ["B", "regular", "induced"])
-def test_column_built_differentials_match_term_built(module, field):
-    s3, comp = _component("S3", 2)
-    v = {"B": lambda: b_module(s3, field),
-         "regular": lambda: regular_module(s3, field),
-         "induced": lambda: induce_module(
-             comp, regular_rep(comp.stabilizer, field), field)}[module]()
-    cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
-    for n, want in term_built_differentials(v, 3).items():
-        got = cx.diffs[n]
-        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-        # same entries in the same order, so elimination pivots alike
-        assert list(got.entries.items()) == list(want.entries.items())
-        assert got.entries and got.cols == want.cols
+def _map_modules(group, field):
+    """B, the regular module, and W(x)trivial and W(x)regular of every
+    component: the modules the CLI builds, all acting by partial maps."""
+    yield b_module(group, field)
+    yield regular_module(group, field)
+    for comp in components(build_groupoid(group)):
+        for rep in (trivial_rep, regular_rep):
+            yield induce_module(comp, rep(comp.stabilizer, field), field)
+
+
+def _counted_products(monkeypatch):
+    """Count every ``SparseMatrix.annihilates`` call from now on."""
+    products = []
+    real = SparseMatrix.annihilates
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "annihilates", counted)
+    return products
+
+
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_face_built_differentials_match_term_built(monkeypatch, name):
+    products = _counted_products(monkeypatch)
+    group = build_named_group(name)
+    for field in (QQ, GF(2), GF(3)):
+        for v in _map_modules(group, field):
+            assert v.maps is not None
+            cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
+            for n, want in term_built_differentials(v, 3).items():
+                got = cx.diffs[n]
+                assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                # same entries in the same order, so elimination pivots alike
+                assert ([list(col.items()) for col in got.cols]
+                        == [list(col.items()) for col in want.cols])
+            # the identities decided d^2 = 0 with no product, and the
+            # products agree on the same matrices
+            products.clear()
+            assert cx.d2_zero() and not products
+            assert all(cx.diffs[n].annihilates(cx.diffs[n + 1]) for n in (1, 2))
+
+
+def _sign_twisted_b(group):
+    """B of S3 with [g] negated off the rotations: a self-dual ±1 module
+    that is not a 0/1 partial map."""
+    squares = {group.mult(g, g) for g in range(group.order)}
+    return PartialRepModule(group, QQ, {
+        g: SparseMatrix._of_columns(QQ, m.nrows, [
+            {r: x if g in squares else -x for r, x in col.items()}
+            for col in m.cols])
+        for g, m in b_module(group, QQ).mats.items()})
+
+
+def _c3_character():
+    """The C3 character g -> 2 over F7, induced on the full vertex: not
+    self-dual, and its entries 2 and 4 are no partial map."""
+    _, full = _component("C3", 3)
+    u = {h: SparseMatrix(GF(7), 1, 1, {(0, 0): 2 ** k})
+         for k, h in enumerate(full.stabilizer.elements)}
+    return induce_module(full, u, GF(7))
+
+
+def _route_pinned(monkeypatch):
+    """Record each transported complex built from now on, and refuse a
+    d^2 product on any of their differentials; the classical complexes
+    keep their products."""
+    built = []
+    real_complex = homology._transported_complex
+    real_annihilates = SparseMatrix.annihilates
+
+    def recorded(*args):
+        built.append(real_complex(*args))
+        return built[-1]
+
+    def refused(self, other):
+        if any(self is d for cx in built for d in cx.diffs.values()):
+            raise AssertionError("a transported complex took the product route")
+        return real_annihilates(self, other)
+
+    monkeypatch.setattr(homology, "_transported_complex", recorded)
+    monkeypatch.setattr(SparseMatrix, "annihilates", refused)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    "verify corollary-b --group S3 --field Q --max 2",
+    "verify corollary-b --group S3 --field F2 --max 2",
+    "verify kpar-coeff-vanishing --group S3 --max 2",
+    "homology partial --group S3 --module B --max 2",
+    "homology partial --group S3 --module regular --field F2 --max 2",
+    "homology partial --group S3 --module W⊗trivial --component 3 --max 2",
+    "homology partial --group S3 --module W⊗regular --component 3 --max 2",
+    "homology cohomology --group S3 --module W⊗regular --component 1 --max 2",
+])
+def test_cli_complexes_decide_d2_by_the_simplicial_identities(
+        monkeypatch, capsys, argv):
+    built = _route_pinned(monkeypatch)
+    assert cli.main(argv.split() + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    # _route_pinned refuses a product on these complexes
+    assert built and all(cx.d2_zero() for cx in built)
+
+
+def test_modules_that_are_not_maps_check_d2_by_products(monkeypatch):
+    products = _counted_products(monkeypatch)
+    s3 = build_named_group("S3")
+    character = _c3_character()
+    for v in (character, dual_module(character), _sign_twisted_b(s3)):
+        assert v.maps is None
+        products.clear()
+        cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
+        assert not products
+        assert cx.d2_zero() and len(products) == 2
+        for n, want in term_built_differentials(v, 3).items():
+            assert ([list(col.items()) for col in cx.diffs[n].cols]
+                    == [list(col.items()) for col in want.cols])
+
+
+def test_dual_of_a_non_injective_map_is_no_map():
+    # [g] folds both coordinates onto the first: a partial map, but its
+    # transpose is none, so the dual has no lists; e_g = [g] is not
+    # diagonal, so neither module has a transported complex
+    c2 = build_named_group("C2")
+    folded = SparseMatrix.from_dense(QQ, [[1, 1], [0, 0]])
+    mod = PartialRepModule(c2, QQ, {0: SparseMatrix.identity(QQ, 2), 1: folded})
+    assert mod.maps == {0: [0, 1, -1], 1: [0, 0, -1]}
+    dual = dual_module(mod)
+    assert dual.maps is None
+    for v in (mod, dual):
+        with pytest.raises(ValueError, match="not a diagonal 0/1 matrix"):
+            _transported_complex(v, 2, HOMOLOGY_SIZE_CAP)
+
+
+def test_self_dual_module_passes_its_maps_to_its_dual():
+    s3 = build_named_group("S3")
+    for v in (b_module(s3, GF(3)), regular_module(s3, QQ)):
+        assert dual_module(v).maps is v.maps
+
+
+def test_transported_cap_is_checked_before_the_blocks(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a block was formed before the cap check")
+
+    monkeypatch.setattr(homology, "_degree_blocks", unreachable)
+    s3 = build_named_group("S3")
+    for v in (b_module(s3, QQ), _sign_twisted_b(s3)):
+        with pytest.raises(SizeCapError) as info:
+            _transported_complex(v, 3, 5_000)
+        assert info.value.requested == 6 ** 3 * 32 > info.value.limit
+
+
+def test_a_face_that_leaves_its_block_is_loud(monkeypatch):
+    # empty the support of one element y: the tail (y,) of (x, y) has an
+    # empty block, and d_0 moves each coordinate of (x, y) there, on the
+    # list route and on the matrix route alike
+    real = homology._idempotent_supports
+
+    def shrunk(v_mod):
+        supports = real(v_mod)
+        supports[1] = frozenset()
+        return supports
+
+    monkeypatch.setattr(homology, "_idempotent_supports", shrunk)
+    s3 = build_named_group("S3")
+    for v in (b_module(s3, QQ), regular_module(s3, GF(3)), _sign_twisted_b(s3)):
+        with pytest.raises(RuntimeError, match="vector escapes its projection"):
+            _transported_complex(v, 2, HOMOLOGY_SIZE_CAP)
 
 
 @pytest.mark.parametrize("name,field", [("C2", QQ), ("C3", QQ), ("C2xC2", GF(2))])
@@ -714,13 +868,10 @@ def test_self_dual_cohomology_builds_no_dual(monkeypatch, field, capsys):
 
 
 def test_cohomology_of_a_character_that_is_not_self_dual(monkeypatch):
-    # the C3 character g -> 2 over F7, induced on the full vertex, is not
-    # self-dual, so its cohomology is the homology of the built dual
-    c3, full = _component("C3", 3)
-    f7 = GF(7)
-    u = {h: SparseMatrix(f7, 1, 1, {(0, 0): 2 ** k})
-         for k, h in enumerate(full.stabilizer.elements)}
-    v = induce_module(full, u, f7)
+    # the character is not self-dual, so its cohomology is the homology
+    # of the built dual
+    v = _c3_character()
+    c3 = v.group
     assert not v.self_dual
     duals = _count_calls(monkeypatch, "dual_module")
     report = partial_cohomology(c3, v, max_degree=3)

@@ -439,14 +439,20 @@ def test_vk_span_membership_outside_window_is_loud():
 
 
 def test_vk_span_cap_is_checked_before_any_product(monkeypatch):
-    def no_products(self, other):
-        raise AssertionError("a product was built before the cap check")
+    # the cap bounds the pairs that the rank count visits, at most
+    # (2 mb + 1) k and k^2 + k, checked per loop before the count runs;
+    # (4, 12), mb = 7, is refused on its 60 first-loop pairs though its
+    # window holds 524 288 edges that nothing builds, and (5, 6), mb = 0,
+    # on the 30 of the second loop
+    def unreachable(*args):
+        raise AssertionError("the level span did work before the cap check")
 
-    monkeypatch.setattr(AlgebraElement, "__mul__", no_products)
-    with pytest.raises(SizeCapError) as info:
-        VkSpan(4, 12)
-    assert info.value.requested == 524288
-    assert info.value.limit == 200_000
+    monkeypatch.setattr(AlgebraElement, "__mul__", unreachable)
+    monkeypatch.setattr(zcase, "level_span_rank", unreachable)
+    for k, bound, cap, requested in ((4, 12, 59, 60), (5, 6, 29, 30)):
+        with pytest.raises(SizeCapError) as info:
+            VkSpan(k, bound, cap=cap)
+        assert (info.value.limit, info.value.requested) == (cap, requested)
 
 
 def test_vk_span_builds_without_products(monkeypatch):
@@ -623,7 +629,7 @@ def test_ideal_products_render_as_their_pairs(field):
 
     for k in (1, 2, 3):
         for r in window_basis(2):
-            ys = zcase._ideal_products(k, r.members, r.g)
+            ys = zcase._ideal_products(k, r.members, r.g, 2)
             gens = ideal_generators(k, field)
             assert [element(y) for y in ys] == [
                 algebra.monomial(r) * z for z in gens]
@@ -732,7 +738,7 @@ def test_quotient_check_s2_in_s1_by_linearity(monkeypatch, k, bound, field):
     assert want
     products = zcase._ideal_products
     monkeypatch.setattr(zcase, "_ideal_products",
-                        lambda k, a, m: [((a, m),)] + products(k, a, m))
+                        lambda k, a, m, b: [((a, m),)] + products(k, a, m, b))
     report = quotient_check(k, bound, field)
     assert not report["s2_in_s1"] and not report["ok"]
     assert {v["element"] for v in report["violations"]
@@ -747,8 +753,8 @@ def test_quotient_check_s1_in_s2_witnesses(monkeypatch, k, bound, field):
     # and each reported witness lies in S1 and outside S2.
     products = zcase._ideal_products
 
-    def without_e1(k, a, m):
-        ys = products(k, a, m)
+    def without_e1(k, a, m, b):
+        ys = products(k, a, m, b)
         del ys[1]
         return ys
 
@@ -768,12 +774,37 @@ def test_quotient_check_s1_in_s2_witnesses(monkeypatch, k, bound, field):
         assert in_span(space.column(x), s2_cols, field) is None
 
 
+def test_quotient_check_forms_no_ideal_product_outside_the_domain(
+        monkeypatch):
+    # r e_i with i > 2 db puts m + i outside the domain window, so at a
+    # large k each domain monomial adjoins once for R, once for
+    # r (1 - e_(k+1)) and at most 2 db times for the r e_i, not k + 2
+    # times; the report is the one with every product formed
+    k, bound = 40, 84
+    calls = []
+    adjoin, products = zcase._adjoin, zcase._ideal_products
+
+    def counted(members, x):
+        calls.append(x)
+        return adjoin(members, x)
+
+    monkeypatch.setattr(zcase, "_adjoin", counted)
+    report = quotient_check(k, bound)
+    assert report["ok"] and report["domain_dim"] == 48
+    assert len(calls) <= 48 * (2 + 2 * 2)
+    monkeypatch.setattr(zcase, "_ideal_products",
+                        lambda k, a, m, b: products(k, a, m, k))
+    calls.clear()
+    assert quotient_check(k, bound) == report
+    assert len(calls) > 48 * k
+
+
 def test_quotient_check_raises_if_r_keeps_a_two_term_generator(monkeypatch):
     # r - r e_1 = (A, m) - (A + {m+1}, m) is not killed by R when m+1 is
     # not in A; a two-term generator must be, so the check raises
     products = zcase._ideal_products
-    monkeypatch.setattr(zcase, "_ideal_products", lambda k, a, m: [
-        ((a, m), y) for (y,) in products(k, a, m)[1:2]])
+    monkeypatch.setattr(zcase, "_ideal_products", lambda k, a, m, b: [
+        ((a, m), y) for (y,) in products(k, a, m, b)[1:2]])
     with pytest.raises(RuntimeError, match="does not kill"):
         quotient_check(1, 6)
 
