@@ -7,8 +7,9 @@ status: 0 when every requested check passes, 1 when a verification
 fails, 2 on a configuration error, 3 when a size cap or window escape
 stops the computation.  Under --json, exits 2 and 3 of a command also
 print {"error": "config"|"size_cap", "message", "limit", "requested"} on
-stdout, with null for a limit or size the error does not carry; so does
-a command line that argparse rejects, when it contains --json.  All
+stdout, with null for a limit or size the error does not carry, and a
+size too large to print as the string "2^N or more"; so does a command
+line that argparse rejects, when it contains --json.  All
 randomized commands take an explicit --seed and are fully reproducible.
 """
 
@@ -125,7 +126,7 @@ _SCHEMAS = {
                        "failures": "int", "sample": "{int: str}",
                        "tensor_vanishing": "bool", "ok": "bool"},
     "error (exit 2 or 3)": {"error": "config|size_cap", "message": "str",
-                            "limit": "int?", "requested": "int?"},
+                            "limit": "int?", "requested": "int|str?"},
 }
 
 

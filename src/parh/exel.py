@@ -14,11 +14,13 @@ independently, is an oracle and lives with the tests
 
 Every product of algebra elements runs through one kernel,
 :func:`_sum_of_products`: for a list of pairs (x_i, y_i) it applies the
-rule of :func:`s_mul` to each pair of terms, sums every x_i y_i into one
-dict on plain ``(members, g)`` keys as ``linalg.accumulate`` does, and
-builds one :class:`SElement` per surviving key.  A single product
-:func:`_product` is its one-pair case.  ``s_mul`` stays the single-pair
-rule and the kernel's test oracle.
+rule of :func:`s_mul` to each pair of terms on subset keys (an int mask
+on a finite group, a frozenset on the integers; the group's codec in
+``parh.groups``), sums every x_i y_i into one dict on ``(key, g)`` as
+``linalg.accumulate`` does, and builds one :class:`SElement` per
+surviving key.  A single product :func:`_product` is its one-pair case.
+``s_mul`` stays on member tuples, the single-pair rule and the kernel's
+test oracle.
 """
 
 from __future__ import annotations
@@ -59,9 +61,15 @@ class SElement:
     >>> y = _canonical_pair(INTEGERS, (-1, 0, 3), 3)
     >>> x.members, x == y, hash(x) == hash(y)
     ((-1, 0, 3), True, True)
+
+    ``key`` is the member set's subset key (``group.subset_key``), which
+    the product kernel unites and translates.  It is made on first use,
+    or set by the kernel that decoded ``members`` from it, so code that
+    never multiplies pays nothing; hash and equality stay on
+    ``(members, g)``.
     """
 
-    __slots__ = ("group", "members", "g", "_hash")
+    __slots__ = ("group", "members", "g", "_hash", "_key")
 
     def __init__(self, group, members: Iterable[int], g: int) -> None:
         e = group.identity_index
@@ -70,6 +78,7 @@ class SElement:
         self.g = g
         self.members = members
         self._hash = hash((id(group), members, g))
+        self._key = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -84,6 +93,13 @@ class SElement:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def key(self):
+        key = self._key
+        if key is None:
+            self._key = key = self.group.subset_key(self.members)
+        return key
 
     def sort_key(self):
         return (len(self.members), self.members, self.g)
@@ -110,17 +126,21 @@ class SElement:
         return self.render()
 
 
-def _canonical_pair(group, members: tuple[int, ...], g: int) -> SElement:
-    """The pair (members, g), adopting ``members`` as it is.
+def _canonical_pair(group, members: tuple[int, ...], g: int,
+                    key=None) -> SElement:
+    """The pair (members, g), adopting ``members`` as it is, and ``key``
+    as its subset key if given.
 
     Precondition, not checked: ``members`` is a sorted tuple that holds
-    the identity and g.  Callers outside this package use ``SElement``.
+    the identity and g, and ``key`` is None or its key.  Callers outside
+    this package use ``SElement``.
     """
     s = object.__new__(SElement)
     s.group = group
     s.g = g
     s.members = members
     s._hash = hash((id(group), members, g))
+    s._key = key
     return s
 
 
@@ -145,19 +165,21 @@ def s_mul(x: SElement, y: SElement) -> SElement:
 def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
     """The sum of x * y over ``pairs`` in the partial group algebra.
 
-    Each pair of terms gives the canonical pair of ``s_mul``, kept as a
-    plain ``(members, g)`` key: gB comes from ``translate`` and gh from
-    ``mult``, so their overflow checks apply.  The keys of all the
-    products are summed in one dict, with the reduction mod p and the
-    drop-on-cancel order of ``accumulate``, and one SElement is built per
-    surviving key, so the result equals the term-by-term sum of ``s_mul``
-    products.  Every operand must lie in the algebra of ``group`` and
-    ``field`` (ValueError if not); a pair with a zero operand adds
-    nothing.
+    Each pair of terms gives the canonical pair of ``s_mul`` as a plain
+    ``(key, g)``, on the subset keys of ``SElement.key``: the key of
+    A union gB is ``lk | rk`` when g = 1 and ``lk | translate(rk)``
+    otherwise, ``translate`` being ``group.key_translator(g)``, and gh
+    comes from ``mult``, so the group's overflow checks apply.  The keys
+    of all the products are summed in one dict, with the reduction mod p
+    and the drop-on-cancel order of ``accumulate``, and one SElement is
+    built per surviving key, its members decoded, so the result equals
+    the term-by-term sum of ``s_mul`` products.  Every operand must lie in
+    the algebra of ``group`` and ``field`` (ValueError if not); a pair
+    with a zero operand adds nothing.
     """
     ref = AlgebraElement._of_clean(group, field, {})
     e = group.identity_index
-    translate, mult = group.translate, group.mult
+    translator, mult = group.key_translator, group.mult
     p = field.char
     sums: dict = {}
     get = sums.get
@@ -166,16 +188,15 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
         ref._check(y)
         if not x.coeffs or not y.coeffs:
             continue
-        right = [(t.members, t.g, d) for t, d in y.coeffs.items()]
+        right = [(t.key, t.g, d) for t, d in y.coeffs.items()]
         for s, c in x.coeffs.items():
-            g = s.g
-            left = set(s.members)
-            for members, h, d in right:
-                if g == e:
-                    key = (tuple(sorted(left.union(members))), h)
+            g, lk = s.g, s.key
+            translate = None if g == e else translator(g)
+            for rk, h, d in right:
+                if translate is None:
+                    key = (lk | rk, h)
                 else:
-                    key = (tuple(sorted(left.union(translate(g, members)))),
-                           mult(g, h))
+                    key = (lk | translate(rk), mult(g, h))
                 old = get(key)
                 v = c * d if old is None else old + c * d
                 if p:
@@ -184,9 +205,10 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
                     sums[key] = v
                 else:
                     del sums[key]
+    decode = group.key_decoder()
     return AlgebraElement._of_clean(group, field, {
-        _canonical_pair(group, members, g): c
-        for (members, g), c in sums.items()})
+        _canonical_pair(group, decode(key), g, key): c
+        for (key, g), c in sums.items()})
 
 
 def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
@@ -347,6 +369,7 @@ class PartialGroupAlgebra:
         self.field = field
         self._canonical: list[SElement] | None = None
         self._primitive: list[tuple[int, ...]] | None = None
+        self._primitive_keys: list | None = None
 
     # --- constructors -------------------------------------------------
 
@@ -391,6 +414,13 @@ class PartialGroupAlgebra:
             self._primitive = sorted(subsets)
         return self._primitive
 
+    def subset_keys(self) -> list[int]:
+        """The subset keys of ``subsets_with_identity``, in its order."""
+        if self._primitive_keys is None:
+            self._primitive_keys = list(map(self.group.subset_key,
+                                            self.subsets_with_identity()))
+        return self._primitive_keys
+
     def canonical_basis(self) -> list[SElement]:
         """All pairs (A, g), ordered by A lex then g ascending."""
         self._require_finite()
@@ -415,19 +445,19 @@ class PartialGroupAlgebra:
     def primitive_vector(self, x: AlgebraElement) -> Column:
         """Coordinates of x in B over the primitive idempotents e_A.
 
-        Uses (C, 1) = sum of e_A over A containing C.  Raises if x is not
-        in B.
+        Uses (C, 1) = sum of e_A over A containing C, A read as a mask:
+        A contains C iff ``a & need == need``.  Raises if x is not in B.
         """
         self._require_finite()
         if not x.is_in_b():
             raise ValueError("element is not in the idempotent subalgebra B")
-        subsets = self.subsets_with_identity()
+        keys = self.subset_keys()
 
         def terms():
             for s, c in x.coeffs.items():
-                need = set(s.members)
-                for k, a in enumerate(subsets):
-                    if need.issubset(a):
+                need = s.key
+                for k, a in enumerate(keys):
+                    if a & need == need:
                         yield k, c
 
         return accumulate(self.field, terms())
@@ -442,13 +472,14 @@ class PartialGroupAlgebra:
         """
         group, f = self.group, self.field
         e = group.identity_index
-        base = {_gidx(group, i) for i in inside} | {e}
+        key_of, decode = group.subset_key, group.key_decoder()
+        base = key_of({_gidx(group, i) for i in inside} | {e})
         rest = sorted({_gidx(group, o) for o in outside})
         signs = (f.one, f.neg(f.one))
         terms = accumulate(f, (
-            (_canonical_pair(group, tuple(sorted(base.union(t))), e), signs[k % 2])
+            (_canonical_pair(group, decode(key), e, key), signs[k % 2])
             for k in range(len(rest) + 1)
-            for t in combinations(rest, k)))
+            for key in (base | key_of(t) for t in combinations(rest, k))))
         return AlgebraElement._of_clean(group, f, terms)
 
     def from_primitive(self, coeffs: dict[tuple[int, ...], Scalar]) -> AlgebraElement:

@@ -14,6 +14,7 @@ test oracle (``tests/morita.py``).
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from typing import Iterable
 
 from .exel import AlgebraElement, PartialGroupAlgebra
@@ -129,6 +130,12 @@ class Component:
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def reps(self) -> list[int]:
+        """The support-class representatives of ``EquivalenceData``,
+        found on first use and kept."""
+        return EquivalenceData(self).reps
 
     def __repr__(self) -> str:
         return (
@@ -596,7 +603,7 @@ def tilde_pi(comp: Component, vertex: Vertex, field: Field = QQ) -> AlgebraEleme
     """
     if vertex not in comp.vertex_pos:
         raise ValueError("not a vertex of the component")
-    reps = EquivalenceData(comp).reps
+    reps = comp.reps
     algebra = PartialGroupAlgebra(comp.group, field)
     return algebra.idempotent_product(
         [t for t in reps if t in vertex], [t for t in reps if t not in vertex])
@@ -635,27 +642,33 @@ class TensorReport:
         return f"TensorReport({self.as_dict()})"
 
 
-def _bracket_tables(comp: Component, sub_pos: dict[Vertex, int]):
+def _bracket_tables(comp: Component, keys: list[int]):
     """The closed forms the bracket relations are built from.
 
+    ``keys`` are the subset keys of the subsets A_k, in basis order.
     ``targets[j]`` is the target vertex of arrows[j]; ``moved[g][k]`` is
-    the position of e_{A_k}[g] among the subsets, ``hits[g][j]`` that of
-    [g] arrows[j] among the arrows, None where it is zero.
+    the position of e_{A_k}[g] = e_{g^-1 A_k} among the subsets, its key
+    read off the group's key translation by g^-1, and ``hits[g][j]`` that
+    of [g] arrows[j] among the arrows, None where it is zero.
     """
     grp = comp.group
     targets = [comp.groupoid.target(arrow) for arrow in comp.arrows]
+    key_pos = {a: k for k, a in enumerate(keys)}
     moved: list[list[int | None]] = []
     hits: list[list[int | None]] = []
     for g in range(grp.order):
         gi = grp.inv(g)
-        moved.append([sub_pos[translate(grp, gi, a)] if g in a else None
-                      for a in sub_pos])
+        shift, bit = grp.key_translator(gi), 1 << g
+        moved.append([key_pos[shift(a)] if a & bit else None
+                      for a in keys])
         hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
                      for (b, h), t in zip(comp.arrows, targets)])
     return targets, moved, hits
 
 
-def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
+def tensor_b_kdelta(comp: Component, field: Field = QQ,
+                    sections: list[AlgebraElement] | None = None
+                    ) -> TensorReport:
     """Form B tensored with the component algebra over the main algebra.
 
     The tensor product is presented as the plain tensor of the primitive
@@ -679,21 +692,20 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     u and v share a root, and psi(phi(x)) - x iff the residues of psi(r),
     one per vertex r, summed with the weights phi(x)_r give x's root, or
     nothing when x lies in the ground's component.
+
+    psi is read off ``sections``, the ``tilde_pi`` of each vertex in
+    vertex order, which are built here when not given.
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
     subsets = algebra.subsets_with_identity()
-    sub_pos = {a: k for k, a in enumerate(subsets)}
     arrows = comp.arrows
     n_arr = len(arrows)
     flat = len(subsets) * n_arr
     f = field
     one = f.one
 
-    def tensor_index(a: Vertex, arrow: Arrow) -> int:
-        return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
-
-    targets, moved, hits = _bracket_tables(comp, sub_pos)
+    targets, moved, hits = _bracket_tables(comp, algebra.subset_keys())
 
     # phi: tensor coordinates -> vertex span; psi: the reverse section.
     # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
@@ -731,15 +743,18 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ) -> TensorReport:
     # right stabilizer action on arrows out of the base vertex: u - v is
     # in the span iff u and v share a root, since otherwise at most one of
     # the two roots is the ground and the other keeps its component sum
+    arrow_pos = comp.arrow_pos
     h_trivial = all(
-        roots[tensor_index(a, (b, grp.mult(g, h)))]
-        == roots[tensor_index(a, (b, g))]
+        roots[row + arrow_pos[(b, grp.mult(g, h))]]
+        == roots[row + arrow_pos[(b, g)]]
         for h in comp.stabilizer.indices if h != 0
-        for b, g in arrows if b == comp.base for a in subsets)
+        for b, g in arrows if b == comp.base
+        for row in range(0, flat, n_arr))
 
+    if sections is None:
+        sections = [tilde_pi(comp, v, field) for v in comp.vertices]
     psi_cols: list[Column] = []
-    for v in comp.vertices:
-        section = tilde_pi(comp, v, field)
+    for v, section in zip(comp.vertices, sections):
         vec = algebra.primitive_vector(section)
         psi_cols.append(
             {subk * n_arr + comp.arrow_pos[(v, 0)]: c for subk, c in vec.items()}
@@ -779,13 +794,14 @@ def section5_report(comp: Component, field: Field = QQ) -> dict:
     report as a dict.
     """
     gd = comp.groupoid
+    sections = [tilde_pi(comp, v, field) for v in comp.vertices]
     section = all(
-        lambda_delta(comp, tilde_pi(comp, v, field))
+        lambda_delta(comp, x)
         == arrow_unit(gd, (v, gd.group.identity_index), field)
-        for v in comp.vertices
+        for v, x in zip(comp.vertices, sections)
     )
     return {"section_identity": section,
-            "tensor": tensor_b_kdelta(comp, field).as_dict()}
+            "tensor": tensor_b_kdelta(comp, field, sections).as_dict()}
 
 
 def section6_report(comp: Component, field: Field = QQ) -> dict:

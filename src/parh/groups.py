@@ -9,7 +9,8 @@ integers the index is the exponent itself.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from operator import add, or_
+from typing import Callable, Iterable, Sequence
 
 from .linalg import Field, SparseMatrix
 
@@ -122,6 +123,8 @@ class FiniteGroup:
             self.names = list(names)
         else:
             self.names = ["1"] + [f"g{i}" for i in range(1, n)]
+        self._key_translators: list[Callable[[int], int] | None] = [None] * n
+        self._key_decoder: Callable[[int], tuple[int, ...]] | None = None
 
     identity_index = 0
 
@@ -161,8 +164,61 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    # Subset keys: a subset is an int mask with bit i for element i.  The
+    # translation and decoding tables are built on first use and kept on
+    # the group: 2^|G| entries each up to order 8, past it one table per
+    # run of 8 bits.
+
+    @staticmethod
+    def subset_key(members: Iterable[int]) -> int:
+        key = 0
+        for m in members:
+            key |= 1 << m
+        return key
+
+    def key_translator(self, g: int) -> Callable[[int], int]:
+        """The map sending the key of A to the key of gA.
+
+        >>> build_named_group("C3").key_translator(1)(0b101)
+        3
+        """
+        if self._key_translators[g] is None:
+            self._key_translators[g] = _table_reader(
+                [1 << j for j in self.table[g]], or_, 0)
+        return self._key_translators[g]
+
+    def key_decoder(self) -> Callable[[int], tuple[int, ...]]:
+        """The map sending a key to the sorted tuple of its members."""
+        if self._key_decoder is None:
+            self._key_decoder = _table_reader(
+                [(i,) for i in range(self.order)], add, ())
+        return self._key_decoder
+
     def __repr__(self) -> str:
         return f"{self.name} (order {self.order})"
+
+
+def _table_reader(images: list, combine, empty) -> Callable:
+    """The map sending a mask to ``combine`` folded from ``empty`` over
+    ``images[i]`` for its set bits i in increasing order, read off one
+    table per run of 8 bits (by the table's own ``__getitem__`` if one)."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        t = [empty]
+        for image in images[lo:lo + 8]:
+            t += [combine(v, image) for v in t]
+        tables.append(t)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def read(key):
+        out = empty
+        for t in tables:
+            out = combine(out, t[key & 255])
+            key >>= 8
+        return out
+
+    return read
 
 
 _INTEGER_BOUND = 2**62
@@ -199,25 +255,44 @@ class Integers:
             raise GroupError("integer overflow in group operation")
         return k
 
-    def translate(self, g: int, members: Sequence[int]) -> list[int]:
-        """The sums g + m, in the order of the sorted sequence ``members``.
-
-        Translation is monotone, so testing the two endpoints for
-        overflow tests every member.
+    def translate(self, g: int, members: Iterable[int]) -> list[int]:
+        """The sums g + m, in the order of ``members``; the least and the
+        greatest sum are tested for overflow, which tests every one.
 
         >>> INTEGERS.translate(2, (-1, 0, 3))
         [1, 2, 5]
         """
-        if members and (abs(members[0] + g) >= _INTEGER_BOUND
-                        or abs(members[-1] + g) >= _INTEGER_BOUND):
+        out = [m + g for m in members]
+        if out and (min(out) <= -_INTEGER_BOUND
+                    or max(out) >= _INTEGER_BOUND):
             raise GroupError("integer overflow in group operation")
-        return [m + g for m in members]
+        return out
+
+    # Subset keys: a subset is the frozenset of its members.  A mask would
+    # need a bit per integer between its extreme members.
+
+    subset_key = staticmethod(frozenset)
+
+    def key_translator(self, g: int) -> Callable[[frozenset], frozenset]:
+        """The map sending the key of A to that of g + A, through
+        :meth:`translate` and its overflow test."""
+        translate = self.translate
+        return lambda key: frozenset(translate(g, key))
+
+    @staticmethod
+    def key_decoder() -> Callable[[frozenset], tuple[int, ...]]:
+        """The map sending a key to its sorted tuple of members."""
+        return _sorted_tuple
 
     def inv(self, i: int) -> int:
         return -i
 
     def __repr__(self) -> str:
         return "Z"
+
+
+def _sorted_tuple(key: frozenset) -> tuple[int, ...]:
+    return tuple(sorted(key))
 
 
 INTEGERS = Integers()

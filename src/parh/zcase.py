@@ -348,7 +348,15 @@ def window_basis(bound: int, cap: int = Z_WINDOW_CAP) -> list[SElement]:
 
     A always contains 0, and m runs over A.  Listed in a fixed order:
     member sets by size then lexicographically, then m.
+    A size (bound + 1) 4^bound of more than 64 bits, and more than the
+    cap's, is refused on its bit length N + 1 before it is formed, with
+    ``requested`` the string "2^N or more".
     """
+    bits = (bound + 1).bit_length() + 2 * bound
+    if bits > max(64, cap.bit_length()):
+        at_least = f"2^{bits - 1} or more"
+        raise SizeCapError(f"window basis would hold {at_least} elements "
+                           f"(cap {cap})", limit=cap, requested=at_least)
     _check_window_cap(window_size(bound), "window basis", "elements", cap)
     return [_canonical_pair(INTEGERS, members, m)
             for members in _window_member_sets(bound) for m in members]

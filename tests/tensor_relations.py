@@ -98,8 +98,7 @@ def check_bracket_tables(comp, field):
     gd = comp.groupoid
     algebra = PartialGroupAlgebra(grp, field)
     subsets = algebra.subsets_with_identity()
-    targets, moved, hits = _bracket_tables(
-        comp, {a: k for k, a in enumerate(subsets)})
+    targets, moved, hits = _bracket_tables(comp, algebra.subset_keys())
     idems = [algebra.primitive_idempotent(a) for a in subsets]
     for g, (move_row, hit_row) in enumerate(zip(moved, hits)):
         lo, hi = algebra.bracket(grp.inv(g)), algebra.bracket(g)
@@ -137,7 +136,8 @@ def residue_tensor_report(comp, field):
     def tensor_index(a, arrow):
         return sub_pos[a] * n_arr + comp.arrow_pos[arrow]
 
-    targets, moved, hits = groupoid._bracket_tables(comp, sub_pos)
+    targets, moved, hits = groupoid._bracket_tables(comp,
+                                                    algebra.subset_keys())
 
     def phi_column(k, j):
         if subsets[k] == targets[j]:

@@ -426,6 +426,23 @@ def test_z_quotient_cap_exits_3_before_building(capsys, monkeypatch):
     assert data["limit"] == zcase.Z_WINDOW_CAP
 
 
+def test_z_quotient_huge_bound_is_refused_on_its_bit_length(capsys,
+                                                            monkeypatch):
+    # domain bound 999 996: the size (b + 1) 4^b has 2 000 012 bits and is
+    # refused on that count, never formed nor printed in full
+    def unreachable(*args):
+        raise AssertionError("the window size was formed")
+
+    monkeypatch.setattr(zcase, "window_size", unreachable)
+    code, data, err = run_json(capsys, "z", "quotient", "--k", "1",
+                               "--bound", "1000000")
+    assert code == EXIT_CAP
+    assert data["error"] == "size_cap"
+    assert data["limit"] == zcase.Z_WINDOW_CAP
+    assert data["requested"] == "2^2000011 or more"
+    assert err == f"size cap: {data['message']}\n"
+
+
 @pytest.mark.parametrize("k, bound, domain_dim, s1, vk_rank", [
     (3, 12, 1280, 1008, 679_936),
     (4, 12, 48, 32, 193_536),

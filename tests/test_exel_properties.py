@@ -1,15 +1,19 @@
 """Property tests of the canonical pair kernel, drawn by Hypothesis.
 
 The product rule (A, g)(B, h) = (A union gB, gh) is compared with the
-twisted-product oracle on the integers (members in [-6, 6]) and on S3 and
-D4, and the algebraic laws every semigroup of canonical pairs obeys are
-checked on the same draws.  The algebra product, negation and difference
-are compared with their term-by-term routes (``s_mul`` products summed by
-``accumulate``, and the coercing constructor) over Q, F2, F3 and F5, and
-the fused sum of products with the sum of single products.
+twisted-product oracle on the integers (members in [-6, 6]) and on all
+nine built-in groups, and the algebraic laws every semigroup of canonical
+pairs obeys are checked on the same draws.  The algebra product, negation
+and difference are compared with their term-by-term routes (``s_mul``
+products summed by ``accumulate``, and the coercing constructor) over Q,
+F2, F3 and F5, and the fused sum of products with the sum of single
+products.  On the integers the kernel is also run on members near
++-2^61, where a mask would need 2^61 bits: it must agree with ``s_mul``,
+raise where it raises, and allocate little.
 Examples are derandomized, so every run sees the same inputs.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,12 +30,13 @@ from parh.exel import (
     _sum_of_products,
     s_mul,
 )
-from parh.groups import INTEGERS, build_named_group
+from parh.groups import (INTEGERS, NAMED_GROUP_NAMES, GroupError,
+                         build_named_group)
 from parh.linalg import GF, QQ, accumulate
 from twisted_product import as_skew, skew_mul
 
-GROUPS = {"Z": INTEGERS, "S3": build_named_group("S3"),
-          "D4": build_named_group("D4")}
+GROUPS = {"Z": INTEGERS} | {name: build_named_group(name)
+                            for name in NAMED_GROUP_NAMES}
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -189,7 +194,7 @@ def product_lists(group, field):
 
 
 @PROPERTY
-@given(st.tuples(st.sampled_from(FUSED_GROUPS),
+@given(st.tuples(st.sampled_from(sorted(GROUPS)),
                  st.sampled_from(FUSED_FIELDS)).flatmap(
     lambda gf: st.tuples(st.just(gf), product_lists(GROUPS[gf[0]],
                                                     FIELDS[gf[1]]))))
@@ -234,3 +239,62 @@ def test_sum_of_products_rejects_another_algebra(other):
                   [(x, x), (stranger.zero(), x)]):
         with pytest.raises(ValueError, match="different partial group"):
             _sum_of_products(algebra.group, algebra.field, pairs)
+
+
+# --- wide spreads over the integers ------------------------------------------
+
+WIDE = 2**61
+
+
+def wide_members():
+    """Members near 0, +2^61 and -2^61: sums of two far ones reach the
+    2^62 bound of ``Integers``, either side."""
+    return (st.integers(-3, 3) | st.integers(WIDE - 3, WIDE + 3)
+            | st.integers(-WIDE - 3, -WIDE + 3))
+
+
+def wide_elements(field):
+    members = wide_members()
+    pair = st.builds(lambda a, g: SElement(INTEGERS, a, g),
+                     st.frozensets(members, max_size=3), members)
+    return st.lists(st.tuples(pair, st.integers(1, 2)), min_size=1,
+                    max_size=3).map(
+        lambda terms: AlgebraElement(INTEGERS, field, dict(terms)))
+
+
+def termwise_or_error(x, y):
+    try:
+        return termwise_product(x, y)
+    except GroupError:
+        return GroupError
+
+
+@PROPERTY
+@given(st.sampled_from(FUSED_FIELDS).flatmap(
+    lambda f: st.tuples(wide_elements(FIELDS[f]), wide_elements(FIELDS[f]))))
+def test_kernel_on_wide_integer_spreads_matches_s_mul(xy):
+    x, y = xy
+    want = termwise_or_error(x, y)
+    tracemalloc.start()
+    try:
+        got = _sum_of_products(INTEGERS, x.field, [(x, y)]).coeffs
+    except GroupError:
+        got = GroupError
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20  # a mask of these members would take 2^58 bytes
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_translation_past_the_bound_raises_through_the_kernel(sign):
+    algebra = PartialGroupAlgebra(INTEGERS, QQ)
+    near = algebra.bracket(sign * (2**62 - 1))
+    # [g] e_(+-1): g + (+-1) crosses the bound though g * 1 = g does not
+    for y in (algebra.idem(sign), algebra.bracket(sign),
+              algebra.one() + algebra.idem(sign)):
+        with pytest.raises(GroupError):
+            _sum_of_products(INTEGERS, QQ, [(near, y)])
+    # the last representable member is still accepted
+    assert _sum_of_products(INTEGERS, QQ, [(near, algebra.one())]) == near

@@ -638,15 +638,15 @@ def _next_vertex_section(comp, vertex, field=QQ):
     return _TILDE_PI(comp, nxt, field)
 
 
-def _identity_bracket_only(comp, sub_pos):
+def _identity_bracket_only(comp, keys):
     # [1] moves nothing, so no relation is left
-    targets, moved, hits = _BRACKET_TABLES(comp, sub_pos)
+    targets, moved, hits = _BRACKET_TABLES(comp, keys)
     return targets, moved[:1], hits[:1]
 
 
-def _hits_redirected(comp, sub_pos):
+def _hits_redirected(comp, keys):
     # [g] y lands on the arrow after the right one
-    targets, moved, hits = _BRACKET_TABLES(comp, sub_pos)
+    targets, moved, hits = _BRACKET_TABLES(comp, keys)
     n = len(comp.arrows)
     return targets, moved, [[None if h is None else (h + 1) % n for h in row]
                             for row in hits]
