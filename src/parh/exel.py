@@ -169,17 +169,18 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
     ``(key, g)``, on the subset keys of ``SElement.key``: the key of
     A union gB is ``lk | rk`` when g = 1 and ``lk | translate(rk)``
     otherwise, ``translate`` being ``group.key_translator(g)``, and gh
-    comes from ``mult``, so the group's overflow checks apply.  The keys
-    of all the products are summed in one dict, with the reduction mod p
-    and the drop-on-cancel order of ``accumulate``, and one SElement is
-    built per surviving key, its members decoded, so the result equals
+    comes from ``group.mult_row(g)``, fetched with it once per left term,
+    so the group's overflow checks apply.  The keys of all the products
+    are summed in one dict, with the reduction mod p and the
+    drop-on-cancel order of ``accumulate``, and one SElement is built
+    per surviving key, its members decoded, so the result equals
     the term-by-term sum of ``s_mul`` products.  Every operand must lie in
     the algebra of ``group`` and ``field`` (ValueError if not); a pair
     with a zero operand adds nothing.
     """
     ref = AlgebraElement._of_clean(group, field, {})
     e = group.identity_index
-    translator, mult = group.key_translator, group.mult
+    translator, mult_row = group.key_translator, group.mult_row
     p = field.char
     sums: dict = {}
     get = sums.get
@@ -191,12 +192,15 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
         right = [(t.key, t.g, d) for t, d in y.coeffs.items()]
         for s, c in x.coeffs.items():
             g, lk = s.g, s.key
-            translate = None if g == e else translator(g)
+            if g == e:
+                translate = None
+            else:
+                translate, times = translator(g), mult_row(g)
             for rk, h, d in right:
                 if translate is None:
                     key = (lk | rk, h)
                 else:
-                    key = (lk | translate(rk), mult(g, h))
+                    key = (lk | translate(rk), times(h))
                 old = get(key)
                 v = c * d if old is None else old + c * d
                 if p:

@@ -156,6 +156,10 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
+    def mult_row(self, g: int) -> Callable[[int], int]:
+        """The map h -> g * h, read off row g of the table."""
+        return self.table[g].__getitem__
+
     def translate(self, g: int, members: Iterable[int]) -> list[int]:
         """The products g * m, in the order of ``members``, read off row g."""
         row = self.table[g]
@@ -255,6 +259,20 @@ class Integers:
             raise GroupError("integer overflow in group operation")
         return k
 
+    def mult_row(self, g: int) -> Callable[[int], int]:
+        """The map h -> g + h, with the overflow test of :meth:`mult`.
+
+        >>> INTEGERS.mult_row(3)(-5)
+        -2
+        """
+        def row(h: int) -> int:
+            k = g + h
+            if abs(k) >= _INTEGER_BOUND:
+                raise GroupError("integer overflow in group operation")
+            return k
+
+        return row
+
     def translate(self, g: int, members: Iterable[int]) -> list[int]:
         """The sums g + m, in the order of ``members``; the least and the
         greatest sum are tested for overflow, which tests every one.
@@ -351,16 +369,22 @@ def translate(group, g: int, subset: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted([group.mult(g, m) for m in subset]))
 
 
+def _cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
 def _cyclic(n: int, names: Sequence[str], name: str) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, names=names, name=name)
+    return FiniteGroup(_cyclic_table(n), names=names, name=name)
 
 
-def _direct_product(a: FiniteGroup, b: FiniteGroup, names: Sequence[str], name: str) -> FiniteGroup:
-    pairs = [(i, j) for i in range(a.order) for j in range(b.order)]
+def _direct_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                    names: Sequence[str], name: str) -> FiniteGroup:
+    """The direct product of the groups with tables a and b, its pairs
+    (i, j) in row-major order."""
+    pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
     pos = {p: k for k, p in enumerate(pairs)}
     table = [
-        [pos[(a.mult(i1, i2), b.mult(j1, j2))] for (i2, j2) in pairs]
+        [pos[(a[i1][i2], b[j1][j2])] for (i2, j2) in pairs]
         for (i1, j1) in pairs
     ]
     return FiniteGroup(table, names=names, name=name)
@@ -422,22 +446,22 @@ def _quaternion8() -> FiniteGroup:
     return FiniteGroup(table, names=names, name="Q8")
 
 
-def _named_groups() -> dict[str, "FiniteGroup"]:
-    c2 = _cyclic(2, ["1", "a"], "C2")
-    return {
-        "C2": c2,
-        "C3": _cyclic(3, ["1", "g", "g2"], "C3"),
-        "C4": _cyclic(4, ["1", "g", "g2", "g3"], "C4"),
-        "C5": _cyclic(5, ["1", "g", "g2", "g3", "g4"], "C5"),
-        "C6": _cyclic(6, ["1", "g", "g2", "g3", "g4", "g5"], "C6"),
-        "C2xC2": _direct_product(c2, c2, ["1", "b", "a", "ab"], "C2xC2"),
-        "S3": _symmetric3(),
-        "D4": _dihedral4(),
-        "Q8": _quaternion8(),
-    }
+# One builder per named group: a lookup builds and checks only the group
+# it names, and each call returns a new group.
+_NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
+    "C2": lambda: _cyclic(2, ["1", "a"], "C2"),
+    "C3": lambda: _cyclic(3, ["1", "g", "g2"], "C3"),
+    "C4": lambda: _cyclic(4, ["1", "g", "g2", "g3"], "C4"),
+    "C5": lambda: _cyclic(5, ["1", "g", "g2", "g3", "g4"], "C5"),
+    "C6": lambda: _cyclic(6, ["1", "g", "g2", "g3", "g4", "g5"], "C6"),
+    "C2xC2": lambda: _direct_product(_cyclic_table(2), _cyclic_table(2),
+                                     ["1", "b", "a", "ab"], "C2xC2"),
+    "S3": _symmetric3,
+    "D4": _dihedral4,
+    "Q8": _quaternion8,
+}
 
-
-NAMED_GROUP_NAMES = ("C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8")
+NAMED_GROUP_NAMES = tuple(_NAMED_GROUPS)
 
 
 def parse_cayley_table(text: str, name: str = "G") -> FiniteGroup:
@@ -492,9 +516,8 @@ def build_named_group(name: str) -> FiniteGroup:
     Anything not in the registry is treated as a path to a Cayley-table
     file; a missing path is reported as an unknown group name.
     """
-    registry = _named_groups()
-    if name in registry:
-        return registry[name]
+    if name in _NAMED_GROUPS:
+        return _NAMED_GROUPS[name]()
     if os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
             text = fh.read()

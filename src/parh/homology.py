@@ -9,10 +9,13 @@ Three chain pipelines feed the checks in this module:
   that exchanges left and right module structures.  The module must have
   every e_x = [x][x^-1] diagonal (every module in parh.groupoid has), so
   each block e_(x) V is a set of coordinates.  Its differential is the
-  alternating sum of faces; for a module of 0/1 partial maps (every
-  module the CLI builds) each face is an index list, the columns are
-  formed from the lists, and d^2 = 0 follows from the simplicial
-  identities between them, checked as list compositions;
+  alternating sum of faces, and with the degeneracies that insert the
+  identity it is a simplicial module whose identities are all checked;
+  only its nondegenerate tuples are assembled and ranked, the
+  normalized complex, which has the same homology.  For a module of 0/1
+  partial maps (every module the CLI builds) each face is an index list,
+  the columns are formed from the lists, and d^2 = 0 follows from the
+  simplicial identities between them, checked as list compositions;
 - the classical bar complex of a finite group, written independently so
   that the comparison checks are carried by genuinely separate code.
 
@@ -125,16 +128,19 @@ class ChainComplex:
     differentials compose to zero.  ``d2_zero`` verifies that once per
     complex with ``SparseMatrix.annihilates``, which sums each column of
     d_n d_(n+1) in one dict and stops at the first nonzero one, unless
-    the builder has proven it already.  ``_transported_complex`` does so
-    when it sums each d_n = sum_j (-1)^j d_j from faces that satisfy the
-    simplicial identities d_i d_j = d_(j-1) d_i for i < j (C. A. Weibel,
-    An Introduction to Homological Algebra, 1994, 8.1-8.2; J. P. May,
-    Simplicial Objects in Algebraic Topology, 1967).  Then d_(n-1) d_n is
+    the builder has proven it already.  ``_transported_complex`` builds
+    the normalized complex of a simplicial module, its degenerate tuples
+    deleted, and proves d^2 = 0 when it sums each d_n = sum_j (-1)^j d_j
+    from faces that satisfy the simplicial identities d_i d_j =
+    d_(j-1) d_i for i < j (C. A. Weibel, An Introduction to Homological
+    Algebra, 1994, 8.1-8.2; J. P. May, Simplicial Objects in Algebraic
+    Topology, 1967).  Then d_(n-1) d_n is
     the sum of (-1)^(i+j) d_i d_j over 0 <= i <= n-1, 0 <= j <= n.  The
     identity sends each term with i < j to the term (i', j') = (j-1, i),
     which has i' >= j' and the opposite sign, and this is a bijection of
     the pairs i < j onto the pairs i' >= j'; so the two halves cancel
-    and d^2 = 0 over any ring.
+    and d^2 = 0 over any ring, on the full complex and so on its
+    quotient by the degenerate tuples.
     """
 
     __slots__ = ("field", "dims", "diffs", "_d2")
@@ -180,25 +186,27 @@ class ChainComplex:
         if max_degree + 1 not in self.diffs and max_degree > 0:
             raise ValueError("complex not built deep enough for max_degree")
         diffs = {n: d for n, d in self.diffs.items() if n <= max_degree + 1}
-        if (self.field.char == 0 and max_degree >= 1
-                and all(type(v) is int for d in diffs.values()
-                        for col in d.cols for v in col.values())
-                and self.d2_zero()):
-            dims = self._dims(max_degree, self._ranks(diffs, modulo_p=True))
-            if not any(dims[1:]):
-                return dims
+        if self.field.char == 0 and max_degree >= 1 and self.d2_zero():
+            ranks = self._ranks(diffs, modulo_p=True)
+            if ranks is not None:
+                dims = self._dims(max_degree, ranks)
+                if not any(dims[1:]):
+                    return dims
         return self._dims(max_degree, self._ranks(diffs))
 
     def _ranks(self, diffs: dict[int, SparseMatrix],
-               modulo_p: bool = False) -> dict[int, int]:
+               modulo_p: bool = False) -> dict[int, int] | None:
         """rank d_n for each differential, or of its reduction modulo
         ``RANK_PRIME`` when ``modulo_p``; compressed when d^2 = 0, as
-        ``homology_dims`` says."""
+        ``homology_dims`` says.  None when ``modulo_p`` meets an entry
+        that is not an int; the differentials before it are ranked."""
         compress = self.d2_zero()
         ranks: dict[int, int] = {}
         absorbed: dict[int, list[int]] = {}
         for n in sorted(diffs):
             d = _mod_prime(diffs[n]) if modulo_p else diffs[n]
+            if d is None:
+                return None
             if compress:
                 absorbed[n] = []
                 ranks[n] = rank(d, drop=frozenset(absorbed.get(n - 1, ())),
@@ -212,10 +220,19 @@ class ChainComplex:
                 for n in range(max_degree + 1)]
 
 
-def _mod_prime(d: SparseMatrix) -> SparseMatrix:
-    """An int matrix reduced modulo ``RANK_PRIME``, column by column."""
-    cols = [{r: c for r, v in col.items() if (c := v % RANK_PRIME)}
-            for col in d.cols]
+def _mod_prime(d: SparseMatrix) -> SparseMatrix | None:
+    """An int matrix reduced modulo ``RANK_PRIME``, column by column, in
+    one pass that also checks the entries: None at the first entry that
+    is not an int."""
+    cols = []
+    for col in d.cols:
+        reduced = {}
+        for r, v in col.items():
+            if type(v) is not int:
+                return None
+            if c := v % RANK_PRIME:
+                reduced[r] = c
+        cols.append(reduced)
     return SparseMatrix._of_columns(_RANK_FIELD, d.nrows, cols)
 
 
@@ -384,18 +401,19 @@ def _degree_blocks(group, supports: list[frozenset[int]], n: int, cache: dict):
     return blocks, dim
 
 
-def _faces(group, n: int, blocks: dict, lo_blocks: dict,
-           maps: dict[int, list[int]] | None) -> list[list[int] | None]:
-    """The faces d_0, ..., d_n of degree n as index lists into degree n-1.
+def _faces(v_mod: PartialRepModule, n: int, blocks: dict,
+           lo_blocks: dict) -> list[list]:
+    """The faces d_0, ..., d_n of degree n, on every coordinate.
 
     d_j for 1 <= j < n contracts x_j x_(j+1) and d_n drops x_n; neither
-    moves the block coordinate, so each is a list for every module.  d_0
-    sends (x; v) to (x_2..x_n; [x_1^-1] v): a list when the module acts by
-    partial maps, else None, and the transported complex reads it off
-    the matrices.  A coordinate that leaves its target block raises
-    RuntimeError; so does a zero [x_1^-1] v, which e_(x_1) v = v rules
-    out, so no list holds a -1.
+    moves the block coordinate, so each is an index list into degree n-1
+    for every module.  d_0 sends (x; v) to (x_2..x_n; [x_1^-1] v): an
+    index list when the module acts by partial maps, else the list of its
+    columns, read off the matrices.  A coordinate that leaves its target
+    block raises RuntimeError; so does a zero [x_1^-1] v on a map module,
+    which e_(x_1) v = v rules out, so no list holds a -1.
     """
+    group, maps = v_mod.group, v_mod.maps
     inv = group.inv
     faces: list = [[] for _ in range(n + 1)]
     try:
@@ -403,32 +421,105 @@ def _faces(group, n: int, blocks: dict, lo_blocks: dict,
             at = [lo_blocks[xs[1:]],
                   *(lo_blocks[_contract(group, xs, j)] for j in range(n - 1)),
                   lo_blocks[xs[:-1]]]
+            tail_off, tail = at[0]
             if maps is not None:
-                tail_off, tail = at[0]
                 act = maps[inv(xs[0])]
                 faces[0] += [tail_off + tail[act[i]] for i in block]
+            else:
+                act = v_mod.mats[inv(xs[0])].cols
+                faces[0] += [{tail_off + tail[r]: v for r, v in act[i].items()}
+                             for i in block]
             for face, (off, lo) in zip(faces[1:], at[1:]):
                 face += [off + lo[i] for i in block]
     except KeyError:
         raise RuntimeError("vector escapes its projection block") from None
-    if maps is None:
-        faces[0] = None
     return faces
 
 
-def _simplicial_identities_hold(lo_faces: list[list[int]],
-                                faces: list[list[int]]) -> bool:
-    """Whether d_i d_j = d_(j-1) d_i for all i < j, where d_j runs over
-    the faces of degree n and d_i, d_(j-1) over those of degree n-1; each
-    side is one list composition."""
-    return all(_compose(lo_faces[i], faces[j])
-               == _compose(lo_faces[j - 1], faces[i])
-               for j in range(1, len(faces)) for i in range(j))
+def _degeneracies(n: int, blocks: dict, lo_blocks: dict) -> list[list[int]]:
+    """The degeneracies s_0, ..., s_(n-1) of degree n as index lists from
+    degree n-1 into degree n.
+
+    s_j inserts the identity after x_j and keeps the block coordinate:
+    the new tuple has the same prefixes, so the same block.  A coordinate
+    that leaves it raises RuntimeError.
+    """
+    degens: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for xs, (_, lo) in lo_blocks.items():
+            for j, s in enumerate(degens):
+                off, block = blocks[xs[:j] + (0,) + xs[j:]]
+                s += [off + block[i] for i in lo]
+    except KeyError:
+        raise RuntimeError("a degeneracy leaves its block") from None
+    return degens
+
+
+def _simplicial_identities_hold(faces: list, degens: list[list[int]],
+                                lo_faces: list | None,
+                                lo_degens: list[list[int]] | None,
+                                matrix: bool, one) -> bool:
+    """Whether the faces and degeneracies of degree n satisfy, against
+    those of degree n-1 (None at n = 1), every simplicial identity:
+
+    - d_i d_j = d_(j-1) d_i for i < j, when d_0 is a list;
+    - d_i s_j = s_(j-1) d_i for i < j, = id for i = j, j+1, and
+      = s_j d_(i-1) for i > j+1;
+    - s_i s_j = s_(j+1) s_i for i <= j.
+
+    Each side is one list composition.  A d_0 given by columns
+    (``matrix``) is compared column by column: d_0 s_0 = id is the unit
+    relation [1] = id, and d_0 s_j = s_(j-1) d_0 maps the rows of each
+    lower column through s_(j-1).
+    """
+    ident = list(range(len(degens[0])))
+    for j, s in enumerate(degens):
+        for i, d in enumerate(faces):
+            if matrix and i == 0:
+                got = [d[t] for t in s]
+                if j == 0:
+                    want = [{c: one} for c in ident]
+                else:
+                    below = lo_degens[j - 1]
+                    want = [{below[r]: v for r, v in col.items()}
+                            for col in lo_faces[0]]
+            else:
+                got = _compose(d, s)
+                want = (ident if i in (j, j + 1)
+                        else _compose(lo_degens[j - 1], lo_faces[i]) if i < j
+                        else _compose(lo_degens[j], lo_faces[i - 1]))
+            if got != want:
+                return False
+    if lo_degens is None:
+        return True
+    if any(_compose(degens[i], lo_degens[j])
+           != _compose(degens[j + 1], lo_degens[i])
+           for j in range(len(lo_degens)) for i in range(j + 1)):
+        return False
+    return matrix or all(_compose(lo_faces[i], faces[j])
+                         == _compose(lo_faces[j - 1], faces[i])
+                         for j in range(1, len(faces)) for i in range(j))
+
+
+def _nondegenerate(blocks: dict) -> tuple[list[int], list[int]]:
+    """The coordinates of the tuples with no x_i = 1, in order, and the
+    list sending every coordinate to its position among them, -1 for a
+    degenerate one."""
+    index: list[int] = []
+    kept: list[int] = []
+    for xs, (off, block) in blocks.items():
+        if 0 in xs:
+            index += [-1] * len(block)
+        else:
+            index += range(len(kept), len(kept) + len(block))
+            kept += range(off, off + len(block))
+    return index, kept
 
 
 def _add_faces(col: dict, targets, signs, p: int) -> dict:
     """Add each sign at its target row of one column, in order; each sum
-    is reduced mod p and its row dropped when it cancels."""
+    is reduced mod p and its row dropped when it cancels.  Row -1, a
+    degenerate tuple, is dropped at the end."""
     for key, s in zip(targets, signs):
         v = col.get(key, 0) + s
         if p:
@@ -437,77 +528,107 @@ def _add_faces(col: dict, targets, signs, p: int) -> dict:
             col[key] = v
         else:
             del col[key]
+    col.pop(-1, None)
     return col
 
 
-def _matrix_columns(v_mod: PartialRepModule, blocks: dict, lo_blocks: dict,
-                    faces: list, signs: list[int]) -> list[dict]:
-    """The columns of one degree when d_0 is a matrix: column v of
-    [x_1^-1] at the tail tuple, then the list faces added by
+def _normalized_columns(faces: list, kept: list[int], lo_index: list[int],
+                        signs: list[int], matrix: bool, p: int) -> list[dict]:
+    """The columns of sum_j (-1)^j d_j at the coordinates ``kept``, rows
+    renumbered by ``lo_index`` and degenerate rows dropped.  A d_0 given
+    by columns (``matrix``) starts each column; list faces are added by
     ``_add_faces``."""
-    inv, p = v_mod.group.inv, v_mod.field.char
-    units, unit_signs = zip(*faces[1:]), signs[1:]
-    cols = []
-    for xs, (_, block) in blocks.items():
-        tail_off, tail = lo_blocks[xs[1:]]
-        act = v_mod.mats[inv(xs[0])].cols
-        for i, t in zip(block, units):
-            col = {}
-            for r, v in act[i].items():
-                k = tail.get(r)
-                if k is None:
-                    raise RuntimeError("vector escapes its projection block")
-                col[tail_off + k] = v
-            cols.append(_add_faces(col, t, unit_signs, p))
-    return cols
+    lists = [_compose(lo_index, _compose(face, kept))
+             for face in faces[matrix:]]
+    if not matrix:
+        return [_add_faces({}, row, signs, p) for row in zip(*lists)]
+    return [_add_faces({lo_index[r]: v for r, v in faces[0][c].items()},
+                       row, signs[1:], p)
+            for c, row in zip(kept, zip(*lists))]
 
 
 def _transported_complex(v_mod: PartialRepModule, max_n: int,
                          cap: int) -> ChainComplex:
-    """Chain complex of blocks e_{(x)} V with the transported boundary.
+    """The normalized chain complex of blocks e_{(x)} V with the
+    transported boundary, through degree max_n.
 
     The boundary of a block coordinate v at the tuple (x_1, ..., x_n) is
     d_n = sum_j (-1)^j d_j over the faces of ``_faces``: [x_1^{-1}] v at
     the tail tuple, then the contractions, then the final drop of v
-    itself.  Each column holds the sums in that order, reduced mod p, a
-    coordinate dropped when its sum cancels (``_add_faces``).
+    itself.  With the degeneracies s_j of ``_degeneracies``, which insert
+    the identity after x_j, the chains form a simplicial module through
+    degree max_n.  Every simplicial identity is checked on every
+    coordinate of every degree 1..max_n (``_simplicial_identities_hold``)
+    and a failed one raises RuntimeError.
 
-    When every face is a list (the module acts by partial maps), each
-    column is summed from its rows of the lists, and d^2 = 0 is decided
-    by the simplicial identities d_i d_j = d_(j-1) d_i, i < j, on degrees
-    2..max_n (the proof is in ``ChainComplex``), so ``d2_zero`` forms no
-    product.  The faces of at most two degrees are alive at once.  A
-    complex whose identities fail, or whose d_0 is a matrix, has d^2
-    checked by its products.
+    Only the nondegenerate tuples, those with no x_i = 1, are assembled
+    and ranked: d_n is the full alternating sum with the degenerate rows
+    and columns deleted, each column holding its sums in face order,
+    reduced mod p, a row dropped when its sum cancels (``_add_faces``).
+    That is the complex C/D (C. A. Weibel, An Introduction to
+    Homological Algebra, 1994, 8.3.7 and 8.3.8), and it has the
+    homology of C in degrees 0..max_n - 1:
+
+    - D_n, the span of the images of s_0..s_(n-1), is spanned by the
+      coordinates of the degenerate tuples, since s_j sends the block of
+      a tuple onto the same block at the tuple with 1 inserted.
+    - d(D) is in D: in d s_j = sum_i (-1)^i d_i s_j the terms i = j and
+      i = j+1 cancel, and every other d_i s_j is s_(j-1) d_i or s_j d_(i-1).
+    - D is acyclic in degrees <= max_n - 1.  Let D^q be the span of the
+      images of s_0..s_q, a subcomplex by the same identities, and
+      D^(-1) = 0.  The map h = (-1)^q s_q sends D^q into itself and
+      D^(q-1) into itself, as s_q s_j = s_j s_(q-1) for j < q.  For any x,
+      (d s_q + s_q d) x is sum_(i<=q) (-1)^i s_q d_i x modulo D^(q-1):
+      in d s_q x the terms i < q, s_(q-1) d_i x, lie in D^(q-1), the
+      terms i = q, q+1 cancel, and the terms i > q+1, s_q d_(i-1) x,
+      cancel those of s_q d x past q.  For x = s_q z the terms i < q are
+      s_q s_(q-1) d_i z = s_(q-1) s_(q-1) d_i z, in D^(q-1), and
+      d_q s_q = id leaves (-1)^q x.
+      So dh + hd = id on D^q / D^(q-1), and a cycle y of degree n there
+      is d(hy), which needs the identities only up to degree n+1.  The
+      exact sequences 0 -> D^(q-1) -> D^q -> D^q / D^(q-1) -> 0 give
+      H_n(D^q) = 0 by induction on q, and D^n agrees with D in degrees n
+      and n+1, so H_n(D) = 0.
+    - The sequence 0 -> D -> C -> C/D -> 0 then gives
+      H_n(C) = H_n(C/D) for n <= max_n - 1, the degrees that are ranked.
+
+    The ranks of C/D then run with compression and the mod-p certificate
+    as for any complex.  When every face is a list (the module acts by
+    partial maps), d^2 = 0 on C follows from d_i d_j = d_(j-1) d_i (the
+    proof is in ``ChainComplex``), hence on C/D, so ``d2_zero`` forms no
+    product.  A module whose d_0 is a matrix has d^2 checked by its
+    products on C/D, the complex that is ranked.  The faces and
+    degeneracies of at most two degrees are alive at once.
     """
     group = v_mod.group
     field = v_mod.field
     p = field.char
+    matrix = v_mod.maps is None
     check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
-    maps = v_mod.maps
     cache: dict = {}
     lo_blocks, dim = _degree_blocks(group, supports, 0, cache)
+    lo_index = list(range(dim))
     dims = {0: dim}
     diffs = {}
-    lo_faces = None
-    simplicial = maps is not None
+    lo_faces = lo_degens = None
     for n in range(1, max_n + 1):
-        blocks, dims[n] = _degree_blocks(group, supports, n, cache)
-        faces = _faces(group, n, blocks, lo_blocks, maps)
-        if simplicial and lo_faces is not None:
-            simplicial = _simplicial_identities_hold(lo_faces, faces)
-        lo_faces = faces
+        blocks, _ = _degree_blocks(group, supports, n, cache)
+        faces = _faces(v_mod, n, blocks, lo_blocks)
+        degens = _degeneracies(n, blocks, lo_blocks)
+        if not _simplicial_identities_hold(faces, degens, lo_faces, lo_degens,
+                                           matrix, field.one):
+            raise RuntimeError(f"a simplicial identity fails at degree {n}")
+        index, kept = _nondegenerate(blocks)
+        dims[n] = len(kept)
         # d_j takes the sign (-1)^j, held as a residue mod p
         signs = [(-1) ** j % p if p else (-1) ** j for j in range(n + 1)]
-        if maps is None:
-            cols = _matrix_columns(v_mod, blocks, lo_blocks, faces, signs)
-        else:
-            cols = [_add_faces({}, row, signs, p) for row in zip(*faces)]
-        diffs[n] = SparseMatrix._of_columns(field, dims[n - 1], cols)
-        lo_blocks = blocks
+        diffs[n] = SparseMatrix._of_columns(
+            field, dims[n - 1],
+            _normalized_columns(faces, kept, lo_index, signs, matrix, p))
+        lo_blocks, lo_index, lo_faces, lo_degens = blocks, index, faces, degens
     complex_ = ChainComplex(field, dims, diffs)
-    if simplicial:
+    if not matrix:
         complex_._d2 = True
     return complex_
 

@@ -33,6 +33,45 @@ def test_named_groups_build_and_validate(name):
         assert (x * x.inverse()).is_identity()
 
 
+# Each named table, one row per word, and its element names, as the
+# registry built them when every lookup built all nine groups.
+NAMED_TABLES = {
+    "C2": ("01 10", ["1", "a"]),
+    "C3": ("012 120 201", ["1", "g", "g2"]),
+    "C4": ("0123 1230 2301 3012", ["1", "g", "g2", "g3"]),
+    "C5": ("01234 12340 23401 34012 40123", ["1", "g", "g2", "g3", "g4"]),
+    "C6": ("012345 123450 234501 345012 450123 501234",
+           ["1", "g", "g2", "g3", "g4", "g5"]),
+    "C2xC2": ("0123 1032 2301 3210", ["1", "b", "a", "ab"]),
+    "S3": ("012345 120453 201534 354021 435102 543210",
+           ["1", "r", "r2", "s", "rs", "r2s"]),
+    "D4": ("01234567 12305674 23016745 30127456 47650321 54761032 "
+           "65472103 76543210", ["1", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]),
+    "Q8": ("01234567 14365072 27416305 32547610 45670123 50721436 "
+           "63052741 76103254", ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]),
+}
+
+
+def test_named_lookup_builds_only_the_named_group(monkeypatch):
+    built = []
+    real = FiniteGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    assert tuple(NAMED_TABLES) == NAMED_GROUP_NAMES
+    for name, (rows, names) in NAMED_TABLES.items():
+        built.clear()
+        group = build_named_group(name)
+        assert built == [name]
+        assert group.table == [[int(c) for c in row] for row in rows.split()]
+        assert (group.name, group.names) == (name, names)
+        # each call returns a new group, with no table kept across calls
+        assert build_named_group(name) is not group
+
+
 def test_cyclic_structure():
     c4 = build_named_group("C4")
     g = c4.element("g")
@@ -137,6 +176,23 @@ def test_subgroup_rejects_non_closed():
     s3 = build_named_group("S3")
     with pytest.raises(GroupError):
         Subgroup(s3, (0, 1))  # {1, r} is not closed: r*r = r2 missing
+
+
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_mult_row_reads_the_table(name):
+    g = build_named_group(name)
+    for a in range(g.order):
+        row = g.mult_row(a)
+        assert [row(b) for b in range(g.order)] == [
+            g.mult(a, b) for b in range(g.order)]
+
+
+def test_integer_mult_row_keeps_the_overflow_test():
+    for sign in (1, -1):
+        row = INTEGERS.mult_row(sign * (2**62 - 2))
+        assert row(sign) == INTEGERS.mult(sign * (2**62 - 2), sign)
+        with pytest.raises(GroupError):
+            row(2 * sign)
 
 
 def test_integers_adapter():

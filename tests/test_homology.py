@@ -8,7 +8,8 @@ import pytest
 from bar_complex import b_tensor_dim, bar_basis, bar_differential
 from canonical_module import canonical_regular_module
 from span_oracles import add_tagged, tagged_coefficients
-from term_transport import term_built_differentials
+from term_transport import (degenerate_coordinates, term_built_differentials,
+                            without_degenerate)
 from parh import cli, homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
@@ -276,20 +277,36 @@ def _counted_products(monkeypatch):
     return products
 
 
+def _assert_normalized(cx, v, top, homology_top=None):
+    """cx is the term-built full complex of v through degree ``top`` with
+    its degenerate rows and columns deleted, entry order included, and
+    has the homology of the full complex in degrees 0..homology_top
+    (default top - 1)."""
+    full = term_built_differentials(v, top)
+    degenerate = degenerate_coordinates(v, top)
+    for n, want in without_degenerate(full, degenerate).items():
+        got = cx.diffs[n]
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        # same entries in the same order, so elimination pivots alike
+        assert ([list(col.items()) for col in got.cols]
+                == [list(col.items()) for col in want.cols])
+    dims = {0: full[1].nrows} | {n: d.ncols for n, d in full.items()}
+    ranked = top - 1 if homology_top is None else homology_top
+    assert (_exact_dims(cx, ranked)
+            == _exact_dims(ChainComplex(v.field, dims, full), ranked))
+
+
 @pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
 def test_face_built_differentials_match_term_built(monkeypatch, name):
     products = _counted_products(monkeypatch)
     group = build_named_group(name)
+    # the full homology of order 8 is ranked to degree 1, for time
+    homology_top = 1 if group.order == 8 else 2
     for field in (QQ, GF(2), GF(3)):
         for v in _map_modules(group, field):
             assert v.maps is not None
             cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
-            for n, want in term_built_differentials(v, 3).items():
-                got = cx.diffs[n]
-                assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-                # same entries in the same order, so elimination pivots alike
-                assert ([list(col.items()) for col in got.cols]
-                        == [list(col.items()) for col in want.cols])
+            _assert_normalized(cx, v, 3, homology_top)
             # the identities decided d^2 = 0 with no product, and the
             # products agree on the same matrices
             products.clear()
@@ -339,7 +356,7 @@ def _route_pinned(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("argv", [
+CLI_HOMOLOGY_COMMANDS = [
     "verify corollary-b --group S3 --field Q --max 2",
     "verify corollary-b --group S3 --field F2 --max 2",
     "verify kpar-coeff-vanishing --group S3 --max 2",
@@ -348,7 +365,42 @@ def _route_pinned(monkeypatch):
     "homology partial --group S3 --module W⊗trivial --component 3 --max 2",
     "homology partial --group S3 --module W⊗regular --component 3 --max 2",
     "homology cohomology --group S3 --module W⊗regular --component 1 --max 2",
+]
+
+
+@pytest.mark.parametrize("argv", CLI_HOMOLOGY_COMMANDS + [
+    "verify theorem-a --group S3 --component 5 --rep regular --max 2",
 ])
+def test_cli_homology_assembles_no_degenerate_column(monkeypatch, capsys,
+                                                     argv):
+    # every column handed to the assembly sits at a tuple with no entry
+    # equal to the identity, and every such coordinate is assembled
+    assembled = []
+    modules = []
+    real_complex = homology._transported_complex
+    real_columns = homology._normalized_columns
+
+    def recorded(v_mod, max_n, cap):
+        modules.append(v_mod)
+        return real_complex(v_mod, max_n, cap)
+
+    def spied(faces, kept, *args):
+        assembled.append((modules[-1], len(faces) - 1, kept))
+        return real_columns(faces, kept, *args)
+
+    monkeypatch.setattr(homology, "_transported_complex", recorded)
+    monkeypatch.setattr(homology, "_normalized_columns", spied)
+    assert cli.main(argv.split() + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert assembled
+    for v, n, kept in assembled:
+        degenerate = degenerate_coordinates(v, n)[n]
+        _, dim = _degree_blocks(v.group, _idempotent_supports(v), n, {})
+        assert degenerate and not degenerate.intersection(kept)
+        assert len(kept) + len(degenerate) == dim
+
+
+@pytest.mark.parametrize("argv", CLI_HOMOLOGY_COMMANDS)
 def test_cli_complexes_decide_d2_by_the_simplicial_identities(
         monkeypatch, capsys, argv):
     built = _route_pinned(monkeypatch)
@@ -368,9 +420,92 @@ def test_modules_that_are_not_maps_check_d2_by_products(monkeypatch):
         cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
         assert not products
         assert cx.d2_zero() and len(products) == 2
-        for n, want in term_built_differentials(v, 3).items():
-            assert ([list(col.items()) for col in cx.diffs[n].cols]
-                    == [list(col.items()) for col in want.cols])
+        _assert_normalized(cx, v, 3)
+
+
+def _identity_checks(monkeypatch):
+    """(degree, dimension, lower dimension) of every call of the identity
+    check from now on, with its verdict."""
+    calls = []
+    real = homology._simplicial_identities_hold
+
+    def recorded(faces, degens, *args):
+        verdict = real(faces, degens, *args)
+        calls.append((len(faces) - 1, len(faces[0]), len(degens[0]), verdict))
+        return verdict
+
+    monkeypatch.setattr(homology, "_simplicial_identities_hold", recorded)
+    return calls
+
+
+def test_every_identity_is_checked_through_max_plus_one(monkeypatch):
+    # partial_homology to degree m builds degrees 1..m+1; each is checked
+    # on all of its coordinates, degenerate ones included
+    calls = _identity_checks(monkeypatch)
+    s3 = build_named_group("S3")
+    character = _c3_character()
+    for v in (*_map_modules(s3, GF(3)), character, dual_module(character),
+              _sign_twisted_b(s3)):
+        calls.clear()
+        partial_homology(v.group, v, max_degree=2)
+        full = {n: _degree_blocks(v.group, _idempotent_supports(v), n, {})[1]
+                for n in range(4)}
+        assert calls == [(n, full[n], full[n - 1], True) for n in (1, 2, 3)]
+
+
+def _shifted_degeneracy(monkeypatch):
+    """Make s_0 insert the identity one position off, after x_1."""
+    real = homology._degeneracies
+
+    def shifted(n, blocks, lo_blocks):
+        degens = real(n, blocks, lo_blocks)
+        if n >= 2:
+            degens[0] = real(n, blocks, lo_blocks)[1]
+        return degens
+
+    monkeypatch.setattr(homology, "_degeneracies", shifted)
+
+
+def test_a_failed_identity_is_loud(monkeypatch):
+    _shifted_degeneracy(monkeypatch)
+    s3 = build_named_group("S3")
+    for v in (b_module(s3, QQ), regular_module(s3, GF(3)), _sign_twisted_b(s3)):
+        with pytest.raises(RuntimeError, match="simplicial identity fails"):
+            _transported_complex(v, 2, HOMOLOGY_SIZE_CAP)
+
+
+def test_a_matrix_face_is_checked_against_the_degeneracies(monkeypatch):
+    # negate d_0 at the first coordinate of degree 2, the tuple (1, 1),
+    # which is s_0 and s_1 of a coordinate of degree 1: d_0 s_0 = id fails
+    real = homology._faces
+
+    def negated(v_mod, n, blocks, lo_blocks):
+        faces = real(v_mod, n, blocks, lo_blocks)
+        if n == 2:
+            faces[0][0] = {r: -v for r, v in faces[0][0].items()}
+        return faces
+
+    monkeypatch.setattr(homology, "_faces", negated)
+    with pytest.raises(RuntimeError, match="simplicial identity fails at "
+                                           "degree 2"):
+        _transported_complex(_sign_twisted_b(build_named_group("S3")), 2,
+                             HOMOLOGY_SIZE_CAP)
+
+
+def test_a_contraction_off_by_one_is_loud(monkeypatch):
+    # contract x_2 x_3 where d_1 should contract x_1 x_2, in degree 3
+    real = homology._faces
+
+    def off(v_mod, n, blocks, lo_blocks):
+        faces = real(v_mod, n, blocks, lo_blocks)
+        if n == 3:
+            faces[1] = faces[2]
+        return faces
+
+    monkeypatch.setattr(homology, "_faces", off)
+    with pytest.raises(RuntimeError, match="simplicial identity fails"):
+        _transported_complex(b_module(build_named_group("S3"), GF(2)), 3,
+                             HOMOLOGY_SIZE_CAP)
 
 
 def test_dual_of_a_non_injective_map_is_no_map():
@@ -431,8 +566,11 @@ def test_transported_equals_bar_for_idempotent_module(name, field):
     cx = _transported_complex(bm, 3, HOMOLOGY_SIZE_CAP)
     supports = _idempotent_supports(bm)
     subsets = _subsets(group)
+    degenerate = degenerate_coordinates(bm, 3)
+    normalized = without_degenerate(
+        {n: bar_differential(group, n, field) for n in (1, 2, 3)}, degenerate)
     for n in (1, 2, 3):
-        bar = bar_differential(group, n, field)
+        bar = normalized[n]
         eng = cx.diffs[n]
         assert (bar.nrows, bar.ncols) == (eng.nrows, eng.ncols)
         assert bar.entries == eng.entries
@@ -442,7 +580,7 @@ def test_transported_equals_bar_for_idempotent_module(name, field):
         for xs, (offset, block) in blocks.items():
             assert offset == len(coords)
             coords.extend((xs, j) for j in range(len(block)))
-        assert len(coords) == dim == eng.ncols
+        assert len(coords) == dim == eng.ncols + len(degenerate[n])
         for k, (xs, j) in enumerate(coords):
             a_bar, xs_bar = bar_basis(group, n)[k]
             qualifying = [a for a in subsets
@@ -1220,6 +1358,22 @@ def test_non_integral_entry_takes_the_exact_ranks(monkeypatch):
     fields = _ranked_fields(monkeypatch)
     assert cx.homology_dims(2) == want == [0, 0, 0]
     assert fields == [QQ] * 3
+
+
+def test_one_fraction_in_the_top_differential_takes_the_exact_ranks(
+        monkeypatch):
+    # the entries are reduced mod p in one pass that stops at the first
+    # entry that is not an int; the ranks then run over Q
+    rng = random.Random(36)
+    cx = _koszul([rng.randint(1, 9) for _ in range(3)])
+    top = cx.diffs[3]
+    r = next(iter(top.cols[0]))
+    top.cols[0][r] = Fraction(top.cols[0][r])    # same value, not an int
+    want = _exact_dims(cx, 2)
+    fields = _ranked_fields(monkeypatch)
+    assert cx.homology_dims(2) == want == [0, 0, 0]
+    assert homology._mod_prime(top) is None
+    assert fields[-3:] == [QQ] * 3 and len(fields) == 5
 
 
 def test_degree_zero_alone_is_ranked_exactly(monkeypatch):
