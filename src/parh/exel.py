@@ -7,6 +7,14 @@ and the idempotent lattice are all explicit on canonical forms, and the
 linearization K S(G) is the partial group algebra once [1] is identified
 with the unit, which the canonical form already does.
 
+An algebra element stores its terms as one dict ``{(key, g): c}``, key
+the subset key of A (an int mask on a finite group, a frozenset on the
+integers; the group's codec in ``parh.groups``).  :class:`SElement` is
+the canonical pair as a value, with sorted members: the constructors
+convert it to ``(key, g)`` once, and ``support``, ``render`` and the
+``coeffs`` view decode keys back into pairs, so every printed order is
+that of the pairs.
+
 Products follow the direct rule on canonical pairs.  The crossed-product
 model that validates it, with the idempotent-twisting rule coded
 independently, is an oracle and lives with the tests
@@ -14,18 +22,17 @@ independently, is an oracle and lives with the tests
 
 Every product of algebra elements runs through one kernel,
 :func:`_sum_of_products`: for a list of pairs (x_i, y_i) it applies the
-rule of :func:`s_mul` to each pair of terms on subset keys (an int mask
-on a finite group, a frozenset on the integers; the group's codec in
-``parh.groups``), sums every x_i y_i into one dict on ``(key, g)`` as
-``linalg.accumulate`` does, and builds one :class:`SElement` per
-surviving key.  A single product :func:`_product` is its one-pair case.
-``s_mul`` stays on member tuples, the single-pair rule and the kernel's
-test oracle.
+rule of :func:`s_mul` to each pair of terms on their keys and sums every
+x_i y_i into one dict on ``(key, g)`` as ``linalg.accumulate`` does; that
+dict is the result.  A single product :func:`_product` is its one-pair
+case.  ``s_mul`` stays on member tuples, the single-pair rule and the
+kernel's test oracle.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable
@@ -62,14 +69,20 @@ class SElement:
     >>> x.members, x == y, hash(x) == hash(y)
     ((-1, 0, 3), True, True)
 
-    ``key`` is the member set's subset key (``group.subset_key``), which
-    the product kernel unites and translates.  It is made on first use,
-    or set by the kernel that decoded ``members`` from it, so code that
-    never multiplies pays nothing; hash and equality stay on
-    ``(members, g)``.
+    A pair is the value that is parsed, printed and sorted (``sort_key``)
+    and the operand of the oracle ``s_mul``.  An algebra element does not
+    hold pairs: it stores ``(group.subset_key(members), g)``, made by
+    :func:`_pair_key` when the element is built, and decodes its keys into
+    pairs only to list or print them:
+
+    >>> from parh.groups import build_named_group
+    >>> c3 = build_named_group("C3")
+    >>> x = PartialGroupAlgebra(c3).monomial(SElement(c3, (2,), 1))
+    >>> x.terms, x.support()
+    ({(7, 1): 1}, [e{g2}[g]])
     """
 
-    __slots__ = ("group", "members", "g", "_hash", "_key")
+    __slots__ = ("group", "members", "g", "_hash")
 
     def __init__(self, group, members: Iterable[int], g: int) -> None:
         e = group.identity_index
@@ -78,7 +91,6 @@ class SElement:
         self.g = g
         self.members = members
         self._hash = hash((id(group), members, g))
-        self._key = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -94,18 +106,8 @@ class SElement:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def key(self):
-        key = self._key
-        if key is None:
-            self._key = key = self.group.subset_key(self.members)
-        return key
-
     def sort_key(self):
         return (len(self.members), self.members, self.g)
-
-    def is_idempotent(self) -> bool:
-        return self.g == self.group.identity_index
 
     def star(self) -> "SElement":
         """(A, g) -> (g^-1 A, g^-1); g^-1 A holds g^-1 and 1 already."""
@@ -126,22 +128,26 @@ class SElement:
         return self.render()
 
 
-def _canonical_pair(group, members: tuple[int, ...], g: int,
-                    key=None) -> SElement:
-    """The pair (members, g), adopting ``members`` as it is, and ``key``
-    as its subset key if given.
+def _canonical_pair(group, members: tuple[int, ...], g: int) -> SElement:
+    """The pair (members, g), adopting ``members`` as it is.
 
     Precondition, not checked: ``members`` is a sorted tuple that holds
-    the identity and g, and ``key`` is None or its key.  Callers outside
-    this package use ``SElement``.
+    the identity and g.  Callers outside this package use ``SElement``.
     """
     s = object.__new__(SElement)
     s.group = group
     s.g = g
     s.members = members
     s._hash = hash((id(group), members, g))
-    s._key = key
     return s
+
+
+def _pair_key(group, s: SElement) -> tuple:
+    """The storage key ``(subset key of A, g)`` of the pair s = (A, g);
+    GroupError (a ValueError) if s is a pair of another group."""
+    if s.group is not group:
+        raise GroupError("pair from a different group")
+    return group.subset_key(s.members), s.g
 
 
 def s_mul(x: SElement, y: SElement) -> SElement:
@@ -165,18 +171,18 @@ def s_mul(x: SElement, y: SElement) -> SElement:
 def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
     """The sum of x * y over ``pairs`` in the partial group algebra.
 
-    Each pair of terms gives the canonical pair of ``s_mul`` as a plain
-    ``(key, g)``, on the subset keys of ``SElement.key``: the key of
-    A union gB is ``lk | rk`` when g = 1 and ``lk | translate(rk)``
-    otherwise, ``translate`` being ``group.key_translator(g)``, and gh
-    comes from ``group.mult_row(g)``, fetched with it once per left term,
-    so the group's overflow checks apply.  The keys of all the products
-    are summed in one dict, with the reduction mod p and the
-    drop-on-cancel order of ``accumulate``, and one SElement is built
-    per surviving key, its members decoded, so the result equals
-    the term-by-term sum of ``s_mul`` products.  Every operand must lie in
-    the algebra of ``group`` and ``field`` (ValueError if not); a pair
-    with a zero operand adds nothing.
+    Each pair of terms ``(lk, g)``, ``(rk, h)`` gives the canonical pair of
+    ``s_mul`` as a plain ``(key, g)``: the key of A union gB is
+    ``lk | rk`` when g = 1 and ``lk | translate(rk)`` otherwise,
+    ``translate`` being ``group.key_translator(g)``, and gh comes from
+    ``group.mult_row(g)``, fetched with it once per left term, so the
+    group's overflow checks apply.  The keys of all the products are
+    summed in one dict, with the reduction mod p and the drop-on-cancel
+    order of ``accumulate``, and that dict is the result's storage, so
+    the result equals the term-by-term sum of ``s_mul`` products with no
+    key decoded.  Every operand must lie in the algebra of ``group`` and
+    ``field`` (ValueError if not); a pair with a zero operand adds
+    nothing.
     """
     ref = AlgebraElement._of_clean(group, field, {})
     e = group.identity_index
@@ -187,16 +193,15 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
     for x, y in pairs:
         ref._check(x)
         ref._check(y)
-        if not x.coeffs or not y.coeffs:
+        if not x.terms or not y.terms:
             continue
-        right = [(t.key, t.g, d) for t, d in y.coeffs.items()]
-        for s, c in x.coeffs.items():
-            g, lk = s.g, s.key
+        right = y.terms.items()
+        for (lk, g), c in x.terms.items():
             if g == e:
                 translate = None
             else:
                 translate, times = translator(g), mult_row(g)
-            for rk, h, d in right:
+            for (rk, h), d in right:
                 if translate is None:
                     key = (lk | rk, h)
                 else:
@@ -209,10 +214,7 @@ def _sum_of_products(group, field: Field, pairs) -> "AlgebraElement":
                     sums[key] = v
                 else:
                     del sums[key]
-    decode = group.key_decoder()
-    return AlgebraElement._of_clean(group, field, {
-        _canonical_pair(group, decode(key), g, key): c
-        for (key, g), c in sums.items()})
+    return AlgebraElement._of_clean(group, field, sums)
 
 
 def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
@@ -220,40 +222,74 @@ def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
     return _sum_of_products(x.group, x.field, ((x, y),))
 
 
-def s_generator(group, g) -> SElement:
-    """The generator [g] as the canonical pair ({1, g}, g)."""
-    return SElement(group, (), _gidx(group, g))
+class PairCoefficients(Mapping):
+    """The coefficients of an element keyed by canonical pair: a read-only
+    view of its terms that decodes a key only when it is read, so that
+    ``len`` and truth cost nothing."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x: "AlgebraElement") -> None:
+        self._x = x
+
+    def __len__(self) -> int:
+        return len(self._x.terms)
+
+    def __iter__(self):
+        group = self._x.group
+        decode = group.key_decoder()
+        return (_canonical_pair(group, decode(key), g)
+                for key, g in self._x.terms)
+
+    def __getitem__(self, s) -> Scalar:
+        x = self._x
+        if isinstance(s, SElement) and s.group is x.group:
+            c = x.terms.get(_pair_key(x.group, s))
+            if c is not None:
+                return c
+        raise KeyError(s)
 
 
 class AlgebraElement:
     """A finite K-linear combination of canonical pairs.
 
+    ``terms`` maps ``(key, g)`` to a nonzero coefficient, key the subset
+    key of the pair's member set; ``coeffs`` is the same combination keyed
+    by :class:`SElement`, read off ``terms``.  The constructor takes the
+    pairs of ``group`` (GroupError, a ValueError, for a pair of another
+    group) and coerces their coefficients.
+
     Supports +, -, scalar and algebra multiplication, the star involution,
     and the augmentation onto the idempotent subalgebra B.
     """
 
-    __slots__ = ("group", "field", "coeffs")
+    __slots__ = ("group", "field", "terms")
 
     def __init__(self, group, field: Field, coeffs: dict[SElement, Scalar] | None = None) -> None:
         self.group = group
         self.field = field
-        self.coeffs: dict[SElement, Scalar] = {}
+        self.terms: dict[tuple, Scalar] = {}
         if coeffs:
             for s, c in coeffs.items():
+                key = _pair_key(group, s)
                 c = field.of(c)
                 if c:
-                    self.coeffs[s] = c
+                    self.terms[key] = c
 
     @classmethod
-    def _of_clean(cls, group, field: Field,
-                  coeffs: dict[SElement, Scalar]) -> "AlgebraElement":
-        """Adopt coefficients that are already in ``field`` and nonzero, as
-        ``linalg.accumulate`` produces them, without checking again."""
+    def _of_clean(cls, group, field: Field, terms: dict) -> "AlgebraElement":
+        """Adopt ``(key, g)`` terms whose coefficients are already in
+        ``field`` and nonzero, as ``linalg.accumulate`` produces them,
+        without checking again."""
         x = object.__new__(cls)
         x.group = group
         x.field = field
-        x.coeffs = coeffs
+        x.terms = terms
         return x
+
+    @property
+    def coeffs(self) -> PairCoefficients:
+        return PairCoefficients(self)
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.group is not other.group or (self.field is not other.field
@@ -262,16 +298,16 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        coeffs = accumulate(self.field, chain(self.coeffs.items(),
-                                              other.coeffs.items()))
-        return AlgebraElement._of_clean(self.group, self.field, coeffs)
+        terms = accumulate(self.field, chain(self.terms.items(),
+                                             other.terms.items()))
+        return AlgebraElement._of_clean(self.group, self.field, terms)
 
     def _negated_terms(self):
-        """The terms (s, -c); over F_p, -c of a nonzero c is p - c."""
+        """The terms (k, -c); over F_p, -c of a nonzero c is p - c."""
         p = self.field.char
         if p:
-            return ((s, p - c) for s, c in self.coeffs.items())
-        return ((s, -c) for s, c in self.coeffs.items())
+            return ((k, p - c) for k, c in self.terms.items())
+        return ((k, -c) for k, c in self.terms.items())
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._of_clean(self.group, self.field,
@@ -279,14 +315,16 @@ class AlgebraElement:
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        coeffs = accumulate(self.field, chain(self.coeffs.items(),
-                                              other._negated_terms()))
-        return AlgebraElement._of_clean(self.group, self.field, coeffs)
+        terms = accumulate(self.field, chain(self.terms.items(),
+                                             other._negated_terms()))
+        return AlgebraElement._of_clean(self.group, self.field, terms)
 
     def scale(self, c) -> "AlgebraElement":
         f = self.field
         c = f.of(c)
-        return AlgebraElement(self.group, f, {s: f.mul(c, v) for s, v in self.coeffs.items()})
+        terms = {k: f.of(f.mul(c, v))
+                 for k, v in self.terms.items()} if c else {}
+        return AlgebraElement._of_clean(self.group, f, terms)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -296,23 +334,27 @@ class AlgebraElement:
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.group, self.field, {s.star(): c for s, c in self.coeffs.items()}
-        )
+        """(A, g) -> (g^-1 A, g^-1) on every term, a bijection of keys."""
+        grp = self.group
+        terms = {}
+        for (key, g), c in self.terms.items():
+            gi = grp.inv(g)
+            terms[(grp.key_translator(gi)(key), gi)] = c
+        return AlgebraElement._of_clean(grp, self.field, terms)
 
     def augmentation(self) -> "AlgebraElement":
         """Project onto B by flattening each (A, g) to (A, 1)."""
         e = self.group.identity_index
-        coeffs = accumulate(self.field, (
-            (_canonical_pair(self.group, s.members, e), c)
-            for s, c in self.coeffs.items()))
-        return AlgebraElement._of_clean(self.group, self.field, coeffs)
+        terms = accumulate(self.field, (
+            ((key, e), c) for (key, _), c in self.terms.items()))
+        return AlgebraElement._of_clean(self.group, self.field, terms)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_in_b(self) -> bool:
-        return all(s.is_idempotent() for s in self.coeffs)
+        e = self.group.identity_index
+        return all(g == e for _, g in self.terms)
 
     def support(self) -> list[SElement]:
         return sorted(self.coeffs, key=SElement.sort_key)
@@ -322,19 +364,21 @@ class AlgebraElement:
             isinstance(other, AlgebraElement)
             and self.group is other.group
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.field, frozenset(self.coeffs.items())))
+        return hash((id(self.group), self.field,
+                     frozenset(self.terms.items())))
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         f = self.field
+        coeffs = self.coeffs
         parts: list[str] = []
         for s in self.support():
-            c = self.coeffs[s]
+            c = coeffs[s]
             body = s.render()
             negative = f.char == 0 and c < 0
             mag = -c if negative else c
@@ -380,21 +424,30 @@ class PartialGroupAlgebra:
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self.group, self.field)
 
+    def _unit_term(self, members: tuple, g: int) -> AlgebraElement:
+        """The pair (members, g) with coefficient 1; ``members`` holds the
+        identity and g."""
+        key = self.group.subset_key(members)
+        return AlgebraElement._of_clean(self.group, self.field,
+                                        {(key, g): self.field.one})
+
     def one(self) -> AlgebraElement:
-        s = SElement(self.group, (), self.group.identity_index)
-        return AlgebraElement(self.group, self.field, {s: self.field.one})
+        e = self.group.identity_index
+        return self._unit_term((e,), e)
 
     def monomial(self, s: SElement, c=1) -> AlgebraElement:
-        return AlgebraElement(self.group, self.field, {s: self.field.of(c)})
+        return AlgebraElement(self.group, self.field, {s: c})
 
     def bracket(self, g) -> AlgebraElement:
         """The generator [g]."""
-        return self.monomial(s_generator(self.group, g))
+        gi = _gidx(self.group, g)
+        return self._unit_term((self.group.identity_index, gi), gi)
 
     def idem(self, g) -> AlgebraElement:
         """The idempotent e_g = [g][g^-1]."""
         gi = _gidx(self.group, g)
-        return self.monomial(SElement(self.group, (gi,), self.group.identity_index))
+        e = self.group.identity_index
+        return self._unit_term((e, gi), e)
 
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.group, self.field, terms)
@@ -458,8 +511,7 @@ class PartialGroupAlgebra:
         keys = self.subset_keys()
 
         def terms():
-            for s, c in x.coeffs.items():
-                need = s.key
+            for (need, _), c in x.terms.items():
                 for k, a in enumerate(keys):
                     if a & need == need:
                         yield k, c
@@ -476,12 +528,12 @@ class PartialGroupAlgebra:
         """
         group, f = self.group, self.field
         e = group.identity_index
-        key_of, decode = group.subset_key, group.key_decoder()
+        key_of = group.subset_key
         base = key_of({_gidx(group, i) for i in inside} | {e})
         rest = sorted({_gidx(group, o) for o in outside})
         signs = (f.one, f.neg(f.one))
         terms = accumulate(f, (
-            (_canonical_pair(group, decode(key), e, key), signs[k % 2])
+            ((key, e), signs[k % 2])
             for k in range(len(rest) + 1)
             for key in (base | key_of(t) for t in combinations(rest, k))))
         return AlgebraElement._of_clean(group, f, terms)

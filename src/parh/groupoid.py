@@ -59,6 +59,11 @@ class Groupoid:
         a, g = arrow
         return translate(self.group, g, a)
 
+    @cached_property
+    def vertex_key(self) -> dict[Vertex, int]:
+        """The subset key (``group.subset_key``) of each vertex."""
+        return {v: self.group.subset_key(v) for v in self.vertices}
+
     def __repr__(self) -> str:
         return (
             f"groupoid of {self.group.name}: "
@@ -256,18 +261,21 @@ def lambda_map(groupoid: Groupoid, x: AlgebraElement, vertices=None) -> ArrowSum
     A canonical pair (A, g) goes to the sum of arrows (D, g) over all
     vertices D in the chosen vertex set containing g^-1 A.  With
     ``vertices=None`` this is the full map; restricting the vertex set to
-    one component gives the component map.
+    one component gives the component map.  Containment is read on
+    subset keys: D holds the mask ``need`` of g^-1 A iff
+    ``key(D) & need == need``.
     """
     grp = groupoid.group
     verts = groupoid.vertices if vertices is None else vertices
+    vertex_key = groupoid.vertex_key
+    keyed = [(vertex_key[d], d) for d in verts]
 
     def terms():
-        for s, c in x.coeffs.items():
-            gi = grp.inv(s.g)
-            need = {grp.mult(gi, m) for m in s.members}
-            for d in verts:
-                if need.issubset(d):
-                    yield (d, s.g), c
+        for (key, g), c in x.terms.items():
+            need = grp.key_translator(grp.inv(g))(key)
+            for vk, d in keyed:
+                if vk & need == need:
+                    yield (d, g), c
 
     return ArrowSum(groupoid, x.field, accumulate(x.field, terms()))
 
@@ -831,9 +839,9 @@ def section6_report(comp: Component, field: Field = QQ) -> dict:
     units = {a: arrow_unit(gd, a, field) for a in comp.arrows}
 
     def lift(y: ArrowSum) -> AlgebraElement:
-        return algebra.element(accumulate(field, (
-            (s, c * v) for a, c in y.coeffs.items()
-            for s, v in lifts[a].coeffs.items())))
+        return AlgebraElement._of_clean(grp, field, accumulate(field, (
+            (k, c * v) for a, c in y.coeffs.items()
+            for k, v in lifts[a].terms.items())))
 
     arrows = comp.arrows
     base = comp.base

@@ -171,10 +171,10 @@ def _check_commuting_idempotents(es: Sequence[AlgebraElement]) -> None:
 
 def _is_monomial_idempotent(x: AlgebraElement) -> bool:
     """Whether x is one term (A, 1) with coefficient 1."""
-    if len(x.coeffs) != 1:
+    if len(x.terms) != 1:
         return False
-    (s, c), = x.coeffs.items()
-    return c == x.field.one and s.is_idempotent()
+    ((_, g), c), = x.terms.items()
+    return c == x.field.one and g == x.group.identity_index
 
 
 def _times(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -596,15 +596,12 @@ def ig_decompose(x: AlgebraElement) -> dict[int, AlgebraElement]:
         raise ValueError("element has nonzero augmentation")
     group, f = x.group, x.field
     e = group.identity_index
-    out: dict[int, AlgebraElement] = {}
-    for s, c in x.coeffs.items():
-        if s.g == e:
-            continue
-        flat = _canonical_pair(group, s.members, e)
-        b = out.get(s.g)
-        term = AlgebraElement(group, f, {flat: c})
-        out[s.g] = term if b is None else b + term
-    out = {g: b for g, b in out.items() if not b.is_zero()}
+    flats: dict[int, dict] = {}
+    for (key, g), c in x.terms.items():
+        if g != e:
+            flats.setdefault(g, {})[(key, e)] = c
+    out = {g: AlgebraElement._of_clean(group, f, terms)
+           for g, terms in flats.items()}
     total = _sum_of_products(group, f, (
         (b, f_element(group.element(g) if group is not INTEGERS else g, f))
         for g, b in out.items()))
@@ -645,10 +642,10 @@ def _scalar_augmentation(b: AlgebraElement) -> Scalar:
     if not b.is_in_b():
         raise ValueError("element is not in the idempotent subalgebra")
     f = b.field
-    e = b.group.identity_index
+    unit = b.group.subset_key((b.group.identity_index,))
     total = f.zero
-    for s, c in b.coeffs.items():
-        if s.members == (e,):
+    for (key, _), c in b.terms.items():
+        if key == unit:
             total = f.add(total, c)
     return total
 
@@ -670,24 +667,29 @@ def _window_members(rng: Random, group, bound: int) -> tuple[int, ...]:
     return tuple(rng.sample(pool, size))
 
 
+def _random_b_key(rng: Random, group, bound: int) -> tuple:
+    """The storage key ``(subset key of A, 1)`` of a random pair (A, 1),
+    A drawn by ``_window_members`` with 1 adjoined."""
+    e = group.identity_index
+    return group.subset_key((e, *_window_members(rng, group, bound))), e
+
+
 def random_b_element(rng: Random, group=INTEGERS, field: Field = QQ,
                      bound: int = 3, terms: int = 2) -> AlgebraElement:
     """A small random element of the idempotent subalgebra."""
-    e = group.identity_index
     monomials = []
     for _ in range(rng.randint(0, terms)):
-        s = SElement(group, _window_members(rng, group, bound), e)
-        monomials.append((s, field.of(rng.randint(-2, 2))))
+        key = _random_b_key(rng, group, bound)
+        monomials.append((key, field.of(rng.randint(-2, 2))))
     return AlgebraElement._of_clean(group, field, accumulate(field, monomials))
 
 
 def random_b_idempotent(rng: Random, group=INTEGERS, field: Field = QQ,
                         bound: int = 3) -> AlgebraElement:
     """A random idempotent of B: a combination of monomial idempotents."""
-    algebra = PartialGroupAlgebra(group, field)
-    e = group.identity_index
     monos = [
-        algebra.monomial(SElement(group, _window_members(rng, group, bound), e))
+        AlgebraElement._of_clean(group, field, {
+            _random_b_key(rng, group, bound): field.one})
         for _ in range(rng.randint(1, 2))
     ]
     return combine_idempotents(monos)

@@ -5,9 +5,10 @@ basis of the subset groupoid.  This is the construction it replaced, kept
 as an oracle for it.  Its idempotents e_x = [x][x^-1] are not diagonal.
 """
 
-from parh.exel import PartialGroupAlgebra, s_generator, s_mul
+from parh.exel import PartialGroupAlgebra, s_mul
 from parh.groupoid import PartialRepModule
 from parh.linalg import QQ, SparseMatrix
+from twisted_product import s_generator
 
 
 def canonical_regular_module(group, field=QQ):

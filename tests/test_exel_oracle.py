@@ -11,10 +11,11 @@ import random
 
 import pytest
 
-from parh.exel import PartialGroupAlgebra, s_generator, s_mul
+from parh.exel import PartialGroupAlgebra, s_mul
 from parh.groups import build_named_group
 from twisted_product import (as_skew, evaluate_word, evaluate_word_skew,
-                             skew_generator, skew_mul, skew_star)
+                             s_generator, skew_generator, skew_mul,
+                             skew_star)
 
 
 def all_pairs(group):

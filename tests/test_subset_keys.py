@@ -7,6 +7,7 @@ translate through ``Integers.translate``.  Both codecs are checked against
 groups past order 8, whose tables come in runs of 8 bits.  The mask
 routes of ``primitive_vector`` and ``_bracket_tables`` are compared with
 their tuple routes (``tests/subset_routes.py``) on every component.
+Algebra elements store ``(key, g)`` and refuse a pair of another group.
 """
 
 import random
@@ -14,11 +15,14 @@ from itertools import combinations
 
 import pytest
 
-from parh.exel import PartialGroupAlgebra, SElement
+from parh import exel
+from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groupoid import _bracket_tables, build_groupoid, components, tilde_pi
 from parh.groups import (INTEGERS, NAMED_GROUP_NAMES, FiniteGroup, GroupError,
-                         build_named_group, translate)
+                         Integers, build_named_group, translate)
 from parh.linalg import GF, QQ
+from parh.zcase import (cancellation_decompose, ig_decompose,
+                        random_cancellation_instance, random_ig_element)
 from subset_routes import tuple_bracket_tables, tuple_primitive_vector
 
 
@@ -78,15 +82,54 @@ def test_integer_codec():
         INTEGERS.key_translator(-2**62 + 1)(key)
 
 
-def test_key_is_lazy_and_kept():
+def test_elements_store_subset_keys():
     group = build_named_group("C4")
+    algebra = PartialGroupAlgebra(group)
     s = SElement(group, (2,), 1)
-    assert s._key is None
-    assert s.key == 0b111 and s._key == 0b111
-    product = PartialGroupAlgebra(group).bracket(1) * PartialGroupAlgebra(
-        group).idem(3)
+    assert algebra.monomial(s).terms == {(0b111, 1): 1}
+    # [1] e_3 = ({0, 1} | 1 + {0, 3}, 1) = ({0, 1}, 1): a mask in storage,
+    # a pair in the view
+    product = algebra.bracket(1) * algebra.idem(3)
+    assert product.terms == {(0b11, 1): 1}
     (pair,) = product.coeffs
-    assert pair._key == group.subset_key(pair.members)
+    assert pair == SElement(group, (0,), 1)
+    assert product.coeffs[pair] == 1 and len(product.coeffs) == 1
+    z = PartialGroupAlgebra(INTEGERS).monomial(SElement(INTEGERS, (3,), -1))
+    assert z.terms == {(frozenset({-1, 0, 3}), -1): 1}
+
+
+def test_products_and_samplers_decode_no_key(monkeypatch):
+    # `z cancellation`'s sampler and decomposition and the ideal
+    # decomposition run on keys alone: no pair is made, no key decoded
+    def unreachable(*args):
+        raise AssertionError("a pair was made or a key decoded")
+
+    s3 = build_named_group("S3")
+    ig = [random_ig_element(random.Random(seed)) for seed in range(5)]
+    monkeypatch.setattr(exel, "_canonical_pair", unreachable)
+    monkeypatch.setattr(SElement, "__init__", unreachable)
+    monkeypatch.setattr(Integers, "key_decoder", unreachable)
+    monkeypatch.setattr(s3, "key_decoder", unreachable)
+    for group, field in ((INTEGERS, QQ), (s3, GF(3))):
+        rng = random.Random(5)
+        for k in (1, 3, 5):
+            cancellation_decompose(*random_cancellation_instance(
+                rng, k, group, field, 3))
+    for x in ig:
+        ig_decompose(x)
+
+
+@pytest.mark.parametrize("make", ["constructor", "monomial", "element"])
+@pytest.mark.parametrize("home, stranger", [("C3", "S3"), ("Z", "S3")])
+def test_pairs_of_another_group_are_refused(make, home, stranger):
+    group = INTEGERS if home == "Z" else build_named_group(home)
+    algebra = PartialGroupAlgebra(group)
+    s = SElement(build_named_group(stranger), (4,), 0)
+    build = {"constructor": lambda: AlgebraElement(group, QQ, {s: 1}),
+             "monomial": lambda: algebra.monomial(s),
+             "element": lambda: algebra.element({s: 1})}[make]
+    with pytest.raises(ValueError, match="different group"):
+        build()
 
 
 @pytest.mark.parametrize("name", NAMED_GROUP_NAMES)

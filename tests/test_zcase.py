@@ -183,7 +183,7 @@ def _counted_products(monkeypatch):
 
 def _is_monomial_idempotent(x):
     return (len(x.coeffs) == 1 and list(x.coeffs.values()) == [1]
-            and next(iter(x.coeffs)).is_idempotent())
+            and next(iter(x.coeffs)).g == x.group.identity_index)
 
 
 def test_idempotents_in_b_are_squared_only(monkeypatch):
@@ -332,28 +332,43 @@ def test_cancellation_sampler_is_deterministic():
 # sha256 of the rendered instances that `z cancellation` draws, pinned when
 # the sampler formed r_i and its own check by repeated `+` of products:
 # the default settings (200 instances, seed 0), the benchmark's (100
-# instances) at three seeds, and two finite rings
+# instances) at three seeds, and four finite rings (C3 over F5 and S3
+# over F2 pinned while elements were still stored on canonical pairs);
+# with the generator's next 64 bits, so that every draw is made in order
 _SAMPLER_DIGESTS = [
     ("Z", QQ, 200, 0,
-     "5c65fdc2c7c4b2accc9650b55a99d545b559c567e504500eabfb3cad9ac2ee0b"),
+     "5c65fdc2c7c4b2accc9650b55a99d545b559c567e504500eabfb3cad9ac2ee0b",
+     2207648314819559626),
     ("Z", QQ, 100, 1,
-     "e306cd7843b57e32505c7126bdf8cdfa4fc5ddc90ba9011327593d8472c13ac7"),
+     "e306cd7843b57e32505c7126bdf8cdfa4fc5ddc90ba9011327593d8472c13ac7",
+     17349321140732387568),
     ("Z", QQ, 100, 2,
-     "44b4d802447e5fc51878c7a13f4e3fcdfea0d4eadb6547b44a20ac6fc8c352b0"),
+     "44b4d802447e5fc51878c7a13f4e3fcdfea0d4eadb6547b44a20ac6fc8c352b0",
+     5146568726808259161),
     ("Z", QQ, 100, 1234567,
-     "909c56ee257dfcbf400ebec10ff644019ec1acc4b8e70fa10b33bc9b4cbc23fe"),
+     "909c56ee257dfcbf400ebec10ff644019ec1acc4b8e70fa10b33bc9b4cbc23fe",
+     16533564134087047313),
     ("S3", GF(3), 50, 0,
-     "e33833cba1794225fda521ad280a1c8020e6d4de12e33893b9cc1e339e92109f"),
+     "e33833cba1794225fda521ad280a1c8020e6d4de12e33893b9cc1e339e92109f",
+     15941490969506864475),
     ("C4", GF(2), 50, 7,
-     "d0b1dd2935802f65b2a2ce4a817187a5897b4f1c8caf6ebdf1f897c07f6ef3bc"),
+     "d0b1dd2935802f65b2a2ce4a817187a5897b4f1c8caf6ebdf1f897c07f6ef3bc",
+     698587888996042957),
+    ("C3", GF(5), 50, 2,
+     "1f268dc0b3bdd0d72cc4e4f9525b2d6eeac08a7a94b7e430cded3e3711451e00",
+     6135562333911229234),
+    ("S3", GF(2), 30, 3,
+     "53ad490a33ffcdbb25460813bff032cadc3c78a33f618883e517df3ed5eeb605",
+     17722996555635990358),
 ]
 
 
-@pytest.mark.parametrize("ring, field, count, seed, digest", _SAMPLER_DIGESTS,
+@pytest.mark.parametrize("ring, field, count, seed, digest, after",
+                         _SAMPLER_DIGESTS,
                          ids=[f"{r}-{f.name}-{c}-{s}"
-                              for r, f, c, s, _ in _SAMPLER_DIGESTS])
+                              for r, f, c, s, _, _ in _SAMPLER_DIGESTS])
 def test_cancellation_sampler_draws_are_pinned(ring, field, count, seed,
-                                               digest):
+                                               digest, after):
     # the draws of `z cancellation --ring R --count N --seed S` (max-k 5,
     # bound 3), which the command's output does not show
     group = INTEGERS if ring == "Z" else build_named_group(ring)
@@ -366,6 +381,7 @@ def test_cancellation_sampler_draws_are_pinned(ring, field, count, seed,
             h.update(x.render().encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == digest
+    assert rng.getrandbits(64) == after
 
 
 # ---------------------------------------------------------------------------

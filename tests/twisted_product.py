@@ -9,8 +9,13 @@ coefficients through the partial translations, and shares no code with
 
 from functools import reduce
 
-from parh.exel import SElement, _gidx, s_generator, s_mul
+from parh.exel import SElement, _gidx, s_mul
 from parh.groups import GroupError
+
+
+def s_generator(group, g):
+    """The generator [g] as the canonical pair ({1, g}, g)."""
+    return SElement(group, (), _gidx(group, g))
 
 
 class SkewElement:
