@@ -2,8 +2,9 @@
 
 Three chain pipelines feed the checks in this module:
 
-- a homogeneous resolution over the idempotent subalgebra, together with
-  the contracting homotopy that certifies its exactness degree by degree;
+- a homogeneous resolution over the idempotent subalgebra, never built
+  as matrices: its extra degeneracy certifies it exact, by identities
+  between index lists on the G block that hold over every ring;
 - a transported complex that evaluates the same resolution against a
   finite-dimensional module of generator matrices, using the involution
   that exchanges left and right module structures.  The module must have
@@ -55,7 +56,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .exel import PartialGroupAlgebra
 from .groupoid import (
     GROUPOID_ORDER_CAP,
     PartialRepModule,
@@ -68,7 +68,7 @@ from .groupoid import (
     induce_module,
 )
 from .groups import trivial_rep
-from .linalg import GF, Field, QQ, SizeCapError, SparseMatrix, accumulate, rank
+from .linalg import GF, Field, SizeCapError, SparseMatrix, accumulate, rank
 
 # The column cap here, and of the CLI's --max-columns and ``kpar basis``.
 HOMOLOGY_SIZE_CAP = 1_000_000
@@ -259,100 +259,60 @@ def _contract(group, xs: tuple[int, ...], j: int) -> tuple[int, ...]:
     return xs[:j] + (group.mult(xs[j], xs[j + 1]),) + xs[j + 2:]
 
 
-def _subsets(group) -> list[tuple[int, ...]]:
-    return PartialGroupAlgebra(group).subsets_with_identity()
-
-
 # ---------------------------------------------------------------------------
-# Homogeneous resolution and its contracting homotopy.
+# Exactness of the homogeneous resolution, by its extra degeneracy.
 
 
-def homogeneous_basis(group, n: int, cap: int = HOMOLOGY_SIZE_CAP, *,
-                      subsets=None) -> list[tuple]:
-    """Degree-n labels (A, (g_1, ..., g_n)) with A containing every g_i.
-
-    A ranges over ``subsets``, by default every subset that contains the
-    identity; the same holds for the two builders below.
-    """
-    if subsets is None:
-        subsets = _subsets(group)
-    _check_cap(group, n, len(subsets), cap, "homogeneous basis")
-    out = []
-    for t in product(range(group.order), repeat=n):
-        need = {0, *t}
-        out.extend((a, t) for a in subsets if need.issubset(a))
-    return out
+def _drop_entry(order: int, n: int, i: int) -> list[int]:
+    """Entry i dropped from each tuple of G^n: an index list into G^(n-1)."""
+    low = order ** (n - 1 - i)
+    return [k // (low * order) * low + k % low for k in range(order ** n)]
 
 
-def homogeneous_differential(group, n: int, field: Field = QQ,
-                             cap: int = HOMOLOGY_SIZE_CAP, *,
-                             subsets=None) -> SparseMatrix:
-    """Alternating sum of entry drops; the subset label never moves.  Rows
-    and columns follow ``homogeneous_basis``, here and in the homotopy."""
-    if n < 1:
-        raise ValueError("homogeneous differential starts at degree 1")
-    rows = homogeneous_basis(group, n - 1, cap, subsets=subsets)
-    cols = homogeneous_basis(group, n, cap, subsets=subsets)
-    rpos = {lab: k for k, lab in enumerate(rows)}
-    f = field
-
-    def terms():
-        for c, (a, gs) in enumerate(cols):
-            sign = f.one
-            for i in range(len(gs)):
-                yield (rpos[(a, gs[:i] + gs[i + 1:])], c), sign
-                sign = f.neg(sign)
-
-    return SparseMatrix(f, len(rows), len(cols), accumulate(f, terms()))
-
-
-def contracting_homotopy(group, n: int, field: Field = QQ,
-                         cap: int = HOMOLOGY_SIZE_CAP, *,
-                         subsets=None) -> SparseMatrix:
-    """Matrix of the degree-raising map prepending the identity entry.
-
-    Together with the homogeneous differentials it satisfies
-    s d + d s = id in every positive degree, and d_1 s_0 = id in degree
-    zero, which is the degreewise exactness certificate.
-    """
-    rows = homogeneous_basis(group, n + 1, cap, subsets=subsets)
-    cols = homogeneous_basis(group, n, cap, subsets=subsets)
-    rpos = {lab: k for k, lab in enumerate(rows)}
-    entries = {}
-    for c, (a, gs) in enumerate(cols):
-        entries[(rpos[(a, (0,) + gs)], c)] = field.one
-    return SparseMatrix(field, len(rows), len(cols), entries)
+def _prepend_identity(order: int, n: int) -> list[int]:
+    """s on G^n, into G^(n+1): the identity is index 0, so the index stays."""
+    return list(range(order ** n))
 
 
 @lru_cache(maxsize=16)
-def resolution_identity_holds(group, max_degree: int, field: Field = QQ,
+def resolution_identity_holds(group, max_degree: int,
                               cap: int = HOMOLOGY_SIZE_CAP) -> bool:
-    """Check s d + d s = id through the requested degree, on the G block.
+    """Whether the homogeneous resolution passes its exactness
+    certificate through ``max_degree``: the extra-degeneracy identities
+    on the G block, checked as index-list compositions.
 
-    Degree zero uses d_1 s_0 = id; degree m uses
-    s_{m-1} d_m + d_{m+1} s_m = id, verified by sparse matrix arithmetic
-    on the labels (G, t) alone, |G|^n of them in degree n.  That suffices:
-    d only drops entries of t, so it never moves the subset A, and s
-    prepends the identity, which lies in every A.  So (A, t) -> (G, t) is
-    an injective map that commutes with d and s, and the identity on the
-    G block implies it on every block A.  The cap is checked on the widest
-    degree, |G|^(max_degree + 1) labels, before anything is built.  The
-    resolution does not depend on any module, so the result is cached per
-    (group, degree, field, cap).
+    In degree n the G block holds the labels (G, t), t in G^n in
+    ``product`` order.  The faces d_i, which drop entry i, and the extra
+    degeneracy s, which prepends the identity and so keeps the index,
+    are index lists.  For n = 0..max_degree, ``_compose`` checks
+    d_0 s = id and d_(i+1) s = s d_i for 0 <= i < n.  With
+    d = sum_i (-1)^i d_i these give, in degree n >= 1, d s = d_0 s -
+    sum_(i<n) (-1)^i d_(i+1) s = id - sum_(i<n) (-1)^i s d_i = id - s d,
+    and in degree 0, d s = d_0 s = id: the contracting homotopy
+    (C. A. Weibel, An Introduction to Homological Algebra, 1994, 8.4.6;
+    K. S. Brown, Cohomology of Groups, GTM 87, I.5).  Each map sends a
+    label to one label with coefficient 1, so the matrix of a composition
+    is the composition of the lists, over every ring: no field enters.
+
+    The G block suffices: d only drops entries of t, so it never moves
+    the subset A, and s prepends the identity, which lies in every A.
+    So (A, t) -> (G, t) is an injective map that commutes with d and s,
+    and the identity on the G block implies it on every block A.  The cap
+    is checked on the widest degree, |G|^(max_degree + 1) labels, before
+    any list is built.  The resolution does not depend on any module, so
+    the result is cached per (group, degree, cap).
     """
     _check_cap(group, max_degree + 1, 1, cap, "homotopy certificate")
-    block = [tuple(range(group.order))]
-    diffs = {m: homogeneous_differential(group, m, field, cap, subsets=block)
-             for m in range(1, max_degree + 2)}
-    homs = {m: contracting_homotopy(group, m, field, cap, subsets=block)
-            for m in range(0, max_degree + 1)}
-    if diffs[1] * homs[0] != SparseMatrix.identity(field, diffs[1].nrows):
-        return False
-    for m in range(1, max_degree + 1):
-        dim_m = diffs[m].ncols
-        composite = homs[m - 1] * diffs[m] + diffs[m + 1] * homs[m]
-        if composite != SparseMatrix.identity(field, dim_m):
+    order = group.order
+    lo_faces = lo_s = None
+    for n in range(max_degree + 1):
+        s = _prepend_identity(order, n)
+        faces = [_drop_entry(order, n + 1, i) for i in range(n + 1)]
+        if _compose(faces[0], s) != list(range(order ** n)) or any(
+                _compose(faces[i + 1], s) != _compose(lo_s, lo_faces[i])
+                for i in range(n)):
             return False
+        lo_faces, lo_s = faces, s
     return True
 
 
@@ -660,9 +620,9 @@ def partial_homology(group, v_mod: PartialRepModule, field: Field | None = None,
     0/1 matrix, else ValueError; each block is then the set of coordinates
     where every prefix idempotent is 1.  Degree 0 equals the dimension of
     the idempotent subalgebra tensored with the module.  The report's
-    checks record that
-    consecutive differentials compose to zero and that the underlying
-    resolution passes its contracting-homotopy identity over the field.
+    checks record that consecutive differentials compose to zero and that
+    the underlying resolution passes its extra-degeneracy certificate
+    (``resolution_identity_holds``), which holds over every ring.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -671,7 +631,7 @@ def partial_homology(group, v_mod: PartialRepModule, field: Field | None = None,
     dims = cx.homology_dims(max_degree)
     checks = {
         "d2_zero": cx.d2_zero(),
-        "homotopy_id": resolution_identity_holds(group, max_degree, f, cap),
+        "homotopy_id": resolution_identity_holds(group, max_degree, cap),
     }
     return HomologyReport(group.name, module_name or _module_desc(v_mod), f,
                           "bar", dims, checks)
@@ -709,6 +669,8 @@ def partial_cohomology(group, v_mod: PartialRepModule, field: Field | None = Non
     built; the verify functions that hold that homology already read it
     instead of calling this.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     f = _check_module(group, v_mod, field)
     check_transport_cap(group, v_mod.dim, max_degree + 1, cap)
     dual = v_mod if v_mod.self_dual else dual_module(v_mod)
@@ -828,9 +790,9 @@ def group_cohomology(h_group, u: dict, field: Field, max_degree: int = 3,
     h -> U(h^-1)^T; degree 0 is the invariants.  The dual is a
     representation because u is, by transposition, so it is not checked
     again."""
-    mats, tables = _check_group_rep(h_group, u, field)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    mats, tables = _check_group_rep(h_group, u, field)
     return _group_homology(h_group, _dual_rep(mats, tables), tables, field,
                            max_degree, cap)
 

@@ -3,8 +3,8 @@
 Everything downstream reduces to ranks, kernels, and membership tests for
 sparse matrices whose entries live in an exact field.  Columns are plain
 dicts mapping row index to a nonzero scalar, and a :class:`SparseMatrix`
-is its list of columns; matrices never store zeros.  Products, sums,
-ranks and kernels all run column by column.  Elimination is incremental:
+is its list of columns; matrices never store zeros.  Products, ranks
+and kernels all run column by column.  Elimination is incremental:
 an :class:`Eliminator` absorbs columns one at a time and can be queried
 between insertions, which is what the quotient and filtration checks
 need.
@@ -234,19 +234,6 @@ class SparseMatrix:
             for i, v in col.items():
                 cols[i][j] = v
         return SparseMatrix._of_columns(self.field, self.ncols, cols)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        p = self.field.char
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            col = dict(a)
-            _axpy(p, col, 1, b)
-            cols.append(col)
-        return SparseMatrix._of_columns(self.field, self.nrows, cols)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if not isinstance(other, SparseMatrix):

@@ -9,8 +9,9 @@ elimination on the relations computes without any chain machinery.
 
 from itertools import product
 
+from homogeneous_resolution import _subsets
 from parh.groups import translate
-from parh.homology import _contract, _prefixes, _subsets
+from parh.homology import _contract, _prefixes
 from parh.linalg import QQ, Eliminator, SparseMatrix, accumulate
 
 

@@ -7,6 +7,11 @@ import pytest
 
 from bar_complex import b_tensor_dim, bar_basis, bar_differential
 from canonical_module import canonical_regular_module
+import homogeneous_resolution
+from homogeneous_resolution import (_subsets, contracting_homotopy,
+                                    homogeneous_basis,
+                                    homogeneous_differential,
+                                    homotopy_composites)
 from span_oracles import add_tagged, tagged_coefficients
 from term_transport import (degenerate_coordinates, term_built_differentials,
                             without_degenerate)
@@ -31,14 +36,10 @@ from parh.homology import (
     _degree_blocks,
     _idempotent_supports,
     _prefixes,
-    _subsets,
     _transported_complex,
-    contracting_homotopy,
     dual_module,
     group_cohomology,
     group_homology,
-    homogeneous_basis,
-    homogeneous_differential,
     partial_cohomology,
     partial_homology,
     resolution_identity_holds,
@@ -123,7 +124,7 @@ def test_bar_d_squared_is_zero(name):
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous resolution and contracting homotopy.
+# Homogeneous resolution and its extra-degeneracy certificate.
 
 
 def test_homogeneous_d_squared_is_zero():
@@ -167,18 +168,20 @@ def test_homotopy_identity_degree_zero_section():
     assert d1 * s0 == SparseMatrix.identity(QQ, n0)
 
 
-def _all_subsets_composites(group, max_degree):
-    """d_1 s_0 and s_(m-1) d_m + d_(m+1) s_m for m = 1..max_degree, on every
-    label (A, t), from the public builders over Q.  Their entries are
-    integers, so each reduced mod p is the composite over F_p."""
-    cap = 10 ** 7
-    diffs = {m: homology.homogeneous_differential(group, m, QQ, cap)
-             for m in range(1, max_degree + 2)}
-    homs = {m: homology.contracting_homotopy(group, m, QQ, cap)
-            for m in range(max_degree + 1)}
-    return [diffs[1] * homs[0]] + [
-        homs[m - 1] * diffs[m] + diffs[m + 1] * homs[m]
-        for m in range(1, max_degree + 1)]
+@pytest.mark.parametrize("name", ["C3", "S3"])
+def test_g_block_lists_are_the_resolution_maps(name):
+    # on the G block the oracle's s is the list that keeps the index, and
+    # its d is the alternating sum of the lists that drop one entry
+    group = build_named_group(name)
+    order, block = group.order, [tuple(range(group.order))]
+    for n in range(4):
+        s = contracting_homotopy(group, n, subsets=block)
+        assert s.cols == [{k: 1} for k in homology._prepend_identity(order, n)]
+        if n:
+            d = homogeneous_differential(group, n, subsets=block)
+            assert d.entries == accumulate(QQ, [
+                ((r, c), (-1) ** i) for i in range(n)
+                for c, r in enumerate(homology._drop_entry(order, n, i))])
 
 
 def _identity_on_every_block(composites, field):
@@ -191,53 +194,95 @@ def _identity_on_every_block(composites, field):
 @pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
 def test_g_block_certificate_agrees_with_all_subsets(name):
     group = build_named_group(name)
-    composites = _all_subsets_composites(group, 3)
+    resolution_identity_holds.cache_clear()
+    assert resolution_identity_holds(group, 3)
+    composites = homotopy_composites(group, 3)
     for field in (QQ, GF(2), GF(3)):
-        resolution_identity_holds.cache_clear()
-        assert resolution_identity_holds(group, 3, field)
         assert _identity_on_every_block(composites, field)
 
 
-def test_corrupted_homotopy_fails_both_certificates(monkeypatch):
-    s3 = build_named_group("S3")
-    full = tuple(range(s3.order))
-    build = contracting_homotopy
+def _dropped(t, i):
+    return t[:i] + t[i + 1:]
 
-    def corrupted(group, n, field=QQ, cap=HOMOLOGY_SIZE_CAP, *, subsets=None):
-        # send s(G, (1,)) to (G, (0, 2)) instead of (G, (0, 1))
-        s = build(group, n, field, cap, subsets=subsets)
-        if n != 1:
-            return s
-        c = homogeneous_basis(group, 1, cap, subsets=subsets).index(
-            (full, (1,)))
+
+def _inserted(t, i):
+    return t[:i] + (0,) + t[i:]
+
+
+def _misplaced(build, move, shift, i, j, n_min):
+    """The oracle builder ``build``, from degree n to n + shift, with the
+    term move(t, i) of each column (A, t) moved to move(t, j), its sign
+    kept, in every degree n >= n_min."""
+    sign = 1 if shift > 0 else (-1) ** i
+
+    def moved(group, n, field=QQ, cap=HOMOLOGY_SIZE_CAP, *, subsets=None):
+        m = build(group, n, field, cap, subsets=subsets)
+        if n < n_min:
+            return m
         rows = {lab: k for k, lab in enumerate(
-            homogeneous_basis(group, 2, cap, subsets=subsets))}
-        entries = dict(s.entries)
-        del entries[(rows[(full, (0, 1))], c)]
-        entries[(rows[(full, (0, 2))], c)] = field.one
-        return SparseMatrix(field, s.nrows, s.ncols, entries)
+            homogeneous_basis(group, n + shift, cap, subsets=subsets))}
+        terms = list(m.entries.items())
+        for c, (a, t) in enumerate(
+                homogeneous_basis(group, n, cap, subsets=subsets)):
+            terms += [((rows[(a, move(t, i))], c), -sign),
+                      ((rows[(a, move(t, j))], c), sign)]
+        return SparseMatrix(field, m.nrows, m.ncols, accumulate(field, terms))
+    return moved
 
-    monkeypatch.setattr(homology, "contracting_homotopy", corrupted)
+
+def _g_block_list(order, n, move):
+    """The index list of t -> move(t) on G^n, tuples in ``product`` order."""
+    image = [move(t) for t in product(range(order), repeat=n)]
+    index = {t: k for k, t in enumerate(
+        product(range(order), repeat=len(image[0])))}
+    return [index[t] for t in image]
+
+
+# oracle builder, library list builder, move, degree shift, position i
+# read as j, least degree that has a position j
+@pytest.mark.parametrize("oracle_name,list_name,move,shift,i,j,n_min", [
+    ("contracting_homotopy", "_prepend_identity", _inserted, 1, 0, 1, 1),
+    ("homogeneous_differential", "_drop_entry", _dropped, -1, 0, 1, 2),
+    ("homogeneous_differential", "_drop_entry", _dropped, -1, 1, 2, 3),
+], ids=["s-inserts-at-1", "d0-drops-entry-1", "d1-drops-entry-2"])
+def test_corrupted_maps_fail_both_certificates(
+        monkeypatch, oracle_name, list_name, move, shift, i, j, n_min):
+    # the same mutation of the library's lists, rebuilt from tuples, and
+    # of the oracle's matrices; d_0 s = id holds under the last one, and
+    # d_2 s = s d_1 fails
+    monkeypatch.setattr(homogeneous_resolution, oracle_name, _misplaced(
+        getattr(homogeneous_resolution, oracle_name), move, shift, i, j,
+        n_min))
+
+    def mutated(order, n, k=0):
+        at = j if k == i and n >= n_min else k
+        return _g_block_list(order, n, lambda t: move(t, at))
+
+    monkeypatch.setattr(homology, list_name, mutated)
+    s3 = build_named_group("S3")
     resolution_identity_holds.cache_clear()
     try:
-        composites = _all_subsets_composites(s3, 2)
+        assert not resolution_identity_holds(s3, 2)
+        composites = homotopy_composites(s3, 2)
         for field in (QQ, GF(2), GF(3)):
-            assert not resolution_identity_holds(s3, 2, field)
             assert not _identity_on_every_block(composites, field)
     finally:
         resolution_identity_holds.cache_clear()
 
 
 def test_certificate_cap_counts_the_g_block_before_building(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("a matrix was built before the cap check")
+    def no_build(*args):
+        raise AssertionError("a list was built before the cap check")
 
-    monkeypatch.setattr(homology, "homogeneous_differential", no_build)
+    monkeypatch.setattr(homology, "_drop_entry", no_build)
+    monkeypatch.setattr(homology, "_prepend_identity", no_build)
     s3 = build_named_group("S3")
     resolution_identity_holds.cache_clear()
     with pytest.raises(SizeCapError) as info:
-        resolution_identity_holds(s3, 3, QQ, 6 ** 4 - 1)
+        resolution_identity_holds(s3, 3, 6 ** 4 - 1)
     assert (info.value.requested, info.value.limit) == (6 ** 4, 6 ** 4 - 1)
+    monkeypatch.undo()
+    assert resolution_identity_holds(s3, 3, 6 ** 4)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
@@ -665,6 +710,25 @@ def test_partial_homology_validation():
         partial_homology(c2, b_module(c2, QQ), max_degree=-1)
     with pytest.raises(SizeCapError):
         partial_homology(c2, b_module(c2, QQ), max_degree=3, cap=10)
+
+
+def test_cohomology_refuses_a_negative_degree_before_any_cost(monkeypatch):
+    # the module and the representation are not self-dual, so a dual
+    # would be built and the representation checked before ranking
+    s3, full = _component("S3", 6)
+    u = _standard_rep_s3(s3, GF(3))
+    v = induce_module(full, u, GF(3))
+    assert not v.self_dual
+
+    def no_cost(*args):
+        raise AssertionError("work done before max_degree was checked")
+
+    monkeypatch.setattr(homology, "dual_module", no_cost)
+    monkeypatch.setattr(homology, "_check_group_rep", no_cost)
+    with pytest.raises(ValueError, match="max_degree"):
+        partial_cohomology(s3, v, max_degree=-1)
+    with pytest.raises(ValueError, match="max_degree"):
+        group_cohomology(full.stabilizer, u, GF(3), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_integral_rational_matrices_stay_int():
                         + [((0, 0), 7), ((4, 5), -2)])
     for values in (a.entries.values(), summed.values(),
                    (a * b).entries.values(), a.apply(vec).values(),
-                   (a + a).entries.values(), a.transpose().entries.values()):
+                   a.transpose().entries.values()):
         assert values and all(type(v) is int for v in values)
 
 
@@ -119,7 +119,6 @@ def test_matrix_arithmetic():
     a = SparseMatrix.from_dense(QQ, [[1, 2], [3, 4]])
     b = SparseMatrix.from_dense(QQ, [[0, 1], [1, 0]])
     assert to_dense(a * b) == [[2, 1], [4, 3]]
-    assert to_dense(a + b) == [[1, 3], [4, 4]]
     assert (a * b).transpose() == b.transpose() * a.transpose()
     v = {0: Fraction(1), 1: Fraction(1)}
     assert a.apply(v) == {0: Fraction(3), 1: Fraction(7)}
@@ -130,8 +129,6 @@ def test_matrix_shape_errors():
     b = SparseMatrix(QQ, 3, 2)
     with pytest.raises(ValueError):
         a * b
-    with pytest.raises(ValueError):
-        a + b
     with pytest.raises(IndexError):
         SparseMatrix(QQ, 2, 2, {(2, 0): 1})
 
@@ -139,8 +136,6 @@ def test_matrix_shape_errors():
 def test_no_stored_zeros():
     m = SparseMatrix(QQ, 2, 2, {(0, 0): 0, (0, 1): 1})
     assert m.nnz() == 1
-    s = m + SparseMatrix(QQ, 2, 2, {(0, 1): -1})
-    assert s.nnz() == 0 and s.is_zero()
 
 
 def test_eliminator_incremental():
@@ -288,28 +283,21 @@ def test_sparse_kernels_match_dense_reference(field):
         assert to_dense(prod) == dense_mul(field, dense_a, dense_b)
         _assert_scalars(field, prod.entries.values())
 
-        add, sub, _, _ = dense_ops(field)
-        other = prod * b.transpose()
-        dense_o = to_dense(other)
-        assert (other.nrows, other.ncols) == (nrows, inner)
-        got = a + other
-        assert to_dense(got) == [[add(x, y) for x, y in zip(ra, ro)]
-                                  for ra, ro in zip(dense_a, dense_o)]
-        _assert_scalars(field, got.entries.values())
-
         t = a.transpose()
         assert (t.nrows, t.ncols) == (inner, nrows)
         assert to_dense(t) == [list(col) for col in zip(*dense_a)]
         assert t.transpose() == a
 
         # a sum that cancels is the zero matrix and stores no zeros
+        _, sub, _, _ = dense_ops(field)
         minus_a = SparseMatrix.from_dense(
             field, [[sub(0, x) for x in row] for row in dense_a])
-        gone = a + minus_a
+        gone = SparseMatrix(field, nrows, inner, accumulate(
+            field, [*a.entries.items(), *minus_a.entries.items()]))
         assert gone == SparseMatrix(field, nrows, inner)
         assert gone.is_zero() and gone.nnz() == 0 and gone.entries == {}
         assert gone.cols == [{} for _ in range(inner)]
-        assert all(v for m in (a, a + other, prod, t)
+        assert all(v for m in (a, prod, t)
                    for col in m.cols for v in col.values())
 
         # nnz and entries in column-major order
