@@ -55,6 +55,7 @@ from .homology import (
 )
 from .linalg import GF, QQ, Field, SizeCapError
 from .zcase import (
+    _check_window_cap,
     cancellation_decompose,
     ig_decompose,
     k_tensor_ig_vanishes,
@@ -507,6 +508,10 @@ def cmd_z_quotient(args):
 def cmd_z_cancellation(args):
     field = _parse_field(args.field)
     group = INTEGERS if args.ring == "Z" else build_named_group(args.ring)
+    if args.max_k < 1:
+        raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
+    # each instance decomposes into a k x k matrix M
+    _check_window_cap(args.max_k ** 2, "cancellation matrix", "entries")
     rng = Random(args.seed)
     failures = []
     for trial in range(args.count):
@@ -572,11 +577,15 @@ def _add_common(p, *, field_default="Q"):
                    help="emit a JSON object instead of text")
 
 
-def _add_caps(p):
-    p.add_argument("--max-group-order", type=int, default=GROUPOID_ORDER_CAP,
-                   help="refuse groupoid builds above this group order")
-    p.add_argument("--max-columns", type=int, default=HOMOLOGY_SIZE_CAP,
-                   help="refuse chain complexes above this column measure")
+def _add_caps(p, group_order=True, columns=True):
+    """The size caps a command's handler reads."""
+    if group_order:
+        p.add_argument("--max-group-order", type=int,
+                       default=GROUPOID_ORDER_CAP,
+                       help="refuse groupoid builds above this group order")
+    if columns:
+        p.add_argument("--max-columns", type=int, default=HOMOLOGY_SIZE_CAP,
+                       help="refuse chain complexes above this column measure")
 
 
 @cache
@@ -618,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = gpd.add_parser("components", help="components and block dimensions")
     _add_group_options(p)
     p.add_argument("--json", action="store_true")
-    _add_caps(p)
+    _add_caps(p, columns=False)
     p.set_defaults(handler=cmd_groupoid_components)
 
     hom = sub.add_parser("homology", help="(co)homology pipelines").add_subparsers(
@@ -641,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = hom.add_parser("ordinary", help="classical group (co)homology")
     _add_group_options(p)
     _add_common(p)
-    _add_caps(p)
+    _add_caps(p, group_order=False)
     p.add_argument("--rep", choices=("trivial", "regular"), default="trivial")
     p.add_argument("--co", action="store_true", help="compute cohomology")
     p.add_argument("--max", type=int, default=2)
@@ -669,13 +678,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = ver.add_parser("section5", help="vertex sections and tensor equivalence")
     _add_group_options(p)
     _add_common(p)
-    _add_caps(p)
+    _add_caps(p, columns=False)
     p.set_defaults(handler=cmd_verify_section5)
     p = ver.add_parser("section6", help="arrow lifts: section, products, and "
                                         "the module-map identity")
     _add_group_options(p)
     _add_common(p)
-    _add_caps(p)
+    _add_caps(p, columns=False)
     p.set_defaults(handler=cmd_verify_section6)
     p = ver.add_parser("kpar-coeff-vanishing",
                        help="higher cohomology with regular coefficients")

@@ -9,16 +9,21 @@ The modules induced along a component are read off that structure in
 closed form, and the sections of the component map on vertices and on
 arrows are built by inclusion-exclusion; the matrix model itself is a
 test oracle (``tests/morita.py``).
+
+A vertex is the group's subset key (``group.subset_key``, an int mask
+with bit i for element i), so membership is a bit test and gA is
+``group.key_translator(g)``.  Vertices are listed in the lex order of
+their member tuples, never in int order, and only ``_set_str`` and
+``arrow_str`` decode one (``group.key_decoder()``), to print it.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Iterable
 
 from .exel import AlgebraElement, PartialGroupAlgebra
-from .groups import GroupElement, GroupError, Subgroup, translate
+from .groups import GroupElement, GroupError, Subgroup
 from .linalg import (
     Column,
     Field,
@@ -32,12 +37,13 @@ from .linalg import (
 
 GROUPOID_ORDER_CAP = 8
 
-Vertex = tuple[int, ...]
+Vertex = int
 Arrow = tuple[Vertex, int]
 
 
-def _set_str(group, a: Iterable[int]) -> str:
-    return "{" + ",".join(group.element_name(i) for i in sorted(a)) + "}"
+def _set_str(group, a: Vertex) -> str:
+    names = map(group.element_name, group.key_decoder()(a))
+    return "{" + ",".join(names) + "}"
 
 
 def arrow_str(group, arrow: Arrow) -> str:
@@ -57,12 +63,7 @@ class Groupoid:
 
     def target(self, arrow: Arrow) -> Vertex:
         a, g = arrow
-        return translate(self.group, g, a)
-
-    @cached_property
-    def vertex_key(self) -> dict[Vertex, int]:
-        """The subset key (``group.subset_key``) of each vertex."""
-        return {v: self.group.subset_key(v) for v in self.vertices}
+        return self.group.key_translator(g)(a)
 
     def __repr__(self) -> str:
         return (
@@ -83,36 +84,31 @@ def build_groupoid(group, cap: int = GROUPOID_ORDER_CAP) -> Groupoid:
             limit=cap,
             requested=n,
         )
-    vertices = PartialGroupAlgebra(group).subsets_with_identity()
-    arrows: list[Arrow] = []
-    for a in vertices:
-        members = set(a)
-        for g in range(n):
-            if group.inv(g) in members:
-                arrows.append((a, g))
+    vertices = PartialGroupAlgebra(group).subset_keys()
+    arrows = [(a, g) for a in vertices for g in range(n)
+              if a >> group.inv(g) & 1]
     return Groupoid(group, vertices, arrows)
 
 
 class Component:
     """A connected component: vertices, a transversal, and the stabilizer.
 
-    The base is the lexicographically least vertex.  The transversal picks
-    for each vertex D the least g with g * base = D (the identity for the
-    base itself), and the stabilizer is {h : h * base = base}.
+    The base is the lexicographically least vertex, and the others follow
+    in the groupoid's vertex order.  The transversal picks for each vertex
+    D the least g with g * base = D (the identity for the base itself),
+    and the stabilizer is {h : h * base = base}.
     """
 
     def __init__(self, groupoid: Groupoid, base: Vertex) -> None:
         grp = groupoid.group
         self.groupoid = groupoid
         self.base = base
-        base_set = set(base)
         reached: dict[Vertex, int] = {}
         for g in range(grp.order):
-            if grp.inv(g) in base_set:
-                target = translate(grp, g, base)
-                if target not in reached or g < reached[target]:
-                    reached[target] = g
-        others = sorted(v for v in reached if v != base)
+            if base >> grp.inv(g) & 1:
+                reached.setdefault(grp.key_translator(g)(base), g)
+        others = sorted((v for v in reached if v != base),
+                        key=groupoid.vertex_pos.__getitem__)
         self.vertices: list[Vertex] = [base] + others
         self.vertex_pos = {v: k for k, v in enumerate(self.vertices)}
         self.transversal: list[GroupElement] = [
@@ -120,10 +116,10 @@ class Component:
         ]
         assert self.transversal[0].is_identity()
         stab = [h for h in range(grp.order)
-                if translate(grp, h, base) == base]
+                if grp.key_translator(h)(base) == base]
         self.stabilizer = Subgroup(grp, stab)
-        # the vertices are sorted (the base is lex-least), so this keeps
-        # the groupoid's arrow order
+        # the vertices are in the groupoid's order (the base is lex-least),
+        # so this keeps the groupoid's arrow order
         self.arrows: list[Arrow] = [
             a for a in groupoid.arrows if a[0] in self.vertex_pos]
         self.arrow_pos = {a: k for k, a in enumerate(self.arrows)}
@@ -219,7 +215,7 @@ class ArrowSum:
             ((b, grp.mult(g, h)), c * d)
             for (a, g), c in self.coeffs.items()
             for (b, h), d in other.coeffs.items()
-            if translate(grp, h, b) == a))
+            if grp.key_translator(h)(b) == a))
         return ArrowSum(self.groupoid, self.field, out)
 
     def is_zero(self) -> bool:
@@ -238,7 +234,7 @@ class ArrowSum:
             return "0"
         grp = self.groupoid.group
         parts = []
-        for a in sorted(self.coeffs):
+        for a in sorted(self.coeffs, key=self.groupoid.arrow_pos.__getitem__):
             c = self.coeffs[a]
             body = arrow_str(grp, a)
             text = body if c == self.field.one else f"{c}*{body}"
@@ -251,7 +247,7 @@ class ArrowSum:
 
 def arrow_unit(groupoid: Groupoid, arrow: Arrow, field: Field = QQ) -> ArrowSum:
     if arrow not in groupoid.arrow_pos:
-        raise ValueError(f"not an arrow: {arrow}")
+        raise ValueError(f"not an arrow: {arrow_str(groupoid.group, arrow)}")
     return ArrowSum(groupoid, field, {arrow: field.one})
 
 
@@ -262,19 +258,17 @@ def lambda_map(groupoid: Groupoid, x: AlgebraElement, vertices=None) -> ArrowSum
     vertices D in the chosen vertex set containing g^-1 A.  With
     ``vertices=None`` this is the full map; restricting the vertex set to
     one component gives the component map.  Containment is read on
-    subset keys: D holds the mask ``need`` of g^-1 A iff
-    ``key(D) & need == need``.
+    subset keys: D holds the key ``need`` of g^-1 A iff
+    ``D & need == need``.
     """
     grp = groupoid.group
     verts = groupoid.vertices if vertices is None else vertices
-    vertex_key = groupoid.vertex_key
-    keyed = [(vertex_key[d], d) for d in verts]
 
     def terms():
         for (key, g), c in x.terms.items():
             need = grp.key_translator(grp.inv(g))(key)
-            for vk, d in keyed:
-                if vk & need == need:
+            for d in verts:
+                if d & need == need:
                     yield (d, g), c
 
     return ArrowSum(groupoid, x.field, accumulate(x.field, terms()))
@@ -483,15 +477,13 @@ def b_module(group, field: Field = QQ) -> PartialRepModule:
 
     [g] sends e_A to e_{gA} when g^-1 is in A, and to zero otherwise.
     """
-    algebra = PartialGroupAlgebra(group, field)
-    subsets = algebra.subsets_with_identity()
-    pos = {a: k for k, a in enumerate(subsets)}
+    keys = PartialGroupAlgebra(group, field).subset_keys()
+    pos = {a: k for k, a in enumerate(keys)}
     one = field.one
     mats = {}
     for g in range(group.order):
-        gi = group.inv(g)
-        cols = [{pos[translate(group, g, a)]: one} if gi in a else {}
-                for a in subsets]
+        gi, shift = group.inv(g), group.key_translator(g)
+        cols = [{pos[shift(a)]: one} if a >> gi & 1 else {} for a in keys]
         mats[g] = SparseMatrix._of_columns(field, len(cols), cols)
     return PartialRepModule(group, field, mats)
 
@@ -521,9 +513,9 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
         gi = grp.inv(g)
         entries = {}
         for i, v in enumerate(comp.vertices):
-            if gi not in v:
+            if not v >> gi & 1:
                 continue
-            j = comp.vertex_pos[translate(grp, g, v)]
+            j = comp.vertex_pos[grp.key_translator(g)(v)]
             block = mats_u.get(grp.mult(t_inv[j], grp.mult(g, t[i])))
             if block is None:
                 raise RuntimeError(
@@ -537,10 +529,10 @@ def induce_module(comp: Component, u: dict, field: Field = QQ) -> PartialRepModu
 
 def component_support(comp: Component) -> frozenset[int]:
     """Union of the vertex sets of a component, as element indices."""
-    support: set[int] = set()
+    union = 0
     for v in comp.vertices:
-        support.update(v)
-    return frozenset(support)
+        union |= v
+    return frozenset(t for t in range(comp.group.order) if union >> t & 1)
 
 
 def zeta_delta(comp: Component, arrow: Arrow, field: Field = QQ) -> AlgebraElement:
@@ -561,16 +553,20 @@ def zeta_delta(comp: Component, arrow: Arrow, field: Field = QQ) -> AlgebraEleme
     component support only leaves a lift that other components do not
     kill whenever the vertices miss part of the group.
 
-    P_A is ``primitive_idempotent(A)``, the signed sum of the pairs
-    (C, 1) over the sets C containing A, built with no product; so the
-    lift is one product, and that one only translates: g^-1 is in A,
-    hence in every such C, so [g] (C, 1) = (gC, g).
+    P_A is ``idempotent_product`` with the members of A inside and the
+    rest of G outside, the signed sum of the pairs (C, 1) over the sets C
+    containing A, built with no product; so the lift is one product, and
+    that one only translates: g^-1 is in A, hence in every such C, so
+    [g] (C, 1) = (gC, g).
     """
     if arrow not in comp.arrow_pos:
         raise ValueError("arrow outside the component")
     a, g = arrow
+    n = comp.group.order
     algebra = PartialGroupAlgebra(comp.group, field)
-    return algebra.bracket(g) * algebra.primitive_idempotent(a)
+    return algebra.bracket(g) * algebra.idempotent_product(
+        [t for t in range(n) if a >> t & 1],
+        [t for t in range(n) if not a >> t & 1])
 
 
 class EquivalenceData:
@@ -588,13 +584,12 @@ class EquivalenceData:
         by_eps: dict[frozenset[int], list[int]] = {}
         for t in range(component.group.order):
             eps = frozenset(
-                k for k, v in enumerate(component.vertices) if t in v)
+                k for k, v in enumerate(component.vertices) if v >> t & 1)
             by_eps.setdefault(eps, []).append(t)
         self.classes = sorted(by_eps.values(), key=min)
         self.reps = [min(cls) for cls in self.classes]
-        fingerprints = {
-            tuple(sorted(set(v) & set(self.reps))) for v in component.vertices
-        }
+        rep_key = component.group.subset_key(self.reps)
+        fingerprints = {v & rep_key for v in component.vertices}
         if len(fingerprints) != component.size:
             raise RuntimeError("representatives do not separate the vertices")
 
@@ -614,7 +609,8 @@ def tilde_pi(comp: Component, vertex: Vertex, field: Field = QQ) -> AlgebraEleme
     reps = comp.reps
     algebra = PartialGroupAlgebra(comp.group, field)
     return algebra.idempotent_product(
-        [t for t in reps if t in vertex], [t for t in reps if t not in vertex])
+        [t for t in reps if vertex >> t & 1],
+        [t for t in reps if not vertex >> t & 1])
 
 
 class TensorReport:
@@ -669,7 +665,8 @@ def _bracket_tables(comp: Component, keys: list[int]):
         shift, bit = grp.key_translator(gi), 1 << g
         moved.append([key_pos[shift(a)] if a & bit else None
                       for a in keys])
-        hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
+        hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if t >> gi & 1
+                     else None
                      for (b, h), t in zip(comp.arrows, targets)])
     return targets, moved, hits
 
@@ -706,21 +703,21 @@ def tensor_b_kdelta(comp: Component, field: Field = QQ,
     """
     grp = comp.group
     algebra = PartialGroupAlgebra(grp, field)
-    subsets = algebra.subsets_with_identity()
+    keys = algebra.subset_keys()
     arrows = comp.arrows
     n_arr = len(arrows)
-    flat = len(subsets) * n_arr
+    flat = len(keys) * n_arr
     f = field
     one = f.one
 
-    targets, moved, hits = _bracket_tables(comp, algebra.subset_keys())
+    targets, moved, hits = _bracket_tables(comp, keys)
 
     # phi: tensor coordinates -> vertex span; psi: the reverse section.
     # e_A (x) (B, g) goes to the vertex B when g in A and g^-1 A == B;
     # since 1 is in B, that is exactly A == gB, the arrow's target
     n_vert = comp.size
     images = [{comp.vertex_pos[arrows[j][0]]: one} if a == targets[j] else {}
-              for a in subsets for j in range(n_arr)]
+              for a in keys for j in range(n_arr)]
 
     span = IncidenceSpan(f)
     add = span.add
@@ -817,20 +814,18 @@ def section6_report(comp: Component, field: Field = QQ) -> dict:
 
     ``support_full``: the vertices cover the group (a fact, not a check).
     ``section_identity``: lambda_delta(zeta(a)) == a for every arrow a.
-    ``multiplicative``: zeta(a1) * zeta(a2) == zeta(a1 * a2) for every
-    pair, where a zero arrow product lifts to zero.  It is checked for a1
-    in the set S of the arrows (base, h) with h in the stabilizer, and
-    (base, t_v) and (v, t_v^-1) for each vertex v with transversal
-    element t_v, against every arrow a2.  That suffices: an arrow (v_i, g)
-    into v_j is the composite (base, t_j)(base, h)(v_i, t_i^-1) with
-    h = t_j^-1 g t_i, so every a1 is s a1' with s in S and a1' an arrow
-    of fewer factors, and zeta(a1) zeta(a2) = zeta(s) zeta(a1') zeta(a2)
-    = zeta(s) zeta(a1' a2) = zeta(a1 a2) by induction, since zeta is
-    linear and lifts zero to zero.  ``module_map``:
-    zeta(lambda_delta(r) * a) == r * zeta(a) for every bracket r = [g]
-    and arrow a, with zeta extended linearly.  The brackets suffice: they
-    generate the algebra, [1] is the unit, and since lambda_delta is
-    multiplicative the identity for r and for s gives it for rs.
+    ``module_map``: zeta(lambda_delta(r) * a) == r * zeta(a) for every
+    bracket r = [g] and arrow a, with zeta extended linearly.  The
+    brackets suffice: they generate the algebra, [1] is the unit, and
+    since lambda_delta is multiplicative the identity for r and for s
+    gives it for rs.  ``multiplicative``: zeta(s) * zeta(a) == zeta(s * a)
+    for every pair of arrows, where a zero arrow product lifts to zero.
+    It is ``module_map`` together with zeta(u) zeta(a) == zeta(u a) for
+    the identity arrows u = (v, 1) against every arrow a.  That suffices:
+    an arrow s = (v, g) is lambda_delta([g]) (v, 1), so by ``module_map``
+    at the arrows (v, 1) and (v, 1) a (or at zero),
+    zeta(s) zeta(a) = [g] zeta((v, 1)) zeta(a) = [g] zeta((v, 1) a)
+    = zeta(s a).
     """
     gd = comp.groupoid
     grp = comp.group
@@ -844,19 +839,17 @@ def section6_report(comp: Component, field: Field = QQ) -> dict:
             for k, v in lifts[a].terms.items())))
 
     arrows = comp.arrows
-    base = comp.base
-    gens = {(base, h) for h in comp.stabilizer.indices}
-    for v, t in zip(comp.vertices, comp.transversal):
-        gens.update(((base, t.index), (v, grp.inv(t.index))))
+    identities = [(v, grp.identity_index) for v in comp.vertices]
     projected = [(r, lambda_delta(comp, r))
                  for r in map(algebra.bracket, range(grp.order))]
+    module_map = all(lift(proj * units[a]) == r * lifts[a]
+                     for r, proj in projected for a in arrows)
     return {
         "support_full": len(component_support(comp)) == grp.order,
         "section_identity": all(lambda_delta(comp, lifts[a]) == units[a]
                                 for a in arrows),
-        "multiplicative": all(lift(units[s] * units[a])
-                              == lifts[s] * lifts[a]
-                              for s in gens for a in arrows),
-        "module_map": all(lift(proj * units[a]) == r * lifts[a]
-                          for r, proj in projected for a in arrows),
+        "multiplicative": module_map and all(
+            lift(units[u] * units[a]) == lifts[u] * lifts[a]
+            for u in identities for a in arrows),
+        "module_map": module_map,
     }

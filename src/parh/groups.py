@@ -359,16 +359,6 @@ class Subgroup:
         return f"subgroup {self.name} of {self.parent.name}"
 
 
-def translate(group, g: int, subset: Iterable[int]) -> tuple[int, ...]:
-    """The left translate g * subset, as a sorted tuple of indices.
-
-    >>> c3 = build_named_group("C3")
-    >>> translate(c3, 1, (0, 2))
-    (0, 1)
-    """
-    return tuple(sorted([group.mult(g, m) for m in subset]))
-
-
 def _cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

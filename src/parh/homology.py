@@ -875,8 +875,11 @@ def verify_corollary_b(group, field: Field, max_degree: int = 3,
     group order is checked against ``group_cap`` before anything is built.
     ``ok`` needs equal dimensions and every structural check: d^2 = 0 and
     the homotopy identity on the partial side, d^2 = 0 of each distinct
-    stabilizer's classical complexes.
+    stabilizer's classical complexes.  A negative ``max_degree`` is
+    refused before the groupoid, its components or B are built.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     comps = components(build_groupoid(group, group_cap))
     bm = b_module(group, field)
     lh = partial_homology(group, bm, field, max_degree, cap,

@@ -163,9 +163,9 @@ class SparseMatrix:
     """An nrows-by-ncols matrix stored as its columns.
 
     ``cols[j]`` is column j as a dict {row: nonzero scalar}; there is no
-    other storage, and ``entries`` is a view built from it.  Every
-    operation returns a new matrix, and no kernel changes the dicts of a
-    matrix it reads, so a column may be read in place but never written.
+    other storage.  Every operation returns a new matrix, and no kernel
+    changes the dicts of a matrix it reads, so a column may be read in
+    place but never written.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -220,13 +220,6 @@ class SparseMatrix:
             for j, v in enumerate(row):
                 entries[(i, j)] = v
         return cls(field, nrows, ncols, entries)
-
-    @property
-    def entries(self) -> dict[tuple[int, int], Scalar]:
-        """The nonzero entries as a new {(row, col): value} dict, column by
-        column."""
-        return {(i, j): v for j, col in enumerate(self.cols)
-                for i, v in col.items()}
 
     def transpose(self) -> "SparseMatrix":
         cols: list[Column] = [{} for _ in range(self.nrows)]

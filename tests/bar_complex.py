@@ -10,7 +10,7 @@ elimination on the relations computes without any chain machinery.
 from itertools import product
 
 from homogeneous_resolution import _subsets
-from parh.groups import translate
+from subset_routes import translate
 from parh.homology import _contract, _prefixes
 from parh.linalg import QQ, Eliminator, SparseMatrix, accumulate
 

@@ -17,6 +17,12 @@ def to_dense(m):
     return out
 
 
+def matrix_entries(m):
+    """The nonzero entries of a sparse matrix as a {(row, col): value}
+    dict, column by column."""
+    return {(i, j): v for j, col in enumerate(m.cols) for i, v in col.items()}
+
+
 def dense_ops(field):
     """(add, sub, mul, inv) on the scalars of ``field``."""
     p = field.char

@@ -10,6 +10,7 @@ d_1 s_0 = id in degree 0.
 
 from itertools import product
 
+from dense_reference import matrix_entries
 from parh.exel import PartialGroupAlgebra
 from parh.homology import HOMOLOGY_SIZE_CAP, _check_cap
 from parh.linalg import QQ, SparseMatrix, accumulate
@@ -75,7 +76,7 @@ def contracting_homotopy(group, n, field=QQ, cap=HOMOLOGY_SIZE_CAP, *,
 
 def _sum(a, b):
     """a + b, summed entry by entry with ``accumulate``."""
-    terms = [*a.entries.items(), *b.entries.items()]
+    terms = [*matrix_entries(a).items(), *matrix_entries(b).items()]
     return SparseMatrix(a.field, a.nrows, a.ncols, accumulate(a.field, terms))
 
 

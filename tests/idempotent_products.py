@@ -5,7 +5,7 @@ I and of (1 - e_o) over O down in closed form, as the inclusion-exclusion
 sum of the pairs (I union T, 1) with sign (-1)^|T|, and ``tilde_pi``,
 ``zeta_delta`` and ``from_primitive`` are built on it.  These are the
 constructions they replaced: each factor is multiplied in, one product at
-a time.
+a time.  A vertex, a subset key, is decoded to its member tuple first.
 """
 
 from parh.exel import PartialGroupAlgebra
@@ -36,6 +36,7 @@ def product_tilde_pi(comp, vertex, field=QQ):
     """e_t over the class representatives in ``vertex``, (1 - e_f) over
     the others."""
     reps = EquivalenceData(comp).reps
+    vertex = comp.group.key_decoder()(vertex)
     return product_idempotent(PartialGroupAlgebra(comp.group, field),
                               [t for t in reps if t in vertex],
                               [t for t in reps if t not in vertex])
@@ -44,6 +45,7 @@ def product_tilde_pi(comp, vertex, field=QQ):
 def product_zeta_delta(comp, arrow, field=QQ):
     """[g] times e_r over r in A and (1 - e_s) over s in G outside A."""
     a, g = arrow
+    a = comp.group.key_decoder()(a)
     algebra = PartialGroupAlgebra(comp.group, field)
     x = algebra.bracket(g)
     for r in sorted(a):

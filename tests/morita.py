@@ -9,14 +9,17 @@ the elementary matrix with t_j^-1 g t_i in position (j, i), and
 ``parh.groupoid.induce_module`` was once read from.  The package now
 reads each [g] off the transversal directly; this is the construction it
 replaced, kept as an oracle for it.  The sum and the involution of arrow
-sums, which only the tests read, are here too.
+sums, which only the tests read, are here too.  The groupoid's vertices
+are subset keys; each is decoded to its member tuple here, and a tuple
+is encoded again only to look up a position.
 """
 
 from itertools import chain
 
 from parh.groupoid import ArrowSum, Component, PartialRepModule, arrow_str
-from parh.groups import GroupElement, translate
+from parh.groups import GroupElement
 from parh.linalg import QQ, Field, Scalar, SparseMatrix, accumulate
+from subset_routes import translate
 
 
 def arrow_add(x: ArrowSum, y: ArrowSum) -> ArrowSum:
@@ -29,8 +32,10 @@ def arrow_add(x: ArrowSum, y: ArrowSum) -> ArrowSum:
 def arrow_star(x: ArrowSum) -> ArrowSum:
     """The involution (A, g)* = (gA, g^-1), extended linearly."""
     grp = x.groupoid.group
+    decode = grp.key_decoder()
     return ArrowSum(x.groupoid, x.field, {
-        (translate(grp, g, a), grp.inv(g)): c for (a, g), c in x.coeffs.items()})
+        (grp.subset_key(translate(grp, g, decode(a))), grp.inv(g)): c
+        for (a, g), c in x.coeffs.items()})
 
 
 def _cells(flat: dict[tuple[int, int, int], Scalar]) -> dict:
@@ -129,6 +134,7 @@ def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
     of the target vertex.
     """
     grp = comp.group
+    decode = grp.key_decoder()
 
     def terms():
         for (a, g), c in y.coeffs.items():
@@ -136,8 +142,8 @@ def eta(comp: Component, y: ArrowSum) -> GroupAlgebraMatrix:
                 raise ValueError(
                     f"arrow {arrow_str(grp, (a, g))} is outside the component")
             i = comp.vertex_pos[a]
-            target = translate(grp, g, a)
-            j = comp.vertex_pos[target]
+            target = translate(grp, g, decode(a))
+            j = comp.vertex_pos[grp.subset_key(target)]
             h = (comp.transversal[j].inverse() * GroupElement(grp, g)
                  * comp.transversal[i])
             if h.index not in comp.stabilizer.indices:
@@ -157,7 +163,8 @@ def elementary_matrix(comp: Component, g) -> GroupAlgebraMatrix:
     """
     grp = comp.group
     gi = g.index if isinstance(g, GroupElement) else grp.element(g).index
-    arrows = {(v, gi): 1 for v in comp.vertices if grp.inv(gi) in v}
+    decode = grp.key_decoder()
+    arrows = {(v, gi): 1 for v in comp.vertices if grp.inv(gi) in decode(v)}
     return eta(comp, ArrowSum(comp.groupoid, QQ, arrows))
 
 

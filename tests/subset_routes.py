@@ -4,11 +4,22 @@
 ``groupoid._bracket_tables`` reads the position of e_{g^-1 A} off the
 group's key translation.  These are the routes they replaced, on sorted
 member tuples: a set-inclusion scan, and a translate looked up among the
-subsets by position.
+subsets by position.  ``translate`` is the tuple translate the groupoid
+moved its vertices with before they were subset keys; the oracles that
+work on member tuples import it from here.
 """
 
-from parh.groups import translate
 from parh.linalg import accumulate
+
+
+def translate(group, g, subset):
+    """The left translate g * subset, as a sorted tuple of indices.
+
+    >>> from parh.groups import build_named_group
+    >>> translate(build_named_group("C3"), 1, (0, 2))
+    (0, 1)
+    """
+    return tuple(sorted([group.mult(g, m) for m in subset]))
 
 
 def tuple_primitive_vector(algebra, x):
@@ -22,9 +33,11 @@ def tuple_primitive_vector(algebra, x):
 
 def tuple_bracket_tables(comp, sub_pos):
     """``targets``, ``moved`` and ``hits`` of ``_bracket_tables``, with
-    ``sub_pos`` the position of each subset tuple."""
+    ``sub_pos`` the position of each subset tuple.  The arrows' vertices
+    are decoded to tuples, and the targets encoded back as subset keys."""
     grp = comp.group
-    targets = [comp.groupoid.target(arrow) for arrow in comp.arrows]
+    decode = grp.key_decoder()
+    targets = [translate(grp, h, decode(b)) for b, h in comp.arrows]
     moved, hits = [], []
     for g in range(grp.order):
         gi = grp.inv(g)
@@ -32,4 +45,4 @@ def tuple_bracket_tables(comp, sub_pos):
                       for a in sub_pos])
         hits.append([comp.arrow_pos[(b, grp.mult(g, h))] if gi in t else None
                      for (b, h), t in zip(comp.arrows, targets)])
-    return targets, moved, hits
+    return list(map(grp.subset_key, targets)), moved, hits

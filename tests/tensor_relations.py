@@ -8,7 +8,8 @@ pair of tensor coordinates.  ``check_bracket_tables`` checks the closed
 forms the bracket relations are read from against honest products.
 ``residue_tensor_report`` is the report ``tensor_b_kdelta`` gave before
 it read its checks off the span's roots: a residue column per stabilizer
-pair and per tensor coordinate.
+pair and per tensor coordinate.  Subsets are member tuples here; the
+groupoid's vertices, subset keys, are decoded where they come in.
 """
 
 from itertools import chain
@@ -22,8 +23,8 @@ from parh.groupoid import (
     arrow_unit,
     lambda_delta,
 )
-from parh.groups import translate
 from parh.linalg import IncidenceSpan, accumulate
+from subset_routes import translate
 
 
 def canonical_relations(comp, field):
@@ -43,7 +44,8 @@ def canonical_relations(comp, field):
             return None
         return translate(grp, grp.inv(s.g), a)
 
-    targets = [comp.groupoid.target(arrow) for arrow in arrows]
+    decode = grp.key_decoder()
+    targets = [translate(grp, h, decode(b)) for b, h in arrows]
     basis_pairs = algebra.canonical_basis()
     # hits[i][j]: position of the single arrow in lambda(basis_pairs[i])
     # composable with arrows[j], or None; it does not depend on the subset
@@ -110,10 +112,11 @@ def check_bracket_tables(comp, field):
             expect = (ArrowSum(gd, field) if hit is None
                       else arrow_unit(gd, comp.arrows[hit], field))
             assert img * arrow_unit(gd, arrow, field) == expect, (g, arrow)
+    decode = grp.key_decoder()
     for a in subsets:
         for (b, g), t in zip(comp.arrows, targets):
-            rule = g in a and translate(grp, grp.inv(g), a) == b
-            assert (a == t) == rule, ("phi", a, b, g)
+            rule = g in a and translate(grp, grp.inv(g), a) == decode(b)
+            assert (a == decode(t)) == rule, ("phi", a, b, g)
 
 
 def residue_tensor_report(comp, field):
@@ -138,6 +141,7 @@ def residue_tensor_report(comp, field):
 
     targets, moved, hits = groupoid._bracket_tables(comp,
                                                     algebra.subset_keys())
+    targets = list(map(grp.key_decoder(), targets))
 
     def phi_column(k, j):
         if subsets[k] == targets[j]:

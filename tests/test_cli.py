@@ -612,6 +612,30 @@ def test_z_cancellation_reports_a_failed_decomposition(capsys, monkeypatch):
     assert set(data["failures"]) <= set(range(6))
 
 
+@pytest.mark.parametrize("max_k", ["0", "448"])
+def test_z_cancellation_refuses_max_k_before_any_draw(capsys, monkeypatch,
+                                                      max_k):
+    # --max-k must be positive, and each instance's k x k matrix is held
+    # to the window cap (448^2 = 200 704 entries is past 200 000)
+    def unreachable(*args):
+        raise AssertionError("an instance was drawn before --max-k's check")
+
+    monkeypatch.setattr("parh.cli.random_cancellation_instance", unreachable)
+    code, data, _ = run_json(capsys, "z", "cancellation", "--count", "1",
+                             "--max-k", max_k)
+    if max_k == "0":
+        assert code == EXIT_CONFIG
+        assert data == {**_CONFIG_ERROR,
+                        "message": "--max-k must be at least 1, got 0"}
+    else:
+        assert code == EXIT_CAP
+        assert (data["error"], data["limit"], data["requested"]) == (
+            "size_cap", 200_000, 448 ** 2)
+    # one below the cap gets as far as the first draw
+    with pytest.raises(AssertionError, match="drawn"):
+        main(["z", "cancellation", "--count", "1", "--max-k", "447"])
+
+
 def test_z_cancellation_is_reproducible(capsys):
     _, first, _ = run(capsys, "z", "cancellation", "--count", "8",
                       "--seed", "4", "--json")
@@ -689,6 +713,19 @@ def test_zero_characteristic_field_exits_2(capsys, spec):
     assert "prime" in err
     message = "field characteristic must be prime, got 0"
     assert json.loads(out) == {**_CONFIG_ERROR, "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("groupoid", "components", "--max-columns", "10"),
+    ("verify", "section5", "--max-columns", "10"),
+    ("verify", "section6", "--max-columns", "10"),
+    ("homology", "ordinary", "--max-group-order", "10"),
+])
+def test_caps_a_handler_does_not_read_are_not_options(capsys, argv):
+    code, out, err = run(capsys, *argv, "--group", "C2", "--json")
+    assert code == EXIT_CONFIG
+    assert f"unrecognized arguments: {argv[2]} 10" in err
+    assert json.loads(out)["error"] == "config"
 
 
 @pytest.mark.parametrize("argv", [

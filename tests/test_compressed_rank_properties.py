@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_kernel, to_dense
+from dense_reference import dense_kernel, matrix_entries, to_dense
 from parh import homology, linalg
 from parh.homology import RANK_PRIME, ChainComplex
 from parh.linalg import GF, QQ, Eliminator, SparseMatrix, kernel_basis, rank
@@ -78,7 +78,7 @@ def complexes(draw) -> ChainComplex:
 
 
 def _mod_p(d: SparseMatrix) -> SparseMatrix:
-    entries = {k: v % RANK_PRIME for k, v in d.entries.items()}
+    entries = {k: v % RANK_PRIME for k, v in matrix_entries(d).items()}
     return SparseMatrix(MOD_P, d.nrows, d.ncols, entries)
 
 

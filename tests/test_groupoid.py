@@ -7,10 +7,12 @@ from functools import cache
 import pytest
 
 from canonical_module import canonical_regular_module
+from dense_reference import matrix_entries
 from idempotent_products import product_tilde_pi, product_zeta_delta
 from morita import (arrow_add, arrow_star, elementary_matrix, eta,
                     eta_induced_module)
 from span_oracles import span_rank
+from subset_routes import translate
 from tensor_relations import (
     canonical_relations,
     check_bracket_tables,
@@ -19,7 +21,7 @@ from tensor_relations import (
 from parh import groupoid as groupoid_module
 from parh.exel import PartialGroupAlgebra
 from parh.groups import (NAMED_GROUP_NAMES, FiniteGroup, build_named_group,
-                         regular_rep, translate, trivial_rep)
+                         regular_rep, trivial_rep)
 from parh.groupoid import (
     ArrowSum,
     EquivalenceData,
@@ -90,18 +92,20 @@ def test_block_dimension_identity(name):
 
 
 def test_transversal_and_stabilizer():
+    # the base is the lex-least member tuple and the other vertices follow
+    # in lex order, whatever the order of their masks as ints
     gd = build_groupoid(build_named_group("S3"))
+    grp = gd.group
+    decode = grp.key_decoder()
     for comp in components(gd):
-        grp = comp.group
-        assert comp.base == min(comp.vertices)
-        for k, v in enumerate(comp.vertices):
-            g = comp.transversal[k]
-            moved = tuple(sorted(grp.mult(g.index, m) for m in comp.base))
-            assert moved == v
-            assert g.inverse().index in comp.base
+        tuples = list(map(decode, comp.vertices))
+        assert tuples == sorted(tuples)
+        base = tuples[0]
+        for g, v in zip(comp.transversal, tuples):
+            assert translate(grp, g.index, base) == v
+            assert g.inverse().index in base
         for h in comp.stabilizer.elements:
-            moved = tuple(sorted(grp.mult(h.index, m) for m in comp.base))
-            assert moved == comp.base
+            assert translate(grp, h.index, base) == base
 
 
 def test_arrow_sum_algebra():
@@ -125,13 +129,13 @@ def test_arrow_sum_algebra():
 def test_lambda_delta_of_generators():
     gd = build_groupoid(build_named_group("C3"))
     algebra = PartialGroupAlgebra(gd.group)
-    comp = components(gd)[1]  # vertices {1,g} and {1,g2}
-    assert [v for v in comp.vertices] == [(0, 1), (0, 2)]
+    comp = components(gd)[1]  # vertices {1,g} and {1,g2}, as masks
+    assert comp.vertices == [0b011, 0b101]
     img = lambda_delta(comp, algebra.bracket(1))
     # [g] lands on arrows whose source contains g^-1 = g2
-    assert img.coeffs == {((0, 2), 1): QQ.one}
+    assert img.coeffs == {(0b101, 1): QQ.one}
     e_img = lambda_delta(comp, algebra.idem(1))
-    assert e_img.coeffs == {((0, 1), 0): QQ.one}
+    assert e_img.coeffs == {(0b011, 0): QQ.one}
 
 
 def lambda_matrix(comp, algebra):
@@ -264,11 +268,12 @@ def test_regular_module_acts_where_h_inverse_lies_in_k_d(name):
     # that regular_module reads agree with the translate on every group.
     grp = build_named_group(name)
     gd = build_groupoid(grp)
+    decode = grp.key_decoder()
     mod = regular_module(grp, GF(2))
     for h in range(grp.order):
         for j, (d, k) in enumerate(gd.arrows):
             want = ({gd.arrow_pos[(d, grp.mult(h, k))]: 1}
-                    if grp.inv(h) in translate(grp, k, d) else {})
+                    if grp.inv(h) in translate(grp, k, decode(d)) else {})
             assert mod.mats[h].cols[j] == want, (h, j)
 
 
@@ -411,7 +416,8 @@ def test_corruption_that_keeps_a_module_self_dual_is_caught(name):
             i, j = rng.randrange(dim), rng.randrange(dim)
             bad = dict(good)
             for g, (r, c) in ((x, (i, j)), (xi, (j, i))):
-                entries = bad[g].entries | {(r, c): bad[g].cols[c].get(r, 0) + 1}
+                entries = matrix_entries(bad[g]) | {
+                    (r, c): bad[g].cols[c].get(r, 0) + 1}
                 bad[g] = SparseMatrix(GF(3), dim, dim, entries)
             assert bad[x] != good[x]
             assert all(bad[grp.inv(g)] == bad[g].transpose() for g in bad)
@@ -485,9 +491,9 @@ def test_zeta_delta_section(name):
 
 @pytest.mark.parametrize("name", ["C2xC2", "S3"])
 def test_section6_multiplies_each_generator_by_every_arrow(monkeypatch, name):
-    # The multiplicative check forms s * a for the 2 (size - 1) + |stab|
-    # generators s and every arrow a, and module_map forms [g] * a for
-    # every group element g; no other arrow products are formed.
+    # module_map forms [g] * a for every group element g and arrow a, and
+    # the multiplicative check then forms u * a for the size identity
+    # arrows u; no other arrow products are formed.
     products = []
     mul = ArrowSum.__mul__
 
@@ -501,8 +507,8 @@ def test_section6_multiplies_each_generator_by_every_arrow(monkeypatch, name):
         row = section6_report(comp, QQ)
         assert row["section_identity"] and row["multiplicative"]
         assert row["module_map"]
-        gens = 2 * (comp.size - 1) + comp.stabilizer.order
-        assert len(products) == (gens + comp.group.order) * len(comp.arrows)
+        assert len(products) == ((comp.size + comp.group.order)
+                                 * len(comp.arrows))
 
 
 @pytest.mark.parametrize("generator", [True, False],
@@ -510,8 +516,9 @@ def test_section6_multiplies_each_generator_by_every_arrow(monkeypatch, name):
 def test_section6_catches_a_corrupted_lift(monkeypatch, generator):
     # One arrow's lift gains the lift of an arrow of another component.
     # lambda_delta kills that term, so the section identity still holds,
-    # but the products with the generators of the component expose it,
-    # whether the arrow is one of them or a composite of them.
+    # but multiplicativity, which includes the module-map identity, exposes
+    # it, whether the arrow is one of the generators (base, h), (base, t_v)
+    # and (v, t_v^-1) of the component or a composite of them.
     gd = build_groupoid(build_named_group("S3"))
     comps = components(gd)
     comp = next(c for c in comps if c.size == 2 and c.stabilizer.order == 2)

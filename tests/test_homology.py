@@ -7,6 +7,7 @@ import pytest
 
 from bar_complex import b_tensor_dim, bar_basis, bar_differential
 from canonical_module import canonical_regular_module
+from dense_reference import matrix_entries
 import homogeneous_resolution
 from homogeneous_resolution import (_subsets, contracting_homotopy,
                                     homogeneous_basis,
@@ -53,7 +54,7 @@ from parh.linalg import (GF, QQ, Eliminator, SizeCapError, SparseMatrix,
 def _component(name, base_size):
     group = build_named_group(name)
     comps = components(build_groupoid(group))
-    return group, next(c for c in comps if len(c.base) == base_size)
+    return group, next(c for c in comps if c.base.bit_count() == base_size)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def test_g_block_lists_are_the_resolution_maps(name):
         assert s.cols == [{k: 1} for k in homology._prepend_identity(order, n)]
         if n:
             d = homogeneous_differential(group, n, subsets=block)
-            assert d.entries == accumulate(QQ, [
+            assert matrix_entries(d) == accumulate(QQ, [
                 ((r, c), (-1) ** i) for i in range(n)
                 for c, r in enumerate(homology._drop_entry(order, n, i))])
 
@@ -187,7 +188,8 @@ def test_g_block_lists_are_the_resolution_maps(name):
 def _identity_on_every_block(composites, field):
     return all(
         {k: v % field.char if field.char else v
-         for k, v in c.entries.items()} == {(i, i): 1 for i in range(c.ncols)}
+         for k, v in matrix_entries(c).items()}
+        == {(i, i): 1 for i in range(c.ncols)}
         for c in composites)
 
 
@@ -221,7 +223,7 @@ def _misplaced(build, move, shift, i, j, n_min):
             return m
         rows = {lab: k for k, lab in enumerate(
             homogeneous_basis(group, n + shift, cap, subsets=subsets))}
-        terms = list(m.entries.items())
+        terms = list(matrix_entries(m).items())
         for c, (a, t) in enumerate(
                 homogeneous_basis(group, n, cap, subsets=subsets)):
             terms += [((rows[(a, move(t, i))], c), -sign),
@@ -618,7 +620,7 @@ def test_transported_equals_bar_for_idempotent_module(name, field):
         bar = normalized[n]
         eng = cx.diffs[n]
         assert (bar.nrows, bar.ncols) == (eng.nrows, eng.ncols)
-        assert bar.entries == eng.entries
+        assert matrix_entries(bar) == matrix_entries(eng)
         # the coordinates (xs, j) of the transported complex, in order
         blocks, dim = _degree_blocks(group, supports, n, {})
         coords = []
@@ -761,7 +763,7 @@ def _cohomology_modules(group, field):
     if group.order <= 4:
         yield "regular", regular_module(group, field)
     for comp in components(build_groupoid(group)):
-        yield (f"induced {comp.base}",
+        yield (f"induced on the {comp!r}",
                induce_module(comp, regular_rep(comp.stabilizer, field), field))
 
 
@@ -786,7 +788,7 @@ def _dual_check_modules(group):
     for comp in comps:
         yield induce_module(comp, regular_rep(comp.stabilizer, QQ), QQ)
     if group.name == "S3":
-        full = next(c for c in comps if len(c.base) == 6)
+        full = next(c for c in comps if c.base.bit_count() == 6)
         for field in (QQ, GF(3)):
             yield induce_module(full, _standard_rep_s3(group, field), field)
 
@@ -828,9 +830,9 @@ def test_degree_zero_cohomology_is_common_kernel(name):
             for x in range(group.order):
                 e_x = v.mats[x] * v.mats[group.inv(x)]
                 terms = [((x * d + i, j), c)
-                         for (i, j), c in v.mats[x].entries.items()]
+                         for (i, j), c in matrix_entries(v.mats[x]).items()]
                 terms += [((x * d + i, j), field.neg(c))
-                          for (i, j), c in e_x.entries.items()]
+                          for (i, j), c in matrix_entries(e_x).items()]
                 entries.update(accumulate(field, terms))
             stacked = SparseMatrix(field, group.order * d, d, entries)
             h0 = partial_cohomology(group, v, max_degree=0).dims[0]
@@ -1224,7 +1226,7 @@ def test_theorem_a_every_component_both_reps(name, field):
         for rep in (trivial_rep, regular_rep):
             report = verify_theorem_a(group, comp, rep(comp.stabilizer, field),
                                       field, 2)
-            assert report["ok"], (name, comp.base, rep.__name__)
+            assert report["ok"], (name, comp, rep.__name__)
 
 
 def test_theorem_a_refuses_a_partial_rep_before_inducing(monkeypatch):
@@ -1232,7 +1234,7 @@ def test_theorem_a_refuses_a_partial_rep_before_inducing(monkeypatch):
     # that misses r is refused as a rep, not by a lookup in the induction
     s3 = build_named_group("S3")
     comp = next(c for c in components(build_groupoid(s3))
-                if c.base == (0, 1, 2))
+                if c.base == 0b111)
     assert comp.stabilizer.order == 3
     u = trivial_rep(comp.stabilizer, QQ)
     del u[s3.element("r")]
@@ -1321,6 +1323,16 @@ def test_corollary_b_needs_classical_d_squared_zero(monkeypatch):
     report = verify_corollary_b(group, QQ, 1)
     assert report["homology"]["equal"] and report["cohomology"]["equal"]
     assert not report["ok"]
+
+
+def test_corollary_b_refuses_a_negative_degree_before_any_cost(monkeypatch):
+    def no_cost(*args):
+        raise AssertionError("work done before max_degree was checked")
+
+    monkeypatch.setattr(homology, "build_groupoid", no_cost)
+    monkeypatch.setattr(homology, "b_module", no_cost)
+    with pytest.raises(ValueError, match="max_degree"):
+        verify_corollary_b(build_named_group("S3"), QQ, -1)
 
 
 # ---------------------------------------------------------------------------

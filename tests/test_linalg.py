@@ -17,7 +17,7 @@ from parh.linalg import (
     rank,
 )
 from dense_reference import (dense_apply, dense_kernel, dense_mul, dense_ops,
-                             to_dense)
+                             matrix_entries, to_dense)
 from span_oracles import in_span, span_rank, subspace_equal
 
 
@@ -44,11 +44,11 @@ def test_integral_rational_matrices_stay_int():
     a = _random_matrix(rng, QQ, 5, 6)
     b = _random_matrix(rng, QQ, 6, 4)
     vec = {j: rng.randint(-3, 3) or 1 for j in range(6)}
-    summed = accumulate(QQ, [((i, j), v) for (i, j), v in a.entries.items()]
-                        + [((0, 0), 7), ((4, 5), -2)])
-    for values in (a.entries.values(), summed.values(),
-                   (a * b).entries.values(), a.apply(vec).values(),
-                   a.transpose().entries.values()):
+    summed = accumulate(QQ, [*matrix_entries(a).items(),
+                             ((0, 0), 7), ((4, 5), -2)])
+    for values in (matrix_entries(a).values(), summed.values(),
+                   matrix_entries(a * b).values(), a.apply(vec).values(),
+                   matrix_entries(a.transpose()).values()):
         assert values and all(type(v) is int for v in values)
 
 
@@ -281,7 +281,7 @@ def test_sparse_kernels_match_dense_reference(field):
 
         prod = a * b
         assert to_dense(prod) == dense_mul(field, dense_a, dense_b)
-        _assert_scalars(field, prod.entries.values())
+        _assert_scalars(field, matrix_entries(prod).values())
 
         t = a.transpose()
         assert (t.nrows, t.ncols) == (inner, nrows)
@@ -293,9 +293,11 @@ def test_sparse_kernels_match_dense_reference(field):
         minus_a = SparseMatrix.from_dense(
             field, [[sub(0, x) for x in row] for row in dense_a])
         gone = SparseMatrix(field, nrows, inner, accumulate(
-            field, [*a.entries.items(), *minus_a.entries.items()]))
+            field, [*matrix_entries(a).items(),
+                    *matrix_entries(minus_a).items()]))
         assert gone == SparseMatrix(field, nrows, inner)
-        assert gone.is_zero() and gone.nnz() == 0 and gone.entries == {}
+        assert gone.is_zero() and gone.nnz() == 0
+        assert matrix_entries(gone) == {}
         assert gone.cols == [{} for _ in range(inner)]
         assert all(v for m in (a, prod, t)
                    for col in m.cols for v in col.values())
@@ -303,9 +305,9 @@ def test_sparse_kernels_match_dense_reference(field):
         # nnz and entries in column-major order
         want_entries = {(i, j): row[j] for i, row in enumerate(dense_a)
                         for j in range(inner) if row[j]}
-        assert a.nnz() == len(want_entries) == len(a.entries)
-        assert a.entries == want_entries
-        keys = list(a.entries)
+        assert a.nnz() == len(want_entries) == len(matrix_entries(a))
+        assert matrix_entries(a) == want_entries
+        keys = list(matrix_entries(a))
         assert [j for _, j in keys] == sorted(j for _, j in keys)
         assert a.is_zero() == (not want_entries)
 

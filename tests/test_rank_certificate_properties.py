@@ -24,6 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import matrix_entries
 from parh import homology
 from parh.homology import RANK_PRIME, ChainComplex
 from parh.linalg import GF, QQ, SparseMatrix, kernel_basis, rank
@@ -68,7 +69,7 @@ def complexes(draw) -> ChainComplex:
 
 
 def _mod_p(d: SparseMatrix) -> SparseMatrix:
-    entries = {k: v % RANK_PRIME for k, v in d.entries.items()
+    entries = {k: v % RANK_PRIME for k, v in matrix_entries(d).items()
                if v % RANK_PRIME}
     return SparseMatrix(MOD_P, d.nrows, d.ncols, entries)
 

@@ -3,10 +3,11 @@
 A finite group keys a subset by its mask and translates and decodes it
 through tables kept on the group; the integers key it by a frozenset and
 translate through ``Integers.translate``.  Both codecs are checked against
-``groups.translate`` and sorted tuples, on all nine built-in groups and on
-groups past order 8, whose tables come in runs of 8 bits.  The mask
-routes of ``primitive_vector`` and ``_bracket_tables`` are compared with
-their tuple routes (``tests/subset_routes.py``) on every component.
+sorted tuples and their tuple ``translate``, on all nine built-in groups
+and on groups past order 8, whose tables come in runs of 8 bits.  The
+mask routes of ``primitive_vector`` and ``_bracket_tables`` are compared
+with their tuple routes on every component.  The tuple routes are in
+``tests/subset_routes.py``.
 Algebra elements store ``(key, g)`` and refuse a pair of another group.
 """
 
@@ -19,11 +20,12 @@ from parh import exel
 from parh.exel import AlgebraElement, PartialGroupAlgebra, SElement
 from parh.groupoid import _bracket_tables, build_groupoid, components, tilde_pi
 from parh.groups import (INTEGERS, NAMED_GROUP_NAMES, FiniteGroup, GroupError,
-                         Integers, build_named_group, translate)
+                         Integers, build_named_group)
 from parh.linalg import GF, QQ
 from parh.zcase import (cancellation_decompose, ig_decompose,
                         random_cancellation_instance, random_ig_element)
-from subset_routes import tuple_bracket_tables, tuple_primitive_vector
+from subset_routes import (translate, tuple_bracket_tables,
+                           tuple_primitive_vector)
 
 
 def _cyclic(n):
