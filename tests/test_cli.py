@@ -23,6 +23,7 @@ from parh.cli import (
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import build_groupoid, components
 from parh.groups import NAMED_GROUP_NAMES, parse_cayley_table
+from parh.linalg import Eliminator
 
 
 def run(capsys, *argv):
@@ -517,6 +518,31 @@ def test_verify_kpar_coeff_vanishing(capsys):
     assert code == EXIT_OK
     assert data["vanishing"] is True
     assert data["dims"][1:] == [0, 0]
+
+
+@pytest.mark.parametrize("argv, adds", [
+    (("verify", "kpar-coeff-vanishing", "--group", "S3", "--field", "F3",
+      "--max", "1"), 464),
+    (("verify", "corollary-b", "--group", "S3", "--field", "Q", "--max", "1"),
+     146),
+], ids=["kpar-S3-F3", "corollary-b-S3-Q"])
+def test_ranks_stop_at_full_rank_and_take_graphs_by_union_find(
+        capsys, monkeypatch, argv, adds):
+    # Pins the work of every rank, mod-p certificate included: a rank
+    # stops once the kept rows are spanned, and a signed-edge differential
+    # is ranked without the Eliminator.  Eliminating every column took
+    # 1 360 and 362 adds.
+    calls = []
+    add = Eliminator.add
+
+    def counted(self, col):
+        calls.append(col)
+        return add(self, col)
+
+    monkeypatch.setattr(Eliminator, "add", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(calls) == adds
 
 
 # --- z ---------------------------------------------------------------------

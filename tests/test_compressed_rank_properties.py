@@ -1,14 +1,19 @@
 """Property tests of compressed ranks and unit pivots, drawn by Hypothesis.
 
 Each complex is C_0 <- C_1 <- ... with d^2 = 0 over Q, F2 or F3: d_1 is
-a random matrix, and each further d_n has as columns a basis of
-ker d_(n-1), each vector scaled (some by 0), plus at times combinations
-of that basis, in a drawn order.  Over Q every entry is an integer and
-some scalars are multiples of ``RANK_PRIME``, so the mod-p ranks drop in
-some draws.  ``ChainComplex`` ranks such a complex bottom up, dropping
-from d_(n+1) the rows its elimination of d_n absorbed; each rank must
-equal plain ``rank`` and ``dense_reference`` of the whole matrix, over
-the field and, over Q, modulo the prime.  Examples are derandomized, so
+a random matrix or, in some draws, a signed incidence matrix, and each
+further d_n has as columns a basis of ker d_(n-1), each vector scaled
+(some by 0), plus at times combinations of that basis, in a drawn order.
+The incidence matrices have scaled edges, one-entry columns and repeated
+edges, and now and then one column that is not an edge, so ``rank``
+runs both its union-find and its elimination path under compression.
+Over Q every entry is an integer and some scalars are multiples of
+``RANK_PRIME``, so the mod-p ranks drop in some draws.  ``ChainComplex``
+ranks such a complex bottom up, dropping from d_(n+1) the rows its
+elimination of d_n absorbed; each rank must equal plain ``rank`` and
+``dense_reference`` of the whole matrix, over the field and, over Q,
+modulo the prime, and the columns it absorbed must be that many, of that
+dense rank with the dropped rows removed.  Examples are derandomized, so
 every run sees the same inputs.
 """
 
@@ -50,13 +55,41 @@ def _kernel(d: SparseMatrix) -> list[dict]:
     return out
 
 
+def _signed_incidence(draw, field, scalar, nrows, ncols) -> SparseMatrix:
+    """Columns c e_u and c (e_u - e_v) with c != 0, some repeated, and at
+    times one near miss: {u: c, v: c} over Q and F3, where 2c != 0, or
+    three entries over F2, where every two-entry column is an edge."""
+    nonzero = scalar.filter(bool)
+    row = st.integers(0, nrows - 1)
+    cols = []
+    for _ in range(ncols):
+        c = draw(nonzero)
+        kind = draw(st.sampled_from(["edge", "edge", "one", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append({r: c * v for r, v in draw(st.sampled_from(cols)).items()})
+        elif kind == "one" or nrows < 2:
+            cols.append({draw(row): c})
+        else:
+            u, v = draw(st.permutations(range(nrows)))[:2]
+            cols.append({u: c, v: -c})
+    if draw(st.integers(0, 3)) == 0 and nrows >= (3 if field.char == 2 else 2):
+        c = draw(nonzero)
+        rows = draw(st.permutations(range(nrows)))[:3 if field.char == 2 else 2]
+        cols[draw(st.integers(0, ncols - 1))] = dict.fromkeys(rows, c)
+    entries = {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
+    return SparseMatrix(field, nrows, ncols, entries)
+
+
 @st.composite
 def complexes(draw) -> ChainComplex:
     field = draw(st.sampled_from(FIELDS))
     scalar = _scalars(field)
     dims = {0: draw(st.integers(1, 5)), 1: draw(st.integers(1, 7))}
-    rows = [[draw(scalar) for _ in range(dims[1])] for _ in range(dims[0])]
-    diffs = {1: SparseMatrix.from_dense(field, rows)}
+    if draw(st.booleans()):
+        diffs = {1: _signed_incidence(draw, field, scalar, dims[0], dims[1])}
+    else:
+        rows = [[draw(scalar) for _ in range(dims[1])] for _ in range(dims[0])]
+        diffs = {1: SparseMatrix.from_dense(field, rows)}
     for n in range(2, draw(st.integers(2, 4)) + 1):
         kern = _kernel(diffs[n - 1])
         cols = []
@@ -83,28 +116,36 @@ def _mod_p(d: SparseMatrix) -> SparseMatrix:
 
 
 def _compressed_ranks(cx, modulo_p):
-    """``cx._ranks`` with the size of the row set it drops from each d_n."""
-    dropped = []
+    """``cx._ranks`` with each ranked matrix, the rows dropped from it and
+    the columns absorbed from it."""
+    calls = []
 
     def spy(m, **kw):
-        dropped.append(len(kw.get("drop", ())))
-        return rank(m, **kw)
+        r = rank(m, **kw)
+        calls.append((m, kw.get("drop", frozenset()), kw.get("absorbed")))
+        return r
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "rank", spy)
         ranks = cx._ranks(cx.diffs, modulo_p)
-    return ranks, dropped
+    return ranks, calls
 
 
 def _check_compressed(cx, modulo_p, plain):
-    ranks, dropped = _compressed_ranks(cx, modulo_p)
+    ranks, calls = _compressed_ranks(cx, modulo_p)
     degrees = sorted(cx.diffs)
     for n in degrees:
         d = plain(cx.diffs[n])
         assert ranks[n] == rank(d) == dense_kernel(
             d.field, to_dense(d), d.ncols)[0], n
     # d_n drops exactly the columns of d_(n-1) absorbed, rank d_(n-1) many
-    assert dropped == [0] + [ranks[n] for n in degrees[:-1]]
+    assert [len(drop) for _, drop, _ in calls] == [0] + [
+        ranks[n] for n in degrees[:-1]]
+    for n, (m, drop, absorbed) in zip(degrees, calls):
+        kept = [[row[j] for j in absorbed]
+                for i, row in enumerate(to_dense(m)) if i not in drop]
+        assert len(absorbed) == ranks[n] == dense_kernel(
+            m.field, kept, len(absorbed))[0], n
     return ranks
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parh import linalg
 from parh.linalg import (
     QQ,
     Eliminator,
@@ -85,6 +86,90 @@ def test_rank_examples():
     m = [[1, 1], [1, -1]]
     assert rank(SparseMatrix.from_dense(QQ, m)) == 2
     assert rank(SparseMatrix.from_dense(GF(2), m)) == 1
+
+
+def _count_adds(monkeypatch):
+    """Count ``Eliminator.add`` calls from here on, in a one-item list."""
+    calls = [0]
+    add = Eliminator.add
+
+    def counted(self, col):
+        calls[0] += 1
+        return add(self, col)
+
+    monkeypatch.setattr(Eliminator, "add", counted)
+    return calls
+
+
+def _no_eliminator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a signed-edge matrix reached the Eliminator")
+
+    monkeypatch.setattr(linalg, "Eliminator", refuse)
+
+
+def _independent_in_rank_order(m, drop=frozenset()):
+    """The columns independent of those before them, in ``rank``'s
+    shortest-first order, read off ``dense_kernel`` with ``drop`` rows
+    removed."""
+    order = sorted((j for j, col in enumerate(m.cols) if col),
+                   key=lambda j: len(m.cols[j]))
+    dense = [[row[j] for j in order] for i, row in enumerate(to_dense(m))
+             if i not in drop]
+    _, kernel = dense_kernel(m.field, dense, len(order))
+    dependent = {max(vec) for vec in kernel}
+    return [j for t, j in enumerate(order) if t not in dependent]
+
+
+def test_rank_stops_once_the_kept_rows_are_spanned(monkeypatch):
+    # The first three columns are a basis of GF(3)^3; the five after them
+    # are never reduced.  With row 0 dropped, two columns span the rest.
+    cols = [(1, 1, 1), (1, 2, 1), (1, 1, 2),
+            (2, 2, 2), (1, 2, 2), (2, 1, 1), (2, 2, 1), (1, 1, 1)]
+    m = SparseMatrix.from_dense(GF(3), [list(row) for row in zip(*cols)])
+    calls = _count_adds(monkeypatch)
+    absorbed = []
+    assert rank(m, absorbed=absorbed) == 3
+    assert calls == [3] and absorbed == [0, 1, 2]
+    assert absorbed == _independent_in_rank_order(m)
+    calls[0], absorbed = 0, []
+    assert rank(m, drop=frozenset({0}), absorbed=absorbed) == 2
+    assert calls == [2] and absorbed == [0, 1]
+    assert absorbed == _independent_in_rank_order(m, {0})
+
+
+def test_rank_of_signed_edges_takes_no_elimination(monkeypatch):
+    # Rows 0..3: edges 0-1 (twice), 1-2 scaled by 2, the one-entry column
+    # 3, 2-0 scaled by 3/2 (closing a cycle) and 2-3, which joins the
+    # ground's component.
+    cols = [{0: 1, 1: -1}, {1: 2, 2: -2}, {0: 1, 1: -1}, {3: 5},
+            {2: Fraction(3, 2), 0: Fraction(-3, 2)}, {2: -1, 3: 1}]
+    m = SparseMatrix._of_columns(QQ, 4, cols)
+    want = dense_kernel(QQ, to_dense(m), m.ncols)[0]
+    independent = _independent_in_rank_order(m)
+    _no_eliminator(monkeypatch)
+    absorbed = []
+    assert rank(m, absorbed=absorbed) == want == 4
+    assert absorbed == independent == [3, 0, 1, 5]
+    absorbed = []
+    assert rank(m, drop=frozenset({3}), absorbed=absorbed) == 3
+    assert absorbed == _independent_in_rank_order(m, {3}) == [0, 1, 5]
+
+
+@pytest.mark.parametrize("field, want", [(QQ, 3), (GF(3), 3), (GF(2), 2)],
+                         ids=repr)
+def test_a_triangle_of_sums_is_a_graph_only_over_f2(monkeypatch, field, want):
+    # {0: 1, 1: 1} sums to 2, which is zero only over F2: there the third
+    # edge closes a cycle, elsewhere every column is eliminated.
+    triangle = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    m = SparseMatrix.from_dense(field, triangle)
+    assert dense_kernel(field, triangle, 3)[0] == want
+    if field.char == 2:
+        _no_eliminator(monkeypatch)
+        assert rank(m) == 2
+    else:
+        calls = _count_adds(monkeypatch)
+        assert rank(m) == 3 and calls == [3]
 
 
 def test_kernel_examples():
