@@ -510,6 +510,8 @@ def cmd_z_cancellation(args):
     group = INTEGERS if args.ring == "Z" else build_named_group(args.ring)
     if args.max_k < 1:
         raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
+    if args.bound < 0:
+        raise ValueError(f"--bound must be nonnegative, got {args.bound}")
     # each instance decomposes into a k x k matrix M
     _check_window_cap(args.max_k ** 2, "cancellation matrix", "entries")
     rng = Random(args.seed)
@@ -532,6 +534,8 @@ def cmd_z_cancellation(args):
 
 def cmd_z_ig_decompose(args):
     field = _parse_field(args.field)
+    # checks the bound and its cap before the first draw; it draws none
+    tensor = k_tensor_ig_vanishes(args.bound, field)
     rng = Random(args.seed)
     failures = 0
     sample = {}
@@ -544,7 +548,6 @@ def cmd_z_ig_decompose(args):
             continue
         if not sample and out:
             sample = {str(g): b.render() for g, b in sorted(out.items())}
-    tensor = k_tensor_ig_vanishes(args.bound, field)
     ok = failures == 0 and tensor["ok"]
     data = {"count": args.count, "bound": args.bound, "seed": args.seed,
             "failures": failures, "sample": sample,

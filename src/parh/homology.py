@@ -11,12 +11,14 @@ Three chain pipelines feed the checks in this module:
   every e_x = [x][x^-1] diagonal (every module in parh.groupoid has), so
   each block e_(x) V is a set of coordinates.  Its differential is the
   alternating sum of faces, and with the degeneracies that insert the
-  identity it is a simplicial module whose identities are all checked;
-  only its nondegenerate tuples are assembled and ranked, the
-  normalized complex, which has the same homology.  For a module of 0/1
-  partial maps (every module the CLI builds) each face is an index list,
-  the columns are formed from the lists, and d^2 = 0 follows from the
-  simplicial identities between them, checked as list compositions;
+  identity it is a simplicial module over the nerve of G.  Every face
+  but d_0, and every degeneracy, is a block inclusion over a map of
+  tuples, so its simplicial identities are those of the nerve, checked
+  once per degree as compositions of index lists on G^n, together with
+  the unit and relation 1 of the module, which the module checks.  So
+  d^2 = 0 with no product, for every module.  Only its nondegenerate
+  tuples are assembled and ranked, the normalized complex, which has the
+  same homology;
 - the classical bar complex of a finite group, written independently so
   that the comparison checks are carried by genuinely separate code.
 
@@ -130,9 +132,10 @@ class ChainComplex:
     d_n d_(n+1) in one dict and stops at the first nonzero one, unless
     the builder has proven it already.  ``_transported_complex`` builds
     the normalized complex of a simplicial module, its degenerate tuples
-    deleted, and proves d^2 = 0 when it sums each d_n = sum_j (-1)^j d_j
-    from faces that satisfy the simplicial identities d_i d_j =
-    d_(j-1) d_i for i < j (C. A. Weibel, An Introduction to Homological
+    deleted, and proves d^2 = 0 for every module: it sums each
+    d_n = sum_j (-1)^j d_j from faces that satisfy the simplicial
+    identities d_i d_j = d_(j-1) d_i for i < j, which it derives from
+    those of the nerve of G (C. A. Weibel, An Introduction to Homological
     Algebra, 1994, 8.1-8.2; J. P. May, Simplicial Objects in Algebraic
     Topology, 1967).  Then d_(n-1) d_n is
     the sum of (-1)^(i+j) d_i d_j over 0 <= i <= n-1, 0 <= j <= n.  The
@@ -255,10 +258,6 @@ def _prefixes(group, xs: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _contract(group, xs: tuple[int, ...], j: int) -> tuple[int, ...]:
-    return xs[:j] + (group.mult(xs[j], xs[j + 1]),) + xs[j + 2:]
-
-
 # ---------------------------------------------------------------------------
 # Exactness of the homogeneous resolution, by its extra degeneracy.
 
@@ -269,9 +268,12 @@ def _drop_entry(order: int, n: int, i: int) -> list[int]:
     return [k // (low * order) * low + k % low for k in range(order ** n)]
 
 
-def _prepend_identity(order: int, n: int) -> list[int]:
-    """s on G^n, into G^(n+1): the identity is index 0, so the index stays."""
-    return list(range(order ** n))
+def _insert_identity(order: int, n: int, j: int) -> list[int]:
+    """The identity inserted before entry j of each tuple of G^n: an
+    index list into G^(n+1).  The identity is index 0, so at j = 0 the
+    index stays."""
+    low = order ** (n - j)
+    return [k // low * low * order + k % low for k in range(order ** n)]
 
 
 @lru_cache(maxsize=16)
@@ -306,7 +308,7 @@ def resolution_identity_holds(group, max_degree: int,
     order = group.order
     lo_faces = lo_s = None
     for n in range(max_degree + 1):
-        s = _prepend_identity(order, n)
+        s = _insert_identity(order, n, 0)
         faces = [_drop_entry(order, n + 1, i) for i in range(n + 1)]
         if _compose(faces[0], s) != list(range(order ** n)) or any(
                 _compose(faces[i + 1], s) != _compose(lo_s, lo_faces[i])
@@ -343,137 +345,89 @@ def _idempotent_supports(v_mod: PartialRepModule) -> list[frozenset[int]]:
 
 
 def _degree_blocks(group, supports: list[frozenset[int]], n: int, cache: dict):
-    """Per-tuple (offset, block) and the dimension of one chain degree.
+    """Per tuple of G^n, in ``product`` order, its (offset, block) in one
+    degree of the normalized complex, and the dimension of that degree.
 
     The block of (x_1, ..., x_n) holds the coordinates where every prefix
-    idempotent acts as 1, as {coordinate: position in the block}; blocks
-    follow each other in ``product`` order.
+    idempotent acts as 1, as {coordinate: position in the block}.  The
+    blocks of the nondegenerate tuples, those with no x_i = 1, follow each
+    other.  A degenerate tuple is deleted: its block sends each of its
+    coordinates to -1, at offset 0, the row that ``_add_faces`` drops.
     """
-    blocks = {}
+    blocks = []
     dim = 0
     for xs in product(range(group.order), repeat=n):
         key = frozenset(_prefixes(group, xs))
         if key not in cache:
-            coords = supports[0].intersection(*(supports[p] for p in key))
-            cache[key] = {i: k for k, i in enumerate(sorted(coords))}
-        blocks[xs] = (dim, cache[key])
-        dim += len(cache[key])
+            coords = sorted(supports[0].intersection(
+                *(supports[p] for p in key)))
+            cache[key] = ({i: k for k, i in enumerate(coords)},
+                          dict.fromkeys(coords, -1))
+        block, deleted = cache[key]
+        if 0 in xs:
+            blocks.append((0, deleted))
+        else:
+            blocks.append((dim, block))
+            dim += len(block)
     return blocks, dim
 
 
-def _faces(v_mod: PartialRepModule, n: int, blocks: dict,
-           lo_blocks: dict) -> list[list]:
-    """The faces d_0, ..., d_n of degree n, on every coordinate.
+def _contract_entries(group, n: int, j: int) -> list[int]:
+    """Entries j and j+1 of each tuple of G^n multiplied: an index list
+    into G^(n-1)."""
+    order = group.order
+    pairs = [group.mult(a, b) for a in range(order) for b in range(order)]
+    low = order ** (n - 2 - j)
+    return [(k // (low * order * order) * order
+             + pairs[k // low % (order * order)]) * low + k % low
+            for k in range(order ** n)]
 
-    d_j for 1 <= j < n contracts x_j x_(j+1) and d_n drops x_n; neither
-    moves the block coordinate, so each is an index list into degree n-1
-    for every module.  d_0 sends (x; v) to (x_2..x_n; [x_1^-1] v): an
-    index list when the module acts by partial maps, else the list of its
-    columns, read off the matrices.  A coordinate that leaves its target
-    block raises RuntimeError; so does a zero [x_1^-1] v on a map module,
-    which e_(x_1) v = v rules out, so no list holds a -1.
+
+def _nerve(group, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The faces d_0, ..., d_n of G^n into G^(n-1) and the degeneracies
+    s_0, ..., s_(n-1) of G^(n-1) into G^n, the nerve of G, as index lists
+    on tuples in ``product`` order.
+
+    d_0 drops x_1, d_j for 0 < j < n contracts x_j x_(j+1), d_n drops
+    x_n, and s_j inserts the identity after x_j.
     """
-    group, maps = v_mod.group, v_mod.maps
-    inv = group.inv
-    faces: list = [[] for _ in range(n + 1)]
-    try:
-        for xs, (_, block) in blocks.items():
-            at = [lo_blocks[xs[1:]],
-                  *(lo_blocks[_contract(group, xs, j)] for j in range(n - 1)),
-                  lo_blocks[xs[:-1]]]
-            tail_off, tail = at[0]
-            if maps is not None:
-                act = maps[inv(xs[0])]
-                faces[0] += [tail_off + tail[act[i]] for i in block]
-            else:
-                act = v_mod.mats[inv(xs[0])].cols
-                faces[0] += [{tail_off + tail[r]: v for r, v in act[i].items()}
-                             for i in block]
-            for face, (off, lo) in zip(faces[1:], at[1:]):
-                face += [off + lo[i] for i in block]
-    except KeyError:
-        raise RuntimeError("vector escapes its projection block") from None
-    return faces
+    order = group.order
+    faces = [_drop_entry(order, n, 0),
+             *(_contract_entries(group, n, j) for j in range(n - 1)),
+             _drop_entry(order, n, n - 1)]
+    degens = [_insert_identity(order, n - 1, j) for j in range(n)]
+    return faces, degens
 
 
-def _degeneracies(n: int, blocks: dict, lo_blocks: dict) -> list[list[int]]:
-    """The degeneracies s_0, ..., s_(n-1) of degree n as index lists from
-    degree n-1 into degree n.
+def _nerve_identities_hold(faces: list[list[int]], degens: list[list[int]],
+                           lo_faces: list[list[int]] | None,
+                           lo_degens: list[list[int]] | None) -> bool:
+    """Whether the faces and degeneracies of G^n satisfy, against those of
+    G^(n-1) (None at n = 1), every simplicial identity:
 
-    s_j inserts the identity after x_j and keeps the block coordinate:
-    the new tuple has the same prefixes, so the same block.  A coordinate
-    that leaves it raises RuntimeError.
-    """
-    degens: list[list[int]] = [[] for _ in range(n)]
-    try:
-        for xs, (_, lo) in lo_blocks.items():
-            for j, s in enumerate(degens):
-                off, block = blocks[xs[:j] + (0,) + xs[j:]]
-                s += [off + block[i] for i in lo]
-    except KeyError:
-        raise RuntimeError("a degeneracy leaves its block") from None
-    return degens
-
-
-def _simplicial_identities_hold(faces: list, degens: list[list[int]],
-                                lo_faces: list | None,
-                                lo_degens: list[list[int]] | None,
-                                matrix: bool, one) -> bool:
-    """Whether the faces and degeneracies of degree n satisfy, against
-    those of degree n-1 (None at n = 1), every simplicial identity:
-
-    - d_i d_j = d_(j-1) d_i for i < j, when d_0 is a list;
+    - d_i d_j = d_(j-1) d_i for i < j;
     - d_i s_j = s_(j-1) d_i for i < j, = id for i = j, j+1, and
       = s_j d_(i-1) for i > j+1;
     - s_i s_j = s_(j+1) s_i for i <= j.
 
-    Each side is one list composition.  A d_0 given by columns
-    (``matrix``) is compared column by column: d_0 s_0 = id is the unit
-    relation [1] = id, and d_0 s_j = s_(j-1) d_0 maps the rows of each
-    lower column through s_(j-1).
+    Each side is one list composition.
     """
     ident = list(range(len(degens[0])))
     for j, s in enumerate(degens):
         for i, d in enumerate(faces):
-            if matrix and i == 0:
-                got = [d[t] for t in s]
-                if j == 0:
-                    want = [{c: one} for c in ident]
-                else:
-                    below = lo_degens[j - 1]
-                    want = [{below[r]: v for r, v in col.items()}
-                            for col in lo_faces[0]]
-            else:
-                got = _compose(d, s)
-                want = (ident if i in (j, j + 1)
-                        else _compose(lo_degens[j - 1], lo_faces[i]) if i < j
-                        else _compose(lo_degens[j], lo_faces[i - 1]))
-            if got != want:
+            want = (ident if i in (j, j + 1)
+                    else _compose(lo_degens[j - 1], lo_faces[i]) if i < j
+                    else _compose(lo_degens[j], lo_faces[i - 1]))
+            if _compose(d, s) != want:
                 return False
-    if lo_degens is None:
+    if lo_faces is None:
         return True
-    if any(_compose(degens[i], lo_degens[j])
-           != _compose(degens[j + 1], lo_degens[i])
-           for j in range(len(lo_degens)) for i in range(j + 1)):
-        return False
-    return matrix or all(_compose(lo_faces[i], faces[j])
-                         == _compose(lo_faces[j - 1], faces[i])
-                         for j in range(1, len(faces)) for i in range(j))
-
-
-def _nondegenerate(blocks: dict) -> tuple[list[int], list[int]]:
-    """The coordinates of the tuples with no x_i = 1, in order, and the
-    list sending every coordinate to its position among them, -1 for a
-    degenerate one."""
-    index: list[int] = []
-    kept: list[int] = []
-    for xs, (off, block) in blocks.items():
-        if 0 in xs:
-            index += [-1] * len(block)
-        else:
-            index += range(len(kept), len(kept) + len(block))
-            kept += range(off, off + len(block))
-    return index, kept
+    return (all(_compose(degens[i], lo_degens[j])
+                == _compose(degens[j + 1], lo_degens[i])
+                for j in range(len(lo_degens)) for i in range(j + 1))
+            and all(_compose(lo_faces[i], faces[j])
+                    == _compose(lo_faces[j - 1], faces[i])
+                    for j in range(1, len(faces)) for i in range(j)))
 
 
 def _add_faces(col: dict, targets, signs, p: int) -> dict:
@@ -492,19 +446,46 @@ def _add_faces(col: dict, targets, signs, p: int) -> dict:
     return col
 
 
-def _normalized_columns(faces: list, kept: list[int], lo_index: list[int],
-                        signs: list[int], matrix: bool, p: int) -> list[dict]:
-    """The columns of sum_j (-1)^j d_j at the coordinates ``kept``, rows
-    renumbered by ``lo_index`` and degenerate rows dropped.  A d_0 given
-    by columns (``matrix``) starts each column; list faces are added by
-    ``_add_faces``."""
-    lists = [_compose(lo_index, _compose(face, kept))
-             for face in faces[matrix:]]
-    if not matrix:
-        return [_add_faces({}, row, signs, p) for row in zip(*lists)]
-    return [_add_faces({lo_index[r]: v for r, v in faces[0][c].items()},
-                       row, signs[1:], p)
-            for c, row in zip(kept, zip(*lists))]
+def _normalized_columns(v_mod: PartialRepModule, faces: list[list[int]],
+                        blocks: list, lo_blocks: list) -> list[dict]:
+    """The columns of d_n = sum_j (-1)^j d_j at the nondegenerate tuples
+    of degree n = len(faces) - 1, in order.
+
+    At the tuple t = (x_1, ..., x_n), the face d_j for j >= 1 sends the
+    block coordinate i to the row lo_off + lo_block[i] of the tuple
+    faces[j][t], and d_0 sends it to [x_1^-1] i at faces[0][t]: one row
+    for a module of partial maps, the rows of the column of [x_1^-1]
+    otherwise.  Each column sums its rows in face order (``_add_faces``);
+    a row at a degenerate tuple is -1, and dropped.  A coordinate that
+    leaves its target block raises RuntimeError; so does a zero
+    [x_1^-1] v on a map module, which e_(x_1) v = v rules out.
+    """
+    group, p, maps = v_mod.group, v_mod.field.char, v_mod.maps
+    n = len(faces) - 1
+    lead = maps if maps is not None else {
+        g: m.cols for g, m in v_mod.mats.items()}
+    # d_j takes the sign (-1)^j, held as a residue mod p
+    signs = [(-1) ** j % p if p else (-1) ** j for j in range(n + 1)]
+    cols: list[dict] = []
+    try:
+        for t, xs in enumerate(product(range(group.order), repeat=n)):
+            if 0 in xs:
+                continue
+            block = blocks[t][1]
+            (off, lo), *inner = [lo_blocks[face[t]] for face in faces]
+            act = lead[group.inv(xs[0])]
+            rows = [[o + b[i] for i in block] for o, b in inner]
+            if maps is not None:
+                cols += [_add_faces({}, row, signs, p) for row in
+                         zip([off + lo[act[i]] for i in block], *rows)]
+            else:
+                cols += [_add_faces({off + lo[r]: v
+                                     for r, v in act[i].items()},
+                                    row, signs[1:], p)
+                         for i, row in zip(block, zip(*rows))]
+    except KeyError:
+        raise RuntimeError("vector escapes its projection block") from None
+    return cols
 
 
 def _transported_complex(v_mod: PartialRepModule, max_n: int,
@@ -512,22 +493,44 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
     """The normalized chain complex of blocks e_{(x)} V with the
     transported boundary, through degree max_n.
 
-    The boundary of a block coordinate v at the tuple (x_1, ..., x_n) is
-    d_n = sum_j (-1)^j d_j over the faces of ``_faces``: [x_1^{-1}] v at
-    the tail tuple, then the contractions, then the final drop of v
-    itself.  With the degeneracies s_j of ``_degeneracies``, which insert
-    the identity after x_j, the chains form a simplicial module through
-    degree max_n.  Every simplicial identity is checked on every
-    coordinate of every degree 1..max_n (``_simplicial_identities_hold``)
-    and a failed one raises RuntimeError.
+    The chains of degree n are the blocks e_(x) V at the tuples
+    x = (x_1, ..., x_n) of G^n, and the boundary is d_n = sum_j (-1)^j d_j
+    over the faces: d_0 (x; v) = (x_2..x_n; [x_1^-1] v), d_j for 0 < j < n
+    contracts x_j x_(j+1) and d_n drops x_n; the degeneracy s_j inserts
+    the identity after x_j.  Each map is the nerve's map of tuples
+    (``_nerve``), with v carried along, or acted on by [x_1^-1] for d_0.
+    The nerve's simplicial identities are checked on G^n for every degree
+    1..max_n (``_nerve_identities_hold``), and a failed one raises
+    RuntimeError.  They give every identity of the chains:
+
+    - Every face but d_0, and every degeneracy, sends the block of x into
+      the block of its image tuple by v -> v, since the prefix set of the
+      image is that of x with one product dropped, or the same: so it is
+      a block inclusion over its tuple map, and an identity between such
+      maps holds iff it holds on tuples.
+    - d_0 sends the block of x into that of (x_2, ..., x_n) by the
+      covariance [g] e_h = e_(gh) [g] of a partial representation.  In the
+      identities d_0 d_j = d_(j-1) d_0 for j >= 2 and d_0 s_j =
+      s_(j-1) d_0 for j >= 1, the maps d_j and s_j keep x_1, so both
+      sides act by [x_1^-1] over the same tuple map.  What is left is
+      d_0 s_0 = id, the unit [1] = I, and d_0 d_1 = d_0 d_0, which reads
+      [(x_1 x_2)^-1] v = [x_2^-1][x_1^-1] v on vectors with
+      e_(x_1) v = v: relation 1 at (x_2^-1, x_1^-1), times [x_1^-1] on
+      the right.  ``PartialRepModule._validate`` checks both facts; a
+      dual has them from its module by transposition (``_of_clean``).
+
+    So d^2 = 0 on the full complex C, over any ring: d_(n-1) d_n is the
+    sum of (-1)^(i+j) d_i d_j, and d_i d_j = d_(j-1) d_i pairs the terms
+    i < j with the terms i' >= j' of the opposite sign (the proof is in
+    ``ChainComplex``).  Every transported complex sets ``d2_zero`` True
+    and forms no product.
 
     Only the nondegenerate tuples, those with no x_i = 1, are assembled
-    and ranked: d_n is the full alternating sum with the degenerate rows
-    and columns deleted, each column holding its sums in face order,
-    reduced mod p, a row dropped when its sum cancels (``_add_faces``).
-    That is the complex C/D (C. A. Weibel, An Introduction to
-    Homological Algebra, 1994, 8.3.7 and 8.3.8), and it has the
-    homology of C in degrees 0..max_n - 1:
+    and ranked (``_normalized_columns``): each column sums its faces in
+    face order, reduced mod p, a row dropped when its sum cancels or lies
+    at a degenerate tuple.  That is the complex C/D (C. A. Weibel, An
+    Introduction to Homological Algebra, 1994, 8.3.7 and 8.3.8), and it
+    has the homology of C in degrees 0..max_n - 1:
 
     - D_n, the span of the images of s_0..s_(n-1), is spanned by the
       coordinates of the degenerate tuples, since s_j sends the block of
@@ -553,43 +556,30 @@ def _transported_complex(v_mod: PartialRepModule, max_n: int,
       H_n(C) = H_n(C/D) for n <= max_n - 1, the degrees that are ranked.
 
     The ranks of C/D then run with compression and the mod-p certificate
-    as for any complex.  When every face is a list (the module acts by
-    partial maps), d^2 = 0 on C follows from d_i d_j = d_(j-1) d_i (the
-    proof is in ``ChainComplex``), hence on C/D, so ``d2_zero`` forms no
-    product.  A module whose d_0 is a matrix has d^2 checked by its
-    products on C/D, the complex that is ranked.  The faces and
-    degeneracies of at most two degrees are alive at once.
+    as for any complex.  No list on the coordinates of a degenerate tuple
+    is built; the tuple lists and blocks of at most two degrees are alive
+    at once.
     """
     group = v_mod.group
     field = v_mod.field
-    p = field.char
-    matrix = v_mod.maps is None
     check_transport_cap(group, v_mod.dim, max_n, cap)
     supports = _idempotent_supports(v_mod)
     cache: dict = {}
     lo_blocks, dim = _degree_blocks(group, supports, 0, cache)
-    lo_index = list(range(dim))
     dims = {0: dim}
     diffs = {}
     lo_faces = lo_degens = None
     for n in range(1, max_n + 1):
-        blocks, _ = _degree_blocks(group, supports, n, cache)
-        faces = _faces(v_mod, n, blocks, lo_blocks)
-        degens = _degeneracies(n, blocks, lo_blocks)
-        if not _simplicial_identities_hold(faces, degens, lo_faces, lo_degens,
-                                           matrix, field.one):
+        faces, degens = _nerve(group, n)
+        if not _nerve_identities_hold(faces, degens, lo_faces, lo_degens):
             raise RuntimeError(f"a simplicial identity fails at degree {n}")
-        index, kept = _nondegenerate(blocks)
-        dims[n] = len(kept)
-        # d_j takes the sign (-1)^j, held as a residue mod p
-        signs = [(-1) ** j % p if p else (-1) ** j for j in range(n + 1)]
+        blocks, dims[n] = _degree_blocks(group, supports, n, cache)
         diffs[n] = SparseMatrix._of_columns(
             field, dims[n - 1],
-            _normalized_columns(faces, kept, lo_index, signs, matrix, p))
-        lo_blocks, lo_index, lo_faces, lo_degens = blocks, index, faces, degens
+            _normalized_columns(v_mod, faces, blocks, lo_blocks))
+        lo_blocks, lo_faces, lo_degens = blocks, faces, degens
     complex_ = ChainComplex(field, dims, diffs)
-    if not matrix:
-        complex_._d2 = True
+    complex_._d2 = True
     return complex_
 
 

@@ -79,24 +79,25 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
     def of(self, x) -> "Scalar":
-        """Coerce an int, Fraction, or string like ``-3/7`` into the field.
+        """Coerce an int, Fraction, float or string like ``-3/7`` into the
+        field; any value but an int goes through ``Fraction`` first.
 
         Over Q an integral value comes back as an ``int`` (a bool too), and
-        any other value as a ``Fraction``: ``QQ.of(0.5)`` is 1/2.
+        any other value as a ``Fraction``.  Over F_p a denominator
+        divisible by p raises ZeroDivisionError.
+
+        >>> QQ.of(0.5), GF(5).of(2.5), GF(7).of(0.5)
+        (Fraction(1, 2), 0, 4)
         """
         if type(x) is int:
             return x % self.char if self.char else x
-        if isinstance(x, str):
+        if not isinstance(x, Fraction):
             x = Fraction(x)
         if self.char == 0:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
             return int(x) if x.denominator == 1 else x
-        if isinstance(x, Fraction):
-            if x.denominator % self.char == 0:
-                raise ZeroDivisionError(f"{x} has no image in F_{self.char}")
-            return x.numerator * pow(x.denominator, -1, self.char) % self.char
-        return x % self.char
+        if x.denominator % self.char == 0:
+            raise ZeroDivisionError(f"{x} has no image in F_{self.char}")
+        return x.numerator * pow(x.denominator, -1, self.char) % self.char
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char

@@ -11,7 +11,8 @@ from itertools import product
 
 from homogeneous_resolution import _subsets
 from subset_routes import translate
-from parh.homology import _contract, _prefixes
+from term_transport import contract
+from parh.homology import _prefixes
 from parh.linalg import QQ, Eliminator, SparseMatrix, accumulate
 
 
@@ -51,7 +52,7 @@ def bar_differential(group, n, field=QQ):
             yield (rpos[(tail_a, xs[1:])], c), f.one
             sign = f.neg(f.one)
             for j in range(len(xs) - 1):
-                yield (rpos[(a, _contract(group, xs, j))], c), sign
+                yield (rpos[(a, contract(group, xs, j))], c), sign
                 sign = f.neg(sign)
             yield (rpos[(a, xs[:-1])], c), sign
 

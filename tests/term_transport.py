@@ -1,19 +1,46 @@
 """The full transported differentials built term by term.
 
-``parh.homology._transported_complex`` lists the faces d_0, ..., d_n of
-each degree as index lists, and sums each column of d_n from its rows
-of the lists, at the nondegenerate tuples only (no entry x_i = 1).  This
-is an earlier construction of the full complex: every term
-``((row, col), value)`` of [x_1^-1] v, the contractions and the final
-drop streamed through one ``linalg.accumulate``, the entries coerced
-again by ``SparseMatrix``, with no face, on every tuple.  With its
-degenerate rows and columns deleted (``without_degenerate``) it is kept
-as an oracle for the face-built normalized matrices, entry order
-included.
+``parh.homology._transported_complex`` checks the simplicial identities
+of the nerve of G on tuple index lists, and sums each column of d_n from
+the faces' target blocks, at the nondegenerate tuples only (no entry
+x_i = 1).  This is an earlier construction of the full complex: every
+term ``((row, col), value)`` of [x_1^-1] v, the contractions and the
+final drop streamed through one ``linalg.accumulate``, the entries
+coerced again by ``SparseMatrix``, with no face, on every tuple, laid
+out by ``full_blocks``.  With its degenerate rows and columns deleted
+(``without_degenerate``) it is kept as an oracle for the face-built
+normalized matrices, entry order included.
 """
 
-from parh.homology import _contract, _degree_blocks, _idempotent_supports
+from itertools import product
+
+from parh.homology import _idempotent_supports, _prefixes
 from parh.linalg import SparseMatrix, accumulate
+
+
+def contract(group, xs, j):
+    """The tuple xs with entries j and j+1 replaced by their product."""
+    return xs[:j] + (group.mult(xs[j], xs[j + 1]),) + xs[j + 2:]
+
+
+def full_blocks(group, supports, n, cache):
+    """{tuple: (offset, block)} of the full complex in degree n, and its
+    dimension.
+
+    The block of (x_1, ..., x_n) holds the coordinates where every prefix
+    idempotent acts as 1, as {coordinate: position in the block}; blocks
+    follow each other in ``product`` order, degenerate tuples included.
+    """
+    blocks = {}
+    dim = 0
+    for xs in product(range(group.order), repeat=n):
+        key = frozenset(_prefixes(group, xs))
+        if key not in cache:
+            coords = supports[0].intersection(*(supports[p] for p in key))
+            cache[key] = {i: k for k, i in enumerate(sorted(coords))}
+        blocks[xs] = (dim, cache[key])
+        dim += len(cache[key])
+    return blocks, dim
 
 
 def term_built_differentials(v_mod, max_n):
@@ -22,7 +49,7 @@ def term_built_differentials(v_mod, max_n):
     supports = _idempotent_supports(v_mod)
     cols = [v_mod.mats[g].cols for g in range(group.order)]
     cache = {}
-    degree = {n: _degree_blocks(group, supports, n, cache)
+    degree = {n: full_blocks(group, supports, n, cache)
               for n in range(max_n + 1)}
     diffs = {}
     for n in range(1, max_n + 1):
@@ -34,7 +61,7 @@ def term_built_differentials(v_mod, max_n):
                 targets = [(xs[1:], field.one, cols[group.inv(xs[0])])]
                 sign = field.neg(field.one)
                 for j in range(n - 1):
-                    targets.append((_contract(group, xs, j), sign, None))
+                    targets.append((contract(group, xs, j), sign, None))
                     sign = field.neg(sign)
                 targets.append((xs[:-1], sign, None))
                 for i in block:
@@ -58,7 +85,7 @@ def degenerate_coordinates(v_mod, max_n):
     cache = {}
     out = {}
     for n in range(max_n + 1):
-        blocks, _ = _degree_blocks(group, supports, n, cache)
+        blocks, _ = full_blocks(group, supports, n, cache)
         out[n] = {off + k for xs, (off, block) in blocks.items()
                   if group.identity_index in xs for k in range(len(block))}
     return out

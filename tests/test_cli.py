@@ -662,6 +662,24 @@ def test_z_cancellation_refuses_max_k_before_any_draw(capsys, monkeypatch,
         main(["z", "cancellation", "--count", "1", "--max-k", "447"])
 
 
+def test_z_cancellation_refuses_a_negative_bound_before_any_draw(
+        capsys, monkeypatch):
+    # a negative --bound would leave the sampling window empty
+    def unreachable(*args):
+        raise AssertionError("an instance was drawn before --bound's check")
+
+    monkeypatch.setattr("parh.cli.random_cancellation_instance", unreachable)
+    code, data, _ = run_json(capsys, "z", "cancellation", "--count", "5",
+                             "--bound", "-2")
+    assert code == EXIT_CONFIG
+    assert data == {**_CONFIG_ERROR,
+                    "message": "--bound must be nonnegative, got -2"}
+    monkeypatch.undo()
+    code, data, _ = run_json(capsys, "z", "cancellation", "--count", "5",
+                             "--bound", "0")
+    assert code == EXIT_OK and data["ok"]
+
+
 def test_z_cancellation_is_reproducible(capsys):
     _, first, _ = run(capsys, "z", "cancellation", "--count", "8",
                       "--seed", "4", "--json")
@@ -677,6 +695,18 @@ def test_z_ig_decompose(capsys):
     assert data["failures"] == 0
     assert data["tensor_vanishing"] is True
     assert data["sample"]
+
+
+def test_z_ig_decompose_refuses_its_bound_before_any_draw(capsys,
+                                                          monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an element was drawn before --bound's check")
+
+    monkeypatch.setattr("parh.cli.random_ig_element", unreachable)
+    code, data, _ = run_json(capsys, "z", "ig-decompose", "--count", "20000",
+                             "--bound", "0")
+    assert code == EXIT_CONFIG
+    assert data == {**_CONFIG_ERROR, "message": "bound must be at least 1"}
 
 
 # --- plumbing --------------------------------------------------------------

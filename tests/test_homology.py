@@ -14,8 +14,8 @@ from homogeneous_resolution import (_subsets, contracting_homotopy,
                                     homogeneous_differential,
                                     homotopy_composites)
 from span_oracles import add_tagged, tagged_coefficients
-from term_transport import (degenerate_coordinates, term_built_differentials,
-                            without_degenerate)
+from term_transport import (contract, degenerate_coordinates, full_blocks,
+                            term_built_differentials, without_degenerate)
 from parh import cli, homology
 from parh.exel import PartialGroupAlgebra
 from parh.groupoid import (
@@ -33,8 +33,6 @@ from parh.homology import (
     RANK_PRIME,
     ChainComplex,
     HomologyReport,
-    _contract,
-    _degree_blocks,
     _idempotent_supports,
     _prefixes,
     _transported_complex,
@@ -177,7 +175,8 @@ def test_g_block_lists_are_the_resolution_maps(name):
     order, block = group.order, [tuple(range(group.order))]
     for n in range(4):
         s = contracting_homotopy(group, n, subsets=block)
-        assert s.cols == [{k: 1} for k in homology._prepend_identity(order, n)]
+        assert s.cols == [{k: 1}
+                          for k in homology._insert_identity(order, n, 0)]
         if n:
             d = homogeneous_differential(group, n, subsets=block)
             assert matrix_entries(d) == accumulate(QQ, [
@@ -243,7 +242,7 @@ def _g_block_list(order, n, move):
 # oracle builder, library list builder, move, degree shift, position i
 # read as j, least degree that has a position j
 @pytest.mark.parametrize("oracle_name,list_name,move,shift,i,j,n_min", [
-    ("contracting_homotopy", "_prepend_identity", _inserted, 1, 0, 1, 1),
+    ("contracting_homotopy", "_insert_identity", _inserted, 1, 0, 1, 1),
     ("homogeneous_differential", "_drop_entry", _dropped, -1, 0, 1, 2),
     ("homogeneous_differential", "_drop_entry", _dropped, -1, 1, 2, 3),
 ], ids=["s-inserts-at-1", "d0-drops-entry-1", "d1-drops-entry-2"])
@@ -277,7 +276,7 @@ def test_certificate_cap_counts_the_g_block_before_building(monkeypatch):
         raise AssertionError("a list was built before the cap check")
 
     monkeypatch.setattr(homology, "_drop_entry", no_build)
-    monkeypatch.setattr(homology, "_prepend_identity", no_build)
+    monkeypatch.setattr(homology, "_insert_identity", no_build)
     s3 = build_named_group("S3")
     resolution_identity_holds.cache_clear()
     with pytest.raises(SizeCapError) as info:
@@ -420,31 +419,36 @@ CLI_HOMOLOGY_COMMANDS = [
 ])
 def test_cli_homology_assembles_no_degenerate_column(monkeypatch, capsys,
                                                      argv):
-    # every column handed to the assembly sits at a tuple with no entry
-    # equal to the identity, and every such coordinate is assembled
-    assembled = []
-    modules = []
+    # each column is summed by one _add_faces call: every degree of every
+    # complex sums exactly its coordinates at the tuples with no entry
+    # equal to the identity, and no column at any other tuple
+    built = []
+    summed = []
     real_complex = homology._transported_complex
-    real_columns = homology._normalized_columns
+    real_add = homology._add_faces
 
     def recorded(v_mod, max_n, cap):
-        modules.append(v_mod)
-        return real_complex(v_mod, max_n, cap)
+        start = len(summed)
+        cx = real_complex(v_mod, max_n, cap)
+        built.append((v_mod, max_n, cx, len(summed) - start))
+        return cx
 
-    def spied(faces, kept, *args):
-        assembled.append((modules[-1], len(faces) - 1, kept))
-        return real_columns(faces, kept, *args)
+    def counted(*args):
+        summed.append(1)
+        return real_add(*args)
 
     monkeypatch.setattr(homology, "_transported_complex", recorded)
-    monkeypatch.setattr(homology, "_normalized_columns", spied)
+    monkeypatch.setattr(homology, "_add_faces", counted)
     assert cli.main(argv.split() + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert assembled
-    for v, n, kept in assembled:
-        degenerate = degenerate_coordinates(v, n)[n]
-        _, dim = _degree_blocks(v.group, _idempotent_supports(v), n, {})
-        assert degenerate and not degenerate.intersection(kept)
-        assert len(kept) + len(degenerate) == dim
+    assert built
+    for v, top, cx, sums in built:
+        degenerate = degenerate_coordinates(v, top)
+        supports = _idempotent_supports(v)
+        kept = {n: full_blocks(v.group, supports, n, {})[1]
+                - len(degenerate[n]) for n in range(top + 1)}
+        assert degenerate[top] and cx.dims == kept
+        assert sums == sum(kept[n] for n in range(1, top + 1))
 
 
 @pytest.mark.parametrize("argv", CLI_HOMOLOGY_COMMANDS)
@@ -457,100 +461,97 @@ def test_cli_complexes_decide_d2_by_the_simplicial_identities(
     assert built and all(cx.d2_zero() for cx in built)
 
 
-def test_modules_that_are_not_maps_check_d2_by_products(monkeypatch):
+def test_matrix_modules_decide_d2_by_the_identities(monkeypatch):
+    # no product is formed to build or to decide d^2 = 0; the products
+    # then agree on the assembled matrices, which are the normalized
+    # term-built ones to degree 4
     products = _counted_products(monkeypatch)
     s3 = build_named_group("S3")
     character = _c3_character()
     for v in (character, dual_module(character), _sign_twisted_b(s3)):
         assert v.maps is None
         products.clear()
-        cx = _transported_complex(v, 3, HOMOLOGY_SIZE_CAP)
-        assert not products
-        assert cx.d2_zero() and len(products) == 2
-        _assert_normalized(cx, v, 3)
+        cx = _transported_complex(v, 4, HOMOLOGY_SIZE_CAP)
+        assert cx.d2_zero() and not products
+        assert all(cx.diffs[n].annihilates(cx.diffs[n + 1]) for n in (1, 2, 3))
+        _assert_normalized(cx, v, 4)
 
 
 def _identity_checks(monkeypatch):
-    """(degree, dimension, lower dimension) of every call of the identity
-    check from now on, with its verdict."""
+    """(degree, tuples, lower tuples) of every call of the identity check
+    from now on, with its verdict."""
     calls = []
-    real = homology._simplicial_identities_hold
+    real = homology._nerve_identities_hold
 
     def recorded(faces, degens, *args):
         verdict = real(faces, degens, *args)
         calls.append((len(faces) - 1, len(faces[0]), len(degens[0]), verdict))
         return verdict
 
-    monkeypatch.setattr(homology, "_simplicial_identities_hold", recorded)
+    monkeypatch.setattr(homology, "_nerve_identities_hold", recorded)
     return calls
 
 
 def test_every_identity_is_checked_through_max_plus_one(monkeypatch):
     # partial_homology to degree m builds degrees 1..m+1; each is checked
-    # on all of its coordinates, degenerate ones included
+    # once, on all the tuples of G^n, degenerate ones included
     calls = _identity_checks(monkeypatch)
     s3 = build_named_group("S3")
     character = _c3_character()
     for v in (*_map_modules(s3, GF(3)), character, dual_module(character),
               _sign_twisted_b(s3)):
+        order = v.group.order
         calls.clear()
         partial_homology(v.group, v, max_degree=2)
-        full = {n: _degree_blocks(v.group, _idempotent_supports(v), n, {})[1]
-                for n in range(4)}
-        assert calls == [(n, full[n], full[n - 1], True) for n in (1, 2, 3)]
+        assert calls == [(n, order ** n, order ** (n - 1), True)
+                         for n in (1, 2, 3)]
 
 
-def _shifted_degeneracy(monkeypatch):
-    """Make s_0 insert the identity one position off, after x_1."""
-    real = homology._degeneracies
+def _mutated_nerve(monkeypatch, degree, mutate):
+    """Apply mutate(faces, degens) to the nerve's lists of every degree
+    from ``degree`` on."""
+    real = homology._nerve
 
-    def shifted(n, blocks, lo_blocks):
-        degens = real(n, blocks, lo_blocks)
-        if n >= 2:
-            degens[0] = real(n, blocks, lo_blocks)[1]
-        return degens
+    def mutated(group, n):
+        faces, degens = real(group, n)
+        if n >= degree:
+            mutate(faces, degens)
+        return faces, degens
 
-    monkeypatch.setattr(homology, "_degeneracies", shifted)
+    monkeypatch.setattr(homology, "_nerve", mutated)
 
 
 def test_a_failed_identity_is_loud(monkeypatch):
-    _shifted_degeneracy(monkeypatch)
+    # s_0 inserts the identity one position off, after x_1
+    _mutated_nerve(monkeypatch, 2,
+                   lambda faces, degens: degens.__setitem__(0, degens[1]))
     s3 = build_named_group("S3")
     for v in (b_module(s3, QQ), regular_module(s3, GF(3)), _sign_twisted_b(s3)):
-        with pytest.raises(RuntimeError, match="simplicial identity fails"):
+        with pytest.raises(RuntimeError, match="simplicial identity fails "
+                                               "at degree 2"):
             _transported_complex(v, 2, HOMOLOGY_SIZE_CAP)
 
 
-def test_a_matrix_face_is_checked_against_the_degeneracies(monkeypatch):
-    # negate d_0 at the first coordinate of degree 2, the tuple (1, 1),
-    # which is s_0 and s_1 of a coordinate of degree 1: d_0 s_0 = id fails
-    real = homology._faces
-
-    def negated(v_mod, n, blocks, lo_blocks):
-        faces = real(v_mod, n, blocks, lo_blocks)
-        if n == 2:
-            faces[0][0] = {r: -v for r, v in faces[0][0].items()}
-        return faces
-
-    monkeypatch.setattr(homology, "_faces", negated)
-    with pytest.raises(RuntimeError, match="simplicial identity fails at "
-                                           "degree 2"):
-        _transported_complex(_sign_twisted_b(build_named_group("S3")), 2,
-                             HOMOLOGY_SIZE_CAP)
+def test_a_module_whose_unit_is_not_the_identity_is_refused():
+    # d_0 s_0 = id on the chains is the unit [1] = I, which the module
+    # checks at construction: [1] negated, or with coordinate 0 dropped, a
+    # partial map on B, refused on the list route and the matrix route
+    s3 = build_named_group("S3")
+    for v in (b_module(s3, GF(3)), _sign_twisted_b(s3)):
+        f, one = v.field, v.mats[0]
+        negated = [{r: f.neg(x) for r, x in col.items()} for col in one.cols]
+        for cols in (negated, [{}] + one.cols[1:]):
+            unit = SparseMatrix._of_columns(f, one.nrows, cols)
+            with pytest.raises(ValueError, match="identity generator"):
+                PartialRepModule(s3, f, {**v.mats, 0: unit})
 
 
 def test_a_contraction_off_by_one_is_loud(monkeypatch):
     # contract x_2 x_3 where d_1 should contract x_1 x_2, in degree 3
-    real = homology._faces
-
-    def off(v_mod, n, blocks, lo_blocks):
-        faces = real(v_mod, n, blocks, lo_blocks)
-        if n == 3:
-            faces[1] = faces[2]
-        return faces
-
-    monkeypatch.setattr(homology, "_faces", off)
-    with pytest.raises(RuntimeError, match="simplicial identity fails"):
+    _mutated_nerve(monkeypatch, 3,
+                   lambda faces, degens: faces.__setitem__(1, faces[2]))
+    with pytest.raises(RuntimeError, match="simplicial identity fails at "
+                                           "degree 3"):
         _transported_complex(b_module(build_named_group("S3"), GF(2)), 3,
                              HOMOLOGY_SIZE_CAP)
 
@@ -581,6 +582,7 @@ def test_transported_cap_is_checked_before_the_blocks(monkeypatch):
         raise AssertionError("a block was formed before the cap check")
 
     monkeypatch.setattr(homology, "_degree_blocks", unreachable)
+    monkeypatch.setattr(homology, "_nerve", unreachable)
     s3 = build_named_group("S3")
     for v in (b_module(s3, QQ), _sign_twisted_b(s3)):
         with pytest.raises(SizeCapError) as info:
@@ -622,7 +624,7 @@ def test_transported_equals_bar_for_idempotent_module(name, field):
         assert (bar.nrows, bar.ncols) == (eng.nrows, eng.ncols)
         assert matrix_entries(bar) == matrix_entries(eng)
         # the coordinates (xs, j) of the transported complex, in order
-        blocks, dim = _degree_blocks(group, supports, n, {})
+        blocks, dim = full_blocks(group, supports, n, {})
         coords = []
         for xs, (offset, block) in blocks.items():
             assert offset == len(coords)
@@ -906,7 +908,7 @@ def _cochain_reference_dims(v_mod, max_degree):
                 sources = [(xs[1:], field.one, v_mod.mats[xs[0]], False)]
                 sign = field.neg(field.one)
                 for j in range(n - 1):
-                    sources.append((_contract(group, xs, j), sign, None, True))
+                    sources.append((contract(group, xs, j), sign, None, True))
                     sign = field.neg(sign)
                 sources.append((xs[:-1], sign, None, True))
                 for ys, s, mat, needs_proj in sources:

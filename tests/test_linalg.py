@@ -64,6 +64,19 @@ def test_field_prime():
     assert f5 != QQ
 
 
+def test_prime_field_coerces_a_float_through_its_fraction():
+    # a float is never stored in F_p: 2.5 = 5/2 is 0 in F5, 1/2 is 4 in F7
+    assert GF(5).of(2.5) == 0 and GF(7).of(0.5) == 4
+    assert GF(7).of(0.1) == GF(7).of(Fraction(0.1))
+    assert all(type(GF(p).of(x)) is int
+               for p in (3, 5, 7) for x in (0.5, 3.0, -1.25, True))
+    assert SparseMatrix(GF(5), 1, 1, {(0, 0): 2.5}).cols == [{}]
+    assert SparseMatrix(GF(7), 1, 1, {(0, 0): 0.5}).cols == [{0: 4}]
+    # a denominator divisible by p has no image
+    with pytest.raises(ZeroDivisionError):
+        GF(2).of(0.5)
+
+
 def test_field_rejects_nonprime_and_huge():
     with pytest.raises(ValueError):
         GF(4)
